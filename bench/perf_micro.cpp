@@ -1,9 +1,9 @@
 /// \file perf_micro.cpp
 /// \brief google-benchmark microbenchmarks of the library's hot paths
 /// (not a paper experiment): DES throughput, partitioner, DAG analysis,
-/// qsim statevector/density-matrix kernels (fused and unfused), and full
-/// engine runs. Results are also exported to BENCH_perf_micro.json for the
-/// CI perf gate (see bench_report.hpp).
+/// the qsim density-matrix kernel, and full engine runs. Results are also
+/// exported to BENCH_perf_micro.json for the CI perf gate (see
+/// bench_report.hpp).
 
 #include <benchmark/benchmark.h>
 
@@ -75,18 +75,6 @@ using namespace dqcsim;
 /// Allocations since `since` (relaxed; the benches are single-threaded).
 std::uint64_t allocs_since(std::uint64_t since) {
   return g_alloc_count.load(std::memory_order_relaxed) - since;
-}
-
-/// The paper's 32-qubit benchmark families (TLIM / QAOA-r8 / QFT, Table I)
-/// rebuilt at a statevector-feasible width `n`: identical gate structure
-/// per layer, scaled register.
-Circuit paper_class_circuit(const std::string& family, int n) {
-  if (family == "TLIM") return gen::make_tlim(n, {});
-  if (family == "QAOA-r8") {
-    Rng rng(12);  // fixed seed: same graph for fused and unfused runs
-    return gen::make_qaoa_regular(n, 8, rng);
-  }
-  return gen::make_qft(n);
 }
 
 void BM_EventQueueScheduleAndPop(benchmark::State& state) {
@@ -427,76 +415,6 @@ void BM_DensityMatrixHadamard8Qubit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DensityMatrixHadamard8Qubit);
-
-// --- statevector apply_circuit: the paper's 32q-class circuit families ----
-// (TLIM / QAOA-r8 / QFT of Table I) at statevector-feasible width, run
-// unfused gate-by-gate vs through the gate-fusion pass. The Fused/Unfused
-// wall-time ratio is the fusion speedup the CI perf gate tracks.
-
-void sv_apply_unfused(benchmark::State& state, const std::string& family) {
-  const int n = static_cast<int>(state.range(0));
-  const Circuit qc = paper_class_circuit(family, n);
-  for (auto _ : state) {
-    qsim::Statevector psi(n);
-    psi.apply_circuit(qc);
-    benchmark::DoNotOptimize(psi.amplitude(0));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(qc.num_gates()));
-  state.SetLabel(std::to_string(qc.num_gates()) + " gates");
-}
-
-void sv_apply_fused(benchmark::State& state, const std::string& family) {
-  const int n = static_cast<int>(state.range(0));
-  const Circuit qc = paper_class_circuit(family, n);
-  const FusedCircuit fc = fuse_circuit(qc);
-  for (auto _ : state) {
-    qsim::Statevector psi(n);
-    psi.apply_fused(fc);
-    benchmark::DoNotOptimize(psi.amplitude(0));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(qc.num_gates()));
-  state.SetLabel(std::to_string(fc.num_ops()) + " fused ops");
-}
-
-void BM_SvApplyCircuitUnfused_TLIM(benchmark::State& state) {
-  sv_apply_unfused(state, "TLIM");
-}
-void BM_SvApplyCircuitFused_TLIM(benchmark::State& state) {
-  sv_apply_fused(state, "TLIM");
-}
-void BM_SvApplyCircuitUnfused_QAOA_R8(benchmark::State& state) {
-  sv_apply_unfused(state, "QAOA-r8");
-}
-void BM_SvApplyCircuitFused_QAOA_R8(benchmark::State& state) {
-  sv_apply_fused(state, "QAOA-r8");
-}
-void BM_SvApplyCircuitUnfused_QFT(benchmark::State& state) {
-  sv_apply_unfused(state, "QFT");
-}
-void BM_SvApplyCircuitFused_QFT(benchmark::State& state) {
-  sv_apply_fused(state, "QFT");
-}
-// 22 qubits (64 MiB state) is the headline width: big enough that the
-// cache-block batching dominates; 16 covers the L2-resident small case.
-BENCHMARK(BM_SvApplyCircuitUnfused_TLIM)->Arg(16)->Arg(22);
-BENCHMARK(BM_SvApplyCircuitFused_TLIM)->Arg(16)->Arg(22);
-BENCHMARK(BM_SvApplyCircuitUnfused_QAOA_R8)->Arg(16)->Arg(22);
-BENCHMARK(BM_SvApplyCircuitFused_QAOA_R8)->Arg(16)->Arg(22);
-BENCHMARK(BM_SvApplyCircuitUnfused_QFT)->Arg(16)->Arg(22);
-BENCHMARK(BM_SvApplyCircuitFused_QFT)->Arg(16)->Arg(22);
-
-void BM_FuseCircuitQft20(benchmark::State& state) {
-  const Circuit qc = gen::make_qft(20);
-  for (auto _ : state) {
-    const FusedCircuit fc = fuse_circuit(qc);
-    benchmark::DoNotOptimize(fc.num_ops());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(qc.num_gates()));
-}
-BENCHMARK(BM_FuseCircuitQft20);
 
 /// Console output plus capture of every run for the JSON report.
 class JsonExportReporter : public benchmark::ConsoleReporter {

@@ -8,11 +8,15 @@ are tracked, so adding new benchmarks never breaks the gate; a tracked
 kernel that disappears from the current report fails it (a silently dropped
 benchmark is itself a regression).
 
-Named counters recorded in the baseline (e.g. the allocs_per_op counter of
-the steady-state DES/RunContext benches) are gated too: a counter fails when
-it exceeds baseline * threshold + 0.01 (the absolute slack lets a zero
-baseline tolerate measurement jitter but not a real allocation sneaking back
-into the hot path).
+Named counters recorded in the baseline are gated too, by counter name:
+
+- allocs_per_op (the steady-state DES/RunContext benches) is measured and
+  fails only when it exceeds baseline * threshold + 0.01 (the absolute
+  slack lets a zero baseline tolerate measurement jitter but not a real
+  allocation sneaking back into the hot path);
+- every other counter is a seeded simulation statistic (depth_mean,
+  fidelity_mean, ...) and is pinned: it fails on any change beyond a
+  relative 1e-12, in either direction.
 
 Usage:
     check_bench_regression.py CURRENT.json [MORE.json ...] BASELINE.json
@@ -29,7 +33,13 @@ run on main and commit it as ci/bench_baseline.json (see README).
 
 import argparse
 import json
+import math
 import sys
+
+# Counters that measure the host rather than the simulation; all others
+# must reproduce the baseline exactly.
+MEASURED_COUNTERS = {"allocs_per_op"}
+PINNED_REL_TOL = 1e-12
 
 
 def load_kernels(path):
@@ -150,13 +160,21 @@ def main():
                 )
                 verdict = "COUNTER MISSING"
                 continue
-            limit = base_val * threshold + 0.01
-            if cur_val > limit:
+            if counter in MEASURED_COUNTERS:
+                limit = base_val * threshold + 0.01
+                if cur_val > limit:
+                    failures.append(
+                        f"{name}: counter {counter} {base_val:.3g} ->"
+                        f" {cur_val:.3g} (limit {limit:.3g})"
+                    )
+                    verdict = f"COUNTER REGRESSION ({counter})"
+            elif not math.isclose(cur_val, base_val, rel_tol=PINNED_REL_TOL,
+                                  abs_tol=0.0):
                 failures.append(
-                    f"{name}: counter {counter} {base_val:.3g} -> {cur_val:.3g}"
-                    f" (limit {limit:.3g})"
+                    f"{name}: pinned counter {counter} changed"
+                    f" {base_val!r} -> {cur_val!r}"
                 )
-                verdict = f"COUNTER REGRESSION ({counter})"
+                verdict = f"COUNTER CHANGED ({counter})"
         rows.append((name, base_ns, cur_ns, ratio, verdict))
 
     width = max((len(r[0]) for r in rows), default=10)

@@ -1,165 +1,6 @@
 #include "circuit/fusion.hpp"
 
-#include "common/error.hpp"
-
 namespace dqcsim {
-namespace {
-
-using qsim::Mat2;
-using qsim::Mat4;
-
-FusedOp::Kind classify_1q(const Mat2& m) {
-  return qsim::is_diagonal_matrix(m) ? FusedOp::Kind::Diag1Q
-                                     : FusedOp::Kind::Dense1Q;
-}
-
-FusedOp::Kind classify_2q(const Mat4& m) {
-  if (qsim::is_diagonal_matrix(m)) return FusedOp::Kind::Diag2Q;
-  if (qsim::is_permutation_matrix(m)) return FusedOp::Kind::Perm2Q;
-  return FusedOp::Kind::Dense2Q;
-}
-
-/// Embed a one-qubit unitary into the 4x4 space of a fused 2q op.
-Mat4 embed_1q(const Mat2& u, bool on_high) {
-  return on_high ? qsim::kron(u, qsim::identity2())
-                 : qsim::kron(qsim::identity2(), u);
-}
-
-constexpr std::ptrdiff_t kNone = -1;
-
-struct Builder {
-  std::vector<FusedOp> ops;
-  std::vector<char> dead;                    // absorbed into a later op
-  std::vector<std::ptrdiff_t> last_on_wire;  // index into ops, or kNone
-
-  explicit Builder(int num_qubits)
-      : last_on_wire(static_cast<std::size_t>(num_qubits), kNone) {}
-
-  FusedOp* last_op_on(QubitId q) {
-    const std::ptrdiff_t p = last_on_wire[static_cast<std::size_t>(q)];
-    if (p == kNone || dead[static_cast<std::size_t>(p)]) return nullptr;
-    return &ops[static_cast<std::size_t>(p)];
-  }
-
-  void push(FusedOp op) {
-    const auto idx = static_cast<std::ptrdiff_t>(ops.size());
-    last_on_wire[static_cast<std::size_t>(op.q0)] = idx;
-    if (op.arity() == 2) {
-      last_on_wire[static_cast<std::size_t>(op.q1)] = idx;
-    }
-    ops.push_back(op);
-    dead.push_back(0);
-  }
-
-  /// Multiply `u` (acting after) into an existing 2q op, aligning `u`'s
-  /// operand order (a = high, b = low) with the op's stored order.
-  static void merge_2q_into(FusedOp& op, const Mat4& u, QubitId a) {
-    op.m4 = qsim::matmul(op.q0 == a ? u : qsim::swap_operands(u), op.m4);
-    op.kind = classify_2q(op.m4);
-    ++op.source_gates;
-  }
-
-  void add_1q(QubitId q, const Mat2& u) {
-    if (FusedOp* prev = last_op_on(q)) {
-      if (prev->arity() == 1) {
-        prev->m2 = qsim::matmul(u, prev->m2);
-        prev->kind = classify_1q(prev->m2);
-        ++prev->source_gates;
-        return;
-      }
-      // Merging a dense 1q gate into a diagonal 2q op would densify it and
-      // lose the fast path, which costs more than the extra sweep saves.
-      if (!prev->diagonal() || qsim::is_diagonal_matrix(u)) {
-        prev->m4 = qsim::matmul(embed_1q(u, prev->q0 == q), prev->m4);
-        prev->kind = classify_2q(prev->m4);
-        ++prev->source_gates;
-        return;
-      }
-    }
-    push(FusedOp{classify_1q(u), q, 0, u, {}, 1});
-  }
-
-  void add_2q(QubitId a, QubitId b, const Mat4& u,
-              const FusionOptions& opts) {
-    // Direct merge: the most recent op on both wires is one and the same
-    // two-qubit op, hence it acts exactly on {a, b}.
-    const std::ptrdiff_t pa = last_on_wire[static_cast<std::size_t>(a)];
-    const std::ptrdiff_t pb = last_on_wire[static_cast<std::size_t>(b)];
-    if (pa != kNone && pa == pb && !dead[static_cast<std::size_t>(pa)] &&
-        ops[static_cast<std::size_t>(pa)].arity() == 2) {
-      merge_2q_into(ops[static_cast<std::size_t>(pa)], u, a);
-      return;
-    }
-    // Commute hop: a diagonal gate commutes with every diagonal gate (and
-    // trivially with disjoint-wire gates), so it may slide backwards past
-    // them to reach an earlier diagonal op on the same pair.
-    if (opts.allow_diagonal_commute && qsim::is_diagonal_matrix(u)) {
-      std::size_t scanned = 0;
-      for (std::size_t j = ops.size(); j-- > 0 && scanned < opts.max_hop_window;
-           ++scanned) {
-        if (dead[j]) continue;
-        FusedOp& op = ops[j];
-        const bool shares = op.acts_on(a) || op.acts_on(b);
-        if (op.arity() == 2 && op.diagonal() &&
-            ((op.q0 == a && op.q1 == b) || (op.q0 == b && op.q1 == a))) {
-          merge_2q_into(op, u, a);
-          return;
-        }
-        if (shares && !op.diagonal()) break;
-      }
-    }
-    // New fused op; absorb trailing *standalone* one-qubit ops on its wires
-    // (they act immediately before, so they right-multiply in). A diagonal
-    // 2q op only absorbs diagonal 1q ops: densifying it would trade the
-    // batchable single-sweep fast path for a full 4x4 kernel, a net loss.
-    FusedOp op{FusedOp::Kind::Dense2Q, a, b, {}, u, 1};
-    const bool op_diagonal = qsim::is_diagonal_matrix(u);
-    for (const QubitId w : {a, b}) {
-      const std::ptrdiff_t pw = last_on_wire[static_cast<std::size_t>(w)];
-      if (pw == kNone || dead[static_cast<std::size_t>(pw)]) continue;
-      FusedOp& prev = ops[static_cast<std::size_t>(pw)];
-      if (prev.arity() != 1) continue;
-      if (op_diagonal && !qsim::is_diagonal_matrix(prev.m2)) continue;
-      op.m4 = qsim::matmul(op.m4, embed_1q(prev.m2, w == a));
-      op.source_gates += prev.source_gates;
-      dead[static_cast<std::size_t>(pw)] = 1;
-    }
-    op.kind = classify_2q(op.m4);
-    push(op);
-  }
-};
-
-}  // namespace
-
-FusedCircuit::FusedCircuit(int num_qubits, std::vector<FusedOp> ops,
-                           std::size_t source_gate_count)
-    : num_qubits_(num_qubits),
-      ops_(std::move(ops)),
-      source_gates_(source_gate_count) {}
-
-double FusedCircuit::compression_ratio() const noexcept {
-  if (ops_.empty()) return 1.0;
-  return static_cast<double>(source_gates_) / static_cast<double>(ops_.size());
-}
-
-FusedCircuit fuse_circuit(const Circuit& qc, const FusionOptions& opts) {
-  Builder b(qc.num_qubits());
-  for (const Gate& g : qc.gates()) {
-    DQCSIM_EXPECTS_MSG(g.kind != GateKind::Measure,
-                       "fuse_circuit requires a unitary circuit");
-    if (g.arity() == 1) {
-      b.add_1q(g.q0(), qsim::gate_unitary_1q(g.kind, g.param));
-    } else {
-      b.add_2q(g.q0(), g.q1(), qsim::gate_unitary_2q(g.kind, g.param), opts);
-    }
-  }
-  std::vector<FusedOp> out;
-  out.reserve(b.ops.size());
-  for (std::size_t i = 0; i < b.ops.size(); ++i) {
-    if (!b.dead[i]) out.push_back(std::move(b.ops[i]));
-  }
-  return FusedCircuit(qc.num_qubits(), std::move(out), qc.num_gates());
-}
 
 std::vector<std::size_t> fusible_1q_chain_next(const Circuit& qc) {
   std::vector<std::size_t> next(qc.num_gates(), kNoFusedNext);

@@ -1,25 +1,6 @@
 /// \file fusion.hpp
-/// \brief Gate-fusion pass: compile a Circuit into a shorter sequence of
-/// dense/structured matrix operations for the simulation kernels.
-///
-/// Every statevector (and density-matrix) pass over a 2^n state is
-/// memory-bound, so the dominant cost of `apply_circuit` is the *number of
-/// sweeps*, not the per-gate arithmetic. The pass merges adjacent gates on
-/// the same wires into single 2x2/4x4 matrices:
-///
-///  - consecutive one-qubit gates on a wire multiply into one Mat2;
-///  - a one-qubit gate merges into the neighbouring two-qubit op on its
-///    wire (embedded via a Kronecker product);
-///  - consecutive two-qubit gates on the same wire pair multiply into one
-///    Mat4 (operand order aligned automatically);
-///  - a diagonal two-qubit gate may additionally commute backwards past
-///    other diagonal gates (the commutation rule of commutation.hpp:
-///    Z-diagonal gates mutually commute) to reach a mergeable partner.
-///
-/// Each fused op is classified by exact-zero structure (diagonal /
-/// permutation / dense) so the kernels can pick specialized fast paths.
-/// The fused program computes the same unitary as the source circuit up to
-/// floating-point reassociation (~1e-13 on hundreds of gates).
+/// \brief One-qubit chain analysis for the execution engine's event fusion
+/// (ArchConfig::fuse_local_gates).
 
 #pragma once
 
@@ -27,73 +8,8 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "qsim/gates_matrices.hpp"
 
 namespace dqcsim {
-
-/// Tuning knobs for fuse_circuit.
-struct FusionOptions {
-  /// Allow a diagonal two-qubit gate to hop backwards over diagonal gates
-  /// sharing its wires (and any gates on disjoint wires) to merge with an
-  /// earlier diagonal op on the same pair.
-  bool allow_diagonal_commute = true;
-  /// Backward-scan window for the commute hop (ops, not gates).
-  std::size_t max_hop_window = 32;
-};
-
-/// One fused operation: a 2x2 or 4x4 unitary plus its structural class.
-struct FusedOp {
-  enum class Kind : std::uint8_t {
-    Dense1Q,  ///< general 2x2
-    Diag1Q,   ///< diagonal 2x2 (phase per basis value)
-    Dense2Q,  ///< general 4x4
-    Diag2Q,   ///< diagonal 4x4
-    Perm2Q,   ///< one nonzero per row (branch permutation with phases)
-  };
-
-  Kind kind = Kind::Dense1Q;
-  QubitId q0 = 0;  ///< sole operand (1q) or high-bit operand (2q)
-  QubitId q1 = 0;  ///< low-bit operand (2q only)
-  qsim::Mat2 m2{};  ///< valid when arity() == 1
-  qsim::Mat4 m4{};  ///< valid when arity() == 2
-  std::size_t source_gates = 0;  ///< how many IR gates were folded in
-
-  int arity() const noexcept {
-    return (kind == Kind::Dense1Q || kind == Kind::Diag1Q) ? 1 : 2;
-  }
-  bool diagonal() const noexcept {
-    return kind == Kind::Diag1Q || kind == Kind::Diag2Q;
-  }
-  bool acts_on(QubitId q) const noexcept {
-    return q == q0 || (arity() == 2 && q == q1);
-  }
-};
-
-/// The output of the fusion pass: an ordered fused-op program.
-class FusedCircuit {
- public:
-  FusedCircuit(int num_qubits, std::vector<FusedOp> ops,
-               std::size_t source_gate_count);
-
-  int num_qubits() const noexcept { return num_qubits_; }
-  const std::vector<FusedOp>& ops() const noexcept { return ops_; }
-  std::size_t num_ops() const noexcept { return ops_.size(); }
-
-  /// Number of gates in the source circuit (for compression metrics).
-  std::size_t source_gate_count() const noexcept { return source_gates_; }
-
-  /// source_gate_count() / num_ops(); 1.0 when nothing fused.
-  double compression_ratio() const noexcept;
-
- private:
-  int num_qubits_;
-  std::vector<FusedOp> ops_;
-  std::size_t source_gates_;
-};
-
-/// Run the fusion pass. Precondition: the circuit contains only unitary
-/// gates (Measure is rejected — fusion feeds the pure-state kernels).
-FusedCircuit fuse_circuit(const Circuit& qc, const FusionOptions& opts = {});
 
 /// Sentinel for fusible_1q_chain_next: no fusible successor.
 inline constexpr std::size_t kNoFusedNext = ~std::size_t{0};

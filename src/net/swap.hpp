@@ -16,7 +16,7 @@
 ///  - extra latency = (hops - 1) swaps' local operations, serial along the
 ///                 chain, charged when a remote gate consumes the pair.
 ///
-/// Capacity sharing between routes: by default (the legacy escape hatch)
+/// Capacity sharing between routes: by default (all contention knobs off)
 /// every routed logical node pair is backed by an *independent* effective
 /// link, so two routes crossing the same physical edge each draw the
 /// edge's full per-edge budget concurrently — optimistic on congestion-

@@ -13,7 +13,6 @@ Complex cexp(double phi) { return {std::cos(phi), std::sin(phi)}; }
 
 }  // namespace
 
-Mat2 identity2() { return {1, 0, 0, 1}; }
 Mat2 pauli_x() { return {0, 1, 1, 0}; }
 Mat2 pauli_y() { return {0, -kI, kI, 0}; }
 Mat2 pauli_z() { return {1, 0, 0, -1}; }
@@ -110,78 +109,5 @@ bool unitary_impl(const std::array<Complex, N * N>& u, double tol) {
 
 bool is_unitary(const Mat2& u, double tol) { return unitary_impl<2>(u, tol); }
 bool is_unitary(const Mat4& u, double tol) { return unitary_impl<4>(u, tol); }
-
-namespace {
-
-template <std::size_t N>
-std::array<Complex, N * N> matmul_impl(const std::array<Complex, N * N>& a,
-                                       const std::array<Complex, N * N>& b) {
-  std::array<Complex, N * N> out{};
-  for (std::size_t i = 0; i < N; ++i) {
-    for (std::size_t k = 0; k < N; ++k) {
-      const Complex aik = a[i * N + k];
-      if (aik == Complex{0.0, 0.0}) continue;  // keep structural zeros exact
-      for (std::size_t j = 0; j < N; ++j) {
-        out[i * N + j] += aik * b[k * N + j];
-      }
-    }
-  }
-  return out;
-}
-
-template <std::size_t N>
-bool diagonal_impl(const std::array<Complex, N * N>& u) {
-  for (std::size_t i = 0; i < N; ++i) {
-    for (std::size_t j = 0; j < N; ++j) {
-      if (i != j && u[i * N + j] != Complex{0.0, 0.0}) return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Mat2 matmul(const Mat2& a, const Mat2& b) { return matmul_impl<2>(a, b); }
-Mat4 matmul(const Mat4& a, const Mat4& b) { return matmul_impl<4>(a, b); }
-
-Mat4 kron(const Mat2& high, const Mat2& low) {
-  Mat4 out{};
-  for (std::size_t rh = 0; rh < 2; ++rh) {
-    for (std::size_t rl = 0; rl < 2; ++rl) {
-      for (std::size_t ch = 0; ch < 2; ++ch) {
-        for (std::size_t cl = 0; cl < 2; ++cl) {
-          out[(rh * 2 + rl) * 4 + (ch * 2 + cl)] =
-              high[rh * 2 + ch] * low[rl * 2 + cl];
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Mat4 swap_operands(const Mat4& u) {
-  const auto rev = [](std::size_t s) { return ((s & 1) << 1) | (s >> 1); };
-  Mat4 out{};
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      out[r * 4 + c] = u[rev(r) * 4 + rev(c)];
-    }
-  }
-  return out;
-}
-
-bool is_diagonal_matrix(const Mat2& u) { return diagonal_impl<2>(u); }
-bool is_diagonal_matrix(const Mat4& u) { return diagonal_impl<4>(u); }
-
-bool is_permutation_matrix(const Mat4& u) {
-  for (std::size_t r = 0; r < 4; ++r) {
-    int nonzero = 0;
-    for (std::size_t c = 0; c < 4; ++c) {
-      if (u[r * 4 + c] != Complex{0.0, 0.0}) ++nonzero;
-    }
-    if (nonzero != 1) return false;
-  }
-  return true;
-}
 
 }  // namespace dqcsim::qsim

@@ -30,7 +30,6 @@ Mat2 gate_unitary_1q(GateKind kind, double param = 0.0);
 Mat4 gate_unitary_2q(GateKind kind, double param = 0.0);
 
 /// Frequently used constants.
-Mat2 identity2();
 Mat2 pauli_x();
 Mat2 pauli_y();
 Mat2 pauli_z();
@@ -40,32 +39,6 @@ Mat4 cnot();
 /// True when U is unitary to within `tol` (max |(U U^dag - I)_ij|).
 bool is_unitary(const Mat2& u, double tol = 1e-12);
 bool is_unitary(const Mat4& u, double tol = 1e-12);
-
-// --- matrix algebra (used by the gate-fusion pass) -----------------------
-
-/// Matrix product a * b (apply b first, then a).
-Mat2 matmul(const Mat2& a, const Mat2& b);
-Mat4 matmul(const Mat4& a, const Mat4& b);
-
-/// Kronecker product `high` (x) `low`: `high` acts on the more significant
-/// bit of the 2-bit row/column index (the first operand of a Mat4 gate),
-/// `low` on the less significant bit.
-Mat4 kron(const Mat2& high, const Mat2& low);
-
-/// Reinterpret a two-qubit unitary with its operands exchanged:
-/// swap_operands(U)[ba][dc] == U[ab][cd] for bit pairs. Applying U on
-/// (q_high, q_low) equals applying swap_operands(U) on (q_low, q_high).
-Mat4 swap_operands(const Mat4& u);
-
-/// Structural classification by *exact* zeros. Gate constructors and
-/// products of structurally sparse matrices keep exact 0.0 entries, so no
-/// tolerance is involved and fast-path kernels stay numerically faithful.
-bool is_diagonal_matrix(const Mat2& u);
-bool is_diagonal_matrix(const Mat4& u);
-
-/// True when every row has exactly one nonzero entry (a qubit permutation
-/// with per-branch phases, e.g. X, CX, SWAP, and their diagonal products).
-bool is_permutation_matrix(const Mat4& u);
 
 /// Widen `k` by inserting a zero bit at the position of `mask` (= 1 << p):
 /// bits below p stay, bits at or above p shift up by one. The kernels use

@@ -40,89 +40,11 @@ Complex Statevector::amplitude(std::size_t i) const {
   return amps_[i];
 }
 
-namespace {
-
-/// Cache block for multi-op batching: 2^15 amplitudes = 512 KiB, sized to
-/// stay L2-resident while every op of a batch streams over it.
-constexpr std::size_t kBlockAmps = std::size_t{1} << 15;
-
-/// amp[x] *= ph for x in [begin, end) — the innermost diagonal kernel.
-/// Unit phases are skipped entirely (e.g. three of CP's four entries).
-inline void cmul_run(Complex* amp, std::size_t begin, std::size_t end,
-                     const Complex ph) {
-  if (ph == Complex{1.0, 0.0}) return;
-  for (std::size_t x = begin; x < end; ++x) amp[x] *= ph;
-}
-
-/// Same, over every second amplitude (diagonal ops involving qubit 0).
-inline void cmul_run_stride2(Complex* amp, std::size_t begin, std::size_t end,
-                             const Complex ph) {
-  if (ph == Complex{1.0, 0.0}) return;
-  for (std::size_t x = begin; x < end; x += 2) amp[x] *= ph;
-}
-
-/// Diagonal 1q sweep over [base, end): phases d[0]/d[1] by the `mask` bit.
-/// The range walks constant-phase runs so the hot loop has a loop-invariant
-/// multiplier (vectorizable), never a per-amplitude table lookup.
-// DQCSIM_HOT
-void diag1q_range(Complex* amp, std::size_t base, std::size_t end,
-                  const Complex d[2], std::size_t mask) {
-  if (mask == 1) {
-    cmul_run_stride2(amp, base, end, d[0]);
-    cmul_run_stride2(amp, base + 1, end, d[1]);
-    return;
-  }
-  std::size_t x = base;
-  while (x < end) {
-    const std::size_t run_end = std::min(end, (x | (mask - 1)) + 1);
-    cmul_run(amp, x, run_end, d[(x & mask) ? 1 : 0]);
-    x = run_end;
-  }
-}
-
-/// Phase table of a diagonal Mat4 remapped to *sorted* bit order: entry
-/// [2*hi_bit + lo_bit] where hi/lo are by mask significance, regardless of
-/// the gate's operand order (`mh` = the first operand's mask).
-struct SortedDiagPhases {
-  Complex ds[4];
-};
-
-inline SortedDiagPhases diag2q_sorted_phases(const Mat4& u, std::size_t mh,
-                                             std::size_t hi) {
-  const bool high_is_hi = mh == hi;
-  return {{u[0], u[high_is_hi ? 5 : 10], u[high_is_hi ? 10 : 5], u[15]}};
-}
-
-/// Diagonal 2q sweep over [base, end): `ds` is indexed by sorted bit order
-/// (ds[2] selects the higher of the two masks), `lo` < `hi` are the masks.
-// DQCSIM_HOT
-void diag2q_range(Complex* amp, std::size_t base, std::size_t end,
-                  const Complex ds[4], std::size_t lo, std::size_t hi) {
-  std::size_t x = base;
-  while (x < end) {
-    const std::size_t seg_end = std::min(end, (x | (hi - 1)) + 1);
-    const Complex* dd = ds + ((x & hi) ? 2 : 0);
-    if (lo == 1) {
-      cmul_run_stride2(amp, x, seg_end, dd[0]);
-      cmul_run_stride2(amp, x + 1, seg_end, dd[1]);
-    } else {
-      std::size_t y = x;
-      while (y < seg_end) {
-        const std::size_t run_end = std::min(seg_end, (y | (lo - 1)) + 1);
-        cmul_run(amp, y, run_end, dd[(y & lo) ? 1 : 0]);
-        y = run_end;
-      }
-    }
-    x = seg_end;
-  }
-}
-
-/// Dense 1q pair update over [base, end). Precondition: 2 * stride divides
-/// base and end - base, so no pair crosses the range boundary.
-// DQCSIM_HOT
-void dense1q_range(Complex* amp, std::size_t base, std::size_t end,
-                   const Mat2& u, std::size_t stride) {
-  for (std::size_t blk = base; blk < end; blk += 2 * stride) {
+void Statevector::apply_1q(const Mat2& u, int q) {
+  DQCSIM_EXPECTS(q >= 0 && q < num_qubits_);
+  const std::size_t stride = std::size_t{1} << q;
+  Complex* const amp = amps_.data();
+  for (std::size_t blk = 0; blk < amps_.size(); blk += 2 * stride) {
     for (std::size_t i = blk; i < blk + stride; ++i) {
       const Complex a = amp[i];
       const Complex b = amp[i + stride];
@@ -132,214 +54,19 @@ void dense1q_range(Complex* amp, std::size_t base, std::size_t end,
   }
 }
 
-/// A run of mutually commuting diagonal ops whose wires all fall inside two
-/// 4-bit aligned nibbles of the index, folded into a single phase LUT: the
-/// whole group costs one shift-mask lookup and one multiply per amplitude,
-/// however many gates it absorbed. Nibble-pair addressing keeps selector
-/// extraction at ~5 ALU ops while letting *every* 1q/2q diagonal op join
-/// some group — a QAOA cost layer over a random graph packs into
-/// O(nibble-pairs) sweeps instead of one sweep per edge.
-struct DiagGroup {
-  static constexpr int kGroupWires = 8;  ///< LUT selector width (2 nibbles)
-
-  int nib1 = -1;  ///< lower nibble index (wire / 4), -1 while empty
-  int nib2 = -1;  ///< higher (== nib1 for single-nibble groups)
-  std::array<Complex, std::size_t{1} << kGroupWires> lut;
-  /// When nonzero: every LUT entry with this wire's bit clear is exactly 1,
-  /// so the sweep visits only the half-space where the bit is set (e.g. a
-  /// round of QFT controlled-phase gates sharing their target).
-  std::size_t skip_mask = 0;
-  bool all_unit = false;  ///< the group is the identity; nothing to do
-
-  static int nibble_of(QubitId q) { return static_cast<int>(q) / 4; }
-
-  bool empty() const { return nib1 < 0; }
-
-  /// Position of wire `w`'s bit within the 8-bit selector.
-  std::size_t bit_pos(QubitId w) const {
-    const int n = nibble_of(w);
-    const int base = n == nib1 ? 0 : 4;
-    return static_cast<std::size_t>(base + static_cast<int>(w) -
-                                    4 * (n == nib1 ? nib1 : nib2));
-  }
-
-  /// True when `op`'s wires fit the group's (at most two) nibbles.
-  bool accepts(const FusedOp& op) const {
-    int nibs[2] = {nib1, nib2};
-    int count = empty() ? 0 : (nib1 == nib2 ? 1 : 2);
-    const int op_wires = op.arity();
-    for (int k = 0; k < op_wires; ++k) {
-      const int n = nibble_of(k == 0 ? op.q0 : op.q1);
-      bool known = false;
-      for (int t = 0; t < count; ++t) known = known || nibs[t] == n;
-      if (!known) {
-        if (count == 2) return false;
-        nibs[count++] = n;
-      }
-    }
-    return true;
-  }
-
-  void widen(const FusedOp& op) {
-    const int op_wires = op.arity();
-    for (int k = 0; k < op_wires; ++k) {
-      const int n = nibble_of(k == 0 ? op.q0 : op.q1);
-      if (empty()) {
-        nib1 = nib2 = n;
-      } else if (n != nib1 && n != nib2) {
-        if (nib1 == nib2) {
-          nib1 = std::min(nib1, n);
-          nib2 = std::max(nib2, n);
-        }
-      }
-    }
-  }
-};
-
-/// Build the LUT for `group` from its member ops.
-void finalize_group(DiagGroup& g, const FusedOp* const* members,
-                    std::size_t count) {
-  const std::size_t lut_size = std::size_t{1} << DiagGroup::kGroupWires;
-  for (std::size_t sel = 0; sel < lut_size; ++sel) {
-    Complex phase{1.0, 0.0};
-    for (std::size_t m = 0; m < count; ++m) {
-      const FusedOp& op = *members[m];
-      const std::size_t b0 = (sel >> g.bit_pos(op.q0)) & 1u;
-      if (op.arity() == 1) {
-        phase *= op.m2[b0 * 3];  // Mat2 diagonal entries: 0 and 3
-      } else {
-        const std::size_t b1 = (sel >> g.bit_pos(op.q1)) & 1u;
-        phase *= op.m4[(b0 * 2 + b1) * 5];  // Mat4 diagonal: 0, 5, 10, 15
-      }
-    }
-    g.lut[sel] = phase;
-  }
-  g.all_unit = true;
-  for (std::size_t sel = 0; sel < lut_size; ++sel) {
-    if (g.lut[sel] != Complex{1.0, 0.0}) {
-      g.all_unit = false;
-      break;
-    }
-  }
-  if (g.all_unit) return;
-  // Find the best skippable selector bit: every LUT entry with that bit
-  // clear is unit, so the half-space with it clear needs no visit. (A bit
-  // no member reads cannot qualify unless the group is the identity, which
-  // all_unit already caught, so every qualifying bit maps to a real wire.)
-  for (int t = 0; t < DiagGroup::kGroupWires; ++t) {
-    bool clear_half_unit = true;
-    for (std::size_t sel = 0; sel < lut_size && clear_half_unit; ++sel) {
-      if (((sel >> t) & 1u) == 0 && g.lut[sel] != Complex{1.0, 0.0}) {
-        clear_half_unit = false;
-      }
-    }
-    if (clear_half_unit) {
-      const int wire = t < 4 ? 4 * g.nib1 + t : 4 * g.nib2 + (t - 4);
-      const std::size_t mask = std::size_t{1}
-                               << static_cast<std::size_t>(wire);
-      if (mask > g.skip_mask) g.skip_mask = mask;
-    }
-  }
-}
-
-/// Apply a diagonal group to [base, end). Precondition: base is block
-/// aligned (multiples of any skip stride below the block size divide it).
-// DQCSIM_HOT
-void apply_group_range(Complex* amp, std::size_t base, std::size_t end,
-                       const DiagGroup& g) {
-  if (g.all_unit) return;
-  const auto s1 = static_cast<std::size_t>(4 * g.nib1);
-  const auto s2 = static_cast<std::size_t>(4 * g.nib2);
-  const Complex* const lut = g.lut.data();
-  const auto sweep = [lut, s1, s2, amp](std::size_t b, std::size_t e,
-                                        std::size_t step) {
-    for (std::size_t x = b; x < e; x += step) {
-      amp[x] *= lut[((x >> s1) & 0xFu) | (((x >> s2) & 0xFu) << 4)];
-    }
-  };
-  const std::size_t m = g.skip_mask;
-  if (m == 0) {
-    sweep(base, end, 1);
-  } else if (m >= end - base) {
-    // The skip bit is constant across this block.
-    if (base & m) sweep(base, end, 1);
-  } else if (m == 1) {
-    sweep(base + 1, end, 2);
-  } else {
-    for (std::size_t s = base + m; s < end; s += 2 * m) {
-      sweep(s, s + m, 1);
-    }
-  }
-}
-
-}  // namespace
-
-void Statevector::apply_1q(const Mat2& u, int q) {
-  DQCSIM_EXPECTS(q >= 0 && q < num_qubits_);
-  const std::size_t stride = std::size_t{1} << q;
-  const std::size_t dim = amps_.size();
-  Complex* const amp = amps_.data();
-  if (is_diagonal_matrix(u)) {
-    // Diagonal fast path: constant-multiplier runs, no neighbour gather.
-    const Complex d[2] = {u[0], u[3]};
-    diag1q_range(amp, 0, dim, d, stride);
-    return;
-  }
-  // Branch-free cache-blocked pair update.
-  dense1q_range(amp, 0, dim, u, stride);
-}
-
 void Statevector::apply_2q(const Mat4& u, int q_high, int q_low) {
   DQCSIM_EXPECTS(q_high >= 0 && q_high < num_qubits_);
   DQCSIM_EXPECTS(q_low >= 0 && q_low < num_qubits_);
   DQCSIM_EXPECTS(q_high != q_low);
   const std::size_t mh = std::size_t{1} << q_high;
   const std::size_t ml = std::size_t{1} << q_low;
-  const std::size_t dim = amps_.size();
-  Complex* const amp = amps_.data();
-
   const std::size_t lo = mh < ml ? mh : ml;
   const std::size_t hi = mh < ml ? ml : mh;
-
-  if (is_diagonal_matrix(u)) {
-    // Diagonal fast path: constant-multiplier runs ordered by sorted bit
-    // significance (remap the phase table when the operand order differs).
-    const SortedDiagPhases p = diag2q_sorted_phases(u, mh, hi);
-    diag2q_range(amp, 0, dim, p.ds, lo, hi);
-    return;
-  }
-
-  // Branch-free enumeration of the dim/4 amplitude quadruples: expand a
-  // dense counter by inserting zero bits at both operand positions (lowest
-  // position first so the higher insertion sees final bit offsets).
-  const std::size_t groups = dim >> 2;
-
-  if (is_permutation_matrix(u)) {
-    // Permutation-with-phases fast path (CX, CZ-like products, SWAP): one
-    // source gather and one multiply per amplitude instead of a 4x4 GEMV.
-    std::size_t src[4];
-    Complex phase[4];
-    for (std::size_t s = 0; s < 4; ++s) {
-      for (std::size_t t = 0; t < 4; ++t) {
-        if (u[s * 4 + t] != Complex{0.0, 0.0}) {
-          src[s] = t;
-          phase[s] = u[s * 4 + t];
-        }
-      }
-    }
-    for (std::size_t k = 0; k < groups; ++k) {
-      const std::size_t i = insert_zero_bit(insert_zero_bit(k, lo), hi);
-      const std::size_t idx[4] = {i, i | ml, i | mh, i | mh | ml};
-      const Complex old[4] = {amp[idx[0]], amp[idx[1]], amp[idx[2]],
-                              amp[idx[3]]};
-      for (std::size_t s = 0; s < 4; ++s) {
-        amp[idx[s]] = phase[s] * old[src[s]];
-      }
-    }
-    return;
-  }
-
-  for (std::size_t k = 0; k < groups; ++k) {
+  Complex* const amp = amps_.data();
+  // Enumerate the dim/4 amplitude quadruples: expand a dense counter by
+  // inserting zero bits at both operand positions (lowest position first
+  // so the higher insertion sees final bit offsets).
+  for (std::size_t k = 0; k < amps_.size() >> 2; ++k) {
     const std::size_t i = insert_zero_bit(insert_zero_bit(k, lo), hi);
     const std::size_t idx[4] = {i, i | ml, i | mh, i | mh | ml};
     const Complex old[4] = {amp[idx[0]], amp[idx[1]], amp[idx[2]],
@@ -365,141 +92,6 @@ void Statevector::apply_gate(const Gate& g) {
 void Statevector::apply_circuit(const Circuit& qc) {
   DQCSIM_EXPECTS(qc.num_qubits() <= num_qubits_);
   for (const Gate& g : qc.gates()) apply_gate(g);
-}
-
-void Statevector::apply_op(const FusedOp& op) {
-  if (op.arity() == 1) {
-    apply_1q(op.m2, op.q0);
-  } else {
-    apply_2q(op.m4, op.q0, op.q1);
-  }
-}
-
-void Statevector::apply_fused(const FusedCircuit& fc) {
-  DQCSIM_EXPECTS(fc.num_qubits() <= num_qubits_);
-  const auto& ops = fc.ops();
-  const std::size_t dim = amps_.size();
-  Complex* const amp = amps_.data();
-
-  // Ops whose amplitude groups fit inside one cache block can be batched:
-  // the whole run makes one DRAM pass (op-major within each L2-resident
-  // block) instead of one pass per op. Diagonal ops act independently per
-  // amplitude, so they always qualify; dense 1q ops qualify when their pair
-  // stride stays below the block size.
-  const auto blockable_1q = [](const FusedOp& op) {
-    return op.arity() == 1 &&
-           (std::size_t{1} << static_cast<std::size_t>(op.q0)) < kBlockAmps;
-  };
-
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    // Gather the longest batchable run: any mix of diagonal ops (1q or 2q)
-    // and block-local dense 1q ops. Within a block, ops run in program
-    // order, so overlapping wires are handled exactly.
-    std::size_t j = i;
-    while (j < ops.size() && (ops[j].diagonal() || blockable_1q(ops[j]))) {
-      ++j;
-    }
-    if (j - i < 2) {
-      apply_op(ops[i]);
-      ++i;
-      continue;
-    }
-
-    // Compile the run into an action sequence: consecutive diagonal ops
-    // (which mutually commute) fold into windowed phase-LUT groups when at
-    // least two share a kGroupWires-wide window; everything else applies
-    // per-op over each block. Order across the dense/diagonal boundary is
-    // preserved, so overlapping wires are handled exactly.
-    struct Action {
-      const FusedOp* solo = nullptr;  ///< single op (dense or diagonal)
-      DiagGroup group;                ///< otherwise a diagonal group
-    };
-    std::vector<Action> actions;
-    std::size_t r = i;
-    while (r < j) {
-      if (!ops[r].diagonal()) {
-        Action a;
-        a.solo = &ops[r++];
-        actions.push_back(std::move(a));
-        continue;
-      }
-      std::size_t s = r;
-      while (s < j && ops[s].diagonal()) ++s;
-      // First-fit bin packing of the stretch into window groups (diagonal
-      // ops mutually commute, so regrouping across the stretch is exact).
-      struct OpenGroup {
-        DiagGroup group;
-        std::vector<const FusedOp*> members;
-      };
-      std::vector<OpenGroup> open;
-      for (; r < s; ++r) {
-        const FusedOp& op = ops[r];
-        bool placed = false;
-        for (OpenGroup& o : open) {
-          if (o.group.accepts(op)) {
-            o.group.widen(op);
-            o.members.push_back(&op);
-            placed = true;
-            break;
-          }
-        }
-        if (!placed) {
-          OpenGroup o;
-          o.group.widen(op);
-          o.members.push_back(&op);
-          open.push_back(std::move(o));
-        }
-      }
-      for (OpenGroup& o : open) {
-        Action a;
-        if (o.members.size() >= 2) {
-          finalize_group(a.group = o.group, o.members.data(),
-                         o.members.size());
-          actions.push_back(std::move(a));
-        } else {
-          a.solo = o.members.front();
-          actions.push_back(std::move(a));
-        }
-      }
-    }
-
-    const auto apply_solo_range = [amp](const FusedOp& op, std::size_t base,
-                                        std::size_t end) {
-      if (op.arity() == 1) {
-        const std::size_t stride = std::size_t{1}
-                                   << static_cast<std::size_t>(op.q0);
-        if (op.diagonal()) {
-          const Complex d[2] = {op.m2[0], op.m2[3]};
-          diag1q_range(amp, base, end, d, stride);
-        } else {
-          dense1q_range(amp, base, end, op.m2, stride);
-        }
-        return;
-      }
-      const std::size_t mh = std::size_t{1}
-                             << static_cast<std::size_t>(op.q0);
-      const std::size_t ml = std::size_t{1}
-                             << static_cast<std::size_t>(op.q1);
-      const std::size_t lo = mh < ml ? mh : ml;
-      const std::size_t hi = mh < ml ? ml : mh;
-      const SortedDiagPhases p = diag2q_sorted_phases(op.m4, mh, hi);
-      diag2q_range(amp, base, end, p.ds, lo, hi);
-    };
-
-    for (std::size_t base = 0; base < dim; base += kBlockAmps) {
-      const std::size_t end =
-          base + kBlockAmps < dim ? base + kBlockAmps : dim;
-      for (const Action& a : actions) {
-        if (a.solo != nullptr) {
-          apply_solo_range(*a.solo, base, end);
-        } else {
-          apply_group_range(amp, base, end, a.group);
-        }
-      }
-    }
-    i = j;
-  }
 }
 
 double Statevector::prob_one(int q) const {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "circuit/fusion.hpp"
 #include "qsim/gates_matrices.hpp"
 
 namespace dqcsim::qsim {
@@ -49,14 +48,6 @@ class Statevector {
 
   /// Run an entire circuit (must contain only unitary gates).
   void apply_circuit(const Circuit& qc);
-
-  /// Apply a single fused op through its structural fast path.
-  void apply_op(const FusedOp& op);
-
-  /// Run a fused program (see fuse_circuit). Consecutive diagonal ops are
-  /// batch-applied in one sweep over the state, so e.g. a QAOA cost layer
-  /// of k RZZ gates costs one pass instead of k.
-  void apply_fused(const FusedCircuit& fc);
 
   /// Born-rule probability of measuring qubit `q` in |1>.
   double prob_one(int q) const;

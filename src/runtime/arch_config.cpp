@@ -45,9 +45,6 @@ void ArchConfig::validate() const {
   if (!(fid.epr_f0 >= 0.25 && fid.epr_f0 <= 1.0)) {
     throw ConfigError("ArchConfig: EPR fidelity must be in [0.25, 1]");
   }
-  if (congestion_alpha < 0.0) {
-    throw ConfigError("ArchConfig: congestion_alpha must be nonnegative");
-  }
   retry_policy.validate();
   if (stall_windows < 0) {
     throw ConfigError("ArchConfig: stall_windows must be nonnegative");
@@ -59,6 +56,12 @@ void ArchConfig::validate() const {
     throw ConfigError(
         "ArchConfig: reshare_at_boundaries re-computes capacity shares and "
         "needs share_edge_capacity on");
+  }
+  if (!topology &&
+      (share_edge_capacity || congestion_aware_routing || swap_as_you_go)) {
+    throw ConfigError(
+        "ArchConfig: share_edge_capacity, congestion_aware_routing and "
+        "swap_as_you_go act on physical edges and need a topology");
   }
   if (topology) {
     topology->validate();

@@ -101,12 +101,11 @@ struct ArchConfig {
   /// homogeneous all-to-all interconnect; setting a topology routes every
   /// node pair's entanglement over physical links (multi-hop pairs are
   /// composed through entanglement swaps, see net::Router / net::compose
-  /// _route). Shared ownership keeps ArchConfig copies allocation-free in
-  /// the Monte-Carlo trial loop.
+  /// _route). Routes minimize the expected time per delivered pair,
+  /// cycle / (p_succ * pairs), summed over the path's edges. Shared
+  /// ownership keeps ArchConfig copies allocation-free in the Monte-Carlo
+  /// trial loop.
   std::shared_ptr<const net::Topology> topology;
-  /// Edge-cost model for route selection when a topology is set: expected
-  /// time per delivered pair by default (cycle / (p_succ * pairs)).
-  bool route_by_hops = false;
   /// Fault & drift scenario applied per trial (see scenario/scenario.hpp).
   /// Null (the default) is the stationary fabric, bit-identical to builds
   /// without the scenario layer. Requires a topology: scenarios target
@@ -114,10 +113,10 @@ struct ArchConfig {
   std::shared_ptr<const scenario::Scenario> scenario;
 
   // --- Congestion & shared-capacity modes (see net/congestion.hpp and
-  // docs/ARCHITECTURE.md). All default off: the legacy independent-budget
-  // engine is the escape hatch and stays bit-identical until opted in.
-  // Each knob needs a topology; without one they are silent no-ops (the
-  // homogeneous all-to-all interconnect has no shared edges to contend).
+  // docs/ARCHITECTURE.md). All default off: every edge then grants each
+  // route its full budget over static routes, as before these modes
+  // existed. Each knob needs a topology; validate() rejects it without one
+  // (the homogeneous all-to-all interconnect has no shared edges).
 
   /// Share each physical edge's generation budget between the routes
   /// crossing it: every route receives a deterministic near-even slice of
@@ -127,19 +126,14 @@ struct ArchConfig {
   /// for the trial, matching the frozen structural composition.
   bool share_edge_capacity = false;
   /// Select routes sequentially (in first-traffic creation order) over
-  /// load-scaled edge costs, cost(e) = static_cost(e) *
-  /// (1 + congestion_alpha * load(e)), so later traffic detours around
-  /// edges earlier traffic saturated. Applied at t=0 placement and again
-  /// at every outage/recovery boundary — detours then contend too.
+  /// load-scaled edge costs, cost(e) = static_cost(e) * (1 + load(e)), so
+  /// later traffic detours around edges earlier traffic saturated. Applied
+  /// at t=0 placement and again at every outage/recovery boundary —
+  /// detours then contend too. Combined with swap_as_you_go, a link's
+  /// traffic splits across two edge-disjoint paths whose scaled costs tie:
+  /// a remote gate is served by whichever path first buffers its full
+  /// pair quota.
   bool congestion_aware_routing = false;
-  /// Load-scaling strength of congestion_aware_routing (>= 0; 0 degrades
-  /// to static costs with deterministic sequential tie-breaks).
-  double congestion_alpha = 1.0;
-  /// With congestion_aware_routing + swap_as_you_go, split a link's
-  /// traffic across two edge-disjoint paths whose scaled costs tie: a
-  /// remote gate is served by whichever path first buffers its full pair
-  /// quota.
-  bool split_tied_routes = true;
   /// Swap-as-you-go delivery on a topology: one generation service per
   /// *physical edge* buffers pairs at intermediate swap nodes, and an
   /// end-to-end pair is fused on demand from one buffered pair per hop —

@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <string>
 
@@ -172,7 +171,7 @@ struct RunContext::State {
   // without traffic are not instantiated). Services persist across trials
   // and are reset() per trial with that trial's parameters: homogeneous
   // all-to-all without a topology, or the routed end-to-end composition of
-  // the pair's physical path with one (see refresh_routing / do_run).
+  // the pair's physical path with one (see setup_composed_links).
   struct LinkState {
     std::unique_ptr<ent::GenerationService> service;
     PendingFifo pending;
@@ -204,7 +203,6 @@ struct RunContext::State {
   /// and routes — so a trial's cache-hit test is one memberwise compare.
   struct RouteInputs {
     DesignKind design = DesignKind::AsyncBuf;
-    bool route_by_hops = false;
     int comm_per_node = 0;
     int buffer_per_node = 0;
     double p_succ = 0.0;
@@ -448,14 +446,9 @@ struct RunContext::State {
       reg.add(regh.pairs_discarded, result.pairs_discarded);
       if (obs_trace) reg.add(regh.trace_dropped, trace_buf.dropped());
       reg.gauge_max(regh.makespan_max, makespan);
-      const auto note_gap = [&](const ent::GenerationService& svc) {
+      for_each_running_service([&](const ent::GenerationService& svc) {
         reg.gauge_max(regh.max_delivery_gap, svc.max_delivery_gap(sim.now()));
-      };
-      if (use_swap_go) {
-        for (const auto& svc : edge_services) note_gap(*svc);
-      } else {
-        for (const auto& link : links) note_gap(*link.service);
-      }
+      });
       observe->collector.merge_registry(reg);
       reg.reset_values();
     }
@@ -705,7 +698,6 @@ struct RunContext::State {
   void refresh_routing() {
     RouteInputs inputs;
     inputs.design = design;
-    inputs.route_by_hops = config.route_by_hops;
     inputs.comm_per_node = config.comm_per_node;
     inputs.buffer_per_node = config.buffer_per_node;
     inputs.p_succ = config.p_succ;
@@ -739,12 +731,9 @@ struct RunContext::State {
           config.link_params(design, edge.a, edge.b);
       route_cache.edge_params[e] = p;
       // Expected time per delivered pair: attempt window over the link's
-      // aggregate success rate. Hop-count routing ignores link quality.
+      // aggregate success rate.
       route_cache.edge_costs[e] =
-          config.route_by_hops
-              ? 1.0
-              : p.cycle_time /
-                    (p.p_succ * static_cast<double>(p.num_comm_pairs));
+          p.cycle_time / (p.p_succ * static_cast<double>(p.num_comm_pairs));
     }
     route_cache.router = net::Router(topo, route_cache.edge_costs);
     route_cache.valid = true;
@@ -775,46 +764,6 @@ struct RunContext::State {
         scen_hop_f0.data(), scen_hop_f0.size(),
         route_cache.inputs.swap.bsm_fidelity);
     return eff;
-  }
-
-  /// Re-evaluate one logical link's route at an outage boundary: adopt the
-  /// surviving path (counting a reroute on any route re-establishment —
-  /// a path change while live, or a recovery after downtime) or mark the
-  /// link down when no path survives.
-  void update_link_route(LinkState& link, double t) {
-    const net::Router& router =
-        scen_any_down ? scen_router : route_cache.router;
-    if (!router.has_route(link.node_a, link.node_b)) {
-      if (link.route_up) {
-        link.route_up = false;
-        link.down_since = t;
-      }
-      return;
-    }
-    const net::Route& route = router.route(link.node_a, link.node_b);
-    const bool path_changed =
-        link.route_edges.size() != route.edges.size() ||
-        !std::equal(route.edges.begin(), route.edges.end(),
-                    link.route_edges.begin());
-    if (link.route_up && !path_changed) return;
-    if (!link.route_up) {
-      result.outage_downtime += t - link.down_since;
-      obs_outage_over(link_track(link), link.down_since, t);
-      link.route_up = true;
-    }
-    ++result.reroutes;
-    if (obs_trace) trace_buf.instant(obs::Ev::Reroute, link_track(link), t);
-    if (path_changed) {
-      if (config.salvage_pairs) {
-        // The stock kept across the re-plan is re-credited to the new
-        // route's budget instead of rotting against the dead path.
-        result.pairs_salvaged += link.service->buffer().size(t);
-      }
-      link.route_edges.assign(route.edges.begin(), route.edges.end());
-      link.hops = route.hops();
-      link.extra_latency = static_cast<double>(link.hops - 1) *
-                           route_cache.inputs.swap.latency;
-    }
   }
 
   /// Recompute the edge up/down mask at boundary time `t` and re-route
@@ -850,19 +799,20 @@ struct RunContext::State {
       scen_router =
           net::Router(*config.topology, route_cache.edge_costs, scen_edge_up);
     }
+    // Re-plan every route over the surviving subgraph — with congestion
+    // routing the detours contend again (load-scaled costs), otherwise the
+    // masked static routes are adopted.
+    plan_all_routes(&scen_edge_up);
     bool any_lost = false;
-    if (contended()) {
-      // Re-plan every route over the surviving subgraph — with congestion
-      // routing the detours contend again (load-scaled costs), otherwise
-      // the masked static routes are adopted.
-      plan_all_routes(&scen_edge_up);
-      if (use_swap_go) rebuild_links_on_edge();
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        const bool was_up = links[i].route_up;
-        update_link_from_plan(i, t);
-        if (was_up && !links[i].route_up) any_lost = true;
-      }
-      if (use_swap_go && config.salvage_pairs) {
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const bool was_up = links[i].route_up;
+      update_link_from_plan(i, t);
+      if (was_up && !links[i].route_up) any_lost = true;
+    }
+    if (any_lost) ++result.outage_events;
+    if (use_swap_go) {
+      rebuild_links_on_edge();
+      if (config.salvage_pairs) {
         // A down node loses its stored halves: flush the buffers of its
         // incident edges before anyone salvages through them.
         for (std::size_t e = 0; e < edge_services.size(); ++e) {
@@ -872,30 +822,19 @@ struct RunContext::State {
           }
         }
       }
-      if (use_shared_caps && !use_swap_go &&
-          config.reshare_at_boundaries) {
-        if (obs_trace) trace_buf.instant(obs::Ev::Reshare, 0, t);
-        reshare_capacity();
+      // Deposits wasted against full buffers do not re-fire the arrival
+      // handler, so a link re-planned onto already-full edges would
+      // otherwise stall until some other deposit lands: serve everyone
+      // once against the new plans. With salvage_pairs this same pass is
+      // the salvage drain — links whose routes were just severed consume
+      // their pre-outage stock here, in creation order.
+      for (std::size_t i = 0; i < links.size(); ++i) {
+        try_serve_pending_swap(i);
       }
-      if (use_swap_go) {
-        // Deposits wasted against full buffers do not re-fire the arrival
-        // handler, so a link re-planned onto already-full edges would
-        // otherwise stall until some other deposit lands: serve everyone
-        // once against the new plans. With salvage_pairs this same pass
-        // is the salvage drain — links whose routes were just severed
-        // consume their pre-outage stock here, in creation order.
-        for (std::size_t i = 0; i < links.size(); ++i) {
-          try_serve_pending_swap(i);
-        }
-      }
-    } else {
-      for (auto& link : links) {
-        const bool was_up = link.route_up;
-        update_link_route(link, t);
-        if (was_up && !link.route_up) any_lost = true;
-      }
+    } else if (use_shared_caps && config.reshare_at_boundaries) {
+      if (obs_trace) trace_buf.instant(obs::Ev::Reshare, 0, t);
+      reshare_capacity();
     }
-    if (any_lost) ++result.outage_events;
   }
 
   /// Schedule the next outage boundary as a simulation event (lazily, one
@@ -916,20 +855,20 @@ struct RunContext::State {
 
   /// (Re)assign every logical link's physical path, in link creation order.
   /// With congestion-aware routing each link is routed over load-scaled
-  /// costs (earlier traffic raises the cost later traffic sees); otherwise
-  /// the static all-pairs route is adopted and only the load accounting
-  /// runs (capacity shares are load-derived even under static routes).
-  /// `mask` selects the surviving subgraph during an outage; null is the
-  /// full fabric at t=0.
+  /// costs (alpha = 1: earlier traffic raises the cost later traffic sees)
+  /// and, under swap-as-you-go, cost-tied disjoint paths split the link's
+  /// traffic; otherwise the static all-pairs route is adopted and only the
+  /// load accounting runs (capacity shares are load-derived even under
+  /// static routes). `mask` selects the surviving subgraph during an
+  /// outage; null is the full fabric at t=0.
   void plan_all_routes(const std::vector<char>* mask) {
-    planner.begin(*config.topology, route_cache.edge_costs,
-                  config.congestion_alpha, mask);
+    planner.begin(*config.topology, route_cache.edge_costs, /*alpha=*/1.0,
+                  mask);
     link_plans.resize(links.size());
-    const bool split = use_swap_go && config.split_tied_routes;
     for (std::size_t i = 0; i < links.size(); ++i) {
       net::RoutePlan& plan = link_plans[i];
       if (use_congestion) {
-        planner.plan(links[i].node_a, links[i].node_b, split, plan);
+        planner.plan(links[i].node_a, links[i].node_b, use_swap_go, plan);
         continue;
       }
       const net::Router& router =
@@ -958,46 +897,62 @@ struct RunContext::State {
     }
   }
 
-  /// Composed-link setup for the contended modes: routes come from the
-  /// plan (congestion-selected or static) and, with share_edge_capacity,
-  /// each hop contributes only this link's capacity share. Shares are
-  /// assigned by creation rank on each edge — deterministic and frozen at
-  /// t=0 like the rest of the structural composition.
+  /// Per-hop capacity grants of one link along `route`, written to
+  /// hop_comm_scratch / hop_buf_scratch: with share_edge_capacity, the
+  /// link's share of each edge by its creation rank there (advancing
+  /// edge_rank — callers zero it before a pass), else the full budget.
+  void grant_hop_shares(const net::Route& route) {
+    const std::size_t hops = route.edges.size();
+    hop_comm_scratch.resize(hops);
+    hop_buf_scratch.resize(hops);
+    for (std::size_t k = 0; k < hops; ++k) {
+      const std::size_t e = route.edges[k];
+      const ent::LinkParams& ep = route_cache.edge_params[e];
+      hop_comm_scratch[k] = ep.num_comm_pairs;
+      hop_buf_scratch[k] = ep.buffer_capacity;
+      if (use_shared_caps) {
+        const int load = planner.edge_load()[e];
+        const int rank = edge_rank[e]++;
+        hop_comm_scratch[k] =
+            net::capacity_share(ep.num_comm_pairs, load, rank);
+        hop_buf_scratch[k] =
+            net::capacity_share(ep.buffer_capacity, load, rank);
+      }
+    }
+  }
+
+  /// Per-link (composed) delivery setup, every mode but swap-as-you-go.
+  /// Without a topology each link gets the homogeneous all-to-all
+  /// parameters. With one, the link's planned route (static or
+  /// congestion-selected) is composed hop by hop from the hop grants
+  /// above, frozen at t=0 like the rest of the structural composition.
   void setup_composed_links(ent::ServiceMode mode) {
-    edge_rank.assign(config.topology->num_edges(), 0);
+    const bool routed = config.topology != nullptr;
+    net::RoutedLink flat;
+    if (routed) {
+      edge_rank.assign(config.topology->num_edges(), 0);
+    } else {
+      flat.params = config.link_params(design);
+    }
     for (std::size_t i = 0; i < links.size(); ++i) {
       LinkState& link = links[i];
       LinkState* link_ptr = &link;
-      const net::Route& route = link_plans[i].primary;
-      const std::size_t hops = route.edges.size();
-      hop_comm_scratch.resize(hops);
-      hop_buf_scratch.resize(hops);
-      for (std::size_t k = 0; k < hops; ++k) {
-        const std::size_t e = route.edges[k];
-        const ent::LinkParams& ep = route_cache.edge_params[e];
-        if (use_shared_caps) {
-          const int load = planner.edge_load()[e];
-          const int rank = edge_rank[e]++;
-          hop_comm_scratch[k] =
-              net::capacity_share(ep.num_comm_pairs, load, rank);
-          hop_buf_scratch[k] =
-              net::capacity_share(ep.buffer_capacity, load, rank);
-        } else {
-          hop_comm_scratch[k] = ep.num_comm_pairs;
-          hop_buf_scratch[k] = ep.buffer_capacity;
-        }
+      const net::Route* route = routed ? &link_plans[i].primary : nullptr;
+      net::RoutedLink rl = flat;
+      if (routed) {
+        grant_hop_shares(*route);
+        rl = net::compose_route_shared(
+            *route, route_cache.edge_params, route_cache.inputs.swap,
+            hop_comm_scratch.data(), hop_buf_scratch.data());
       }
-      const net::RoutedLink rl = net::compose_route_shared(
-          route, route_cache.edge_params, route_cache.inputs.swap,
-          hop_comm_scratch.data(), hop_buf_scratch.data());
       link.service->reset(rl.params, mode);
       if (obs_trace) {
         link.service->set_trial_trace(&trace_buf, link_track(link));
       }
       link.hops = rl.hops;
       link.extra_latency = rl.extra_latency;
-      if (scen_active) {
-        link.route_edges.assign(route.edges.begin(), route.edges.end());
+      if (scen_active) {  // a scenario implies a topology
+        link.route_edges.assign(route->edges.begin(), route->edges.end());
         link.route_up = true;
         link.down_since = 0.0;
         link.service->set_effective_provider(
@@ -1093,9 +1048,9 @@ struct RunContext::State {
     }
   }
 
-  /// Contended-mode counterpart of update_link_route: adopt link i's
-  /// freshly planned path at boundary time `t` with the same reroute /
-  /// downtime accounting semantics.
+  /// Adopt link i's freshly planned path at outage boundary `t`: count a
+  /// reroute on any route re-establishment (a path change while live, or a
+  /// recovery after downtime), or mark the link down when no path survives.
   void update_link_from_plan(std::size_t i, double t) {
     LinkState& link = links[i];
     const net::RoutePlan& plan = link_plans[i];
@@ -1133,31 +1088,24 @@ struct RunContext::State {
   }
 
   /// Recompute every surviving composed link's capacity share from the
-  /// freshly planned loads (reshare_at_boundaries): the bottleneck fold of
-  /// compose_route_shared, re-run over the post-boundary edge loads. Ranks
-  /// are assigned in link creation order, the same deterministic rule as
-  /// the t=0 assignment; links without a route keep their old share (their
-  /// effective provider already blocks attempts). In-flight windows finish
-  /// under the old share inside set_capacity_share's epoch guard; buffer
-  /// overflow from a shrunken share is discarded oldest-first.
+  /// freshly planned loads (reshare_at_boundaries): the hop grants and
+  /// bottleneck fold of setup_composed_links, re-run over the post-boundary
+  /// edge loads. Ranks are assigned in link creation order, the same
+  /// deterministic rule as the t=0 assignment; links without a route keep
+  /// their old share (their effective provider already blocks attempts).
+  /// In-flight windows finish under the old share inside
+  /// set_capacity_share's epoch guard; buffer overflow from a shrunken
+  /// share is discarded oldest-first.
   void reshare_capacity() {
     edge_rank.assign(config.topology->num_edges(), 0);
     for (std::size_t i = 0; i < links.size(); ++i) {
       LinkState& link = links[i];
       const net::RoutePlan& plan = link_plans[i];
       if (!plan.has_route) continue;
-      int comm = std::numeric_limits<int>::max();
-      int buf = std::numeric_limits<int>::max();
-      for (const std::size_t e : plan.primary.edges) {
-        const ent::LinkParams& ep = route_cache.edge_params[e];
-        const int load = planner.edge_load()[e];
-        const int rank = edge_rank[e]++;
-        comm = std::min(comm, net::capacity_share(ep.num_comm_pairs, load,
-                                                  rank));
-        buf = std::min(buf,
-                       net::capacity_share(ep.buffer_capacity, load, rank));
-      }
-      result.pairs_discarded += link.service->set_capacity_share(comm, buf);
+      grant_hop_shares(plan.primary);
+      result.pairs_discarded += link.service->set_capacity_share(
+          *std::min_element(hop_comm_scratch.begin(), hop_comm_scratch.end()),
+          *std::min_element(hop_buf_scratch.begin(), hop_buf_scratch.end()));
     }
   }
 
@@ -1263,20 +1211,9 @@ struct RunContext::State {
         req.num_births = 0;  // hop pairs lost; the gate retries
         continue;
       }
-      const std::size_t gate = req.gate;
-      remote_wait_acc.add(sim.now() - req.ready_at);
-      route_hops_acc.add(static_cast<double>(path_hops));
-      const double extra_delay =
-          static_cast<double>(path_hops - 1) *
-              route_cache.inputs.swap.latency +
-          (config.purify_on_consume ? config.purification_latency : 0.0);
-      obs_remote_served(
-          link, req.ready_at, static_cast<double>(path_hops),
-          extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
-      link.pending.pop_front();
-      // start_remote_gate reads *logical before any re-entrant serve (via
-      // segment pumping) can clobber the scratch buffers it points into.
-      start_remote_gate(gate, *logical, extra_delay);
+      serve_head(link, *logical, static_cast<int>(path_hops),
+                 static_cast<double>(path_hops - 1) *
+                     route_cache.inputs.swap.latency);
     }
   }
 
@@ -1289,6 +1226,18 @@ struct RunContext::State {
   }
 
   // --- helpers --------------------------------------------------------------
+
+  /// Visit every generation service this trial ran: the per-edge pool
+  /// under swap-as-you-go (per-link services never start there), else the
+  /// per-link services.
+  template <typename Fn>
+  void for_each_running_service(Fn&& fn) {
+    if (use_swap_go) {
+      for (auto& svc : edge_services) fn(*svc);
+    } else {
+      for (auto& link : links) fn(*link.service);
+    }
+  }
 
   std::size_t link_index_of_gate(std::size_t g) {
     const Gate& gate = circuit->gate(g);
@@ -1586,6 +1535,27 @@ struct RunContext::State {
     }
   }
 
+  /// Start the remote gate at the head of `link`'s queue from its logical
+  /// pair fidelities over a `hops`-edge path whose swap chain adds
+  /// `swap_delay` (plus the purification time, if any) before execution.
+  void serve_head(LinkState& link, const std::vector<double>& logical,
+                  int hops, double swap_delay) {
+    const std::size_t gate = link.pending.front().gate;
+    const double ready_at = link.pending.front().ready_at;
+    remote_wait_acc.add(sim.now() - ready_at);
+    route_hops_acc.add(static_cast<double>(hops));
+    const double extra_delay =
+        swap_delay +
+        (config.purify_on_consume ? config.purification_latency : 0.0);
+    obs_remote_served(
+        link, ready_at, static_cast<double>(hops),
+        extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
+    link.pending.pop_front();
+    // start_remote_gate reads `logical` before any re-entrant serve (via
+    // segment pumping) can clobber the scratch buffers it points into.
+    start_remote_gate(gate, logical, extra_delay);
+  }
+
   /// Serve queued remote gates from a link's buffer (buffered designs). A
   /// gate is served only when the buffer holds its full pair quota, so a
   /// two-pair gate cannot strand a half-claimed pair decaying outside the
@@ -1627,19 +1597,7 @@ struct RunContext::State {
         req.num_births = 0;
         continue;
       }
-      const std::size_t gate = req.gate;
-      remote_wait_acc.add(sim.now() - req.ready_at);
-      route_hops_acc.add(static_cast<double>(link.hops));
-      const double extra_delay =
-          link.extra_latency +
-          (config.purify_on_consume ? config.purification_latency : 0.0);
-      obs_remote_served(
-          link, req.ready_at, static_cast<double>(link.hops),
-          extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
-      link.pending.pop_front();
-      // start_remote_gate reads *logical before any re-entrant serve (via
-      // segment pumping) can clobber the scratch buffers it points into.
-      start_remote_gate(gate, *logical, extra_delay);
+      serve_head(link, *logical, link.hops, link.extra_latency);
     }
   }
 
@@ -1664,17 +1622,7 @@ struct RunContext::State {
       req.num_births = 0;  // pairs lost; keep collecting
       return true;
     }
-    const std::size_t gate = req.gate;
-    remote_wait_acc.add(now - req.ready_at);
-    route_hops_acc.add(static_cast<double>(link.hops));
-    const double extra_delay =
-        link.extra_latency +
-        (config.purify_on_consume ? config.purification_latency : 0.0);
-    obs_remote_served(
-        link, req.ready_at, static_cast<double>(link.hops),
-        extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
-    link.pending.pop_front();
-    start_remote_gate(gate, *logical, extra_delay);
+    serve_head(link, *logical, link.hops, link.extra_latency);
     return true;
   }
 
@@ -1692,75 +1640,24 @@ struct RunContext::State {
       const auto mode = design_uses_buffer(design)
                             ? ent::ServiceMode::Buffered
                             : ent::ServiceMode::OnDemand;
-      const bool routed = config.topology != nullptr;
-      // The opt-in contention modes require a topology. Swap-as-you-go
-      // covers every design: bufferless (OnDemand) designs run degraded
-      // one-slot-per-edge services (see setup_edge_services) instead of
-      // silently falling back to the composed model.
-      use_swap_go = routed && config.swap_as_you_go;
-      use_shared_caps = routed && config.share_edge_capacity;
-      use_congestion = routed && config.congestion_aware_routing;
-      ent::LinkParams flat_params;
-      if (routed) {
+      // The opt-in contention modes require a topology (validated).
+      // Swap-as-you-go covers every design: bufferless (OnDemand) designs
+      // run degraded one-slot-per-edge services (see setup_edge_services)
+      // instead of silently falling back to the composed model.
+      use_swap_go = config.swap_as_you_go;
+      use_shared_caps = config.share_edge_capacity;
+      use_congestion = config.congestion_aware_routing;
+      if (config.topology != nullptr) {
         refresh_routing();
-      } else {
-        flat_params = config.link_params(design);
-      }
-      if (contended()) {
         plan_all_routes(nullptr);
-        record_plan_metrics();
-        if (use_swap_go) {
-          setup_edge_services();
-        } else {
-          setup_composed_links(mode);
-        }
+        // Knobs-off runs report no contention, even though the static
+        // plan's load map is populated.
+        if (contended()) record_plan_metrics();
+      }
+      if (use_swap_go) {
+        setup_edge_services();
       } else {
-        for (auto& link : links) {
-          LinkState* link_ptr = &link;
-          if (routed) {
-            const net::Route& route =
-                route_cache.router.route(link.node_a, link.node_b);
-            const net::RoutedLink rl = net::compose_route(
-                route, route_cache.edge_params, route_cache.inputs.swap);
-            link.service->reset(rl.params, mode);
-            link.hops = rl.hops;
-            if (obs_trace) {
-              link.service->set_trial_trace(&trace_buf, link_track(link));
-            }
-            link.extra_latency = rl.extra_latency;
-            if (scen_active) {
-              link.route_edges.assign(route.edges.begin(),
-                                      route.edges.end());
-              link.route_up = true;
-              link.down_since = 0.0;
-              link.service->set_effective_provider(
-                  [this, link_ptr](des::SimTime t) {
-                    return link_effective(*link_ptr, t);
-                  });
-            }
-          } else {
-            link.service->reset(flat_params, mode);
-            link.hops = 1;
-            link.extra_latency = 0.0;
-            if (obs_trace) {
-              link.service->set_trial_trace(&trace_buf, link_track(link));
-            }
-          }
-          if (mode == ent::ServiceMode::Buffered) {
-            link.service->set_arrival_handler(
-                [this, link_ptr](des::SimTime) {
-                  try_serve_pending(*link_ptr);
-                  return true;
-                });
-          } else {
-            link.service->set_arrival_handler(
-                [this, link_ptr](des::SimTime now) {
-                  return on_demand_arrival(*link_ptr, now);
-                });
-          }
-          if (design_uses_prefill(design)) link.service->pre_fill_buffer();
-          link.service->start();
-        }
+        setup_composed_links(mode);
       }
       // Apply any outage already in force at t = 0, then start the lazy
       // boundary event chain.
@@ -1812,33 +1709,21 @@ struct RunContext::State {
         // Depth and idling report the budget horizon the trial ran out at.
         makespan = std::max(makespan, budget);
       }
-      if (use_swap_go) {
-        // Per-link services were never started in swap-as-you-go mode; the
-        // running machinery is the per-edge pool.
-        for (auto& svc : edge_services) svc->stop();
-      } else {
-        for (auto& link : links) link.service->stop();
-      }
+      for_each_running_service(
+          [](ent::GenerationService& svc) { svc.stop(); });
 
       // link_stalled watchdog: services that at some point went longer than
       // stall_windows attempt windows without one successful generation.
       // Pure observation over the always-tracked success-gap maximum — no
       // RNG draw, no event, so the knob cannot perturb the trial itself.
       if (config.stall_windows > 0) {
-        const auto stalled = [&](const ent::GenerationService& svc) {
-          return svc.max_delivery_gap(sim.now()) >
-                 static_cast<double>(config.stall_windows) *
-                     svc.params().cycle_time;
-        };
-        if (use_swap_go) {
-          for (const auto& svc : edge_services) {
-            if (stalled(*svc)) ++result.links_stalled;
+        for_each_running_service([&](const ent::GenerationService& svc) {
+          if (svc.max_delivery_gap(sim.now()) >
+              static_cast<double>(config.stall_windows) *
+                  svc.params().cycle_time) {
+            ++result.links_stalled;
           }
-        } else {
-          for (const auto& link : links) {
-            if (stalled(*link.service)) ++result.links_stalled;
-          }
-        }
+        });
       }
 
       // Links still routeless when the last gate completes accrue their
@@ -1864,31 +1749,20 @@ struct RunContext::State {
       result.fidelity_idling =
           ledger.category_fidelity(noise::FidelityTerm::Idling);
       result.remote_gates = placement.num_remote_2q;
-      if (use_swap_go) {
-        // Entanglement accounting lives on the per-edge pool: a "consumed"
-        // pair here is a single-hop pair drained into an end-to-end fusion.
-        for (const auto& svc : edge_services) {
-          result.epr_attempts += svc->attempts();
-          result.epr_successes += svc->successes();
-          result.epr_consumed += svc->buffer().total_consumed();
-          result.epr_wasted += svc->wasted_buffer_full();
-          result.epr_expired += svc->buffer().total_expired();
-        }
-      } else {
-        for (const auto& link : links) {
-          const auto& service = *link.service;
-          result.epr_attempts += service.attempts();
-          result.epr_successes += service.successes();
-          result.epr_consumed +=
-              service.buffer().total_consumed() +
-              (service.mode() == ent::ServiceMode::OnDemand
-                   ? service.successes() - service.wasted_unconsumed()
-                   : 0);
-          result.epr_wasted +=
-              service.wasted_buffer_full() + service.wasted_unconsumed();
-          result.epr_expired += service.buffer().total_expired();
-        }
-      }
+      // Under swap-as-you-go a "consumed" pair is a single-hop pair
+      // drained into an end-to-end fusion. OnDemand pairs are consumed at
+      // their herald unless no gate claimed them.
+      for_each_running_service([&](const ent::GenerationService& svc) {
+        result.epr_attempts += svc.attempts();
+        result.epr_successes += svc.successes();
+        result.epr_consumed +=
+            svc.buffer().total_consumed() +
+            (svc.mode() == ent::ServiceMode::OnDemand
+                 ? svc.successes() - svc.wasted_unconsumed()
+                 : 0);
+        result.epr_wasted += svc.wasted_buffer_full() + svc.wasted_unconsumed();
+        result.epr_expired += svc.buffer().total_expired();
+      });
       result.avg_pair_age = pair_age_acc.mean();
       result.avg_remote_wait = remote_wait_acc.mean();
       result.avg_route_hops = route_hops_acc.mean();

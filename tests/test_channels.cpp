@@ -1,7 +1,6 @@
-/// Unit tests for the noisy-channel helpers (qsim/channels.hpp) and the
-/// gate-matrix algebra (qsim/gates_matrices.hpp): fidelity-to-depolarizing
-/// conversion, trace/hermiticity preservation of every channel, and the
-/// matmul/kron/swap_operands helpers the fusion pass builds on.
+/// Unit tests for the noisy-channel helpers (qsim/channels.hpp):
+/// fidelity-to-depolarizing conversion and trace/hermiticity preservation
+/// of every channel.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +8,6 @@
 
 #include "common/error.hpp"
 #include "qsim/channels.hpp"
-#include "qsim/statevector.hpp"
 
 namespace dqcsim::qsim {
 namespace {
@@ -114,74 +112,6 @@ TEST(NoisyReadout, FlipProbabilityMixesIdealOutcomes) {
   const auto branches = noisy_measure(rho, 0, f);
   EXPECT_NEAR(branches.prob[1], f * p1 + (1.0 - f) * (1.0 - p1), kTol);
   EXPECT_NEAR(branches.prob[0], f * (1.0 - p1) + (1.0 - f) * p1, kTol);
-}
-
-// ---------------------------------------------------------- matrix algebra --
-
-TEST(MatrixAlgebra, MatmulMatchesHandComputedProducts) {
-  // HZH = X.
-  const Mat2 hzh = matmul(hadamard(), matmul(pauli_z(), hadamard()));
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_NEAR(std::abs(hzh[i] - pauli_x()[i]), 0.0, kTol) << "entry " << i;
-  }
-  // CX * CX = I.
-  const Mat4 cc = matmul(cnot(), cnot());
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      const Complex expected = r == c ? Complex{1, 0} : Complex{0, 0};
-      EXPECT_NEAR(std::abs(cc[r * 4 + c] - expected), 0.0, kTol);
-    }
-  }
-}
-
-TEST(MatrixAlgebra, KronMatchesTwoQubitApplication) {
-  // Applying kron(A, B) on (high, low) equals applying B on low then A on
-  // high.
-  Statevector direct(2), viakron(2);
-  direct.apply_1q(hadamard(), 0);
-  direct.apply_1q(gate_unitary_1q(GateKind::T), 1);
-  viakron.apply_2q(kron(gate_unitary_1q(GateKind::T), hadamard()),
-                   /*q_high=*/1, /*q_low=*/0);
-  EXPECT_NEAR(direct.max_amplitude_difference(viakron), 0.0, kTol);
-}
-
-TEST(MatrixAlgebra, SwapOperandsMatchesReversedApplication) {
-  const Mat4 cp = gate_unitary_2q(GateKind::CP, 0.8);
-  Statevector a(2), b(2);
-  a.apply_1q(hadamard(), 0);
-  a.apply_1q(hadamard(), 1);
-  b = a;
-  a.apply_2q(cp, 1, 0);
-  b.apply_2q(swap_operands(cp), 0, 1);
-  EXPECT_NEAR(a.max_amplitude_difference(b), 0.0, kTol);
-}
-
-TEST(MatrixAlgebra, SwapOperandsIsAnInvolution) {
-  const Mat4 u = gate_unitary_2q(GateKind::CX);
-  const Mat4 back = swap_operands(swap_operands(u));
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(back[i], u[i]);
-  }
-}
-
-TEST(MatrixAlgebra, StructuralClassification) {
-  EXPECT_TRUE(is_diagonal_matrix(pauli_z()));
-  EXPECT_FALSE(is_diagonal_matrix(hadamard()));
-  EXPECT_TRUE(is_diagonal_matrix(gate_unitary_2q(GateKind::RZZ, 0.3)));
-  EXPECT_TRUE(is_diagonal_matrix(gate_unitary_2q(GateKind::CP, 0.3)));
-  EXPECT_FALSE(is_diagonal_matrix(cnot()));
-  EXPECT_TRUE(is_permutation_matrix(cnot()));
-  EXPECT_TRUE(is_permutation_matrix(gate_unitary_2q(GateKind::SWAP)));
-  EXPECT_TRUE(is_permutation_matrix(gate_unitary_2q(GateKind::CZ)));
-  EXPECT_FALSE(is_permutation_matrix(kron(hadamard(), identity2())));
-}
-
-TEST(MatrixAlgebra, ProductsOfUnitariesStayUnitary) {
-  const Mat4 m = matmul(
-      gate_unitary_2q(GateKind::CP, 1.1),
-      matmul(kron(hadamard(), gate_unitary_1q(GateKind::RX, 0.4)),
-             swap_operands(cnot())));
-  EXPECT_TRUE(is_unitary(m, 1e-12));
 }
 
 }  // namespace

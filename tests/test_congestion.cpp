@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/congestion.hpp"
 #include "net/topology.hpp"
@@ -218,21 +219,23 @@ TEST(SharedCapacity, StarHubThroughputDegradesVersusIndependentBudgets) {
 }
 
 TEST(SharedCapacity, KnobIsNoOpWithoutTopology) {
+  // Without a topology there are no shared edges, so each contention knob
+  // would do nothing: validation rejects it instead of ignoring it.
   const Circuit qc = hub_circuit();
   const std::vector<int> nodes = hub_assignment();
   ArchConfig legacy;
   legacy.num_nodes = 8;
-  ArchConfig knobs = legacy;
-  knobs.share_edge_capacity = true;
-  knobs.congestion_aware_routing = true;
-  knobs.swap_as_you_go = true;
-  const AggregateResult a =
-      runtime::run_design(qc, nodes, legacy, DesignKind::AsyncBuf, 4, 7, 1);
-  const AggregateResult b =
-      runtime::run_design(qc, nodes, knobs, DesignKind::AsyncBuf, 4, 7, 1);
-  EXPECT_EQ(a.depth.mean(), b.depth.mean());
-  EXPECT_EQ(a.fidelity.mean(), b.fidelity.mean());
-  EXPECT_EQ(a.edges_shared.mean(), 0.0);
+  EXPECT_NO_THROW(legacy.validate());
+  for (int knob = 0; knob < 3; ++knob) {
+    ArchConfig config = legacy;
+    config.share_edge_capacity = knob == 0;
+    config.congestion_aware_routing = knob == 1;
+    config.swap_as_you_go = knob == 2;
+    EXPECT_THROW(config.validate(), ConfigError);
+    EXPECT_THROW(runtime::run_design(qc, nodes, config, DesignKind::AsyncBuf,
+                                     1, 7, 1),
+                 ConfigError);
+  }
 }
 
 TEST(CongestionRouting, UniquePathTopologyIsBitIdenticalToLegacy) {

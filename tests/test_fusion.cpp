@@ -1,215 +1,15 @@
-/// Unit tests for the gate-fusion pass (circuit/fusion.hpp) and the fused
-/// statevector execution path: random-circuit equivalence against the
-/// unfused gate-by-gate reference, structural guarantees of the fused ops,
-/// and the engine-facing 1q-chain analysis.
+/// Unit tests for the engine-facing one-qubit chain analysis
+/// (circuit/fusion.hpp) behind ArchConfig::fuse_local_gates.
 
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <vector>
 
 #include "circuit/fusion.hpp"
-#include "common/error.hpp"
-#include "common/rng.hpp"
-#include "gen/qaoa.hpp"
-#include "gen/qft.hpp"
 #include "gen/tlim.hpp"
-#include "qsim/statevector.hpp"
 
 namespace dqcsim {
 namespace {
-
-using qsim::Complex;
-using qsim::Statevector;
-
-constexpr double kTol = 1e-10;
-
-/// A random unitary circuit over the full gate vocabulary.
-Circuit random_circuit(int num_qubits, std::size_t num_gates, Rng& rng) {
-  const GateKind one_q[] = {GateKind::H,  GateKind::X,   GateKind::Y,
-                            GateKind::Z,  GateKind::S,   GateKind::Sdg,
-                            GateKind::T,  GateKind::Tdg, GateKind::RX,
-                            GateKind::RY, GateKind::RZ};
-  const GateKind two_q[] = {GateKind::CX, GateKind::CZ, GateKind::CP,
-                            GateKind::RZZ, GateKind::SWAP};
-  Circuit qc(num_qubits, "random");
-  for (std::size_t i = 0; i < num_gates; ++i) {
-    const double param = rng.uniform(-3.0, 3.0);
-    if (num_qubits >= 2 && rng.bernoulli(0.5)) {
-      const auto kind = two_q[rng.uniform_int(std::size(two_q))];
-      const auto a = static_cast<QubitId>(rng.uniform_int(
-          static_cast<std::uint64_t>(num_qubits)));
-      auto b = static_cast<QubitId>(
-          rng.uniform_int(static_cast<std::uint64_t>(num_qubits - 1)));
-      if (b >= a) ++b;
-      qc.append(make_gate(kind, a, b, param));
-    } else {
-      const auto kind = one_q[rng.uniform_int(std::size(one_q))];
-      const auto q = static_cast<QubitId>(rng.uniform_int(
-          static_cast<std::uint64_t>(num_qubits)));
-      qc.append(make_gate(kind, q, param));
-    }
-  }
-  return qc;
-}
-
-/// Max amplitude difference between the unfused and fused execution of `qc`
-/// from a fixed nontrivial product-state-ish input.
-double fused_unfused_difference(const Circuit& qc,
-                                const FusionOptions& opts = {}) {
-  Statevector reference(qc.num_qubits());
-  // Start from a non-basis state so phases matter everywhere.
-  for (QubitId q = 0; q < qc.num_qubits(); ++q) {
-    reference.apply_1q(qsim::gate_unitary_1q(GateKind::RY, 0.3 + 0.1 * q),
-                       q);
-  }
-  Statevector fused = reference;
-  reference.apply_circuit(qc);
-  fused.apply_fused(fuse_circuit(qc, opts));
-  return fused.max_amplitude_difference(reference);
-}
-
-// ------------------------------------------------------------ correctness --
-
-TEST(Fusion, RandomCircuitsMatchUnfusedReference) {
-  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    Rng rng(seed);
-    const int n = 2 + static_cast<int>(rng.uniform_int(6));  // 2..7 qubits
-    const Circuit qc = random_circuit(n, 200, rng);
-    SCOPED_TRACE("seed " + std::to_string(seed) + ", " + std::to_string(n) +
-                 " qubits");
-    EXPECT_LT(fused_unfused_difference(qc), kTol);
-  }
-}
-
-TEST(Fusion, RandomCircuitsMatchWithoutCommuteHops) {
-  Rng rng(77);
-  const Circuit qc = random_circuit(5, 300, rng);
-  FusionOptions opts;
-  opts.allow_diagonal_commute = false;
-  EXPECT_LT(fused_unfused_difference(qc, opts), kTol);
-}
-
-TEST(Fusion, PaperFamiliesMatchUnfusedReference) {
-  Rng rng(12);
-  const Circuit circuits[] = {gen::make_qft(8), gen::make_tlim(8, {}),
-                              gen::make_qaoa_regular(8, 4, rng)};
-  for (const Circuit& qc : circuits) {
-    SCOPED_TRACE(qc.name());
-    EXPECT_LT(fused_unfused_difference(qc), kTol);
-  }
-}
-
-TEST(Fusion, ApplyOpMatchesApplyFusedOpByOp) {
-  Rng rng(9);
-  const Circuit qc = random_circuit(6, 120, rng);
-  const FusedCircuit fc = fuse_circuit(qc);
-  Statevector a(6), b(6);
-  for (const FusedOp& op : fc.ops()) a.apply_op(op);
-  b.apply_fused(fc);
-  EXPECT_LT(a.max_amplitude_difference(b), kTol);
-}
-
-// ------------------------------------------------------------- structure --
-
-TEST(Fusion, EveryFusedMatrixIsUnitary) {
-  Rng rng(21);
-  const Circuit qc = random_circuit(6, 250, rng);
-  const FusedCircuit fc = fuse_circuit(qc);
-  for (const FusedOp& op : fc.ops()) {
-    if (op.arity() == 1) {
-      EXPECT_TRUE(qsim::is_unitary(op.m2, 1e-9));
-    } else {
-      EXPECT_TRUE(qsim::is_unitary(op.m4, 1e-9));
-    }
-  }
-}
-
-TEST(Fusion, CompressesOneQubitRuns) {
-  Circuit qc(3);
-  for (int rep = 0; rep < 5; ++rep) {
-    qc.h(0);
-    qc.t(0);
-    qc.rz(0, 0.3);
-  }
-  qc.cx(0, 1);
-  const FusedCircuit fc = fuse_circuit(qc);
-  // The fifteen 1q gates collapse into (at most) one op, absorbed or not
-  // by the trailing CX.
-  EXPECT_LE(fc.num_ops(), 2u);
-  EXPECT_EQ(fc.source_gate_count(), 16u);
-  EXPECT_GE(fc.compression_ratio(), 8.0);
-}
-
-TEST(Fusion, MergesSamePairTwoQubitRuns) {
-  Circuit qc(4);
-  qc.cx(2, 1);
-  qc.cz(1, 2);      // same pair, reversed operand order
-  qc.rzz(2, 1, 0.4);
-  const FusedCircuit fc = fuse_circuit(qc);
-  EXPECT_EQ(fc.num_ops(), 1u);
-  EXPECT_EQ(fc.ops()[0].source_gates, 3u);
-  EXPECT_LT(fused_unfused_difference(qc), kTol);
-}
-
-TEST(Fusion, DiagonalGatesStayDiagonal) {
-  Circuit qc(4);
-  qc.rzz(0, 1, 0.5);
-  qc.rz(0, 0.2);
-  qc.cp(2, 3, 0.7);
-  qc.rzz(1, 2, 0.1);
-  const FusedCircuit fc = fuse_circuit(qc);
-  for (const FusedOp& op : fc.ops()) {
-    EXPECT_TRUE(op.diagonal()) << "op is not diagonal";
-  }
-  EXPECT_LT(fused_unfused_difference(qc), kTol);
-}
-
-TEST(Fusion, DiagonalCommuteHopMergesAcrossDiagonalNeighbours) {
-  Circuit qc(3);
-  qc.rzz(0, 1, 0.3);
-  qc.rzz(1, 2, 0.4);  // shares wire 1, diagonal: hop-over candidate
-  qc.rzz(0, 1, 0.2);  // merges back into the first op
-  const FusedCircuit with_hops = fuse_circuit(qc);
-  EXPECT_EQ(with_hops.num_ops(), 2u);
-  FusionOptions no_hops;
-  no_hops.allow_diagonal_commute = false;
-  EXPECT_EQ(fuse_circuit(qc, no_hops).num_ops(), 3u);
-  EXPECT_LT(fused_unfused_difference(qc), kTol);
-}
-
-TEST(Fusion, ClassifiesPermutationOps) {
-  Circuit qc(2);
-  qc.cx(0, 1);
-  const FusedCircuit fc = fuse_circuit(qc);
-  ASSERT_EQ(fc.num_ops(), 1u);
-  EXPECT_EQ(fc.ops()[0].kind, FusedOp::Kind::Perm2Q);
-}
-
-TEST(Fusion, SourceGateCountsAreConserved) {
-  Rng rng(31);
-  const Circuit qc = random_circuit(5, 150, rng);
-  const FusedCircuit fc = fuse_circuit(qc);
-  std::size_t total = 0;
-  for (const FusedOp& op : fc.ops()) total += op.source_gates;
-  EXPECT_EQ(total, qc.num_gates());
-  EXPECT_LE(fc.num_ops(), qc.num_gates());
-}
-
-TEST(Fusion, RejectsMeasurement) {
-  Circuit qc(2);
-  qc.h(0);
-  qc.measure(0);
-  EXPECT_THROW(fuse_circuit(qc), PreconditionError);
-}
-
-TEST(Fusion, EmptyCircuit) {
-  const FusedCircuit fc = fuse_circuit(Circuit(3));
-  EXPECT_EQ(fc.num_ops(), 0u);
-  EXPECT_EQ(fc.compression_ratio(), 1.0);
-}
-
-// --------------------------------------------------------- chain analysis --
 
 TEST(FusibleChains, FindsPerWireOneQubitRuns) {
   Circuit qc(2);
