@@ -32,7 +32,7 @@ int main() {
                       : "   asynchronous: ");
     for (double t = 5.0; t <= 100.0; t += 5.0) {
       sim.run_until(t);
-      std::cout << service.buffer().size(t) << ' ';
+      std::cout << service.available(t) << ' ';
     }
     std::cout << "  (every 5 t_CNOT)\n";
   }
@@ -48,17 +48,16 @@ int main() {
                                    ent::ServiceMode::Buffered);
     service.start();
     sim.run_until(200.0);
-    auto& buffer = service.buffer();
     double oldest_age = 0.0;
     // Drain the pool to inspect the ages of what survived the cutoff.
-    while (auto pair = buffer.pop_oldest(200.0)) {
+    while (auto pair = service.pop(200.0, ent::ConsumeOrder::OldestFirst)) {
       oldest_age = std::max(oldest_age, 200.0 - pair->deposited);
     }
     std::cout << "   cutoff " << (cutoff > 1e17 ? "none" : std::to_string(
                                       static_cast<int>(cutoff)))
               << ": oldest surviving pair age = "
               << TablePrinter::fmt(oldest_age, 1) << ", expired so far = "
-              << buffer.total_expired() << '\n';
+              << service.buffer().total_expired() << '\n';
   }
 
   // --- 3. From pair age to teleported-gate fidelity. ----------------------

@@ -76,9 +76,19 @@ bool Rng::bernoulli(double p) noexcept {
 
 std::uint64_t Rng::geometric(double p) noexcept {
   if (p >= 1.0) return 0;
+  return geometric_from_log1m(geometric_log1m(p));
+}
+
+double Rng::geometric_log1m(double p) noexcept { return std::log1p(-p); }
+
+// DQCSIM_HOT
+std::uint64_t Rng::geometric_from_log1m(double log1m) noexcept {
   // Inversion method: floor(log(U) / log(1-p)).
   const double u = 1.0 - uniform();  // in (0, 1]
-  return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
+  const double k = std::log(u) / log1m;
+  // For tiny p the quotient exceeds 2^64, where the cast is undefined.
+  if (!(k < 0x1.0p64)) return UINT64_MAX;
+  return static_cast<std::uint64_t>(k);
 }
 
 double Rng::exponential(double mean) noexcept {

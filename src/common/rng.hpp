@@ -51,8 +51,18 @@ class Rng {
 
   /// Number of failures before the first success of a Bernoulli(p) process;
   /// i.e. a geometric variate with support {0, 1, 2, ...}.
-  /// Precondition: 0 < p <= 1.
+  /// Precondition: 0 < p <= 1. Saturates at UINT64_MAX when the variate
+  /// does not fit in 64 bits (p below ~1e-18 makes that likely); callers
+  /// read a saturated draw as "no success within any reachable horizon".
   std::uint64_t geometric(double p) noexcept;
+
+  /// log1p(-p): the per-p constant of geometric(p), for callers drawing
+  /// many variates at one fixed p.
+  static double geometric_log1m(double p) noexcept;
+
+  /// geometric(p) given log1m = geometric_log1m(p): the same variate from
+  /// the same stream position, with one logarithm per draw instead of two.
+  std::uint64_t geometric_from_log1m(double log1m) noexcept;
 
   /// Exponential variate with the given mean (inversion method). uniform()
   /// is in [0, 1), so the log argument stays in (0, 1] and the result is

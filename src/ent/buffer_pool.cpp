@@ -1,6 +1,8 @@
 #include "ent/buffer_pool.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "noise/werner.hpp"
@@ -117,6 +119,17 @@ std::optional<BufferedPair> BufferPool::pop(des::SimTime now,
                                             ConsumeOrder order) {
   return order == ConsumeOrder::FreshestFirst ? pop_freshest(now)
                                               : pop_oldest(now);
+}
+
+des::SimTime BufferPool::next_expiry() const noexcept {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (count_ == 0 || !std::isfinite(cutoff_)) return kInf;
+  const des::SimTime deposited = ring_[head_].deposited;
+  // deposited + cutoff may round to an instant the strict test in
+  // expire_until does not drop yet; step up to the first one it does.
+  des::SimTime t = deposited + cutoff_;
+  while (!(t - deposited > cutoff_)) t = std::nextafter(t, kInf);
+  return t;
 }
 
 double BufferPool::fidelity_at_age(double age) const {

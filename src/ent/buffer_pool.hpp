@@ -98,6 +98,11 @@ class BufferPool {
   /// Pop according to `order`.
   std::optional<BufferedPair> pop(des::SimTime now, ConsumeOrder order);
 
+  /// First instant at which the oldest stored pair counts as expired (the
+  /// pool expires strictly after deposited + cutoff); +inf when the pool is
+  /// empty or the cutoff is infinite.
+  des::SimTime next_expiry() const noexcept;
+
   /// Fidelity of a pair of the given age (Werner decay from f0).
   double fidelity_at_age(double age) const;
 

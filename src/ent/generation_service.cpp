@@ -1,10 +1,18 @@
 #include "ent/generation_service.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/error.hpp"
 
 namespace dqcsim::ent {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// LazyPair::next of a pair that never succeeds within this trial.
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+}  // namespace
 
 GenerationService::GenerationService(des::Simulator& sim,
                                      const LinkParams& params, Rng& rng,
@@ -53,6 +61,10 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   }
   last_success_ = 0.0;
   max_delivery_gap_ = 0.0;
+  lazy_ = false;
+  parked_ = false;
+  timer_armed_ = false;
+  lazy_pairs_.clear();
 }
 
 double GenerationService::offset_of(int pair_index) const {
@@ -76,6 +88,11 @@ void GenerationService::start() {
   // full cycle). Results are only *stored* from start() on, which keeps the
   // buffered designs distinct from init_buf's pre-filled buffer.
   last_success_ = sim_.now();
+  lazy_ = !provider_ && params_.retry.kind == RetryKind::EveryWindow;
+  if (lazy_) {
+    start_lazy();
+    return;
+  }
   for (int p = 0; p < params_.num_comm_pairs; ++p) {
     pair_alive_[static_cast<std::size_t>(p)] = 1;
     const double offset = offset_of(p);
@@ -88,6 +105,8 @@ std::size_t GenerationService::set_capacity_share(int num_comm_pairs,
                                                   int buffer_capacity) {
   DQCSIM_EXPECTS(num_comm_pairs >= 1);
   DQCSIM_EXPECTS(buffer_capacity >= 0);
+  DQCSIM_EXPECTS_MSG(!lazy_, "capacity re-sharing needs a provider-driven "
+                             "service (scenario boundaries only)");
   const des::SimTime now = sim_.now();
   const int old_active = active_pairs_;
   active_pairs_ = num_comm_pairs;
@@ -127,6 +146,22 @@ void GenerationService::pre_fill_buffer() {
   while (!buffer_.full(sim_.now())) {
     buffer_.deposit(sim_.now(), f0);
   }
+}
+
+void GenerationService::schedule_deposit(des::SimTime at, double birth_f0) {
+  sim_.schedule_at(at, [this, birth_f0, epoch = epoch_] {
+    if (epoch != epoch_) return;
+    const des::SimTime t = sim_.now();
+    if (buffer_.deposit(t, birth_f0)) {
+      if (obs_trace_ != nullptr) {
+        obs_trace_->instant(obs::Ev::Deposit, obs_track_, t);
+      }
+      if (params_.record_trace) trace_.record(t);
+      if (handler_) handler_(t);
+    } else {
+      ++wasted_buffer_full_;
+    }
+  });
 }
 
 void GenerationService::schedule_completion(int pair_index,
@@ -177,21 +212,7 @@ void GenerationService::on_window_complete(int pair_index) {
       }
       if (mode_ == ServiceMode::Buffered) {
         // SWAP into the buffer; availability is delayed by the SWAP latency.
-        sim_.schedule_in(params_.swap_latency,
-                         [this, birth_f0, epoch = epoch_] {
-                           if (epoch != epoch_) return;
-                           const des::SimTime at = sim_.now();
-                           if (buffer_.deposit(at, birth_f0)) {
-                             if (obs_trace_ != nullptr) {
-                               obs_trace_->instant(obs::Ev::Deposit,
-                                                   obs_track_, at);
-                             }
-                             if (params_.record_trace) trace_.record(at);
-                             if (handler_) handler_(at);
-                           } else {
-                             ++wasted_buffer_full_;
-                           }
-                         });
+        schedule_deposit(now + params_.swap_latency, birth_f0);
       } else {
         if (params_.record_trace) trace_.record(now);
         const bool consumed = handler_ ? handler_(now) : false;
@@ -237,6 +258,225 @@ double GenerationService::retry_delay(int consecutive_failures) {
   // of the service's replay stream.
   if (r.jitter > 0.0) d *= 1.0 + r.jitter * rng_.uniform();
   return d;
+}
+
+void GenerationService::stop(des::SimTime horizon) {
+  DQCSIM_EXPECTS(horizon >= sim_.now());
+  if (!running_) return;
+  running_ = false;
+  if (!lazy_) return;
+  // Every window completed by the horizon counts, whatever the order of
+  // same-instant events: a success due exactly at the horizon is heralded
+  // here, its SWAP or consumer beyond the trial.
+  replay_skipped(horizon, /*stopping=*/true);
+  parked_ = false;
+  if (timer_armed_) {
+    sim_.cancel(timer_);
+    timer_armed_ = false;
+  }
+  attempts_ = 0;
+  for (LazyPair& pair : lazy_pairs_) {
+    const std::uint64_t done = windows_through(pair, horizon);
+    attempts_ += done;
+    trace_windows(pair, done, /*ok=*/false);
+  }
+}
+
+// DQCSIM_HOT
+std::optional<BufferedPair> GenerationService::pop(des::SimTime now,
+                                                   ConsumeOrder order) {
+  if (parked_) wake(now);
+  return buffer_.pop(now, order);
+}
+
+std::size_t GenerationService::flush_buffer(des::SimTime now) {
+  DQCSIM_EXPECTS_MSG(!lazy_, "node-outage flushes need a provider-driven "
+                             "service (scenarios only)");
+  return buffer_.flush(now);
+}
+
+void GenerationService::start_lazy() {
+  const des::SimTime now = sim_.now();
+  log1m_p_ = Rng::geometric_log1m(params_.p_succ);
+  lazy_pairs_.resize(static_cast<std::size_t>(params_.num_comm_pairs));
+  for (std::size_t p = 0; p < lazy_pairs_.size(); ++p) {
+    LazyPair& pair = lazy_pairs_[p];
+    // Same first completion as the eager chain (see start()).
+    const double offset = offset_of(static_cast<int>(p));
+    pair.origin = now + ((offset > 0.0) ? offset : params_.cycle_time);
+    pair.traced = 0;
+    draw_next_success(pair, 0);
+  }
+  arm_timer();
+}
+
+std::uint64_t GenerationService::windows_through(
+    const LazyPair& pair, des::SimTime t) const noexcept {
+  if (t < pair.origin) return 0;
+  // The quotient estimates the last window at or before t; window_time is
+  // the authority, so step to it exactly.
+  auto n = static_cast<std::uint64_t>((t - pair.origin) / params_.cycle_time);
+  while (n > 0 && window_time(pair, n) > t) --n;
+  while (window_time(pair, n + 1) <= t) ++n;
+  return n + 1;
+}
+
+std::size_t GenerationService::lazy_attempts(des::SimTime t) const noexcept {
+  std::size_t total = 0;
+  for (const LazyPair& pair : lazy_pairs_) total += windows_through(pair, t);
+  return total;
+}
+
+// DQCSIM_HOT
+void GenerationService::draw_next_success(LazyPair& pair,
+                                          std::uint64_t from) noexcept {
+  // Failures before the next success; a saturated draw (p so small the
+  // skip exceeds 2^64 windows) means the pair never succeeds this trial.
+  const std::uint64_t skip =
+      params_.p_succ >= 1.0 ? 0 : rng_.geometric_from_log1m(log1m_p_);
+  if (skip >= kNever - from) {
+    pair.next = kNever;
+    pair.due = kInf;
+  } else {
+    pair.next = from + skip;
+    pair.due = window_time(pair, pair.next);
+  }
+}
+
+// DQCSIM_HOT
+void GenerationService::arm_timer() {
+  des::SimTime due = kInf;
+  for (const LazyPair& pair : lazy_pairs_) due = std::min(due, pair.due);
+  if (due == kInf) return;
+  timer_ = sim_.schedule_at(due, [this, epoch = epoch_] {
+    if (epoch == epoch_) on_timer();
+  });
+  timer_armed_ = true;
+}
+
+// DQCSIM_HOT
+void GenerationService::on_timer() {
+  timer_armed_ = false;
+  if (!running_) return;
+  const des::SimTime now = sim_.now();
+  if (parked_) {  // the oldest buffered pair just expired: a slot is free
+    wake(now);
+    return;
+  }
+  for (LazyPair& pair : lazy_pairs_) {
+    if (pair.due != now) continue;
+    if (mode_ == ServiceMode::Buffered && buffer_.full(now)) {
+      park(now);
+      return;
+    }
+    herald(pair, now);
+  }
+  arm_timer();
+}
+
+// DQCSIM_HOT
+void GenerationService::herald(LazyPair& pair, des::SimTime at) {
+  const std::uint64_t n = pair.next;
+  // Draw the pair's next success before the OnDemand handler runs, so the
+  // handler's own draws (purification) follow it in the stream.
+  draw_next_success(pair, n + 1);
+  ++successes_;
+  record_success(at);
+  trace_windows(pair, n, /*ok=*/true);
+  if (mode_ == ServiceMode::Buffered) {
+    schedule_deposit(at + params_.swap_latency, params_.f0);
+  } else {
+    if (params_.record_trace) trace_.record(at);
+    const bool consumed = handler_ ? handler_(at) : false;
+    if (!consumed) ++wasted_unconsumed_;
+  }
+}
+
+void GenerationService::park(des::SimTime now) {
+  parked_ = true;
+  // Only a pop or the oldest pair's expiry can free a slot; a pop wakes
+  // the service itself, the expiry needs the one timer.
+  const des::SimTime expiry = buffer_.next_expiry();
+  if (expiry == kInf) return;
+  DQCSIM_ENSURES(expiry > now);
+  timer_ = sim_.schedule_at(expiry, [this, epoch = epoch_] {
+    if (epoch == epoch_) on_timer();
+  });
+  timer_armed_ = true;
+}
+
+void GenerationService::wake(des::SimTime now) {
+  if (timer_armed_) {
+    sim_.cancel(timer_);
+    timer_armed_ = false;
+  }
+  replay_skipped(now, /*stopping=*/false);
+  parked_ = false;
+  arm_timer();
+}
+
+// DQCSIM_HOT
+void GenerationService::replay_skipped(des::SimTime until, bool stopping) {
+  // Walk the skipped successes in time order across pairs (ties in pair
+  // order), so record_success sees nondecreasing instants. A parked buffer
+  // stayed full over the whole gap, so a SWAP landing before `until` was
+  // wasted and left the contents unchanged. A wake leaves heralds due at
+  // `until` to the timer (they follow the pop); stop() settles them too.
+  const std::size_t pairs = lazy_pairs_.size();
+  for (;;) {
+    // Earliest due pair, ties to the lowest index; selects, not branches,
+    // because which pair wins is a coin flip on every step.
+    des::SimTime at = lazy_pairs_[0].due;
+    std::size_t first_index = 0;
+    for (std::size_t p = 1; p < pairs; ++p) {
+      const des::SimTime due = lazy_pairs_[p].due;
+      const bool earlier = due < at;
+      at = earlier ? due : at;
+      first_index = earlier ? p : first_index;
+    }
+    if (!(at < until || (stopping && at == until))) return;
+    LazyPair* const first = &lazy_pairs_[first_index];
+    const std::uint64_t n = first->next;
+    draw_next_success(*first, n + 1);
+    ++successes_;
+    record_success(at);
+    trace_windows(*first, n, /*ok=*/true);
+    if (mode_ == ServiceMode::OnDemand) {
+      // Only stop() reaches here (OnDemand never parks): the trial is over,
+      // so no gate is left to claim the pair.
+      if (params_.record_trace) trace_.record(at);
+      ++wasted_unconsumed_;
+      continue;
+    }
+    // Same-instant order: a SWAP landing at `until` follows the pop that
+    // woke the service (it deposits), or the trial's end (in flight). Only
+    // a parked service has heralds before `until`, so an earlier SWAP met
+    // its full buffer.
+    const des::SimTime deposit_at = at + params_.swap_latency;
+    if (deposit_at < until) {
+      ++wasted_buffer_full_;
+    } else if (!stopping) {
+      schedule_deposit(deposit_at, params_.f0);
+    }
+  }
+}
+
+void GenerationService::trace_windows(LazyPair& pair, std::uint64_t n,
+                                      bool ok) {
+  if (obs_trace_ == nullptr) return;
+  const double cycle = params_.cycle_time;
+  if (pair.traced < n) {
+    obs_trace_->span(obs::Ev::GenFail, obs_track_,
+                     window_time(pair, pair.traced) - cycle,
+                     window_time(pair, n - 1));
+  }
+  if (ok) {
+    obs_trace_->span(obs::Ev::GenOk, obs_track_, window_time(pair, n) - cycle,
+                     window_time(pair, n));
+    pair.traced = n + 1;
+  } else {
+    pair.traced = std::max(pair.traced, n);
+  }
 }
 
 }  // namespace dqcsim::ent

@@ -17,6 +17,31 @@
 ///    only at its heralding instant. The arrival handler may consume it by
 ///    returning true; otherwise the pair is wasted, reproducing the
 ///    "significant EPR pair waste" of the no-buffer design (§V-A).
+///
+/// Lazy generation (replay format v2). On a stationary link — no effective-
+/// parameter provider and the default RetryKind::EveryWindow — every window
+/// is an independent Bernoulli(p_succ) trial, so the service draws the
+/// index of each pair's next successful window with one Rng::geometric draw
+/// and keeps exactly one DES event alive: at the earliest pending success
+/// over its pairs. Pairs due at the same grid instant are heralded in one
+/// event, in pair-index order. Window n of pair p completes at
+/// origin_p + n * cycle_time, with origin_p fixed at start(), so pairs on
+/// one phase grid share bitwise-equal instants (the Fig. 3 burst pattern).
+///
+/// A buffered service whose buffer is full at a herald *parks*: it schedules
+/// nothing until a pop (or, under a finite cutoff, its oldest pair's
+/// expiry) can free a slot. On waking at W it replays the skipped successes
+/// in time order across pairs: one whose SWAP lands before W was wasted
+/// into the full buffer, a later one gets a real deposit event (a tie at W
+/// deposits after the pop). stop() settles the same way up to the trial's
+/// end, where a SWAP landing at or after the end stays in flight. OnDemand
+/// services skip ahead but never park.
+///
+/// attempts() is exact at any instant (it counts the windows each pair
+/// completed on its grid). successes, waste and max_delivery_gap of a
+/// parked service are settled at the next pop or at stop(); the engine
+/// reads them only after stop(). Providers (scenarios) and backoff policies
+/// keep the eager one-event, one-draw-per-window chain.
 
 #pragma once
 
@@ -24,6 +49,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -78,8 +104,12 @@ class GenerationService {
   void start();
 
   /// Stop scheduling further attempt windows (already-scheduled completions
-  /// still fire but do nothing).
-  void stop() noexcept { running_ = false; }
+  /// still fire but do nothing). A lazy service first settles its counters
+  /// up to `horizon`, so every lifetime counter is final once stop()
+  /// returns. `horizon` >= now() is the instant generation ends: a trial
+  /// cut at a sim-time budget ends at the budget, past its last event.
+  void stop(des::SimTime horizon);
+  void stop() { stop(sim_.now()); }
 
   /// Fill the buffer to capacity with fresh pairs at the current simulation
   /// time (the paper's init_buf pre-initialization).
@@ -97,6 +127,9 @@ class GenerationService {
   /// chain stop (shrink) — deactivated pairs never lose a started window.
   /// Growing restarts dead chains on a fresh phase grid from `now`;
   /// chains still in flight simply keep running.
+  ///
+  /// Reached only at scenario boundaries, so only on a provider-driven
+  /// (never lazy) service. Precondition: the service is not lazy.
   std::size_t set_capacity_share(int num_comm_pairs, int buffer_capacity);
 
   void set_arrival_handler(ArrivalHandler handler) {
@@ -123,7 +156,20 @@ class GenerationService {
     obs_track_ = track;
   }
 
-  BufferPool& buffer() noexcept { return buffer_; }
+  /// Take one buffered pair for a consumer (see BufferPool::pop). Every
+  /// consumer pop goes through the service: a parked service wakes first,
+  /// so the slot the pop frees reaches the generation it suspended.
+  std::optional<BufferedPair> pop(des::SimTime now, ConsumeOrder order);
+
+  /// Buffered pairs available at `now` (after cutoff expiry).
+  std::size_t available(des::SimTime now) { return buffer_.size(now); }
+
+  /// Drop every buffered pair (a down endpoint node) and return how many
+  /// were dropped. Reached only under a scenario, so only on a provider-
+  /// driven service. Precondition: the service is not lazy.
+  std::size_t flush_buffer(des::SimTime now);
+
+  /// Read-only view: consumers mutate the pool through pop()/flush_buffer().
   const BufferPool& buffer() const noexcept { return buffer_; }
   const ArrivalTrace& trace() const noexcept { return trace_; }
   const LinkParams& params() const noexcept { return params_; }
@@ -133,7 +179,9 @@ class GenerationService {
   double offset_of(int pair_index) const;
 
   // Lifetime counters.
-  std::size_t attempts() const noexcept { return attempts_; }
+  std::size_t attempts() const noexcept {
+    return lazy_ && running_ ? lazy_attempts(sim_.now()) : attempts_;
+  }
   std::size_t successes() const noexcept { return successes_; }
   /// Buffered-mode successes dropped because the pool was full.
   std::size_t wasted_buffer_full() const noexcept {
@@ -154,7 +202,37 @@ class GenerationService {
   }
 
  private:
+  /// Lazy per-pair state (see the file comment).
+  struct LazyPair {
+    des::SimTime origin = 0.0;  ///< completion instant of window 0
+    std::uint64_t next = 0;     ///< index of the next successful window
+    des::SimTime due = 0.0;     ///< its completion instant (inf: never)
+    std::uint64_t traced = 0;   ///< first window no trace span covers yet
+  };
+
   void schedule_completion(int pair_index, des::SimTime completion);
+  void schedule_deposit(des::SimTime at, double birth_f0);
+  void start_lazy();
+  des::SimTime window_time(const LazyPair& pair,
+                           std::uint64_t n) const noexcept {
+    return pair.origin + static_cast<double>(n) * params_.cycle_time;
+  }
+  /// Windows of `pair` completed at or before `t`.
+  std::uint64_t windows_through(const LazyPair& pair,
+                                des::SimTime t) const noexcept;
+  std::size_t lazy_attempts(des::SimTime t) const noexcept;
+  void draw_next_success(LazyPair& pair, std::uint64_t from) noexcept;
+  void arm_timer();
+  void on_timer();
+  void herald(LazyPair& pair, des::SimTime at);
+  void park(des::SimTime now);
+  void wake(des::SimTime now);
+  /// Settle the successes skipped before `until` (and at it, when
+  /// stopping); a wake schedules the SWAPs still in flight.
+  void replay_skipped(des::SimTime until, bool stopping);
+  /// Trace pair windows [traced, n) as one GenFail span; when `ok`, also
+  /// window n as a GenOk span.
+  void trace_windows(LazyPair& pair, std::uint64_t n, bool ok);
   void on_window_complete(int pair_index);
   /// Delay until pair `pair_index`'s next attempt after a failure (>=
   /// cycle_time; draws jitter from the service RNG when configured).
@@ -183,6 +261,14 @@ class GenerationService {
   std::size_t successes_ = 0;
   std::size_t wasted_buffer_full_ = 0;
   std::size_t wasted_unconsumed_ = 0;
+
+  // Lazy generation state, sized at start() with capacity retained.
+  bool lazy_ = false;
+  bool parked_ = false;
+  bool timer_armed_ = false;
+  des::EventId timer_ = 0;
+  double log1m_p_ = 0.0;  ///< Rng::geometric_log1m(p_succ), fixed at start()
+  std::vector<LazyPair> lazy_pairs_;
 
   // Boundary re-sharing state. active_pairs_ tracks the live comm-pair
   // count (== params_.num_comm_pairs unless set_capacity_share moved it);

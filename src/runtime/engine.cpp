@@ -818,7 +818,7 @@ struct RunContext::State {
         for (std::size_t e = 0; e < edge_services.size(); ++e) {
           const net::TopologyEdge& edge = config.topology->edge(e);
           if (!scen.node_up(edge.a, t) || !scen.node_up(edge.b, t)) {
-            result.pairs_discarded += edge_services[e]->buffer().flush(t);
+            result.pairs_discarded += edge_services[e]->flush_buffer(t);
           }
         }
       }
@@ -1078,7 +1078,7 @@ struct RunContext::State {
       if (config.salvage_pairs && !use_swap_go) {
         // The stock kept across the re-plan is re-credited to the new
         // route's budget instead of rotting against the dead path.
-        result.pairs_salvaged += link.service->buffer().size(t);
+        result.pairs_salvaged += link.service->available(t);
       }
       link.route_edges.assign(route.edges.begin(), route.edges.end());
       link.hops = route.hops();
@@ -1113,7 +1113,7 @@ struct RunContext::State {
   bool edges_ready(const std::vector<std::size_t>& edges,
                    std::size_t needed) {
     for (const std::size_t e : edges) {
-      if (edge_services[e]->buffer().size(sim.now()) < needed) return false;
+      if (edge_services[e]->available(sim.now()) < needed) return false;
     }
     return true;
   }
@@ -1177,7 +1177,7 @@ struct RunContext::State {
       for (std::size_t i = 0; i < needed; ++i) {
         hop_fid_scratch.clear();
         for (const std::size_t e : *path_edges) {
-          auto pair = edge_services[e]->buffer().pop(sim.now(), order);
+          auto pair = edge_services[e]->pop(sim.now(), order);
           DQCSIM_ENSURES(pair.has_value());
           const double age = sim.now() - pair->deposited;
           pair_age_acc.add(age);
@@ -1268,14 +1268,14 @@ struct RunContext::State {
         if (!plan.has_route) continue;
         std::size_t avail = ~std::size_t{0};
         for (const std::size_t e : plan.primary.edges) {
-          avail = std::min(avail, edge_services[e]->buffer().size(sim.now()));
+          avail = std::min(avail, edge_services[e]->available(sim.now()));
         }
         total += avail;
       }
       return total;
     }
     for (auto& link : links) {
-      total += link.service->buffer().size(sim.now());
+      total += link.service->available(sim.now());
     }
     return total;
   }
@@ -1568,11 +1568,11 @@ struct RunContext::State {
     const auto needed =
         static_cast<std::size_t>(config.pairs_per_remote_gate());
     while (!link.pending.empty() &&
-           link.service->buffer().size(sim.now()) >= needed) {
+           link.service->available(sim.now()) >= needed) {
       PendingRemote& req = link.pending.front();
       req.num_births = 0;
       for (std::size_t i = 0; i < needed; ++i) {
-        auto pair = link.service->buffer().pop(sim.now(), order);
+        auto pair = link.service->pop(sim.now(), order);
         DQCSIM_ENSURES(pair.has_value());
         req.births[req.num_births] = pair->deposited;
         req.birth_f0[req.num_births] = pair->f0;
@@ -1709,8 +1709,11 @@ struct RunContext::State {
         // Depth and idling report the budget horizon the trial ran out at.
         makespan = std::max(makespan, budget);
       }
+      // Generation ends with the trial: at the budget horizon when
+      // truncated (lazy services settle their skipped windows up to it).
+      const double horizon = result.truncated ? budget : sim.now();
       for_each_running_service(
-          [](ent::GenerationService& svc) { svc.stop(); });
+          [horizon](ent::GenerationService& svc) { svc.stop(horizon); });
 
       // link_stalled watchdog: services that at some point went longer than
       // stall_windows attempt windows without one successful generation.

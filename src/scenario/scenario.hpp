@@ -28,7 +28,9 @@
 /// Wiring: set runtime::ArchConfig::scenario (requires a topology; the
 /// all-to-all interconnect is available explicitly via
 /// net::Topology::all_to_all). A null scenario is bit-identical to the
-/// stationary engine. See runtime/engine.cpp for the execution semantics:
+/// stationary engine. Any installed scenario, even a no-op one, moves its
+/// links to the per-window replay format (docs/ARCHITECTURE.md, "Replay
+/// formats"). See runtime/engine.cpp for the execution semantics:
 /// generation services re-read the effective link parameters at every
 /// attempt-window boundary, and outages invalidate a logical link's route,
 /// re-routing it through net::Router over the surviving subgraph.

@@ -101,6 +101,17 @@ TEST(Rng, GeometricWithCertainSuccessIsZero) {
   EXPECT_EQ(rng.geometric(1.0), 0u);
 }
 
+TEST(Rng, GeometricSaturatesForTinyP) {
+  // log(u) / log1p(-p) is ~1e300 here, far past 2^64: the draw saturates
+  // instead of hitting an undefined float-to-integer cast.
+  Rng rng(23);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(rng.geometric(1e-300), UINT64_MAX);
+  }
+  // Just inside the representable range the draw is an ordinary integer.
+  EXPECT_LT(rng.geometric(1e-12), UINT64_MAX);
+}
+
 TEST(Rng, ExponentialMeanMatchesTheory) {
   Rng rng(19);
   Accumulator acc;

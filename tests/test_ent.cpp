@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -13,6 +14,7 @@
 #include "ent/generation_service.hpp"
 #include "ent/link_params.hpp"
 #include "ent/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace dqcsim::ent {
 namespace {
@@ -20,6 +22,14 @@ namespace {
 LinkParams paper_link() {
   LinkParams link;  // defaults match the paper's Table II configuration
   return link;
+}
+
+/// A provider that reports `link` unchanged: it keeps a service on the
+/// eager per-window chain without perturbing the fabric.
+EffectiveProvider constant_provider(const LinkParams& link) {
+  return [p_succ = link.p_succ, f0 = link.f0](des::SimTime) {
+    return EffectiveLink{p_succ, f0, true};
+  };
 }
 
 // ------------------------------------------------------------ LinkParams ----
@@ -145,7 +155,8 @@ TEST(GenerationService, SyncCompletionsLandOnCycleGrid) {
   for (des::SimTime t : service.trace().arrivals()) {
     EXPECT_NEAR(std::fmod(t, link.cycle_time), 0.0, 1e-9);
   }
-  EXPECT_EQ(service.buffer().size(35.0), 10u);
+  EXPECT_EQ(service.available(35.0), 10u);
+  service.stop();  // a parked service settles its waste at stop()
   EXPECT_GT(service.wasted_buffer_full(), 0u);
 }
 
@@ -173,7 +184,7 @@ TEST(GenerationService, TraceOptOutSkipsRecordingOnly) {
   EXPECT_EQ(on.attempts(), off.attempts());
   EXPECT_EQ(on.successes(), off.successes());
   EXPECT_EQ(on.wasted_buffer_full(), off.wasted_buffer_full());
-  EXPECT_EQ(on.buffer().size(35.0), off.buffer().size(35.0));
+  EXPECT_EQ(on.available(35.0), off.available(35.0));
 }
 
 TEST(GenerationService, TraceOptOutAppliesOnDemandToo) {
@@ -288,7 +299,7 @@ TEST(GenerationService, PreFillTopsUpBuffer) {
   Rng rng(7);
   GenerationService service(sim, paper_link(), rng, ServiceMode::Buffered);
   service.pre_fill_buffer();
-  EXPECT_EQ(service.buffer().size(0.0), 10u);
+  EXPECT_EQ(service.available(0.0), 10u);
 }
 
 TEST(GenerationService, PreFillRequiresBufferedMode) {
@@ -528,6 +539,9 @@ TEST(GenerationService, FixedRetryAtOrBelowCycleIsIdentity) {
   des::Simulator sim_a;
   Rng rng_a(42);
   GenerationService a(sim_a, every, rng_a, ServiceMode::Buffered);
+  // A provider keeps the every-window service on the per-window chain the
+  // retry policies extend (a stationary one would skip ahead lazily).
+  a.set_effective_provider(constant_provider(every));
   des::Simulator sim_b;
   Rng rng_b(42);
   GenerationService b(sim_b, fixed, rng_b, ServiceMode::Buffered);
@@ -626,6 +640,7 @@ TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
   EXPECT_DOUBLE_EQ(svc.max_delivery_gap(100.0), 0.0);  // not started
   svc.start();
   sim.run_until(95.0);
+  svc.stop();  // the parked service settles its skipped successes
   // Every window succeeds: the widest gap is one cycle (start -> first).
   EXPECT_DOUBLE_EQ(svc.max_delivery_gap(sim.now()), link.cycle_time);
 
@@ -637,6 +652,7 @@ TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
   GenerationService never(sim2, dead, rng2, ServiceMode::Buffered);
   never.start();
   sim2.run_until(95.0);
+  never.stop();
   EXPECT_DOUBLE_EQ(never.max_delivery_gap(sim2.now()), sim2.now());
 }
 
@@ -649,6 +665,9 @@ TEST(GenerationService, CapacityShareShrinkFinishesInFlightWindow) {
   des::Simulator sim;
   Rng rng(1);
   GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  // Re-sharing happens only at scenario boundaries, on provider-driven
+  // services.
+  svc.set_effective_provider(constant_provider(link));
   svc.start();
   sim.run_until(5.0);
   // Both pairs have an in-flight window ending at t=10; shrinking to one
@@ -670,6 +689,9 @@ TEST(GenerationService, CapacityShareGrowRestartsOnlyDeadChains) {
   des::Simulator sim;
   Rng rng(1);
   GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  // Re-sharing happens only at scenario boundaries, on provider-driven
+  // services.
+  svc.set_effective_provider(constant_provider(link));
   svc.start();
   sim.run_until(15.0);   // both chains fired at t=10
   svc.set_capacity_share(1, 10);
@@ -695,11 +717,222 @@ TEST(GenerationService, CapacityShareShrinkReturnsDroppedOverflow) {
   des::Simulator sim;
   Rng rng(1);
   GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  // Re-sharing happens only at scenario boundaries, on provider-driven
+  // services.
+  svc.set_effective_provider(constant_provider(link));
   svc.start();
   sim.run_until(15.0);  // buffer holds 4 pairs
-  EXPECT_EQ(svc.buffer().size(sim.now()), 4u);
+  EXPECT_EQ(svc.available(sim.now()), 4u);
   EXPECT_EQ(svc.set_capacity_share(1, 1), 3u);  // oldest three dropped
-  EXPECT_EQ(svc.buffer().size(sim.now()), 1u);
+  EXPECT_EQ(svc.available(sim.now()), 1u);
+}
+
+// ------------------------------------------------- lazy generation (v2) ----
+
+/// Windows of a `link` service completed at or before `t` on the grid:
+/// pair p's window n ends at first_p + n * cycle (first_p as in start()).
+std::size_t grid_windows(const GenerationService& svc, const LinkParams& link,
+                         double t) {
+  std::size_t total = 0;
+  for (int p = 0; p < link.num_comm_pairs; ++p) {
+    const double offset = svc.offset_of(p);
+    const double first = offset > 0.0 ? offset : link.cycle_time;
+    for (double w = first; w <= t; w += link.cycle_time) ++total;
+  }
+  return total;
+}
+
+TEST(LazyGeneration, OnlyStationaryServicesAreLazy) {
+  // Re-sharing and outage flushes are scenario-boundary operations, never
+  // reached on a lazy service: they reject it, and accept the
+  // provider-driven and backoff services that keep the per-window chain.
+  des::Simulator sim;
+  Rng rng(1);
+  GenerationService lazy(sim, paper_link(), rng, ServiceMode::Buffered);
+  lazy.start();
+  EXPECT_THROW(lazy.set_capacity_share(5, 5), PreconditionError);
+  EXPECT_THROW(lazy.flush_buffer(0.0), PreconditionError);
+  GenerationService eager(sim, paper_link(), rng, ServiceMode::Buffered);
+  eager.set_effective_provider(constant_provider(paper_link()));
+  eager.start();
+  EXPECT_NO_THROW(eager.set_capacity_share(5, 5));
+  EXPECT_NO_THROW(eager.flush_buffer(0.0));
+  LinkParams backoff = paper_link();
+  backoff.retry.kind = RetryKind::Fixed;
+  backoff.retry.interval = 20.0;
+  GenerationService retry(sim, backoff, rng, ServiceMode::Buffered);
+  retry.start();
+  EXPECT_NO_THROW(retry.set_capacity_share(5, 5));
+}
+
+TEST(LazyGeneration, ParkedServiceWithoutConsumerRunsNoEvents) {
+  // No consumer: the buffer fills, then every success is waste. The
+  // per-window chain pays one event per pair per window for the whole
+  // horizon; the lazy service parks and pays O(successes until full).
+  const LinkParams link = paper_link();
+  // Off the window grid, so no success is still in its SWAP at stop().
+  const double horizon = 1e4 * link.cycle_time + 5.0;
+  des::Simulator sim;
+  Rng rng(5);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  svc.start();
+  sim.run_until(horizon);
+  EXPECT_LT(sim.executed_events(), 5u * static_cast<std::size_t>(
+                                            link.buffer_capacity));
+  EXPECT_EQ(svc.available(horizon), 10u);
+  svc.stop();
+  EXPECT_EQ(svc.attempts(), 100000u);
+  EXPECT_NEAR(static_cast<double>(svc.successes()), 0.4 * 100000.0, 1000.0);
+  // Every success past the ten that filled the buffer was wasted.
+  EXPECT_EQ(svc.wasted_buffer_full(), svc.successes() - 10u);
+
+  des::Simulator sim_eager;
+  Rng rng_eager(5);
+  GenerationService eager(sim_eager, link, rng_eager, ServiceMode::Buffered);
+  eager.set_effective_provider(constant_provider(link));
+  eager.start();
+  sim_eager.run_until(horizon);
+  EXPECT_GE(sim_eager.executed_events(), 100000u);
+}
+
+TEST(LazyGeneration, AttemptsMidRunCountCompletedGridWindows) {
+  LinkParams link = paper_link();
+  link.schedule = AttemptSchedule::Asynchronous;
+  link.async_subgroups = 4;
+  des::Simulator sim;
+  Rng rng(8);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  svc.start();
+  for (const double t : {0.5, 2.5, 9.99, 10.0, 123.4, 777.7, 5000.25}) {
+    sim.run_until(t);  // the buffer is full and parked for most of these
+    EXPECT_EQ(svc.attempts(), grid_windows(svc, link, t)) << "t = " << t;
+  }
+  svc.stop();
+  EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 5000.25));
+}
+
+TEST(LazyGeneration, PopWakesParkedServiceAndNextDepositLands) {
+  LinkParams link = paper_link();
+  link.p_succ = 1.0;
+  link.num_comm_pairs = 1;
+  link.buffer_capacity = 2;
+  des::Simulator sim;
+  Rng rng(2);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  svc.start();
+  sim.run_until(95.0);  // deposits at 11 and 21, parked since t = 30
+  ASSERT_EQ(svc.trace().count(), 2u);
+  std::optional<BufferedPair> popped;
+  sim.schedule_at(95.0, [&] {
+    popped = svc.pop(95.0, ConsumeOrder::FreshestFirst);
+  });
+  sim.run_until(125.0);
+  ASSERT_TRUE(popped.has_value());
+  EXPECT_DOUBLE_EQ(popped->deposited, 21.0);
+  // The wake replayed 30..90 as waste; the t = 100 success refills the slot.
+  ASSERT_EQ(svc.trace().count(), 3u);
+  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 101.0);
+  EXPECT_EQ(svc.available(125.0), 2u);
+  EXPECT_EQ(svc.wasted_buffer_full(), 7u);
+  svc.stop();
+  EXPECT_EQ(svc.successes(), 12u);  // t = 10, 20, ..., 120
+  EXPECT_EQ(svc.wasted_buffer_full(), 9u);  // plus 110 and 120
+}
+
+TEST(LazyGeneration, PopWakeTieDepositsAfterThePop) {
+  // A success heralded at 90 lands at 91; a pop at exactly 91 frees the
+  // slot first, so that SWAP deposits instead of being wasted.
+  LinkParams link = paper_link();
+  link.p_succ = 1.0;
+  link.num_comm_pairs = 1;
+  link.buffer_capacity = 1;
+  des::Simulator sim;
+  Rng rng(2);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  svc.start();
+  sim.schedule_at(91.0, [&] { svc.pop(91.0, ConsumeOrder::FreshestFirst); });
+  sim.run_until(95.0);
+  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 91.0);
+  EXPECT_EQ(svc.available(95.0), 1u);
+  EXPECT_EQ(svc.wasted_buffer_full(), 7u);  // 20 .. 80 landed on a full buffer
+}
+
+TEST(LazyGeneration, FiniteCutoffWakesAtExpiry) {
+  LinkParams link = paper_link();
+  link.p_succ = 1.0;
+  link.num_comm_pairs = 1;
+  link.buffer_capacity = 1;
+  link.cutoff = 25.0;
+  des::Simulator sim;
+  Rng rng(3);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  svc.start();
+  // t = 11 deposit fills the buffer; the t = 20 herald parks until the pair
+  // expires just after 36; the 20 and 30 SWAPs were wasted, the t = 40
+  // success deposits at 41 without any consumer.
+  sim.run_until(45.0);
+  ASSERT_EQ(svc.trace().count(), 2u);
+  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 41.0);
+  EXPECT_EQ(svc.buffer().total_expired(), 1u);
+  EXPECT_EQ(svc.wasted_buffer_full(), 2u);
+  // Pair deposits and expiry wakes only: no event per window.
+  EXPECT_LT(sim.executed_events(), 10u);
+}
+
+TEST(LazyGeneration, TracedSpansCoverEveryWindow) {
+  // Runs of failures become one GenFail span each and every success one
+  // GenOk span, so the spans tile each pair's windows exactly — across
+  // parked stretches too.
+  LinkParams link = paper_link();
+  link.schedule = AttemptSchedule::Asynchronous;
+  link.buffer_capacity = 3;
+  obs::TraceBuffer buf;
+  buf.reset(1u << 16);
+  des::Simulator sim;
+  Rng rng(4);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  svc.set_trial_trace(&buf, 7);
+  svc.start();
+  for (const double t : {250.0, 600.0, 610.0, 1400.0}) {
+    sim.schedule_at(t, [&svc, t] {
+      svc.pop(t, ConsumeOrder::FreshestFirst);
+    });
+  }
+  sim.run_until(2003.5);
+  svc.stop();
+  std::size_t ok = 0;
+  double covered = 0.0;
+  for (const obs::TraceEvent& e : buf.events()) {
+    if (e.ev != obs::Ev::GenOk && e.ev != obs::Ev::GenFail) continue;
+    EXPECT_EQ(e.track, 7u);
+    if (e.ev == obs::Ev::GenOk) ++ok;
+    covered += e.t1 - e.t0;
+  }
+  EXPECT_EQ(buf.dropped(), 0u);
+  EXPECT_EQ(ok, svc.successes());
+  EXPECT_DOUBLE_EQ(covered / link.cycle_time,
+                   static_cast<double>(svc.attempts()));
+  EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 2003.5));
+}
+
+TEST(LazyGeneration, OnDemandSkipsAheadWithoutParking) {
+  LinkParams link = paper_link();
+  link.schedule = AttemptSchedule::Asynchronous;  // one pair per instant
+  des::Simulator sim;
+  Rng rng(6);
+  GenerationService svc(sim, link, rng, ServiceMode::OnDemand);
+  std::size_t offered = 0;
+  svc.set_arrival_handler([&offered](des::SimTime) {
+    ++offered;
+    return false;
+  });
+  svc.start();
+  sim.run_until(10000.0);
+  // One event per success (no failed-window events), every one offered.
+  EXPECT_EQ(sim.executed_events(), svc.successes());
+  EXPECT_EQ(offered, svc.successes());
+  svc.stop();
+  EXPECT_EQ(svc.wasted_unconsumed(), svc.successes());
 }
 
 }  // namespace
