@@ -86,6 +86,9 @@ struct EventRecord {
   std::uint32_t generation = 1;      ///< bumped on release; 0 never valid
   std::uint32_t next_free = kNullSlot;
   std::uint8_t pending = 0;  ///< scheduled and not yet extracted/cancelled
+  /// The scheduler's clock when the event was queued (fills padding: the
+  /// record stays 80 bytes).
+  SimTime scheduled_at = 0.0;
 };
 
 }  // namespace detail

@@ -47,12 +47,14 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedule `action` to fire at absolute time `time`.
+  /// Schedule `action` to fire at absolute time `time`. `scheduled_at` is
+  /// the caller's clock, handed back to the dispatch hook (see
+  /// dispatch_next); a queue used without a clock may leave it at 0.
   /// Precondition: time must be finite and >= 0.
   /// Allocation-free when the callback fits the pool's inline storage and
   /// the pool/index are warm; oversized closures are boxed (counted).
   template <typename F>
-  EventId schedule(SimTime time, F&& action) {
+  EventId schedule(SimTime time, F&& action, SimTime scheduled_at = 0.0) {
     DQCSIM_EXPECTS_MSG(std::isfinite(time) && time >= 0.0,
                        "event time must be finite and nonnegative");
     const std::uint32_t slot = pool_.allocate();
@@ -81,6 +83,7 @@ class EventQueue {
       throw;
     }
     rec.pending = 1;
+    rec.scheduled_at = scheduled_at;
     ++next_seq_;
     ++size_;
     return make_id(slot, rec.generation);
@@ -105,12 +108,12 @@ class EventQueue {
   /// The callback may re-enter the queue (schedule/cancel) freely; its own
   /// slot is off every index tier while it runs.
   SimTime dispatch_next() {
-    return dispatch_next([](SimTime) {});
+    return dispatch_next([](SimTime, SimTime) {});
   }
 
-  /// As dispatch_next(), but invoke `before_invoke(time)` between event
-  /// extraction and the callback — the Simulator advances its clock there
-  /// without paying for a separate next_time() pass.
+  /// As dispatch_next(), but invoke `before_invoke(time, scheduled_at)`
+  /// between event extraction and the callback — the Simulator advances its
+  /// clock there without paying for a separate next_time() pass.
   template <typename Pre>
   SimTime dispatch_next(Pre&& before_invoke) {
     DQCSIM_EXPECTS(!empty());
@@ -135,7 +138,7 @@ class EventQueue {
         pool.release(slot);
       }
     } finalizer{pool_, rec, entry.slot};
-    before_invoke(entry.time);
+    before_invoke(entry.time, rec.scheduled_at);
     rec.ops->invoke(rec.storage);
     return entry.time;
   }

@@ -9,10 +9,12 @@ bool Simulator::step() {
   // The clock advances between event extraction and callback dispatch, so
   // the callback observes now() == its own timestamp (same contract as the
   // previous pop-then-run design) without a separate next_time() pass.
-  queue_.dispatch_next([this](SimTime t) {
+  queue_.dispatch_next([this](SimTime t, SimTime scheduled_at) {
     now_ = t;
+    scheduled_at_ = scheduled_at;
     ++executed_;
   });
+  scheduled_at_ = now_;
   return true;
 }
 
@@ -30,6 +32,7 @@ std::size_t Simulator::run_until(SimTime t_end) {
     ++executed;
   }
   now_ = t_end;
+  scheduled_at_ = t_end;
   return executed;
 }
 

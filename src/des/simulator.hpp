@@ -25,18 +25,25 @@ class Simulator {
   /// Current simulation time.
   SimTime now() const noexcept { return now_; }
 
+  /// The instant at which the event now dispatching was scheduled; now()
+  /// outside an event callback. Among events due at one instant, one
+  /// scheduled earlier runs first (FIFO ties), so a process that skipped
+  /// its own events can tell where they would have run relative to this
+  /// one.
+  SimTime scheduled_at() const noexcept { return scheduled_at_; }
+
   /// Schedule `action` at absolute time `t`. Precondition: t >= now().
   template <typename F>
   EventId schedule_at(SimTime t, F&& action) {
     DQCSIM_EXPECTS_MSG(t >= now_, "cannot schedule an event in the past");
-    return queue_.schedule(t, std::forward<F>(action));
+    return queue_.schedule(t, std::forward<F>(action), now_);
   }
 
   /// Schedule `action` after a nonnegative delay relative to now().
   template <typename F>
   EventId schedule_in(SimTime delay, F&& action) {
     DQCSIM_EXPECTS_MSG(delay >= 0.0, "delay must be nonnegative");
-    return queue_.schedule(now_ + delay, std::forward<F>(action));
+    return queue_.schedule(now_ + delay, std::forward<F>(action), now_);
   }
 
   /// Cancel a pending event; no-op if already fired. Returns true if pending.
@@ -72,6 +79,7 @@ class Simulator {
   void reset() noexcept {
     queue_.reset();
     now_ = 0.0;
+    scheduled_at_ = 0.0;
     executed_ = 0;
   }
 
@@ -86,6 +94,7 @@ class Simulator {
  private:
   EventQueue queue_;
   SimTime now_ = 0.0;
+  SimTime scheduled_at_ = 0.0;
   std::size_t executed_ = 0;
 };
 

@@ -268,7 +268,7 @@ void GenerationService::stop(des::SimTime horizon) {
   // Every window completed by the horizon counts, whatever the order of
   // same-instant events: a success due exactly at the horizon is heralded
   // here, its SWAP or consumer beyond the trial.
-  replay_skipped(horizon, /*stopping=*/true);
+  replay_skipped(horizon, /*stopping=*/true, -kInf);
   parked_ = false;
   if (timer_armed_) {
     sim_.cancel(timer_);
@@ -285,7 +285,7 @@ void GenerationService::stop(des::SimTime horizon) {
 // DQCSIM_HOT
 std::optional<BufferedPair> GenerationService::pop(des::SimTime now,
                                                    ConsumeOrder order) {
-  if (parked_) wake(now);
+  if (parked_) wake(now, sim_.scheduled_at());
   return buffer_.pop(now, order);
 }
 
@@ -360,7 +360,7 @@ void GenerationService::on_timer() {
   if (!running_) return;
   const des::SimTime now = sim_.now();
   if (parked_) {  // the oldest buffered pair just expired: a slot is free
-    wake(now);
+    wake(now, -kInf);
     return;
   }
   for (LazyPair& pair : lazy_pairs_) {
@@ -405,37 +405,39 @@ void GenerationService::park(des::SimTime now) {
   timer_armed_ = true;
 }
 
-void GenerationService::wake(des::SimTime now) {
+void GenerationService::wake(des::SimTime now, des::SimTime waker_queued) {
   if (timer_armed_) {
     sim_.cancel(timer_);
     timer_armed_ = false;
   }
-  replay_skipped(now, /*stopping=*/false);
+  replay_skipped(now, /*stopping=*/false, waker_queued);
   parked_ = false;
   arm_timer();
 }
 
 // DQCSIM_HOT
-void GenerationService::replay_skipped(des::SimTime until, bool stopping) {
+void GenerationService::replay_skipped(des::SimTime until, bool stopping,
+                                       des::SimTime waker_queued) {
   // Walk the skipped successes in time order across pairs (ties in pair
   // order), so record_success sees nondecreasing instants. A parked buffer
   // stayed full over the whole gap, so a SWAP landing before `until` was
-  // wasted and left the contents unchanged. A wake leaves heralds due at
-  // `until` to the timer (they follow the pop); stop() settles them too.
-  const std::size_t pairs = lazy_pairs_.size();
+  // wasted and left the contents unchanged. stop() settles the heralds due
+  // at `until` too. A wake settles those whose window event the per-window
+  // chain queued (one cycle earlier) before the waking event, so their
+  // SWAPs are queued ahead of whatever the waker schedules next; the rest
+  // follow the waker on the timer.
   for (;;) {
-    // Earliest due pair, ties to the lowest index; selects, not branches,
-    // because which pair wins is a coin flip on every step.
-    des::SimTime at = lazy_pairs_[0].due;
-    std::size_t first_index = 0;
-    for (std::size_t p = 1; p < pairs; ++p) {
-      const des::SimTime due = lazy_pairs_[p].due;
-      const bool earlier = due < at;
-      at = earlier ? due : at;
-      first_index = earlier ? p : first_index;
+    // Earliest due pair, ties to the lowest index.
+    LazyPair* first = &lazy_pairs_[0];
+    for (LazyPair& pair : lazy_pairs_) {
+      if (pair.due < first->due) first = &pair;
     }
-    if (!(at < until || (stopping && at == until))) return;
-    LazyPair* const first = &lazy_pairs_[first_index];
+    const des::SimTime at = first->due;
+    if (!(at < until ||
+          (at == until &&
+           (stopping || at - params_.cycle_time < waker_queued)))) {
+      return;
+    }
     const std::uint64_t n = first->next;
     draw_next_success(*first, n + 1);
     ++successes_;
@@ -448,12 +450,14 @@ void GenerationService::replay_skipped(des::SimTime until, bool stopping) {
       ++wasted_unconsumed_;
       continue;
     }
-    // Same-instant order: a SWAP landing at `until` follows the pop that
-    // woke the service (it deposits), or the trial's end (in flight). Only
-    // a parked service has heralds before `until`, so an earlier SWAP met
-    // its full buffer.
+    // Only a parked service has heralds before `until`, so an earlier SWAP
+    // met its full buffer. A SWAP landing at `until` was queued at its
+    // herald: the per-window chain runs it before a waking event queued at
+    // or after that herald (FIFO ties; it met the full buffer) and after
+    // one queued earlier (it deposits now). At the trial's end it stays in
+    // flight.
     const des::SimTime deposit_at = at + params_.swap_latency;
-    if (deposit_at < until) {
+    if (deposit_at < until || (deposit_at == until && waker_queued >= at)) {
       ++wasted_buffer_full_;
     } else if (!stopping) {
       schedule_deposit(deposit_at, params_.f0);

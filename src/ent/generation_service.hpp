@@ -32,9 +32,15 @@
 /// nothing until a pop (or, under a finite cutoff, its oldest pair's
 /// expiry) can free a slot. On waking at W it replays the skipped successes
 /// in time order across pairs: one whose SWAP lands before W was wasted
-/// into the full buffer, a later one gets a real deposit event (a tie at W
-/// deposits after the pop). stop() settles the same way up to the trial's
-/// end, where a SWAP landing at or after the end stays in flight. OnDemand
+/// into the full buffer, a later one gets a real deposit event. Same-
+/// instant ties keep the per-window chain's FIFO order against the waking
+/// event (des::Simulator::scheduled_at says when it was queued): a SWAP
+/// landing at W was queued at its herald, so it is wasted when the waker
+/// was queued at or after that herald and deposits after the pop
+/// otherwise; a success due at W is heralded inside the wake when its
+/// window event (queued one cycle earlier) precedes the waker, else on the
+/// timer after it. stop() settles the same way up to the trial's end,
+/// where a SWAP landing at or after the end stays in flight. OnDemand
 /// services skip ahead but never park.
 ///
 /// attempts() is exact at any instant (it counts the windows each pair
@@ -226,10 +232,15 @@ class GenerationService {
   void on_timer();
   void herald(LazyPair& pair, des::SimTime at);
   void park(des::SimTime now);
-  void wake(des::SimTime now);
+  /// Resume at `now`, woken by an event queued at `waker_queued` (-inf for
+  /// the service's own expiry timer, which only frees a slot).
+  void wake(des::SimTime now, des::SimTime waker_queued);
   /// Settle the successes skipped before `until` (and at it, when
-  /// stopping); a wake schedules the SWAPs still in flight.
-  void replay_skipped(des::SimTime until, bool stopping);
+  /// stopping); a wake schedules the SWAPs still in flight. `waker_queued`
+  /// orders the heralds due and SWAPs landing at `until` against the
+  /// waking event.
+  void replay_skipped(des::SimTime until, bool stopping,
+                      des::SimTime waker_queued);
   /// Trace pair windows [traced, n) as one GenFail span; when `ok`, also
   /// window n as a GenOk span.
   void trace_windows(LazyPair& pair, std::uint64_t n, bool ok);

@@ -1,22 +1,10 @@
 #include "noise/fidelity_ledger.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 
 namespace dqcsim::noise {
-namespace {
-
-/// exp of a log-space fidelity. A product of positive factors is positive,
-/// but below the double range exp() rounds it to zero; floor it at the
-/// smallest positive double instead.
-double positive_exp(double log_f) {
-  return std::max(std::exp(log_f), std::numeric_limits<double>::denorm_min());
-}
-
-}  // namespace
 
 // DQCSIM_HOT
 void FidelityLedger::add_factor(FidelityTerm term, double f) {
@@ -36,11 +24,11 @@ void FidelityLedger::add_idling(double kappa, double t) {
 double FidelityLedger::fidelity() const {
   double total = 0.0;
   for (double ls : log_sum_) total += ls;
-  return positive_exp(total);
+  return std::exp(total);
 }
 
 double FidelityLedger::category_fidelity(FidelityTerm term) const {
-  return positive_exp(log_sum_[index_of(term)]);
+  return std::exp(log_sum_[index_of(term)]);
 }
 
 std::size_t FidelityLedger::category_count(FidelityTerm term) const {

@@ -33,12 +33,10 @@ class FidelityLedger {
   /// Preconditions: kappa >= 0, t >= 0.
   void add_idling(double kappa, double t);
 
-  /// Current total fidelity estimate (product of all factors). Always
-  /// positive: a product below the double range (long trials decay past
-  /// ~1e-308) reads as the smallest positive double, not as zero.
+  /// Current total fidelity estimate (product of all factors).
   double fidelity() const;
 
-  /// Product of factors in one category only (floored like fidelity()).
+  /// Product of factors in one category only.
   double category_fidelity(FidelityTerm term) const;
 
   /// Number of factors recorded in a category (idling counts calls).

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -447,7 +448,7 @@ struct RunContext::State {
       if (obs_trace) reg.add(regh.trace_dropped, trace_buf.dropped());
       reg.gauge_max(regh.makespan_max, makespan);
       for_each_running_service([&](const ent::GenerationService& svc) {
-        reg.gauge_max(regh.max_delivery_gap, svc.max_delivery_gap(sim.now()));
+        reg.gauge_max(regh.max_delivery_gap, svc.max_delivery_gap(makespan));
       });
       observe->collector.merge_registry(reg);
       reg.reset_values();
@@ -1680,25 +1681,28 @@ struct RunContext::State {
       }
     }
 
-    // Drive the simulation until every gate has completed. The generation
-    // service perpetually schedules events, so the loop can always advance;
-    // an event-starved state with unfinished gates indicates a logic error.
-    // A finite max_trial_sim_time bounds the drive: an event strictly
-    // beyond the budget never executes, so a trial that cannot finish
-    // (e.g. total disconnection) stops deterministically with partial
-    // metrics instead of spinning on generation windows forever.
+    // Drive the simulation until every gate has completed. A finite
+    // max_trial_sim_time bounds the drive: an event strictly beyond the
+    // budget never executes, so a trial that cannot finish (e.g. total
+    // disconnection) stops deterministically with partial metrics instead
+    // of spinning on generation windows forever. An empty queue counts as
+    // reaching the budget: lazy generation services schedule nothing while
+    // parked or when no pair can succeed, so a trial stuck on them runs
+    // out of events rather than sim time. Unbounded, an empty queue with
+    // unfinished gates can never make progress.
     const double budget = config.max_trial_sim_time;
     const bool bounded = std::isfinite(budget);
     {
       OBS_SCOPE(prof(), obs::Phase::Drive);
       while (num_completed < circuit->num_gates()) {
-        if (bounded && !sim.idle() && sim.next_event_time() > budget) {
+        if (bounded && (sim.idle() || sim.next_event_time() > budget)) {
           result.truncated = true;
           break;
         }
         const bool progressed = sim.step();
         DQCSIM_ENSURES_MSG(progressed,
-                           "simulation stalled with unfinished gates");
+                           "simulation ran out of events with unfinished "
+                           "gates (set max_trial_sim_time to bound it)");
       }
     }
     {
@@ -1709,9 +1713,10 @@ struct RunContext::State {
         // Depth and idling report the budget horizon the trial ran out at.
         makespan = std::max(makespan, budget);
       }
-      // Generation ends with the trial: at the budget horizon when
-      // truncated (lazy services settle their skipped windows up to it).
-      const double horizon = result.truncated ? budget : sim.now();
+      // Generation ends with the trial, at its makespan: the last gate's
+      // completion, or the budget when truncated (lazy services settle
+      // their skipped windows up to it).
+      const double horizon = makespan;
       for_each_running_service(
           [horizon](ent::GenerationService& svc) { svc.stop(horizon); });
 
@@ -1721,7 +1726,7 @@ struct RunContext::State {
       // RNG draw, no event, so the knob cannot perturb the trial itself.
       if (config.stall_windows > 0) {
         for_each_running_service([&](const ent::GenerationService& svc) {
-          if (svc.max_delivery_gap(sim.now()) >
+          if (svc.max_delivery_gap(horizon) >
               static_cast<double>(config.stall_windows) *
                   svc.params().cycle_time) {
             ++result.links_stalled;
@@ -1742,7 +1747,13 @@ struct RunContext::State {
       // Figures of merit.
       ledger.add_idling(config.kappa, makespan);
       result.depth = makespan / config.lat.local_cnot;
-      result.fidelity = ledger.fidelity();
+      // The trial fidelity is a product of positive factors, but a trial
+      // that runs thousands of times its ideal depth decays below the
+      // double range, where the ledger's exp() rounds to zero. Report the
+      // smallest positive double there: the estimate stays a fidelity
+      // (0 < F), and its -log10 stays finite.
+      result.fidelity = std::max(ledger.fidelity(),
+                                 std::numeric_limits<double>::denorm_min());
       result.fidelity_local =
           ledger.category_fidelity(noise::FidelityTerm::Local1Q) *
           ledger.category_fidelity(noise::FidelityTerm::Local2Q) *

@@ -13,7 +13,9 @@ namespace dqcsim::runtime {
 /// Outcome of one simulated execution.
 struct RunResult {
   double depth = 0.0;     ///< makespan in local-CNOT units
-  double fidelity = 0.0;  ///< estimated output fidelity
+  /// Estimated output fidelity; at least the smallest positive double
+  /// (a product decayed below the double range does not read as 0).
+  double fidelity = 0.0;
 
   // Fidelity breakdown (products of the respective factors).
   double fidelity_local = 1.0;   ///< 1Q + local 2Q + measurement gates

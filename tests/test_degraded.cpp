@@ -239,6 +239,22 @@ TEST(StallWatchdog, LongOutageTripsTheWatchdog) {
   EXPECT_EQ(loose.links_stalled, 0u);
 }
 
+TEST(StallWatchdog, TruncatedDeadLinkTripsTheWatchdog) {
+  // The gates that can run finish early; the dead link's success drought
+  // runs on to the budget, where the truncated trial ends. The watchdog
+  // measures the open gap up to there, not up to the last event.
+  Circuit qc(4);
+  qc.rzz(0, 2, 0.1);
+  const std::vector<int> nodes = {0, 0, 1, 1};
+  ArchConfig config;
+  config.p_succ = 1e-7;  // dead-in-practice link
+  config.max_trial_sim_time = 2000.0;
+  config.stall_windows = 10;
+  const RunResult r = run_once(qc, nodes, config, DesignKind::AsyncBuf);
+  EXPECT_TRUE(r.truncated);
+  EXPECT_EQ(r.links_stalled, 1u);
+}
+
 // ------------------------------------------------------------ truncation ----
 
 TEST(Truncation, PermanentOutageTerminatesAtTheBudget) {
@@ -259,6 +275,50 @@ TEST(Truncation, PermanentOutageTerminatesAtTheBudget) {
   // severed link accrued downtime over the whole truncated trial.
   EXPECT_DOUBLE_EQ(r.depth, 500.0);
   EXPECT_DOUBLE_EQ(r.outage_downtime, 500.0);
+}
+
+TEST(Truncation, ParkedStationaryServiceTruncatesAtTheBudget) {
+  // A state-teleported gate needs two pairs, but one buffer qubit per node
+  // holds one: the lazy service parks on its full buffer with no event, so
+  // the queue empties long before the budget. That counts as reaching it.
+  Circuit qc(4);
+  qc.rzz(0, 2, 0.1);
+  const std::vector<int> nodes = {0, 0, 1, 1};
+  ArchConfig config;
+  config.buffer_per_node = 1;
+  config.remote_impl = RemoteImpl::StateTeleport;
+  config.max_trial_sim_time = 500.0;
+  for (const DesignKind design :
+       {DesignKind::SyncBuf, DesignKind::AsyncBuf, DesignKind::InitBuf}) {
+    SCOPED_TRACE(design_name(design));
+    const RunResult r = run_once(qc, nodes, config, design);
+    EXPECT_TRUE(r.truncated);
+    EXPECT_DOUBLE_EQ(r.depth, 500.0);
+    EXPECT_GT(r.fidelity, 0.0);
+  }
+}
+
+TEST(Truncation, NeverSucceedingStationaryLinkTruncatesAtTheBudget) {
+  // p_succ = 1e-25 saturates every geometric draw: no pair ever succeeds,
+  // so the lazy services schedule nothing at all. (init_buf's pre-filled
+  // buffer would serve the one remote gate.)
+  Circuit qc(4);
+  qc.rzz(0, 2, 0.1);
+  const std::vector<int> nodes = {0, 0, 1, 1};
+  ArchConfig config;
+  config.p_succ = 1e-25;
+  config.max_trial_sim_time = 500.0;
+  for (const DesignKind design :
+       {DesignKind::Original, DesignKind::SyncBuf, DesignKind::AsyncBuf,
+        DesignKind::AdaptBuf}) {
+    SCOPED_TRACE(design_name(design));
+    const RunResult r = run_once(qc, nodes, config, design);
+    EXPECT_TRUE(r.truncated);
+    EXPECT_DOUBLE_EQ(r.depth, 500.0);
+    EXPECT_EQ(r.epr_successes, 0u);
+    // Every window up to the budget was attempted: 10 pairs, 50 windows.
+    EXPECT_EQ(r.epr_attempts, 500u);
+  }
 }
 
 TEST(Truncation, GenerousBudgetIsBitIdenticalToNoBudget) {

@@ -346,6 +346,23 @@ TEST(Simulator, EventsCanChain) {
   EXPECT_DOUBLE_EQ(sim.now(), 9.0);
 }
 
+TEST(Simulator, ScheduledAtReportsWhenTheRunningEventWasQueued) {
+  Simulator sim;
+  std::vector<double> queued;
+  sim.schedule_at(5.0, [&] {
+    queued.push_back(sim.scheduled_at());  // queued at 0
+    sim.schedule_in(0.0, [&] { queued.push_back(sim.scheduled_at()); });
+  });
+  sim.run_until(3.0);
+  EXPECT_DOUBLE_EQ(sim.scheduled_at(), 3.0);  // outside a callback: now()
+  sim.schedule_at(5.0, [&] { queued.push_back(sim.scheduled_at()); });
+  sim.run();
+  // FIFO at t = 5: the two events queued before 5 first, then the one
+  // queued from inside the first.
+  EXPECT_EQ(queued, (std::vector<double>{0.0, 3.0, 5.0}));
+  EXPECT_DOUBLE_EQ(sim.scheduled_at(), 5.0);
+}
+
 TEST(Simulator, RunRespectsEventLimit) {
   Simulator sim;
   for (int i = 0; i < 10; ++i) sim.schedule_at(i, [] {});

@@ -839,22 +839,65 @@ TEST(LazyGeneration, PopWakesParkedServiceAndNextDepositLands) {
   EXPECT_EQ(svc.wasted_buffer_full(), 9u);  // plus 110 and 120
 }
 
-TEST(LazyGeneration, PopWakeTieDepositsAfterThePop) {
-  // A success heralded at 90 lands at 91; a pop at exactly 91 frees the
-  // slot first, so that SWAP deposits instead of being wasted.
+TEST(LazyGeneration, PopWakeTieKeepsQueueOrder) {
+  // A success heralded at 90 lands at 91, and a pop wakes the parked
+  // service at exactly 91. The per-window chain queues that SWAP at its
+  // herald, so FIFO ties order it against the pop's event by when each was
+  // queued: a pop queued before 90 frees the slot first and the SWAP
+  // deposits; a pop queued after 90 runs second and the SWAP is wasted.
   LinkParams link = paper_link();
   link.p_succ = 1.0;
   link.num_comm_pairs = 1;
   link.buffer_capacity = 1;
-  des::Simulator sim;
-  Rng rng(2);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.start();
-  sim.schedule_at(91.0, [&] { svc.pop(91.0, ConsumeOrder::FreshestFirst); });
-  sim.run_until(95.0);
-  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 91.0);
-  EXPECT_EQ(svc.available(95.0), 1u);
-  EXPECT_EQ(svc.wasted_buffer_full(), 7u);  // 20 .. 80 landed on a full buffer
+  for (const double queued_at : {0.0, 90.5}) {
+    SCOPED_TRACE(queued_at);
+    des::Simulator sim;
+    Rng rng(2);
+    GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+    svc.start();
+    sim.run_until(queued_at);
+    sim.schedule_at(91.0,
+                    [&] { svc.pop(91.0, ConsumeOrder::FreshestFirst); });
+    sim.run_until(95.0);
+    if (queued_at < 90.0) {
+      EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 91.0);
+      EXPECT_EQ(svc.available(95.0), 1u);
+      EXPECT_EQ(svc.wasted_buffer_full(), 7u);  // 20 .. 80 met a full buffer
+    } else {
+      EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 11.0);
+      EXPECT_EQ(svc.available(95.0), 0u);
+      EXPECT_EQ(svc.wasted_buffer_full(), 8u);  // 20 .. 90
+    }
+  }
+}
+
+TEST(LazyGeneration, PopWakeHeraldsWindowsQueuedBeforeThePop) {
+  // A pop wakes the parked service at 100, the instant a success is due.
+  // The per-window chain queued that window's event at 90: a pop queued
+  // after 90 runs second, so the SWAP is queued ahead of the pop's own
+  // follow-up at 101; a pop queued before 90 runs first, and its follow-up
+  // runs before the SWAP lands.
+  LinkParams link = paper_link();
+  link.p_succ = 1.0;
+  link.num_comm_pairs = 1;
+  link.buffer_capacity = 1;
+  for (const double queued_at : {95.0, 50.0}) {
+    SCOPED_TRACE(queued_at);
+    des::Simulator sim;
+    Rng rng(2);
+    GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+    svc.start();
+    sim.run_until(queued_at);
+    std::size_t seen_at_101 = 99;
+    sim.schedule_at(100.0, [&] {
+      svc.pop(100.0, ConsumeOrder::FreshestFirst);
+      sim.schedule_at(101.0, [&] { seen_at_101 = svc.available(101.0); });
+    });
+    sim.run_until(105.0);
+    EXPECT_EQ(seen_at_101, queued_at > 90.0 ? 1u : 0u);
+    EXPECT_EQ(svc.available(105.0), 1u);  // the t = 100 success landed
+    EXPECT_EQ(svc.successes(), 10u);      // t = 10, 20, ..., 100
+  }
 }
 
 TEST(LazyGeneration, FiniteCutoffWakesAtExpiry) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "gen/benchmarks.hpp"
@@ -152,6 +153,18 @@ TEST(Engine, IdealFidelityIsGateProductTimesIdling) {
   const double expected =
       0.9999 * 0.999 * std::exp(-config.kappa * 1.1);
   EXPECT_NEAR(ideal_fidelity(qc, config), expected, 1e-9);
+}
+
+TEST(Engine, FidelityBelowTheDoubleRangeStaysPositive) {
+  // exp(-kappa * t) for kappa * t = 1e4 underflows to 0; the trial still
+  // reports a positive fidelity, the smallest double.
+  Circuit qc(2);
+  qc.cx(0, 1);
+  ArchConfig config = paper_config();
+  config.kappa = 1e4;
+  const RunResult r = run_once(qc, {}, config, DesignKind::IdealMono);
+  EXPECT_EQ(r.fidelity, std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(r.fidelity_idling, 0.0);  // the breakdown is not floored
 }
 
 TEST(Engine, IdealTreatsRemotePairsAsLocal) {
