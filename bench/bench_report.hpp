@@ -9,8 +9,8 @@
 ///   "report": "perf_micro",
 ///   "schema_version": 1,
 ///   "kernels": [
-///     {"name": "BM_SvApplyCircuitFused_QFT/16", "ns_per_op": 1234.5,
-///      "items_per_s": 2.1e6, "iterations": 512, "label": ""}
+///     {"name": "BM_EventQueueScheduleAndPop", "ns_per_op": 43868.8,
+///      "items_per_s": 2.29e7, "iterations": 1534, "label": ""}
 ///   ]
 /// }
 /// \endcode

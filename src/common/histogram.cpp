@@ -1,12 +1,11 @@
-#include "obs/histogram.hpp"
+#include "common/histogram.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
-namespace dqcsim::obs {
+namespace dqcsim {
 
 namespace {
 
@@ -20,10 +19,10 @@ constexpr int kLogMaxExp = 30;   // last edge 2^30 (~1e9)
 
 }  // namespace
 
-Hist Hist::fixed(double lo, double hi, std::size_t bins) {
+Histogram Histogram::fixed(double lo, double hi, std::size_t bins) {
   DQCSIM_EXPECTS(bins > 0);
   DQCSIM_EXPECTS(lo < hi);
-  Hist h;
+  Histogram h;
   h.mode_ = Mode::Fixed;
   h.edges_.resize(bins + 1);
   const double width = (hi - lo) / static_cast<double>(bins);
@@ -35,8 +34,8 @@ Hist Hist::fixed(double lo, double hi, std::size_t bins) {
   return h;
 }
 
-Hist Hist::logarithmic() {
-  Hist h;
+Histogram Histogram::logarithmic() {
+  Histogram h;
   h.mode_ = Mode::Log;
   const std::size_t octaves = static_cast<std::size_t>(kLogMaxExp - kLogMinExp);
   h.edges_.resize(octaves * 4 + 1);
@@ -48,7 +47,7 @@ Hist Hist::logarithmic() {
   return h;
 }
 
-void Hist::add(double v) noexcept {
+void Histogram::add(double v) noexcept {
   if (mode_ == Mode::None) return;
   ++n_;
   min_ = n_ == 1 ? v : std::min(min_, v);
@@ -65,7 +64,7 @@ void Hist::add(double v) noexcept {
   }
 }
 
-void Hist::merge(const Hist& other) {
+void Histogram::merge(const Histogram& other) {
   if (other.n_ == 0) return;
   DQCSIM_EXPECTS(same_config(other));
   min_ = n_ == 0 ? other.min_ : std::min(min_, other.min_);
@@ -78,17 +77,57 @@ void Hist::merge(const Hist& other) {
   }
 }
 
-double Hist::quantile(double q) const noexcept {
+// Bin i covers [edges_[i], edges_[i+1]). Underflow mass interpolates over
+// [min_, edges_.front()] and overflow mass over [edges_.back(), max_],
+// clamped so the result stays inside the observed [min_, max_].
+double Histogram::quantile(double q) const noexcept {
   if (n_ == 0) return 0.0;
-  return quantile_from_bins(counts_.data(), counts_.size(), edges_.data(),
-                            under_, over_, min_, max_, q);
+  q = std::min(std::max(q, 0.0), 1.0);
+  if (q <= 0.0) return min_;
+  if (q >= 1.0) return max_;
+  const double target = q * static_cast<double>(n_);
+  double cum = 0.0;
+  // Each populated segment interpolates linearly over its overlap with the
+  // observed [min, max] range, so a single-valued distribution reports the
+  // exact value and quantiles never leave the range.
+  if (under_ > 0) {
+    const double mass = static_cast<double>(under_);
+    if (cum + mass >= target) {
+      const double hi = std::min(edges_.front(), max_);
+      return min_ + (target - cum) / mass * (hi - min_);
+    }
+    cum += mass;
+  }
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    if (counts_[i] == 0) continue;
+    const double mass = static_cast<double>(counts_[i]);
+    if (cum + mass >= target) {
+      const double lo = std::max(edges_[i], min_);
+      const double hi = std::min(edges_[i + 1], max_);
+      return lo + (target - cum) / mass * (hi - lo);
+    }
+    cum += mass;
+  }
+  const double lo = std::max(edges_.back(), min_);
+  const double mass = static_cast<double>(over_);
+  return lo + (target - cum) / mass * (max_ - lo);
 }
 
-bool Hist::same_config(const Hist& other) const noexcept {
+std::uint64_t Histogram::bin_count(std::size_t i) const {
+  DQCSIM_EXPECTS(i < counts_.size());
+  return counts_[i];
+}
+
+double Histogram::bin_edge(std::size_t i) const {
+  DQCSIM_EXPECTS(i < edges_.size());
+  return edges_[i];
+}
+
+bool Histogram::same_config(const Histogram& other) const noexcept {
   return mode_ == other.mode_ && edges_ == other.edges_;
 }
 
-void Hist::reset_values() noexcept {
+void Histogram::reset_values() noexcept {
   std::fill(counts_.begin(), counts_.end(), 0);
   under_ = 0;
   over_ = 0;
@@ -97,4 +136,4 @@ void Hist::reset_values() noexcept {
   max_ = 0.0;
 }
 
-}  // namespace dqcsim::obs
+}  // namespace dqcsim

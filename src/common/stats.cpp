@@ -14,42 +14,7 @@ void Accumulator::add(double x) noexcept {
   m2_ += delta * (x - mean_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
-  if (!hist_counts_.empty()) {
-    if (x < hist_lo_) {
-      ++hist_under_;
-    } else if (x >= hist_hi_) {
-      ++hist_over_;
-    } else {
-      auto idx = static_cast<std::size_t>((x - hist_lo_) / hist_width_);
-      idx = std::min(idx, hist_counts_.size() - 1);  // guard fp at hi edge
-      ++hist_counts_[idx];
-    }
-  }
-}
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0 && !histogram_enabled()) {
-    *this = other;
-    return;
-  }
-  DQCSIM_EXPECTS(hist_counts_.size() == other.hist_counts_.size());
-  DQCSIM_EXPECTS(hist_counts_.empty() ||
-                 (hist_lo_ == other.hist_lo_ && hist_hi_ == other.hist_hi_));
-  hist_under_ += other.hist_under_;
-  hist_over_ += other.hist_over_;
-  for (std::size_t i = 0; i < hist_counts_.size(); ++i) {
-    hist_counts_[i] += other.hist_counts_[i];
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double n_total = na + nb;
-  mean_ += delta * nb / n_total;
-  m2_ += other.m2_ + delta * delta * na * nb / n_total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  hist_.add(x);
 }
 
 double Accumulator::variance() const noexcept {
@@ -67,107 +32,13 @@ double Accumulator::ci95_half_width() const noexcept {
 }
 
 void Accumulator::enable_histogram(double lo, double hi, std::size_t bins) {
-  DQCSIM_EXPECTS(bins > 0);
-  DQCSIM_EXPECTS(lo < hi);
   DQCSIM_EXPECTS(n_ == 0);
-  hist_lo_ = lo;
-  hist_hi_ = hi;
-  hist_width_ = (hi - lo) / static_cast<double>(bins);
-  hist_under_ = 0;
-  hist_over_ = 0;
-  hist_counts_.assign(bins, 0);
+  hist_ = Histogram::fixed(lo, hi, bins);
 }
 
 double Accumulator::quantile(double q) const {
   DQCSIM_EXPECTS(histogram_enabled());
-  if (n_ == 0) return 0.0;
-  std::vector<double> edges(hist_counts_.size() + 1);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    edges[i] = hist_lo_ + hist_width_ * static_cast<double>(i);
-  }
-  return quantile_from_bins(hist_counts_.data(), hist_counts_.size(),
-                            edges.data(), hist_under_, hist_over_, min_, max_,
-                            q);
-}
-
-double quantile_from_bins(const std::uint64_t* counts, std::size_t bins,
-                          const double* edges, std::uint64_t underflow,
-                          std::uint64_t overflow, double min_value,
-                          double max_value, double q) noexcept {
-  std::uint64_t total = underflow + overflow;
-  for (std::size_t i = 0; i < bins; ++i) total += counts[i];
-  if (total == 0) return 0.0;
-  q = std::min(std::max(q, 0.0), 1.0);
-  if (q <= 0.0) return min_value;
-  if (q >= 1.0) return max_value;
-  const double target = q * static_cast<double>(total);
-  double cum = 0.0;
-  // Each populated segment interpolates linearly over its overlap with the
-  // observed [min, max] range, so a single-valued distribution reports the
-  // exact value and quantiles never leave the range.
-  if (underflow > 0) {
-    const double mass = static_cast<double>(underflow);
-    if (cum + mass >= target) {
-      const double hi = std::min(edges[0], max_value);
-      return min_value + (target - cum) / mass * (hi - min_value);
-    }
-    cum += mass;
-  }
-  for (std::size_t i = 0; i < bins; ++i) {
-    if (counts[i] == 0) continue;
-    const double mass = static_cast<double>(counts[i]);
-    if (cum + mass >= target) {
-      const double lo = std::max(edges[i], min_value);
-      const double hi = std::min(edges[i + 1], max_value);
-      return lo + (target - cum) / mass * (hi - lo);
-    }
-    cum += mass;
-  }
-  const double lo = std::max(edges[bins], min_value);
-  const double mass = static_cast<double>(overflow);
-  return lo + (target - cum) / mass * (max_value - lo);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)) {
-  DQCSIM_EXPECTS(bins > 0);
-  DQCSIM_EXPECTS(lo < hi);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    auto idx = static_cast<std::size_t>((x - lo_) / width_);
-    idx = std::min(idx, counts_.size() - 1);  // guard fp rounding at hi edge
-    ++counts_[idx];
-  }
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const {
-  DQCSIM_EXPECTS(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bin_edge(std::size_t i) const {
-  DQCSIM_EXPECTS(i <= counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double mean_of(const std::vector<double>& xs) noexcept {
-  Accumulator acc;
-  for (double x : xs) acc.add(x);
-  return acc.mean();
-}
-
-double stddev_of(const std::vector<double>& xs) noexcept {
-  Accumulator acc;
-  for (double x : xs) acc.add(x);
-  return acc.stddev();
+  return hist_.quantile(q);
 }
 
 }  // namespace dqcsim

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <vector>
+
+#include "common/histogram.hpp"
 
 namespace dqcsim {
 
@@ -19,11 +19,6 @@ class Accumulator {
  public:
   /// Add one observation.
   void add(double x) noexcept;
-
-  /// Merge another accumulator into this one (parallel Welford merge).
-  /// Histogram configurations (see enable_histogram()) must match when both
-  /// sides carry observations.
-  void merge(const Accumulator& other);
 
   /// Number of observations added so far.
   std::size_t count() const noexcept { return n_; }
@@ -52,7 +47,7 @@ class Accumulator {
   /// Largest observation; 0 when empty (see min()).
   double max() const noexcept { return n_ == 0 ? 0.0 : max_; }
 
-  /// Opt in to a fixed-bin histogram backing quantile(): `bins` equal-width
+  /// Opt in to a fixed-bin Histogram backing quantile(): `bins` equal-width
   /// bins over [lo, hi), with integer underflow/overflow tails for samples
   /// outside the range. Off by default so that default-constructed
   /// accumulators stay allocation-free — the engine resets its per-trial
@@ -62,7 +57,7 @@ class Accumulator {
   void enable_histogram(double lo, double hi, std::size_t bins);
 
   /// Whether enable_histogram() has been called.
-  bool histogram_enabled() const noexcept { return !hist_counts_.empty(); }
+  bool histogram_enabled() const noexcept { return hist_.configured(); }
 
   /// Interpolated q-quantile of the observed distribution. Requires
   /// enable_histogram(); q is clamped to [0, 1]; 0 when empty (the same
@@ -77,61 +72,7 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-  // Optional quantile histogram (enable_histogram); empty when disabled.
-  double hist_lo_ = 0.0;
-  double hist_hi_ = 0.0;
-  double hist_width_ = 0.0;
-  std::uint64_t hist_under_ = 0;
-  std::uint64_t hist_over_ = 0;
-  std::vector<std::uint64_t> hist_counts_;
+  Histogram hist_;  ///< unconfigured unless enable_histogram()
 };
-
-/// Fixed-bin histogram over [lo, hi); used for arrival-pattern analysis.
-class Histogram {
- public:
-  /// Create a histogram of `bins` equal-width bins covering [lo, hi).
-  /// Preconditions: bins > 0, lo < hi.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  /// Record one observation; values outside [lo, hi) are counted in
-  /// underflow/overflow and do not affect the bins.
-  void add(double x) noexcept;
-
-  std::size_t num_bins() const noexcept { return counts_.size(); }
-  /// Count in bin i. Precondition: i < num_bins().
-  std::size_t bin_count(std::size_t i) const;
-  /// Lower edge of bin i. Precondition: i <= num_bins().
-  double bin_edge(std::size_t i) const;
-  std::size_t underflow() const noexcept { return underflow_; }
-  std::size_t overflow() const noexcept { return overflow_; }
-  std::size_t total() const noexcept { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
-
-/// Interpolated quantile over integer bin counts with ascending `edges`
-/// (`bins + 1` entries; bin i covers [edges[i], edges[i+1])). Underflow
-/// mass interpolates over [min_value, edges[0]] and overflow mass over
-/// [edges[bins], max_value], clamped so the result stays inside the
-/// observed [min_value, max_value]. Returns 0 when the total count is
-/// zero; q is clamped to [0, 1]. Shared by Accumulator::quantile and the
-/// observability registry histograms (obs::Hist).
-double quantile_from_bins(const std::uint64_t* counts, std::size_t bins,
-                          const double* edges, std::uint64_t underflow,
-                          std::uint64_t overflow, double min_value,
-                          double max_value, double q) noexcept;
-
-/// Population standard deviation of a sample (convenience for tests).
-double stddev_of(const std::vector<double>& xs) noexcept;
-
-/// Arithmetic mean of a sample; 0 when empty (convenience for tests).
-double mean_of(const std::vector<double>& xs) noexcept;
 
 }  // namespace dqcsim

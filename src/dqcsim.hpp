@@ -21,6 +21,7 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -33,7 +34,6 @@
 #include "circuit/circuit.hpp"
 #include "circuit/commutation.hpp"
 #include "circuit/dag.hpp"
-#include "circuit/fusion.hpp"
 #include "circuit/gate.hpp"
 #include "circuit/interaction_graph.hpp"
 #include "circuit/qasm.hpp"
@@ -53,7 +53,6 @@
 #include "qsim/channels.hpp"
 #include "qsim/density_matrix.hpp"
 #include "qsim/gates_matrices.hpp"
-#include "qsim/statevector.hpp"
 
 #include "noise/fidelity_ledger.hpp"
 #include "noise/purification.hpp"
@@ -70,7 +69,6 @@
 #include "net/swap.hpp"
 #include "net/topology.hpp"
 
-#include "obs/histogram.hpp"
 #include "obs/observe.hpp"
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"

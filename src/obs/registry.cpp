@@ -37,20 +37,20 @@ Registry::Handle Registry::fixed_histogram(const std::string& name, double lo,
                                            double hi, std::size_t bins) {
   const std::size_t i = find_named(hists_, name);
   if (i < hists_.size()) {
-    DQCSIM_EXPECTS(hists_[i].hist.same_config(Hist::fixed(lo, hi, bins)));
+    DQCSIM_EXPECTS(hists_[i].hist.same_config(Histogram::fixed(lo, hi, bins)));
     return i;
   }
-  hists_.push_back(NamedHist{name, Hist::fixed(lo, hi, bins)});
+  hists_.push_back(NamedHist{name, Histogram::fixed(lo, hi, bins)});
   return hists_.size() - 1;
 }
 
 Registry::Handle Registry::log_histogram(const std::string& name) {
   const std::size_t i = find_named(hists_, name);
   if (i < hists_.size()) {
-    DQCSIM_EXPECTS(hists_[i].hist.same_config(Hist::logarithmic()));
+    DQCSIM_EXPECTS(hists_[i].hist.same_config(Histogram::logarithmic()));
     return i;
   }
-  hists_.push_back(NamedHist{name, Hist::logarithmic()});
+  hists_.push_back(NamedHist{name, Histogram::logarithmic()});
   return hists_.size() - 1;
 }
 
@@ -64,7 +64,7 @@ double Registry::gauge_value(const std::string& name) const noexcept {
   return i < gauges_.size() ? gauges_[i].value : 0.0;
 }
 
-const Hist* Registry::histogram(const std::string& name) const noexcept {
+const Histogram* Registry::histogram(const std::string& name) const noexcept {
   const std::size_t i = find_named(hists_, name);
   return i < hists_.size() ? &hists_[i].hist : nullptr;
 }
@@ -115,7 +115,7 @@ JsonValue Registry::to_json() const {
   }
   JsonValue hists = JsonValue::object();
   for (const auto& name : sorted_names(hists_)) {
-    const Hist& h = hists_[find_named(hists_, name)].hist;
+    const Histogram& h = hists_[find_named(hists_, name)].hist;
     JsonValue entry = JsonValue::object();
     entry.set("count", JsonValue(static_cast<std::int64_t>(h.count())));
     entry.set("min", JsonValue(h.min()));

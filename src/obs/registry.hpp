@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "common/histogram.hpp"
 #include "common/json.hpp"
-#include "obs/histogram.hpp"
 
 namespace dqcsim::obs {
 
@@ -34,10 +34,10 @@ class Registry {
   Handle counter(const std::string& name);
   /// Max-watermark gauge (starts empty; reports 0 until recorded).
   Handle gauge(const std::string& name);
-  /// Fixed-bin histogram (see Hist::fixed).
+  /// Fixed-bin histogram (see Histogram::fixed).
   Handle fixed_histogram(const std::string& name, double lo, double hi,
                          std::size_t bins);
-  /// Log-bucketed streaming-quantile histogram (see Hist::logarithmic).
+  /// Log-bucketed streaming-quantile histogram (see Histogram::logarithmic).
   Handle log_histogram(const std::string& name);
 
   void add(Handle h, std::uint64_t delta = 1) noexcept {
@@ -53,7 +53,7 @@ class Registry {
   /// Lookups by name (tests and report writers); zero/null when absent.
   std::uint64_t counter_value(const std::string& name) const noexcept;
   double gauge_value(const std::string& name) const noexcept;
-  const Hist* histogram(const std::string& name) const noexcept;
+  const Histogram* histogram(const std::string& name) const noexcept;
 
   /// Fold another registry in by name, creating entries this one lacks.
   /// Exact integer / max arithmetic: order-independent.
@@ -84,7 +84,7 @@ class Registry {
   };
   struct NamedHist {
     std::string name;
-    Hist hist;
+    Histogram hist;
   };
 
   std::vector<Counter> counters_;

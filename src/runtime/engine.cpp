@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 
-#include "circuit/fusion.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
@@ -75,6 +74,27 @@ void validate_inputs(const Circuit& circuit, const std::vector<int>& assignment,
 }
 
 }  // namespace
+
+std::vector<std::size_t> fusible_1q_chain_next(const Circuit& qc) {
+  std::vector<std::size_t> next(qc.num_gates(), kNoFusedNext);
+  std::vector<std::size_t> last_1q_on_wire(
+      static_cast<std::size_t>(qc.num_qubits()), kNoFusedNext);
+  for (std::size_t g = 0; g < qc.num_gates(); ++g) {
+    const Gate& gate = qc.gate(g);
+    if (gate.arity() == 1) {
+      const auto w = static_cast<std::size_t>(gate.q0());
+      if (last_1q_on_wire[w] != kNoFusedNext) {
+        next[last_1q_on_wire[w]] = g;
+      }
+      last_1q_on_wire[w] = g;
+    } else {
+      // A two-qubit gate breaks any chain on both wires.
+      last_1q_on_wire[static_cast<std::size_t>(gate.q0())] = kNoFusedNext;
+      last_1q_on_wire[static_cast<std::size_t>(gate.q1())] = kNoFusedNext;
+    }
+  }
+  return next;
+}
 
 struct RunContext::State {
   static constexpr std::size_t kNone = ~std::size_t{0};
@@ -329,12 +349,6 @@ struct RunContext::State {
     obs::Registry::Handle setup_misses = 0;
     obs::Registry::Handle route_hits = 0;
     obs::Registry::Handle route_misses = 0;
-    obs::Registry::Handle reroutes = 0;
-    obs::Registry::Handle outage_events = 0;
-    obs::Registry::Handle purification_rounds = 0;
-    obs::Registry::Handle purification_failures = 0;
-    obs::Registry::Handle pairs_salvaged = 0;
-    obs::Registry::Handle pairs_discarded = 0;
     obs::Registry::Handle trace_dropped = 0;
     obs::Registry::Handle max_delivery_gap = 0;
     obs::Registry::Handle makespan_max = 0;
@@ -342,6 +356,8 @@ struct RunContext::State {
     obs::Registry::Handle remote_wait = 0;
     obs::Registry::Handle outage_downtime = 0;
     obs::Registry::Handle route_hops = 0;
+    /// The metric table's counter rows, in table order.
+    std::array<obs::Registry::Handle, kRegistryCounterCount> metrics{};
   } regh;
 
   bool obs_metrics() const noexcept {
@@ -369,12 +385,11 @@ struct RunContext::State {
     regh.setup_misses = reg.counter("setup_cache_misses");
     regh.route_hits = reg.counter("route_cache_hits");
     regh.route_misses = reg.counter("route_cache_misses");
-    regh.reroutes = reg.counter("reroutes");
-    regh.outage_events = reg.counter("outage_events");
-    regh.purification_rounds = reg.counter("purification_rounds");
-    regh.purification_failures = reg.counter("purification_failures");
-    regh.pairs_salvaged = reg.counter("pairs_salvaged");
-    regh.pairs_discarded = reg.counter("pairs_discarded");
+    // Only the names are read here; finish_observation adds the values.
+    std::size_t k = 0;
+    for_each_registry_counter(result, [&](const char* name, std::uint64_t) {
+      regh.metrics[k++] = reg.counter(name);
+    });
     regh.trace_dropped = reg.counter("trace_dropped_events");
     regh.max_delivery_gap = reg.gauge("max_delivery_gap");
     regh.makespan_max = reg.gauge("makespan_max");
@@ -439,12 +454,10 @@ struct RunContext::State {
       trace_buf.span(obs::Ev::Trial, 0, 0.0, makespan);
     }
     if (observe->metrics) {
-      reg.add(regh.reroutes, result.reroutes);
-      reg.add(regh.outage_events, result.outage_events);
-      reg.add(regh.purification_rounds, result.purification_rounds);
-      reg.add(regh.purification_failures, result.purification_failures);
-      reg.add(regh.pairs_salvaged, result.pairs_salvaged);
-      reg.add(regh.pairs_discarded, result.pairs_discarded);
+      std::size_t k = 0;
+      for_each_registry_counter(result, [&](const char*, std::uint64_t v) {
+        reg.add(regh.metrics[k++], v);
+      });
       if (obs_trace) reg.add(regh.trace_dropped, trace_buf.dropped());
       reg.gauge_max(regh.makespan_max, makespan);
       for_each_running_service([&](const ent::GenerationService& svc) {

@@ -3,14 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
+#include "common/histogram.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -188,12 +191,8 @@ TEST(Accumulator, EmptyExtremaAreFiniteZero) {
   EXPECT_EQ(acc.max(), 0.0);
   EXPECT_TRUE(std::isfinite(acc.min()));
   EXPECT_TRUE(std::isfinite(acc.max()));
-  // Adding data restores real extrema; going through merge keeps them.
+  // Adding data restores real extrema.
   acc.add(-2.5);
-  EXPECT_DOUBLE_EQ(acc.min(), -2.5);
-  EXPECT_DOUBLE_EQ(acc.max(), -2.5);
-  Accumulator empty;
-  acc.merge(empty);
   EXPECT_DOUBLE_EQ(acc.min(), -2.5);
   EXPECT_DOUBLE_EQ(acc.max(), -2.5);
 }
@@ -211,34 +210,6 @@ TEST(Accumulator, MinMaxTracked) {
   for (double x : {3.0, -1.0, 7.5, 2.0}) acc.add(x);
   EXPECT_DOUBLE_EQ(acc.min(), -1.0);
   EXPECT_DOUBLE_EQ(acc.max(), 7.5);
-}
-
-TEST(Accumulator, MergeMatchesSequential) {
-  Accumulator all, left, right;
-  Rng rng(37);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform(-5.0, 5.0);
-    all.add(x);
-    (i < 400 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Accumulator, MergeWithEmptyIsNoop) {
-  Accumulator acc, empty;
-  acc.add(1.0);
-  acc.add(3.0);
-  acc.merge(empty);
-  EXPECT_EQ(acc.count(), 2u);
-  EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
-  empty.merge(acc);
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
 }
 
 TEST(Accumulator, Ci95ShrinksWithSamples) {
@@ -293,29 +264,57 @@ TEST(Accumulator, QuantileTailMassStaysInObservedRange) {
   EXPECT_DOUBLE_EQ(acc.quantile(1.0), 20.0);
 }
 
-TEST(Accumulator, HistogramMergeIsAssociativeAndOrderIndependent) {
+// ------------------------------------------------------------ Histogram ----
+
+TEST(Histogram, BinsCountCorrectly) {
+  Histogram h = Histogram::fixed(0.0, 10.0, 10);
+  for (double x : {0.5, 1.5, 1.7, 9.9}) h.add(x);
+  EXPECT_EQ(h.bin_count(0), 1u);
+  EXPECT_EQ(h.bin_count(1), 2u);
+  EXPECT_EQ(h.bin_count(9), 1u);
+  EXPECT_EQ(h.count(), 4u);
+}
+
+TEST(Histogram, UnderflowAndOverflow) {
+  Histogram h = Histogram::fixed(0.0, 1.0, 4);
+  h.add(-0.1);
+  h.add(1.0);  // hi edge is exclusive
+  h.add(0.5);
+  EXPECT_EQ(h.underflow(), 1u);
+  EXPECT_EQ(h.overflow(), 1u);
+  EXPECT_EQ(h.bin_count(2), 1u);
+}
+
+TEST(Histogram, EdgesAreUniform) {
+  Histogram h = Histogram::fixed(2.0, 4.0, 4);
+  EXPECT_DOUBLE_EQ(h.bin_edge(0), 2.0);
+  EXPECT_DOUBLE_EQ(h.bin_edge(2), 3.0);
+  EXPECT_DOUBLE_EQ(h.bin_edge(4), 4.0);
+}
+
+TEST(Histogram, RejectsInvalidConstruction) {
+  EXPECT_THROW(Histogram::fixed(0.0, 1.0, 0), PreconditionError);
+  EXPECT_THROW(Histogram::fixed(1.0, 1.0, 4), PreconditionError);
+}
+
+TEST(Histogram, MergeIsAssociativeAndOrderIndependent) {
   // Bin counts are integers and extrema are exact min/max, so merge is
-  // associative and commutative bit-for-bit — the property the parallel
-  // run-folding in runtime::run_design relies on for determinism at any
-  // thread count.
-  const auto fresh = [] {
-    Accumulator acc;
-    acc.enable_histogram(0.0, 10.0, 20);
-    return acc;
-  };
-  Accumulator a = fresh(), b = fresh(), c = fresh(), all = fresh();
+  // associative and commutative bit-for-bit — the property the registry's
+  // per-worker merge relies on for determinism at any thread count.
+  const auto fresh = [] { return Histogram::fixed(0.0, 10.0, 20); };
+  Histogram a = fresh(), b = fresh(), c = fresh(), all = fresh();
   Rng rng(91);
   for (int i = 0; i < 900; ++i) {
     const double x = rng.uniform(-2.0, 14.0);  // exercises the tails too
     all.add(x);
     (i % 3 == 0 ? a : i % 3 == 1 ? b : c).add(x);
   }
-  Accumulator left = fresh();   // (a + b) + c
-  Accumulator right = fresh();  // a + (b + c)
+  Histogram left = fresh();   // (a + b) + c
+  Histogram right = fresh();  // a + (b + c)
   left.merge(a);
   left.merge(b);
   left.merge(c);
-  Accumulator bc = fresh();
+  Histogram bc = fresh();
   bc.merge(b);
   bc.merge(c);
   right.merge(a);
@@ -330,58 +329,49 @@ TEST(Accumulator, HistogramMergeIsAssociativeAndOrderIndependent) {
   EXPECT_DOUBLE_EQ(left.max(), all.max());
 }
 
-TEST(Accumulator, HistogramMergeWithEmptySameConfig) {
-  Accumulator acc, empty;
-  acc.enable_histogram(0.0, 4.0, 4);
-  empty.enable_histogram(0.0, 4.0, 4);
-  acc.add(1.0);
-  acc.add(3.0);
-  acc.merge(empty);
-  EXPECT_EQ(acc.count(), 2u);
-  EXPECT_DOUBLE_EQ(acc.quantile(1.0), 3.0);
-  empty.merge(acc);
+TEST(Histogram, MergeWithEmptySameConfig) {
+  Histogram h = Histogram::fixed(0.0, 4.0, 4);
+  Histogram empty = Histogram::fixed(0.0, 4.0, 4);
+  h.add(1.0);
+  h.add(3.0);
+  h.merge(empty);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 3.0);
+  empty.merge(h);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_DOUBLE_EQ(empty.quantile(0.0), 1.0);
 }
 
-TEST(StatsHelpers, MeanAndStddevOfVector) {
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_NEAR(stddev_of({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}),
-              std::sqrt(32.0 / 7.0), 1e-12);
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-}
-
-// ------------------------------------------------------------ Histogram ----
-
-TEST(Histogram, BinsCountCorrectly) {
-  Histogram h(0.0, 10.0, 10);
-  for (double x : {0.5, 1.5, 1.7, 9.9}) h.add(x);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 2u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, UnderflowAndOverflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(-0.1);
-  h.add(1.0);  // hi edge is exclusive
-  h.add(0.5);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-}
-
-TEST(Histogram, EdgesAreUniform) {
-  Histogram h(2.0, 4.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_edge(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_edge(2), 3.0);
-  EXPECT_DOUBLE_EQ(h.bin_edge(4), 4.0);
-}
-
-TEST(Histogram, RejectsInvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), PreconditionError);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), PreconditionError);
+TEST(Histogram, PowerOfTwoWidthBinsMatchDivision) {
+  // AggregateResult's quantile ranges have power-of-two bin widths (0.5, 8,
+  // 128), so the edges lo + width * i are exact and the upper-bound
+  // bucketing puts every sample in bin floor((x - lo) / width): edges,
+  // their neighbouring doubles, subnormals and random samples alike.
+  for (const double hi : {256.0, 4096.0, 65536.0}) {
+    constexpr std::size_t kBins = 512;
+    const double width = hi / static_cast<double>(kBins);
+    std::vector<double> xs = {0.0, std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::min()};
+    for (std::size_t i = 1; i <= kBins; ++i) {
+      const double edge = width * static_cast<double>(i);
+      xs.push_back(std::nextafter(edge, 0.0));
+      if (i < kBins) xs.push_back(edge);
+      if (i < kBins) xs.push_back(std::nextafter(edge, hi));
+    }
+    Rng rng(7);
+    for (int i = 0; i < 20000; ++i) xs.push_back(rng.uniform(0.0, hi));
+    Histogram h = Histogram::fixed(0.0, hi, kBins);
+    std::vector<std::uint64_t> expected(kBins, 0);
+    for (const double x : xs) {
+      h.add(x);
+      ++expected[static_cast<std::size_t>(x / width)];
+    }
+    for (std::size_t i = 0; i < kBins; ++i) {
+      ASSERT_EQ(h.bin_count(i), expected[i]) << "hi=" << hi << " bin " << i;
+    }
+    EXPECT_EQ(h.underflow(), 0u);
+    EXPECT_EQ(h.overflow(), 0u);
+  }
 }
 
 // --------------------------------------------------------- TablePrinter ----

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/congestion.hpp"
 #include "net/topology.hpp"
@@ -341,32 +342,6 @@ TEST(SwapAsYouGo, OnDemandDesignRunsDegradedPerEdgeService) {
 }
 
 // ----------------------------------------------------------- determinism ----
-
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.epr_expired, b.epr_expired, "epr_expired");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-  expect_identical(a.entanglement_swaps, b.entanglement_swaps,
-                   "entanglement_swaps");
-  expect_identical(a.avg_route_hops, b.avg_route_hops, "avg_route_hops");
-  expect_identical(a.edges_shared, b.edges_shared, "edges_shared");
-  expect_identical(a.max_edge_load, b.max_edge_load, "max_edge_load");
-  expect_identical(a.route_splits, b.route_splits, "route_splits");
-  expect_identical(a.reroutes, b.reroutes, "reroutes");
-  expect_identical(a.outage_downtime, b.outage_downtime, "outage_downtime");
-}
 
 /// 8 qubits over 4 ring nodes with traffic on four node pairs, two of them
 /// non-adjacent (multi-hop, eligible for tied-path splits).

@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "ent/link_params.hpp"
+#include "expect_identical.hpp"
 #include "net/topology.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/engine.hpp"
@@ -336,40 +337,11 @@ TEST(Truncation, GenerousBudgetIsBitIdenticalToNoBudget) {
     const RunResult a = run_once(qc, nodes, unbounded, design);
     const RunResult b = run_once(qc, nodes, bounded, design);
     EXPECT_FALSE(b.truncated);
-    EXPECT_EQ(a.depth, b.depth);
-    EXPECT_EQ(a.fidelity, b.fidelity);
-    EXPECT_EQ(a.epr_attempts, b.epr_attempts);
+    expect_identical(a, b);
   }
 }
 
 // ----------------------------------------------------------- determinism ----
-
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.epr_expired, b.epr_expired, "epr_expired");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-  expect_identical(a.entanglement_swaps, b.entanglement_swaps,
-                   "entanglement_swaps");
-  expect_identical(a.avg_route_hops, b.avg_route_hops, "avg_route_hops");
-  expect_identical(a.reroutes, b.reroutes, "reroutes");
-  expect_identical(a.outage_downtime, b.outage_downtime, "outage_downtime");
-  expect_identical(a.pairs_salvaged, b.pairs_salvaged, "pairs_salvaged");
-  expect_identical(a.pairs_discarded, b.pairs_discarded, "pairs_discarded");
-  expect_identical(a.links_stalled, b.links_stalled, "links_stalled");
-  expect_identical(a.truncated, b.truncated, "truncated");
-}
 
 /// 8 qubits over 4 nodes with remote traffic on four node pairs.
 Circuit four_node_circuit() {

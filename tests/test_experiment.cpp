@@ -11,6 +11,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/experiment.hpp"
@@ -85,24 +86,6 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
 
 // ----------------------------------------------------------- determinism ----
 
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.epr_expired, b.epr_expired, "epr_expired");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-}
-
 TEST(ExperimentDeterminism, ParallelRunDesignIsBitIdenticalToSerial) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   const auto part = partition_circuit(qc, 2);
@@ -157,26 +140,6 @@ TEST(ExperimentDeterminism, FusedLocalGatesAreBitIdenticalToUnfused) {
       expect_identical(a, b);
     }
   }
-}
-
-void expect_identical(const RunResult& a, const RunResult& b) {
-  EXPECT_EQ(a.depth, b.depth);
-  EXPECT_EQ(a.fidelity, b.fidelity);
-  EXPECT_EQ(a.fidelity_local, b.fidelity_local);
-  EXPECT_EQ(a.fidelity_remote, b.fidelity_remote);
-  EXPECT_EQ(a.fidelity_idling, b.fidelity_idling);
-  EXPECT_EQ(a.epr_attempts, b.epr_attempts);
-  EXPECT_EQ(a.epr_successes, b.epr_successes);
-  EXPECT_EQ(a.epr_consumed, b.epr_consumed);
-  EXPECT_EQ(a.epr_wasted, b.epr_wasted);
-  EXPECT_EQ(a.epr_expired, b.epr_expired);
-  EXPECT_EQ(a.avg_pair_age, b.avg_pair_age);
-  EXPECT_EQ(a.avg_remote_wait, b.avg_remote_wait);
-  EXPECT_EQ(a.segments_asap, b.segments_asap);
-  EXPECT_EQ(a.segments_alap, b.segments_alap);
-  EXPECT_EQ(a.segments_original, b.segments_original);
-  EXPECT_EQ(a.purification_rounds, b.purification_rounds);
-  EXPECT_EQ(a.purification_failures, b.purification_failures);
 }
 
 TEST(RunContextReuse, MatchesFreshEngineAcrossSetupChanges) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/mapping.hpp"
 #include "net/router.hpp"
@@ -547,10 +548,7 @@ TEST(NetEngine, DeterministicAcrossRunContextReuse) {
   ctx.execute(qc, nodes, config, DesignKind::AsyncBuf, 7);
   const RunResult warm =
       ctx.execute(qc, nodes, config, DesignKind::AsyncBuf, 42);
-  EXPECT_DOUBLE_EQ(cold.depth, warm.depth);
-  EXPECT_DOUBLE_EQ(cold.fidelity, warm.fidelity);
-  EXPECT_EQ(cold.epr_attempts, warm.epr_attempts);
-  EXPECT_EQ(cold.entanglement_swaps, warm.entanglement_swaps);
+  expect_identical(cold, warm);
 }
 
 TEST(NetEngine, MismatchedTopologyIsRejected) {

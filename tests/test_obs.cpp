@@ -8,20 +8,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "common/stats.hpp"
+#include "common/histogram.hpp"
+#include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/topology.hpp"
-#include "obs/histogram.hpp"
 #include "obs/observe.hpp"
 #include "obs/registry.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/design.hpp"
+#include "runtime/engine.hpp"
 #include "runtime/experiment.hpp"
+#include "runtime/metrics.hpp"
 #include "scenario/scenario.hpp"
 
 namespace dqcsim::obs {
@@ -30,11 +34,12 @@ namespace {
 using runtime::AggregateResult;
 using runtime::ArchConfig;
 using runtime::DesignKind;
+using runtime::RunResult;
 
-// ----------------------------------------------------------------- Hist ----
+// ------------------------------------------ Histogram (registry modes) ----
 
 TEST(Hist, UnconfiguredAddIsNoop) {
-  Hist h;
+  Histogram h;
   EXPECT_FALSE(h.configured());
   h.add(3.0);
   EXPECT_EQ(h.count(), 0u);
@@ -42,7 +47,7 @@ TEST(Hist, UnconfiguredAddIsNoop) {
 }
 
 TEST(Hist, FixedBinQuantiles) {
-  Hist h = Hist::fixed(0.0, 10.0, 10);
+  Histogram h = Histogram::fixed(0.0, 10.0, 10);
   for (int i = 0; i < 10; ++i) h.add(static_cast<double>(i) + 0.5);
   EXPECT_EQ(h.count(), 10u);
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
@@ -51,7 +56,7 @@ TEST(Hist, FixedBinQuantiles) {
 }
 
 TEST(Hist, LogarithmicCoversWideRanges) {
-  Hist h = Hist::logarithmic();
+  Histogram h = Histogram::logarithmic();
   const std::vector<double> xs = {0.001, 0.1, 1.0, 7.0, 64.0, 1e6};
   for (double x : xs) h.add(x);
   EXPECT_EQ(h.count(), xs.size());
@@ -66,8 +71,8 @@ TEST(Hist, LogarithmicCoversWideRanges) {
 TEST(Hist, MergeIsOrderIndependent) {
   // Integer bucket counts + exact extrema: merging in any order yields the
   // same quantiles bit-for-bit. This is the registry's determinism basis.
-  Hist a = Hist::logarithmic(), b = Hist::logarithmic();
-  Hist ab = Hist::logarithmic(), ba = Hist::logarithmic();
+  Histogram a = Histogram::logarithmic(), b = Histogram::logarithmic();
+  Histogram ab = Histogram::logarithmic(), ba = Histogram::logarithmic();
   for (int i = 1; i <= 50; ++i) a.add(static_cast<double>(i) * 0.37);
   for (int i = 1; i <= 70; ++i) b.add(static_cast<double>(i) * 1.93);
   ab.merge(a);
@@ -81,7 +86,7 @@ TEST(Hist, MergeIsOrderIndependent) {
 }
 
 TEST(Hist, ResetValuesKeepsConfiguration) {
-  Hist h = Hist::fixed(0.0, 4.0, 4);
+  Histogram h = Histogram::fixed(0.0, 4.0, 4);
   h.add(1.0);
   h.reset_values();
   EXPECT_TRUE(h.configured());
@@ -256,27 +261,6 @@ ArchConfig base_config(bool faults) {
   return config;
 }
 
-void expect_identical(const Accumulator& a, const Accumulator& b,
-                      const char* what) {
-  EXPECT_EQ(a.count(), b.count()) << what;
-  EXPECT_EQ(a.mean(), b.mean()) << what;
-  EXPECT_EQ(a.stddev(), b.stddev()) << what;
-  EXPECT_EQ(a.min(), b.min()) << what;
-  EXPECT_EQ(a.max(), b.max()) << what;
-}
-
-void expect_identical(const AggregateResult& a, const AggregateResult& b) {
-  expect_identical(a.depth, b.depth, "depth");
-  expect_identical(a.fidelity, b.fidelity, "fidelity");
-  expect_identical(a.epr_wasted, b.epr_wasted, "epr_wasted");
-  expect_identical(a.avg_pair_age, b.avg_pair_age, "avg_pair_age");
-  expect_identical(a.avg_remote_wait, b.avg_remote_wait, "avg_remote_wait");
-  expect_identical(a.entanglement_swaps, b.entanglement_swaps,
-                   "entanglement_swaps");
-  expect_identical(a.reroutes, b.reroutes, "reroutes");
-  expect_identical(a.outage_downtime, b.outage_downtime, "outage_downtime");
-}
-
 TEST(ObserveEngine, AttachingAnObserverNeverChangesResults) {
   // The core opt-in contract: full observation (metrics + profile + trace)
   // must be invisible in every figure of merit, with and without faults.
@@ -347,6 +331,69 @@ TEST(ObserveEngine, RegistrySnapshotIsBitIdenticalAtAnyThreadCount) {
             baseline);
       }
     }
+  }
+}
+
+TEST(ObserveEngine, RegistryCountersSumTheTrialResults) {
+  // Every counter row of the metric table lands in the registry as the sum
+  // of that RunResult field over the call's trials (seeds base + r, run one
+  // by one here without an observer), at 1 and 8 threads alike. The t=0
+  // structural rows, the doubles and `truncated` are not exported.
+  const Circuit qc = four_node_circuit();
+  const std::vector<int> nodes = four_node_assignment();
+  ArchConfig purify = base_config(/*faults=*/false);
+  purify.purify_on_consume = true;
+  purify.fid.epr_f0 = 0.6;  // low enough that some rounds fail
+  const std::pair<const char*, ArchConfig> cells[] = {
+      {"stationary", base_config(false)},
+      {"faults", base_config(true)},
+      {"purify", purify}};
+  std::map<std::string, std::uint64_t> nonzero;
+  for (const auto& [label, plain] : cells) {
+    for (const DesignKind design : runtime::distributed_designs()) {
+      SCOPED_TRACE(runtime::design_name(design) + " " + label);
+      std::map<std::string, std::uint64_t> sums;
+      runtime::RunContext ctx;
+      for (int r = 0; r < kRuns; ++r) {
+        const RunResult run = ctx.execute(
+            qc, nodes, plain, design, kSeed + static_cast<std::uint64_t>(r));
+        runtime::for_each_registry_counter(
+            run, [&](const char* name, std::uint64_t v) { sums[name] += v; });
+      }
+      ASSERT_EQ(sums.size(), runtime::kRegistryCounterCount);
+      std::string snapshot_at_1;
+      for (const int threads : {1, 8}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ArchConfig config = plain;
+        config.observe = make_observe();
+        runtime::run_design(qc, nodes, config, design, kRuns, kSeed, threads);
+        const Registry reg = config.observe->collector.registry();
+        for (const auto& [name, sum] : sums) {
+          EXPECT_EQ(reg.counter_value(name), sum) << name;
+          nonzero[name] += sum;
+        }
+        const std::string json = config.observe->collector.registry_json();
+        for (const char* absent : {"\"depth\"", "\"truncated\"",
+                                   "\"edges_shared\"", "\"max_edge_load\"",
+                                   "\"route_splits\""}) {
+          EXPECT_EQ(json.find(absent), std::string::npos) << absent;
+        }
+        const std::string snapshot = trial_scoped_snapshot(json);
+        if (threads == 1) {
+          snapshot_at_1 = snapshot;
+        } else {
+          EXPECT_EQ(snapshot, snapshot_at_1);
+        }
+      }
+    }
+  }
+  // The cells exercise generation, routing, faults, purification and the
+  // adaptive controller, so the comparison above is not over zeros.
+  for (const char* name :
+       {"remote_gates", "epr_attempts", "epr_successes", "epr_consumed",
+        "epr_wasted", "entanglement_swaps", "reroutes", "outage_events",
+        "segments_asap", "purification_rounds", "purification_failures"}) {
+    EXPECT_GT(nonzero[name], 0u) << name;
   }
 }
 
@@ -422,12 +469,12 @@ TEST(ObserveEngine, RegistryHistogramsSeeTraffic) {
   runtime::run_design(qc, nodes, config, DesignKind::AsyncBuf, kRuns, kSeed,
                       1);
   const Registry reg = config.observe->collector.registry();
-  const Hist* wait = reg.histogram("remote_wait");
+  const Histogram* wait = reg.histogram("remote_wait");
   ASSERT_NE(wait, nullptr);
   EXPECT_GT(wait->count(), 0u);
   EXPECT_GE(wait->quantile(0.5), wait->min());
   EXPECT_LE(wait->quantile(0.5), wait->max());
-  const Hist* hops = reg.histogram("route_hops");
+  const Histogram* hops = reg.histogram("route_hops");
   ASSERT_NE(hops, nullptr);
   EXPECT_GT(hops->count(), 0u);
   // Ring-of-4 routes are at most 2 hops (detours under no faults: direct).

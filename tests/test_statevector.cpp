@@ -1,21 +1,233 @@
-/// Unit + functional tests for the statevector simulator, including the
+/// A test-only pure-state simulator and its tests, including the
 /// end-to-end validation of the QFT generator against the exact DFT and
 /// cross-checks against the density-matrix simulator.
+///
+/// The density-matrix simulator (qsim/density_matrix.hpp) is exact for
+/// noisy few-qubit gadgets but scales as 4^n; this statevector simulator
+/// scales as 2^n (practical to ~20 qubits) and checks *functional*
+/// properties of whole circuits. Qubit 0 is the least significant bit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <vector>
 
+#include "circuit/circuit.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gen/qaoa.hpp"
 #include "gen/qft.hpp"
 #include "gen/tlim.hpp"
 #include "qsim/density_matrix.hpp"
-#include "qsim/statevector.hpp"
+#include "qsim/gates_matrices.hpp"
 
 namespace dqcsim::qsim {
 namespace {
+
+/// Dense 2^n-amplitude pure state.
+class Statevector {
+ public:
+  /// Initialize to |0...0>. Precondition: 1 <= num_qubits <= 24.
+  explicit Statevector(int num_qubits);
+
+  /// Initialize to a computational basis state |basis_index>.
+  Statevector(int num_qubits, std::size_t basis_index);
+
+  /// Initialize from explicit amplitudes (normalized internally).
+  /// Precondition: size is a power of two in [2, 2^24], nonzero norm.
+  explicit Statevector(std::vector<Complex> amplitudes);
+
+  int num_qubits() const noexcept { return num_qubits_; }
+  std::size_t dim() const noexcept { return amps_.size(); }
+
+  /// Amplitude of basis state |i>.
+  Complex amplitude(std::size_t i) const;
+  const std::vector<Complex>& amplitudes() const noexcept { return amps_; }
+
+  /// Apply a one-qubit unitary on `q`.
+  void apply_1q(const Mat2& u, int q);
+
+  /// Apply a two-qubit unitary (`q_high` = the gate's first operand).
+  void apply_2q(const Mat4& u, int q_high, int q_low);
+
+  /// Apply a gate from the circuit IR (unitary kinds only).
+  void apply_gate(const Gate& g);
+
+  /// Run an entire circuit (must contain only unitary gates).
+  void apply_circuit(const Circuit& qc);
+
+  /// Born-rule probability of measuring qubit `q` in |1>.
+  double prob_one(int q) const;
+
+  /// Squared norm (1 for normalized states).
+  double norm2() const;
+
+  /// |<other|this>|^2.
+  double fidelity_with(const Statevector& other) const;
+
+  /// Max |amp_i - other.amp_i| (for exact-equality tests up to global
+  /// phase use fidelity_with instead).
+  double max_amplitude_difference(const Statevector& other) const;
+
+ private:
+  int num_qubits_;
+  std::vector<Complex> amps_;
+};
+
+/// Exact output of gen::make_qft on basis state |k>: the discrete Fourier
+/// transform with amplitudes exp(2*pi*i*j*rev(k)/2^n)/sqrt(2^n), where
+/// rev() bit-reverses k — make_qft omits the final SWAP network and our
+/// basis indexing is little-endian, which folds the reversal onto the
+/// input index.
+Statevector qft_reference_state(int num_qubits, std::size_t k);
+
+Statevector::Statevector(int num_qubits) : Statevector(num_qubits, 0) {}
+
+Statevector::Statevector(int num_qubits, std::size_t basis_index) {
+  DQCSIM_EXPECTS_MSG(num_qubits >= 1 && num_qubits <= 24,
+                     "statevector limited to 24 qubits");
+  num_qubits_ = num_qubits;
+  amps_.assign(std::size_t{1} << num_qubits, Complex{0.0, 0.0});
+  DQCSIM_EXPECTS(basis_index < amps_.size());
+  amps_[basis_index] = Complex{1.0, 0.0};
+}
+
+Statevector::Statevector(std::vector<Complex> amplitudes) {
+  const std::size_t d = amplitudes.size();
+  DQCSIM_EXPECTS_MSG(d >= 2 && d <= (std::size_t{1} << 24) &&
+                         (d & (d - 1)) == 0,
+                     "amplitude count must be a power of two");
+  int n = 0;
+  while ((std::size_t{1} << n) < d) ++n;
+  double norm2_in = 0.0;
+  for (const Complex& a : amplitudes) norm2_in += std::norm(a);
+  DQCSIM_EXPECTS_MSG(norm2_in > 0.0, "state must be nonzero");
+  const double inv = 1.0 / std::sqrt(norm2_in);
+  for (Complex& a : amplitudes) a *= inv;
+  num_qubits_ = n;
+  amps_ = std::move(amplitudes);
+}
+
+Complex Statevector::amplitude(std::size_t i) const {
+  DQCSIM_EXPECTS(i < amps_.size());
+  return amps_[i];
+}
+
+void Statevector::apply_1q(const Mat2& u, int q) {
+  DQCSIM_EXPECTS(q >= 0 && q < num_qubits_);
+  const std::size_t stride = std::size_t{1} << q;
+  Complex* const amp = amps_.data();
+  for (std::size_t blk = 0; blk < amps_.size(); blk += 2 * stride) {
+    for (std::size_t i = blk; i < blk + stride; ++i) {
+      const Complex a = amp[i];
+      const Complex b = amp[i + stride];
+      amp[i] = u[0] * a + u[1] * b;
+      amp[i + stride] = u[2] * a + u[3] * b;
+    }
+  }
+}
+
+void Statevector::apply_2q(const Mat4& u, int q_high, int q_low) {
+  DQCSIM_EXPECTS(q_high >= 0 && q_high < num_qubits_);
+  DQCSIM_EXPECTS(q_low >= 0 && q_low < num_qubits_);
+  DQCSIM_EXPECTS(q_high != q_low);
+  const std::size_t mh = std::size_t{1} << q_high;
+  const std::size_t ml = std::size_t{1} << q_low;
+  const std::size_t lo = mh < ml ? mh : ml;
+  const std::size_t hi = mh < ml ? ml : mh;
+  Complex* const amp = amps_.data();
+  // Enumerate the dim/4 amplitude quadruples: expand a dense counter by
+  // inserting zero bits at both operand positions (lowest position first
+  // so the higher insertion sees final bit offsets).
+  for (std::size_t k = 0; k < amps_.size() >> 2; ++k) {
+    const std::size_t i = insert_zero_bit(insert_zero_bit(k, lo), hi);
+    const std::size_t idx[4] = {i, i | ml, i | mh, i | mh | ml};
+    const Complex old[4] = {amp[idx[0]], amp[idx[1]], amp[idx[2]],
+                            amp[idx[3]]};
+    for (std::size_t s = 0; s < 4; ++s) {
+      Complex acc{0.0, 0.0};
+      for (std::size_t t = 0; t < 4; ++t) {
+        acc += u[s * 4 + t] * old[t];
+      }
+      amp[idx[s]] = acc;
+    }
+  }
+}
+
+void Statevector::apply_gate(const Gate& g) {
+  if (g.arity() == 1) {
+    apply_1q(gate_unitary_1q(g.kind, g.param), g.q0());
+  } else {
+    apply_2q(gate_unitary_2q(g.kind, g.param), g.q0(), g.q1());
+  }
+}
+
+void Statevector::apply_circuit(const Circuit& qc) {
+  DQCSIM_EXPECTS(qc.num_qubits() <= num_qubits_);
+  for (const Gate& g : qc.gates()) apply_gate(g);
+}
+
+double Statevector::prob_one(int q) const {
+  DQCSIM_EXPECTS(q >= 0 && q < num_qubits_);
+  const std::size_t mask = std::size_t{1} << q;
+  double p = 0.0;
+  for (std::size_t i = 0; i < amps_.size(); ++i) {
+    if (i & mask) p += std::norm(amps_[i]);
+  }
+  return p;
+}
+
+double Statevector::norm2() const {
+  double n = 0.0;
+  for (const Complex& a : amps_) n += std::norm(a);
+  return n;
+}
+
+double Statevector::fidelity_with(const Statevector& other) const {
+  DQCSIM_EXPECTS(other.amps_.size() == amps_.size());
+  Complex overlap{0.0, 0.0};
+  for (std::size_t i = 0; i < amps_.size(); ++i) {
+    overlap += std::conj(other.amps_[i]) * amps_[i];
+  }
+  return std::norm(overlap);
+}
+
+double Statevector::max_amplitude_difference(const Statevector& other) const {
+  DQCSIM_EXPECTS(other.amps_.size() == amps_.size());
+  double max_diff = 0.0;
+  for (std::size_t i = 0; i < amps_.size(); ++i) {
+    max_diff = std::max(max_diff, std::abs(amps_[i] - other.amps_[i]));
+  }
+  return max_diff;
+}
+
+Statevector qft_reference_state(int num_qubits, std::size_t k) {
+  DQCSIM_EXPECTS(num_qubits >= 1 && num_qubits <= 24);
+  const std::size_t dim = std::size_t{1} << num_qubits;
+  DQCSIM_EXPECTS(k < dim);
+  const double inv_sqrt = 1.0 / std::sqrt(static_cast<double>(dim));
+  // make_qft omits the final SWAP network, which is equivalent to the exact
+  // DFT applied to the bit-reversed input index (qubit 0 plays the
+  // most-significant role in the textbook circuit while our basis indexing
+  // is little-endian).
+  std::size_t k_rev = 0;
+  for (int b = 0; b < num_qubits; ++b) {
+    if (k & (std::size_t{1} << b)) {
+      k_rev |= std::size_t{1} << (num_qubits - 1 - b);
+    }
+  }
+  std::vector<Complex> amps(dim);
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double phase = 2.0 * std::numbers::pi * static_cast<double>(j) *
+                         static_cast<double>(k_rev) /
+                         static_cast<double>(dim);
+    amps[j] = Complex{std::cos(phase), std::sin(phase)} * inv_sqrt;
+  }
+  return Statevector(std::move(amps));
+}
+
 
 constexpr double kTol = 1e-10;
 
