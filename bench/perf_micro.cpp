@@ -153,6 +153,24 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
+// Rng::binomial on its two paths: inversion at a small mean (0.8), BTPE at
+// a large one (180, the successes a chain-composed pair wastes per wake).
+void BM_RngBinomialSmallMean(benchmark::State& state) {
+  Rng rng(1);
+  std::uint64_t acc = 0;
+  for (auto _ : state) acc += rng.binomial(40, 0.02);
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RngBinomialSmallMean);
+
+void BM_RngBinomialLargeMean(benchmark::State& state) {
+  Rng rng(1);
+  std::uint64_t acc = 0;
+  for (auto _ : state) acc += rng.binomial(4000, 0.045);
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_RngBinomialLargeMean);
+
 void BM_BuildQft32(benchmark::State& state) {
   for (auto _ : state) {
     const Circuit qc = gen::make_qft(32);

@@ -72,6 +72,16 @@ class Rng {
   /// "Determinism rules", no-raw-libm).
   double exponential(double mean) noexcept;
 
+  /// Binomial(n, p) variate: the number of successes in n independent
+  /// Bernoulli(p) trials (p clamped to [0, 1]). Inversion when
+  /// n * min(p, 1 - p) < 30, else BTPE (Kachitvichyanukul & Schmeiser,
+  /// "Binomial random variate generation", CACM 1988); p > 1/2 samples the
+  /// failures. Exact at the degenerate points and draws nothing there:
+  /// n == 0 or p <= 0 returns 0, p >= 1 returns n. Not
+  /// std::binomial_distribution, whose output is implementation-defined:
+  /// this stream is bit-identical across standard libraries.
+  std::uint64_t binomial(std::uint64_t n, double p) noexcept;
+
   /// Fisher–Yates shuffle of a vector in place.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {
@@ -84,6 +94,14 @@ class Rng {
 
   /// Derive an independent child stream (for per-run seeding in sweeps).
   Rng split() noexcept;
+
+  /// Seed of an independent side stream for component `index` of kind
+  /// `tag` under (`base` seed, `salt`), by two splitmix64 finalizer
+  /// rounds. Side streams keep optional consumers (scenario schedules,
+  /// observation-only sampling) off a trial's main stream.
+  static std::uint64_t derive_seed(std::uint64_t base, std::uint64_t salt,
+                                   std::uint64_t tag,
+                                   std::uint64_t index) noexcept;
 
  private:
   std::array<std::uint64_t, 4> state_{};

@@ -1,6 +1,7 @@
 #include "ent/generation_service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/error.hpp"
@@ -11,6 +12,19 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// LazyPair::next of a pair that never succeeds within this trial.
 constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
+/// How many windows 0, 1, ... satisfy `holds`, a predicate that is true up
+/// to some window and false after it. `guess` estimates the last such
+/// window by a quotient; window_time is the authority, so step to it
+/// exactly.
+template <typename Holds>
+std::uint64_t leading_windows(double guess, Holds holds) noexcept {
+  if (!holds(0)) return 0;
+  auto m = static_cast<std::uint64_t>(guess);
+  while (m > 0 && !holds(m)) --m;
+  while (holds(m + 1)) ++m;
+  return m + 1;
+}
 
 }  // namespace
 
@@ -46,6 +60,8 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   provider_ = nullptr;
   obs_trace_ = nullptr;
   obs_track_ = 0;
+  track_gap_ = true;
+  side_seed_ = 0;
   started_ = false;
   running_ = false;
   attempts_ = 0;
@@ -298,6 +314,7 @@ std::size_t GenerationService::flush_buffer(des::SimTime now) {
 void GenerationService::start_lazy() {
   const des::SimTime now = sim_.now();
   log1m_p_ = Rng::geometric_log1m(params_.p_succ);
+  side_rng_ = Rng(side_seed_);
   lazy_pairs_.resize(static_cast<std::size_t>(params_.num_comm_pairs));
   for (std::size_t p = 0; p < lazy_pairs_.size(); ++p) {
     LazyPair& pair = lazy_pairs_[p];
@@ -312,13 +329,19 @@ void GenerationService::start_lazy() {
 
 std::uint64_t GenerationService::windows_through(
     const LazyPair& pair, des::SimTime t) const noexcept {
-  if (t < pair.origin) return 0;
-  // The quotient estimates the last window at or before t; window_time is
-  // the authority, so step to it exactly.
-  auto n = static_cast<std::uint64_t>((t - pair.origin) / params_.cycle_time);
-  while (n > 0 && window_time(pair, n) > t) --n;
-  while (window_time(pair, n + 1) <= t) ++n;
-  return n + 1;
+  return leading_windows(
+      (t - pair.origin) / params_.cycle_time,
+      [&](std::uint64_t m) { return window_time(pair, m) <= t; });
+}
+
+std::uint64_t GenerationService::windows_landed_before(
+    const LazyPair& pair, des::SimTime t) const noexcept {
+  // The walk's own predicate for a SWAP that met the full buffer.
+  return leading_windows(
+      (t - params_.swap_latency - pair.origin) / params_.cycle_time,
+      [&](std::uint64_t m) {
+        return window_time(pair, m) + params_.swap_latency < t;
+      });
 }
 
 std::size_t GenerationService::lazy_attempts(des::SimTime t) const noexcept {
@@ -418,14 +441,16 @@ void GenerationService::wake(des::SimTime now, des::SimTime waker_queued) {
 // DQCSIM_HOT
 void GenerationService::replay_skipped(des::SimTime until, bool stopping,
                                        des::SimTime waker_queued) {
-  // Walk the skipped successes in time order across pairs (ties in pair
-  // order), so record_success sees nondecreasing instants. A parked buffer
-  // stayed full over the whole gap, so a SWAP landing before `until` was
-  // wasted and left the contents unchanged. stop() settles the heralds due
-  // at `until` too. A wake settles those whose window event the per-window
-  // chain queued (one cycle earlier) before the waking event, so their
-  // SWAPs are queued ahead of whatever the waker schedules next; the rest
-  // follow the waker on the timer.
+  // A parked buffer stayed full over the whole gap, so a SWAP landing
+  // before `until` was wasted and left the contents unchanged: count those
+  // in bulk. Then walk the successes left in time order across pairs (ties
+  // in pair order), so record_success sees nondecreasing instants (every
+  // bulk success precedes them). stop() settles the heralds due at `until`
+  // too. A wake settles those whose window event the per-window chain
+  // queued (one cycle earlier) before the waking event, so their SWAPs are
+  // queued ahead of whatever the waker schedules next; the rest follow the
+  // waker on the timer.
+  if (parked_) settle_parked(until);
   for (;;) {
     // Earliest due pair, ties to the lowest index.
     LazyPair* first = &lazy_pairs_[0];
@@ -462,6 +487,98 @@ void GenerationService::replay_skipped(des::SimTime until, bool stopping,
     } else if (!stopping) {
       schedule_deposit(deposit_at, params_.f0);
     }
+  }
+}
+
+// DQCSIM_HOT
+void GenerationService::settle_parked(des::SimTime until) {
+  const bool place = track_gap_ || obs_trace_ != nullptr;
+  settled_.clear();
+  settled_runs_.clear();
+  for (LazyPair& pair : lazy_pairs_) {
+    // Pending success at window n; M = landed - 1 is the last window whose
+    // SWAP lands before `until`. n's own SWAP landing there (M >= n) is
+    // what makes the pair's gap non-empty.
+    if (!(pair.due + params_.swap_latency < until)) continue;
+    const std::uint64_t n = pair.next;
+    const std::uint64_t span = windows_landed_before(pair, until) - 1 - n;
+    const std::uint64_t count = 1 + rng_.binomial(span, params_.p_succ);
+    draw_next_success(pair, n + span + 1);
+    successes_ += count;
+    wasted_buffer_full_ += count;
+    if (place) place_settled(pair, n, span, count);
+  }
+  if (!track_gap_) return;
+  merge_settled_runs();
+  for (const des::SimTime at : settled_) record_success(at);
+}
+
+void GenerationService::place_settled(LazyPair& pair, std::uint64_t n,
+                                      std::uint64_t span, std::uint64_t count) {
+  // count - 1 distinct offsets from 1..span, every subset equally likely,
+  // into picks_ in increasing order.
+  const std::uint64_t extra = count - 1;
+  picks_.clear();
+  if (extra > 0 && extra <= span / extra) {
+    // Sparse: draw with replacement until no offset repeats. With
+    // extra^2 <= span a round succeeds with probability at least 1/2.
+    do {
+      picks_.clear();
+      for (std::uint64_t i = 0; i < extra; ++i) {
+        picks_.push_back(1 + side_rng_.uniform_int(span));
+      }
+      std::sort(picks_.begin(), picks_.end());
+    } while (std::adjacent_find(picks_.begin(), picks_.end()) != picks_.end());
+  } else if (extra > 0) {
+    // Dense: Floyd's algorithm over a bitmap of the offsets, read out in
+    // order.
+    pick_bits_.assign(span / 64 + 1, 0);
+    const auto taken = [&](std::uint64_t offset) {
+      return ((pick_bits_[offset / 64] >> (offset % 64)) & 1) != 0;
+    };
+    for (std::uint64_t j = span - extra + 1; j <= span; ++j) {
+      std::uint64_t offset = 1 + side_rng_.uniform_int(j);
+      if (taken(offset)) offset = j;
+      pick_bits_[offset / 64] |= std::uint64_t{1} << (offset % 64);
+    }
+    for (std::size_t w = 0; w < pick_bits_.size(); ++w) {
+      for (std::uint64_t bits = pick_bits_[w]; bits != 0; bits &= bits - 1) {
+        const auto bit = static_cast<std::uint64_t>(std::countr_zero(bits));
+        picks_.push_back(64 * w + bit);
+      }
+    }
+  }
+  trace_windows(pair, n, /*ok=*/true);
+  for (const std::uint64_t offset : picks_) {
+    trace_windows(pair, n + offset, /*ok=*/true);
+  }
+  if (!track_gap_) return;
+  settled_.push_back(window_time(pair, n));
+  for (const std::uint64_t offset : picks_) {
+    settled_.push_back(window_time(pair, n + offset));
+  }
+  settled_runs_.push_back(settled_.size());
+}
+
+void GenerationService::merge_settled_runs() {
+  // Each pair's instants are one sorted run of settled_; merge the runs
+  // pairwise, bottom up, through merged_.
+  while (settled_runs_.size() > 1) {
+    merged_.resize(settled_.size());
+    const des::SimTime* from = settled_.data();
+    des::SimTime* to = merged_.data();
+    std::size_t begin = 0;
+    std::size_t kept = 0;
+    for (std::size_t r = 0; r < settled_runs_.size(); r += 2) {
+      const std::size_t mid = settled_runs_[r];
+      const std::size_t end =
+          r + 1 < settled_runs_.size() ? settled_runs_[r + 1] : mid;
+      std::merge(from + begin, from + mid, from + mid, from + end, to + begin);
+      settled_runs_[kept++] = end;
+      begin = end;
+    }
+    settled_runs_.resize(kept);
+    settled_.swap(merged_);
   }
 }
 

@@ -18,7 +18,7 @@
 ///    returning true; otherwise the pair is wasted, reproducing the
 ///    "significant EPR pair waste" of the no-buffer design (§V-A).
 ///
-/// Lazy generation (replay format v2). On a stationary link — no effective-
+/// Lazy generation (replay format v3). On a stationary link — no effective-
 /// parameter provider and the default RetryKind::EveryWindow — every window
 /// is an independent Bernoulli(p_succ) trial, so the service draws the
 /// index of each pair's next successful window with one Rng::geometric draw
@@ -30,18 +30,39 @@
 ///
 /// A buffered service whose buffer is full at a herald *parks*: it schedules
 /// nothing until a pop (or, under a finite cutoff, its oldest pair's
-/// expiry) can free a slot. On waking at W it replays the skipped successes
-/// in time order across pairs: one whose SWAP lands before W was wasted
-/// into the full buffer, a later one gets a real deposit event. Same-
-/// instant ties keep the per-window chain's FIFO order against the waking
-/// event (des::Simulator::scheduled_at says when it was queued): a SWAP
-/// landing at W was queued at its herald, so it is wasted when the waker
-/// was queued at or after that herald and deposits after the pop
-/// otherwise; a success due at W is heralded inside the wake when its
-/// window event (queued one cycle earlier) precedes the waker, else on the
-/// timer after it. stop() settles the same way up to the trial's end,
-/// where a SWAP landing at or after the end stays in flight. OnDemand
-/// services skip ahead but never park.
+/// expiry) can free a slot. On waking at W it settles the skipped
+/// successes (replay format v3) in two steps:
+///
+///  - Bulk. Every success whose SWAP lands strictly before W met the full
+///    buffer. For a pair with its pending success at window n and M the
+///    last window whose SWAP lands before W, the wasted count is
+///    1 + Binomial(M - n, p_succ), and the pair's next success is a fresh
+///    geometric draw from M + 1 (exact: the windows are iid, the
+///    geometric memoryless). Pairs are settled in pair order, two draws
+///    each, so a wake costs O(pairs), not O(successes).
+///  - Walk. The successes left, at most ceil(swap_latency / cycle) + 1
+///    windows per pair, are replayed one by one in time order across
+///    pairs. A later SWAP gets a real deposit event. Same-instant ties keep
+///    the per-window chain's FIFO order against the waking event
+///    (des::Simulator::scheduled_at says when it was queued): a SWAP
+///    landing at W was queued at its herald, so it is wasted when the
+///    waker was queued at or after that herald and deposits after the pop
+///    otherwise; a success due at W is heralded inside the wake when its
+///    window event (queued one cycle earlier) precedes the waker, else on
+///    the timer after it.
+///
+/// stop() settles the same way up to the trial's end, where a SWAP landing
+/// at or after the end stays in flight. OnDemand services skip ahead but
+/// never park, so they only walk.
+///
+/// The bulk step knows how many successes a pair wasted, not in which
+/// windows. When the trial reads the delivery gap (set_gap_tracking) or
+/// traces the service, the bulk step also places each pair's successes: a
+/// uniform subset of windows n..M of the drawn size, with n fixed, drawn
+/// from a per-service side stream (Floyd's algorithm over a bitmap when
+/// the subset is dense, repeat-free rejection when it is sparse). Given
+/// the counts the placement is exact, and the main stream never sees it,
+/// so tracking and tracing cannot perturb the trial.
 ///
 /// attempts() is exact at any instant (it counts the windows each pair
 /// completed on its grid). successes, waste and max_delivery_gap of a
@@ -58,6 +79,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
 #include "ent/buffer_pool.hpp"
@@ -162,6 +184,16 @@ class GenerationService {
     obs_track_ = track;
   }
 
+  /// Whether this trial reads max_delivery_gap, and the seed of the side
+  /// stream that places a parked service's bulk-settled successes (see the
+  /// file comment). Set by the engine after reset(), before start(); reset()
+  /// restores the standalone default: tracked, side seed 0. Untracked and
+  /// untraced, a bulk settle only counts.
+  void set_gap_tracking(bool tracked, std::uint64_t side_seed) noexcept {
+    track_gap_ = tracked;
+    side_seed_ = side_seed;
+  }
+
   /// Take one buffered pair for a consumer (see BufferPool::pop). Every
   /// consumer pop goes through the service: a parked service wakes first,
   /// so the slot the pop frees reaches the generation it suspended.
@@ -199,10 +231,13 @@ class GenerationService {
   /// Longest gap between consecutive successful generations so far,
   /// extended to `now` for the open interval since the last success (the
   /// pre-success interval starts at start()). Feeds the link_stalled
-  /// watchdog: a service whose max gap exceeds N attempt windows made no
-  /// delivery for that long. Always tracked — it costs two compares per
-  /// success and never touches the RNG stream.
-  double max_delivery_gap(des::SimTime now) const noexcept {
+  /// watchdog and the registry gauge: a service whose max gap exceeds N
+  /// attempt windows made no delivery for that long. Tracked unless
+  /// set_gap_tracking turned it off; tracking never touches the main RNG
+  /// stream. Precondition: tracked.
+  double max_delivery_gap(des::SimTime now) const {
+    DQCSIM_EXPECTS_MSG(track_gap_, "max_delivery_gap read on a service "
+                                   "whose gap tracking is off");
     if (!started_) return 0.0;
     return std::max(max_delivery_gap_, now - last_success_);
   }
@@ -226,6 +261,9 @@ class GenerationService {
   /// Windows of `pair` completed at or before `t`.
   std::uint64_t windows_through(const LazyPair& pair,
                                 des::SimTime t) const noexcept;
+  /// Windows of `pair` whose SWAP lands strictly before `t`.
+  std::uint64_t windows_landed_before(const LazyPair& pair,
+                                      des::SimTime t) const noexcept;
   std::size_t lazy_attempts(des::SimTime t) const noexcept;
   void draw_next_success(LazyPair& pair, std::uint64_t from) noexcept;
   void arm_timer();
@@ -241,6 +279,16 @@ class GenerationService {
   /// waking event.
   void replay_skipped(des::SimTime until, bool stopping,
                       des::SimTime waker_queued);
+  /// The bulk step of replay_skipped: count every pair's successes whose
+  /// SWAP lands before `until` into the full buffer of a parked service.
+  void settle_parked(des::SimTime until);
+  /// Place the `count` successes of `pair` in windows n..n+span, window n
+  /// among them, as a uniform subset drawn from the side stream: trace
+  /// them, and append their instants to settled_ as one sorted run.
+  void place_settled(LazyPair& pair, std::uint64_t n, std::uint64_t span,
+                     std::uint64_t count);
+  /// Merge settled_'s per-pair runs into one time-ordered sequence.
+  void merge_settled_runs();
   /// Trace pair windows [traced, n) as one GenFail span; when `ok`, also
   /// window n as a GenOk span.
   void trace_windows(LazyPair& pair, std::uint64_t n, bool ok);
@@ -281,6 +329,17 @@ class GenerationService {
   double log1m_p_ = 0.0;  ///< Rng::geometric_log1m(p_succ), fixed at start()
   std::vector<LazyPair> lazy_pairs_;
 
+  // Bulk-settle placement (tracked or traced services only): the side
+  // stream, reseeded at start(), and working storage kept across trials.
+  bool track_gap_ = true;
+  std::uint64_t side_seed_ = 0;
+  Rng side_rng_;
+  std::vector<std::uint64_t> pick_bits_;  ///< dense placement's bitmap
+  std::vector<std::uint64_t> picks_;      ///< one pair's offsets, sorted
+  std::vector<des::SimTime> settled_;     ///< placed instants, all pairs
+  std::vector<std::size_t> settled_runs_;  ///< end of each pair's run
+  std::vector<des::SimTime> merged_;      ///< merge_settled_runs buffer
+
   // Boundary re-sharing state. active_pairs_ tracks the live comm-pair
   // count (== params_.num_comm_pairs unless set_capacity_share moved it);
   // pair_alive_[p] marks whether pair p's completion chain is still
@@ -293,7 +352,7 @@ class GenerationService {
   // maintained when params_.retry.kind != RetryKind::EveryWindow).
   std::vector<int> consecutive_failures_;
 
-  // link_stalled watchdog state (see max_delivery_gap).
+  // Delivery-gap state (see max_delivery_gap).
   des::SimTime last_success_ = 0.0;
   double max_delivery_gap_ = 0.0;
 };

@@ -110,6 +110,7 @@ struct RunContext::State {
   const Circuit* circuit = nullptr;
   ArchConfig config;
   DesignKind design = DesignKind::AsyncBuf;
+  std::uint64_t trial_seed = 0;
   const noise::TeleportFidelityModel* teleport_model = nullptr;
 
   // --- cached setup (rebuilt only when the key changes) ---------------------
@@ -363,6 +364,15 @@ struct RunContext::State {
   bool obs_metrics() const noexcept {
     return observe != nullptr && observe->metrics;
   }
+  /// Tell generation service `index` (a link's, or an edge's under
+  /// swap-as-you-go) whether this trial reads its max_delivery_gap — only
+  /// the link_stalled watchdog and the registry gauge do — and seed its
+  /// side stream from the trial seed, never from `rng`.
+  void arm_gap_tracking(ent::GenerationService& svc, std::size_t index) {
+    constexpr std::uint64_t kTagGenSide = 0x47454E53ULL;  // "GENS"
+    svc.set_gap_tracking(config.stall_windows > 0 || obs_metrics(),
+                         Rng::derive_seed(trial_seed, 0, kTagGenSide, index));
+  }
   obs::Profile* prof() noexcept {
     return observe != nullptr && observe->profile ? &profile : nullptr;
   }
@@ -610,6 +620,7 @@ struct RunContext::State {
     circuit = &c;
     config = cfg;
     design = d;
+    trial_seed = seed;
     rng = Rng(seed);
     sim.reset();
 
@@ -960,6 +971,7 @@ struct RunContext::State {
             hop_comm_scratch.data(), hop_buf_scratch.data());
       }
       link.service->reset(rl.params, mode);
+      arm_gap_tracking(*link.service, i);
       if (obs_trace) {
         link.service->set_trial_trace(&trace_buf, link_track(link));
       }
@@ -1042,6 +1054,7 @@ struct RunContext::State {
       ent::LinkParams ep = route_cache.edge_params[e];
       if (!design_uses_buffer(design)) ep.buffer_capacity = 1;
       svc.reset(ep, ent::ServiceMode::Buffered);
+      arm_gap_tracking(svc, e);
       if (obs_trace) svc.set_trial_trace(&trace_buf, edge_track(e));
       svc.set_arrival_handler([this, e](des::SimTime) {
         on_edge_deposit(e);
@@ -1735,8 +1748,9 @@ struct RunContext::State {
 
       // link_stalled watchdog: services that at some point went longer than
       // stall_windows attempt windows without one successful generation.
-      // Pure observation over the always-tracked success-gap maximum — no
-      // RNG draw, no event, so the knob cannot perturb the trial itself.
+      // Pure observation over the tracked success-gap maximum — no draw
+      // from the trial's stream, no event, so the knob cannot perturb the
+      // trial itself.
       if (config.stall_windows > 0) {
         for_each_running_service([&](const ent::GenerationService& svc) {
           if (svc.max_delivery_gap(horizon) >

@@ -17,20 +17,6 @@ constexpr std::uint64_t kTagWalk = 0x57414C4BULL;   // "WALK"
 constexpr std::uint64_t kTagBurst = 0x42555253ULL;  // "BURS"
 constexpr std::uint64_t kTagFail = 0x4641494CULL;   // "FAIL"
 
-/// splitmix64 finalizer — bijective 64-bit mix.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
-/// Independent stream seed for component `index` of kind `tag`.
-std::uint64_t derive_seed(std::uint64_t trial_seed, std::uint64_t salt,
-                          std::uint64_t tag, std::uint64_t index) noexcept {
-  return mix64(mix64(trial_seed ^ salt ^ tag) + index);
-}
-
 /// Exp(mean) variate through the blessed Rng wrapper — the raw
 /// -mean * log(1 - u) inversion lives in common/rng so the engine
 /// subsystems stay free of raw libm calls (no-raw-libm).
@@ -58,7 +44,7 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
                          : topo.edge_index(track.node_a, track.node_b);
     walks_[i].levels.clear();
     if (track.kind == DriftKind::RandomWalk) {
-      walks_[i].rng = Rng(derive_seed(trial_seed, salt, kTagWalk, i));
+      walks_[i].rng = Rng(Rng::derive_seed(trial_seed, salt, kTagWalk, i));
       walks_[i].levels.push_back(1.0);
     }
   }
@@ -86,7 +72,7 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
     } else {
       // Per-trial seeded random subset: partial Fisher–Yates over the edge
       // index list, one independent stream per burst.
-      Rng rng(derive_seed(trial_seed, salt, kTagBurst, b));
+      Rng rng(Rng::derive_seed(trial_seed, salt, kTagBurst, b));
       scratch_indices_.resize(num_edges);
       for (std::size_t e = 0; e < num_edges; ++e) scratch_indices_[e] = e;
       const std::size_t k = static_cast<std::size_t>(burst.random_edges);
@@ -137,7 +123,7 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
   if (scenario.random_failures.mtbf > 0.0) {
     failures_.resize(num_edges);
     for (std::size_t e = 0; e < num_edges; ++e) {
-      failures_[e].rng = Rng(derive_seed(trial_seed, salt, kTagFail, e));
+      failures_[e].rng = Rng(Rng::derive_seed(trial_seed, salt, kTagFail, e));
       failures_[e].intervals.clear();
       failures_[e].sampled_until = 0.0;
       failures_[e].exhausted = false;

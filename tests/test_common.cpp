@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -9,6 +10,7 @@
 #include <limits>
 #include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/csv.hpp"
@@ -168,6 +170,143 @@ TEST(Rng, SplitProducesIndependentStream) {
     if (child() == parent()) ++equal;
   }
   EXPECT_LT(equal, 4);
+}
+
+/// Binomial(n, p) pmf at k, through log-gamma.
+double binomial_pmf(std::uint64_t n, double p, std::uint64_t k) {
+  const auto nd = static_cast<double>(n);
+  const auto kd = static_cast<double>(k);
+  return std::exp(std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+                  std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+                  (nd - kd) * std::log1p(-p));
+}
+
+/// Pearson chi-square test of `samples` Rng::binomial(n, p) draws against
+/// the exact pmf. Outcomes are pooled into bins expecting at least 20
+/// draws each, the tails into the first and last bin; the statistic must
+/// stay below the alpha = 1e-4 critical value (Wilson-Hilferty).
+void expect_binomial_fits_pmf(std::uint64_t n, double p, std::uint64_t seed) {
+  SCOPED_TRACE("n = " + std::to_string(n) + ", p = " + std::to_string(p));
+  constexpr int kSamples = 200000;
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  const auto lo = static_cast<std::uint64_t>(
+      std::max(0.0, std::floor(mean - 12.0 * sd - 10.0)));
+  const auto hi = static_cast<std::uint64_t>(std::min(
+      static_cast<double>(n), std::ceil(mean + 12.0 * sd + 10.0)));
+  // Bin edges: bin b holds outcomes up to and including upper[b].
+  std::vector<std::uint64_t> upper;
+  std::vector<double> expected;
+  double acc = 0.0;
+  for (std::uint64_t k = lo; k <= hi; ++k) {
+    acc += kSamples * binomial_pmf(n, p, k);
+    if (acc >= 20.0) {
+      upper.push_back(k);
+      expected.push_back(acc);
+      acc = 0.0;
+    }
+  }
+  ASSERT_GE(upper.size(), 2u);
+  expected.back() += acc;  // the short remainder joins the last bin
+  upper.back() = n;
+  std::vector<double> observed(upper.size(), 0.0);
+  Rng rng(seed);
+  for (int i = 0; i < kSamples; ++i) {
+    const std::uint64_t k = rng.binomial(n, p);
+    ASSERT_LE(k, n);
+    const auto bin = std::lower_bound(upper.begin(), upper.end(), k);
+    observed[static_cast<std::size_t>(bin - upper.begin())] += 1.0;
+  }
+  double chi2 = 0.0;
+  for (std::size_t b = 0; b < upper.size(); ++b) {
+    const double d = observed[b] - expected[b];
+    chi2 += d * d / expected[b];
+  }
+  const auto df = static_cast<double>(upper.size() - 1);
+  const double z = 3.719;  // upper 1e-4 normal quantile
+  const double h = 2.0 / (9.0 * df);
+  const double critical = df * std::pow(1.0 - h + z * std::sqrt(h), 3.0);
+  EXPECT_LT(chi2, critical) << "df = " << df;
+}
+
+TEST(Rng, BinomialMatchesExactPmf) {
+  // Inversion (n * min(p, 1 - p) < 30: the first three) and BTPE (the
+  // last two); (60, 0.9) samples its failures.
+  const std::pair<std::uint64_t, double> cells[] = {
+      {5, 0.3}, {40, 0.02}, {60, 0.9}, {1000, 0.4}, {1000000, 1e-4}};
+  std::uint64_t seed = 41;
+  for (const auto& [n, p] : cells) expect_binomial_fits_pmf(n, p, ++seed);
+}
+
+TEST(Rng, BinomialDegenerateCasesAreExactAndDrawNothing) {
+  Rng rng(5);
+  Rng untouched(5);
+  EXPECT_EQ(rng.binomial(0, 0.5), 0u);
+  EXPECT_EQ(rng.binomial(0, 1.0), 0u);
+  EXPECT_EQ(rng.binomial(17, 1.0), 17u);
+  EXPECT_EQ(rng.binomial(1u << 30, 1.0), 1u << 30);
+  EXPECT_EQ(rng.binomial(17, 0.0), 0u);
+  EXPECT_EQ(rng.binomial(17, -0.5), 0u);
+  EXPECT_EQ(rng.binomial(17, 1.5), 17u);
+  EXPECT_EQ(rng(), untouched());  // none of the above drew from the stream
+  // p -> 0: no success in any reachable number of trials.
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(rng.binomial(std::uint64_t{1} << 40, 1e-300), 0u);
+    EXPECT_EQ(rng.binomial(1000, 1e-18), 0u);
+  }
+  // p -> 1 mirrors it through the failures.
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(rng.binomial(1000, 1.0 - 0x1.0p-60), 1000u);
+  }
+}
+
+TEST(Rng, BinomialMomentsAtTwoToTheForty) {
+  const double n = 0x1.0p40;
+  for (const double p : {0.3, 1e-9}) {
+    SCOPED_TRACE(p);
+    Rng rng(77);
+    Accumulator acc;
+    constexpr int kSamples = 20000;
+    for (int i = 0; i < kSamples; ++i) {
+      acc.add(static_cast<double>(
+          rng.binomial(static_cast<std::uint64_t>(n), p)));
+    }
+    const double var = n * p * (1.0 - p);
+    EXPECT_NEAR(acc.mean(), n * p, 5.0 * std::sqrt(var / kSamples));
+    // The sample variance has relative SE sqrt(2 / kSamples) = 1 %.
+    EXPECT_NEAR(acc.variance() / var, 1.0, 0.05);
+  }
+}
+
+TEST(Rng, BinomialStreamIsSeedDeterministic) {
+  const auto stream = [](std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 200; ++i) {
+      out.push_back(rng.binomial(5 + 37 * static_cast<std::uint64_t>(i),
+                                 0.01 + 0.0049 * i));
+    }
+    return out;
+  };
+  EXPECT_EQ(stream(9), stream(9));
+  EXPECT_NE(stream(9), stream(10));
+}
+
+TEST(Rng, DeriveSeedIsTheTwoRoundSplitmix) {
+  // The scenario schedules were pinned under this exact derivation.
+  const auto mix64 = [](std::uint64_t x) {
+    x += 0x9E3779B97F4A7C15ULL;
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+    return x ^ (x >> 31);
+  };
+  const std::uint64_t salt = 0x5CE7A210FA;
+  const std::uint64_t tag = 0x4641494CULL;
+  for (std::uint64_t index = 0; index < 64; ++index) {
+    const std::uint64_t seed = 1000 + index;
+    EXPECT_EQ(Rng::derive_seed(seed, salt, tag, index),
+              mix64(mix64(seed ^ salt ^ tag) + index));
+  }
 }
 
 // --------------------------------------------------------- Accumulator ----

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <optional>
 #include <tuple>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -727,7 +728,7 @@ TEST(GenerationService, CapacityShareShrinkReturnsDroppedOverflow) {
   EXPECT_EQ(svc.available(sim.now()), 1u);
 }
 
-// ------------------------------------------------- lazy generation (v2) ----
+// ------------------------------------------------- lazy generation (v3) ----
 
 /// Windows of a `link` service completed at or before `t` on the grid:
 /// pair p's window n ends at first_p + n * cycle (first_p as in start()).
@@ -925,7 +926,8 @@ TEST(LazyGeneration, FiniteCutoffWakesAtExpiry) {
 TEST(LazyGeneration, TracedSpansCoverEveryWindow) {
   // Runs of failures become one GenFail span each and every success one
   // GenOk span, so the spans tile each pair's windows exactly — across
-  // parked stretches too.
+  // parked stretches too, whose successes a wake or stop() settles in bulk
+  // and places from the side stream (the last gap is ~1000 windows).
   LinkParams link = paper_link();
   link.schedule = AttemptSchedule::Asynchronous;
   link.buffer_capacity = 3;
@@ -936,12 +938,12 @@ TEST(LazyGeneration, TracedSpansCoverEveryWindow) {
   GenerationService svc(sim, link, rng, ServiceMode::Buffered);
   svc.set_trial_trace(&buf, 7);
   svc.start();
-  for (const double t : {250.0, 600.0, 610.0, 1400.0}) {
+  for (const double t : {250.0, 600.0, 610.0, 1400.0, 9000.0}) {
     sim.schedule_at(t, [&svc, t] {
       svc.pop(t, ConsumeOrder::FreshestFirst);
     });
   }
-  sim.run_until(2003.5);
+  sim.run_until(20003.5);
   svc.stop();
   std::size_t ok = 0;
   double covered = 0.0;
@@ -955,7 +957,80 @@ TEST(LazyGeneration, TracedSpansCoverEveryWindow) {
   EXPECT_EQ(ok, svc.successes());
   EXPECT_DOUBLE_EQ(covered / link.cycle_time,
                    static_cast<double>(svc.attempts()));
-  EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 2003.5));
+  EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 20003.5));
+  // Bulk settles, not one event or walk step per success.
+  EXPECT_GT(svc.successes(), 50u * sim.executed_events());
+}
+
+TEST(LazyGeneration, GapTrackingNeverTouchesTheMainStream) {
+  // Tracked, the bulk settle also places its successes from the side
+  // stream; untracked it only counts. Either way the main stream, and so
+  // every counter and the buffer, follow the same draws.
+  const auto run = [](bool tracked, std::uint64_t side_seed) {
+    des::Simulator sim;
+    Rng rng(12);
+    GenerationService svc(sim, paper_link(), rng, ServiceMode::Buffered);
+    svc.set_gap_tracking(tracked, side_seed);
+    svc.start();
+    for (const double t : {300.0, 2000.0, 2000.5, 7777.0}) {
+      sim.schedule_at(t, [&svc, t] {
+        svc.pop(t, ConsumeOrder::FreshestFirst);
+      });
+    }
+    sim.run_until(9000.25);
+    svc.stop();
+    if (tracked) {
+      EXPECT_GT(svc.max_delivery_gap(sim.now()), 0.0);
+    } else {
+      EXPECT_THROW(svc.max_delivery_gap(sim.now()), PreconditionError);
+    }
+    return std::tuple(svc.attempts(), svc.successes(), svc.wasted_buffer_full(),
+                      svc.available(sim.now()), sim.executed_events(), rng());
+  };
+  const auto off = run(false, 0);
+  EXPECT_EQ(off, run(true, 0));
+  EXPECT_EQ(off, run(true, 99));
+}
+
+TEST(LazyGeneration, BulkPlacementMatchesPerWindowGaps) {
+  // A parked service with no consumer settles its whole horizon in stop(),
+  // placing every success from the side stream. Its longest delivery gap
+  // must match the per-window chain's in distribution, on the dense
+  // placement path (p = 0.3: a pair places ~60 of ~200 windows) and on
+  // the sparse one (p = 0.02), with two pairs on staggered grids.
+  LinkParams link = paper_link();
+  link.num_comm_pairs = 2;
+  link.schedule = AttemptSchedule::Asynchronous;
+  link.buffer_capacity = 1;
+  for (const double p : {0.3, 0.02}) {
+    SCOPED_TRACE(p);
+    link.p_succ = p;
+    const auto mean_and_se2 = [&](bool lazy) {
+      constexpr int kTrials = 2000;
+      double sum = 0.0;
+      double sum2 = 0.0;
+      for (int t = 0; t < kTrials; ++t) {
+        des::Simulator sim;
+        Rng rng(100 + static_cast<std::uint64_t>(t));
+        GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+        svc.set_gap_tracking(true, 7 + static_cast<std::uint64_t>(t));
+        if (!lazy) svc.set_effective_provider(constant_provider(link));
+        svc.start();
+        sim.run_until(2000.5);
+        svc.stop();
+        const double gap = svc.max_delivery_gap(sim.now());
+        sum += gap;
+        sum2 += gap * gap;
+      }
+      const double mean = sum / kTrials;
+      return std::pair{mean, (sum2 / kTrials - mean * mean) / kTrials};
+    };
+    const auto [lazy_mean, lazy_se2] = mean_and_se2(true);
+    const auto [eager_mean, eager_se2] = mean_and_se2(false);
+    EXPECT_LE(std::abs(lazy_mean - eager_mean),
+              4.0 * std::sqrt(lazy_se2 + eager_se2))
+        << lazy_mean << " vs " << eager_mean;
+  }
 }
 
 TEST(LazyGeneration, OnDemandSkipsAheadWithoutParking) {

@@ -1,7 +1,7 @@
 /// Unit tests for the fault & drift scenario engine: ScenarioRuntime
 /// schedule evaluation, Scenario/ArchConfig validation, the determinism
 /// contract (same seed => bit-identical results across thread counts, with
-/// drift and outages enabled), the replay-format-v2 statistical-equivalence
+/// drift and outages enabled), the lazy-generation statistical-equivalence
 /// gate (lazy stationary generation vs the per-window no-op-scenario
 /// reference), and end-to-end re-routing behavior under outages.
 
@@ -19,6 +19,7 @@
 #include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/topology.hpp"
+#include "obs/observe.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/experiment.hpp"
@@ -421,14 +422,16 @@ TEST(ScenarioDeterminism, ParallelRunsAreBitIdenticalToSerialForEveryDesign) {
   }
 }
 
-// ------------------------------------------ replay format v2 equivalence ----
+// ---------------------------------------- lazy replay format equivalence ----
 //
-// Stationary links generate lazily (one geometric draw per success, parked
-// full buffers); any installed provider keeps the per-window chain of replay
-// format v1. A no-op scenario installs providers while scaling nothing, so
-// it is the in-process v1 reference: the two formats draw different random
-// streams, and these gates check that the streams describe the same
-// physics. Seeds are fixed, so every gate is deterministic.
+// Stationary links generate lazily (replay format v3: one geometric draw
+// per success, parked full buffers settled in bulk); any installed provider
+// keeps the per-window chain of replay format v1. The suite keeps its
+// ReplayFormatV2 name. A no-op scenario installs providers while scaling
+// nothing, so it is the in-process v1 reference: the two formats draw
+// different random streams, and these gates check that the streams
+// describe the same physics. Seeds are fixed, so every gate is
+// deterministic.
 
 /// A scenario whose tracks scale by exactly 1.0: it exercises the full
 /// effective-parameter pipeline (provider calls, composed-route folds)
@@ -454,7 +457,8 @@ Scenario noop_scenario() {
 
 /// Per-trial samples of the compared metrics.
 struct TrialSamples {
-  std::vector<double> depth, fidelity, attempts, successes, wasted, expired;
+  std::vector<double> depth, fidelity, attempts, successes, wasted, expired,
+      stalled;
   double reroutes = 0.0;  ///< summed over trials
   double downtime = 0.0;  ///< summed over trials
 };
@@ -473,6 +477,7 @@ TrialSamples run_trials(const Circuit& qc, const std::vector<int>& nodes,
     s.successes.push_back(static_cast<double>(r.epr_successes));
     s.wasted.push_back(static_cast<double>(r.epr_wasted));
     s.expired.push_back(static_cast<double>(r.epr_expired));
+    s.stalled.push_back(static_cast<double>(r.links_stalled));
     s.reroutes += static_cast<double>(r.reroutes);
     s.downtime += r.outage_downtime;
   }
@@ -529,9 +534,11 @@ void expect_same_mean(const std::vector<double>& a,
 
 /// Runs `trials` seeds of `design` with and without the no-op scenario and
 /// gates the lazy (null) samples against the per-window (no-op) reference.
-void expect_replay_equivalent(const Circuit& qc, const std::vector<int>& nodes,
-                              const ArchConfig& null_config, DesignKind design,
-                              int trials) {
+/// Returns the lazy samples.
+TrialSamples expect_replay_equivalent(const Circuit& qc,
+                                      const std::vector<int>& nodes,
+                                      const ArchConfig& null_config,
+                                      DesignKind design, int trials) {
   SCOPED_TRACE(runtime::design_name(design) + " on " +
                std::to_string(qc.num_qubits()) + " qubits");
   ArchConfig noop_config = null_config;
@@ -552,6 +559,8 @@ void expect_replay_equivalent(const Circuit& qc, const std::vector<int>& nodes,
   expect_same_mean(lazy.successes, eager.successes, "successes");
   expect_same_mean(lazy.wasted, eager.wasted, "wasted");
   expect_same_mean(lazy.expired, eager.expired, "expired");
+  expect_same_mean(lazy.stalled, eager.stalled, "links_stalled");
+  return lazy;
 }
 
 /// 8 qubits on 2 nodes, remote-bound: remote gates arrive faster than the
@@ -593,6 +602,27 @@ Circuit buffer_bound_circuit() {
 }
 
 std::vector<int> two_node_assignment() { return {0, 0, 0, 0, 1, 1, 1, 1}; }
+
+/// The buffer-bound shape with ~300 time units of local work after each of
+/// its 6 remote gates: at the defaults a parked service's gap is ~30
+/// windows per pair, so each wake settles ~120 successes in bulk against
+/// the link's 10 pairs.
+Circuit long_gap_circuit() {
+  Circuit qc(8);
+  for (int rep = 0; rep < 6; ++rep) {
+    qc.rzz(rep % 4, 4 + (rep + 1) % 4, 0.1);
+    for (int k = 0; k < 150; ++k) {
+      qc.rzz(0, 1, 0.1);
+      qc.rzz(2, 3, 0.1);
+      qc.rzz(4, 5, 0.1);
+      qc.rzz(6, 7, 0.1);
+      qc.rzz(1, 2, 0.1);
+      qc.rzz(5, 6, 0.1);
+    }
+  }
+  return qc;
+}
+
 
 /// 12 qubits on chain(6): nearest-neighbour and long-range traffic, so
 /// composed links span 1 to 5 hops.
@@ -662,6 +692,111 @@ TEST(ReplayFormatV2, FiniteCutoffMatchesPerWindowReference) {
   config.buffer_cutoff = 25.0;
   expect_replay_equivalent(buffer_bound_circuit(), two_node_assignment(),
                            config, DesignKind::AsyncBuf, 1000);
+}
+
+TEST(ReplayFormatV2, LongGapBulkSettleMatchesPerWindowReference) {
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  const Circuit qc = long_gap_circuit();
+  for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::InitBuf}) {
+    const TrialSamples lazy = expect_replay_equivalent(
+        qc, two_node_assignment(), config, design, 1000);
+    // Each of the 6 wakes settles far more successes than the 10 pairs.
+    double wasted = 0.0;
+    for (const double w : lazy.wasted) wasted += w;
+    EXPECT_GT(wasted / static_cast<double>(lazy.wasted.size()), 6.0 * 50.0);
+  }
+}
+
+TEST(ReplayFormatV2, TruncatedTailMatchesPerWindowReference) {
+  // The budget cuts the long-gap circuit about halfway: parked services
+  // settle the tail from their last pop to the budget in stop().
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  config.max_trial_sim_time = 1000.0;
+  for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::InitBuf}) {
+    const TrialSamples lazy = expect_replay_equivalent(
+        long_gap_circuit(), two_node_assignment(), config, design, 1000);
+    for (const double depth : lazy.depth) EXPECT_DOUBLE_EQ(depth, 1000.0);
+  }
+}
+
+TEST(ReplayFormatV2, StallWatchdogMatchesPerWindowReference) {
+  // Two pairs at p = 0.1 behind a 2-pair buffer: gaps between successes
+  // run to tens of windows, and 18 windows sits near the median of a
+  // trial's longest gap, so links_stalled (the side-stream placement of
+  // every bulk-settled success) is gated where it is most sensitive.
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  config.comm_per_node = 2;
+  config.buffer_per_node = 2;
+  config.p_succ = 0.1;
+  config.stall_windows = 18;
+  for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::SyncBuf}) {
+    const TrialSamples lazy = expect_replay_equivalent(
+        long_gap_circuit(), two_node_assignment(), config, design, 1000);
+    double stalled = 0.0;
+    for (const double x : lazy.stalled) stalled += x;
+    stalled /= static_cast<double>(lazy.stalled.size());
+    EXPECT_GT(stalled, 0.2);
+    EXPECT_LT(stalled, 0.8);
+  }
+}
+
+// -------------------------------------- bulk-settle observation identity ----
+//
+// The bulk settle draws its placement (gap instants, trace spans) from a
+// per-service side stream, only when the trial reads the delivery gap or
+// traces. On parked-heavy cells, every way of reading it must leave the
+// trial's own results bit-identical.
+
+void expect_observation_invisible(const Circuit& qc,
+                                  const std::vector<int>& nodes,
+                                  const ArchConfig& plain) {
+  constexpr int kRuns = 64;
+  constexpr std::uint64_t kBase = 500;
+  for (const DesignKind design : runtime::distributed_designs()) {
+    for (const int threads : {1, 8}) {
+      SCOPED_TRACE(runtime::design_name(design) + " @ " +
+                   std::to_string(threads) + " threads");
+      const AggregateResult off =
+          runtime::run_design(qc, nodes, plain, design, kRuns, kBase, threads);
+
+      ArchConfig observed = plain;
+      observed.observe = obs::make_observe();
+      expect_identical(off, runtime::run_design(qc, nodes, observed, design,
+                                                kRuns, kBase, threads));
+
+      ArchConfig traced = plain;
+      traced.observe = obs::make_observe();
+      traced.observe->metrics = false;
+      traced.observe->profile = false;
+      traced.observe->trace_seed = kBase + 5;
+      expect_identical(off, runtime::run_design(qc, nodes, traced, design,
+                                                kRuns, kBase, threads));
+      EXPECT_TRUE(traced.observe->collector.has_trace());
+
+      // The watchdog adds links_stalled and changes nothing else.
+      ArchConfig watched = plain;
+      watched.stall_windows = 1;
+      AggregateResult on = runtime::run_design(qc, nodes, watched, design,
+                                               kRuns, kBase, threads);
+      on.links_stalled = off.links_stalled;
+      expect_identical(off, on);
+    }
+  }
+}
+
+TEST(BulkSettleIdentity, BufferBoundTwoNodeObservationIsInvisible) {
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  expect_observation_invisible(buffer_bound_circuit(), two_node_assignment(),
+                               config);
+}
+
+TEST(BulkSettleIdentity, ComposedChain6ObservationIsInvisible) {
+  expect_observation_invisible(chain6_circuit(), chain6_assignment(),
+                               chain6_config());
 }
 
 TEST(ScenarioDeterminism, EmptyScenarioShortCircuitsToStationary) {
