@@ -1,6 +1,5 @@
 #include "ent/buffer_pool.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -27,32 +26,6 @@ void BufferPool::configure(int capacity, double f0, double kappa,
   head_ = 0;
   count_ = 0;
   deposited_ = consumed_ = expired_ = rejected_ = 0;
-}
-
-std::size_t BufferPool::resize_capacity(int new_capacity, des::SimTime now) {
-  DQCSIM_EXPECTS(new_capacity >= 0);
-  const auto cap = static_cast<std::size_t>(new_capacity);
-  expire_until(now);
-  if (cap == capacity_) return 0;
-  // Drop the oldest overflow first so the surviving stock is the freshest.
-  std::size_t dropped = 0;
-  while (count_ > cap) {
-    head_ = next(head_);
-    --count_;
-    ++dropped;
-  }
-  // Linearize the survivors into the resized ring (an allocation, but
-  // resizes only happen at outage/recovery boundaries).
-  std::vector<BufferedPair> live;
-  live.reserve(count_);
-  for (std::size_t i = 0, j = head_; i < count_; ++i, j = next(j)) {
-    live.push_back(ring_[j]);
-  }
-  capacity_ = cap;
-  ring_.assign(capacity_, BufferedPair{});
-  std::copy(live.begin(), live.end(), ring_.begin());
-  head_ = 0;
-  return dropped;
 }
 
 std::size_t BufferPool::flush(des::SimTime now) {

@@ -53,16 +53,6 @@ class BufferPool {
   /// same-configuration reset (the Monte-Carlo trial loop) is free.
   void configure(int capacity, double f0, double kappa, double cutoff);
 
-  /// Change the capacity in place, keeping stored pairs and lifetime
-  /// counters (boundary capacity re-sharing; see ArchConfig::
-  /// reshare_at_boundaries). Shrinking below the current occupancy pops
-  /// the *oldest* overflow pairs — the freshest stock survives, matching
-  /// the consume-freshest rationale — and returns how many were dropped
-  /// (the engine accounts them as pairs_discarded; they are not counted
-  /// as expired or consumed). May reallocate: resizes happen only at rare
-  /// outage/recovery boundaries, never in the steady-state event loop.
-  std::size_t resize_capacity(int new_capacity, des::SimTime now);
-
   /// Drop every stored pair (a down endpoint node loses its half of each
   /// buffered state) and return how many were dropped. Capacity and
   /// lifetime counters are untouched.

@@ -38,11 +38,7 @@ GenerationService::GenerationService(des::Simulator& sim,
       buffer_(params.buffer_capacity, params.f0, params.kappa,
               params.cutoff) {
   params_.validate();
-  active_pairs_ = params_.num_comm_pairs;
-  pair_alive_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  if (params_.retry.kind != RetryKind::EveryWindow) {
-    consecutive_failures_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  }
+  eff_ = EffectiveLink{params_.p_succ, params_.f0, true};
 }
 
 void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
@@ -57,7 +53,7 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
                     params.cutoff);
   trace_.clear();
   handler_ = nullptr;
-  provider_ = nullptr;
+  eff_ = EffectiveLink{params_.p_succ, params_.f0, true};
   obs_trace_ = nullptr;
   obs_track_ = 0;
   track_gap_ = true;
@@ -68,16 +64,8 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   successes_ = 0;
   wasted_buffer_full_ = 0;
   wasted_unconsumed_ = 0;
-  active_pairs_ = params_.num_comm_pairs;
-  pair_alive_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  if (params_.retry.kind != RetryKind::EveryWindow) {
-    consecutive_failures_.assign(static_cast<std::size_t>(active_pairs_), 0);
-  } else {
-    consecutive_failures_.clear();
-  }
   last_success_ = 0.0;
   max_delivery_gap_ = 0.0;
-  lazy_ = false;
   parked_ = false;
   timer_armed_ = false;
   lazy_pairs_.clear();
@@ -99,58 +87,65 @@ void GenerationService::start() {
   running_ = true;
   // Entanglement generation is a continuously running background service
   // (paper §III-B), so attempt windows are already in steady state when the
-  // circuit starts: pair p's completions fall on offset(p) + k*cycle, and
-  // the first one after t=now is scheduled (a zero offset completes after a
-  // full cycle). Results are only *stored* from start() on, which keeps the
-  // buffered designs distinct from init_buf's pre-filled buffer.
-  last_success_ = sim_.now();
-  lazy_ = !provider_ && params_.retry.kind == RetryKind::EveryWindow;
-  if (lazy_) {
-    start_lazy();
-    return;
+  // circuit starts: pair p's completions fall on offset(p) + k*cycle, the
+  // first one after t=now (a zero offset completes after a full cycle).
+  // Results are only *stored* from start() on, which keeps the buffered
+  // designs distinct from init_buf's pre-filled buffer.
+  const des::SimTime now = sim_.now();
+  last_success_ = now;
+  log1m_p_ = Rng::geometric_log1m(eff_.p_succ);
+  side_rng_ = Rng(side_seed_);
+  lazy_pairs_.resize(static_cast<std::size_t>(params_.num_comm_pairs));
+  for (std::size_t p = 0; p < lazy_pairs_.size(); ++p) {
+    LazyPair& pair = lazy_pairs_[p];
+    const double offset = offset_of(static_cast<int>(p));
+    pair.origin = now + ((offset > 0.0) ? offset : params_.cycle_time);
+    pair.traced = 0;
+    pair.seg_start = 0;
+    pair.banked = 0;
+    draw_next_success(pair, 0);
   }
-  for (int p = 0; p < params_.num_comm_pairs; ++p) {
-    pair_alive_[static_cast<std::size_t>(p)] = 1;
-    const double offset = offset_of(p);
-    const double first = (offset > 0.0) ? offset : params_.cycle_time;
-    schedule_completion(p, sim_.now() + first);
-  }
+  arm_timer();
 }
 
-std::size_t GenerationService::set_capacity_share(int num_comm_pairs,
-                                                  int buffer_capacity) {
-  DQCSIM_EXPECTS(num_comm_pairs >= 1);
-  DQCSIM_EXPECTS(buffer_capacity >= 0);
-  DQCSIM_EXPECTS_MSG(!lazy_, "capacity re-sharing needs a provider-driven "
-                             "service (scenario boundaries only)");
+void GenerationService::set_effective(const EffectiveLink& eff) {
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const bool same_rate = same(eff.p_succ, eff_.p_succ) && eff.up == eff_.up;
+  if (same_rate && same(eff.f0, eff_.f0)) return;
+  if (!running_) {  // the first segment, read by pre-fill and start()
+    eff_ = eff;
+    return;
+  }
   const des::SimTime now = sim_.now();
-  const int old_active = active_pairs_;
-  active_pairs_ = num_comm_pairs;
-  params_.num_comm_pairs = num_comm_pairs;
-  if (pair_alive_.size() < static_cast<std::size_t>(num_comm_pairs)) {
-    pair_alive_.resize(static_cast<std::size_t>(num_comm_pairs), 0);
+  // Settle the old segment strictly before `now`: a parked service's
+  // skipped successes, whose SWAPs still in flight carry the old f0.
+  if (parked_) wake(now, -kInf);
+  if (same_rate) {
+    eff_.f0 = eff.f0;
+    return;
   }
-  if (params_.retry.kind != RetryKind::EveryWindow &&
-      consecutive_failures_.size() <
-          static_cast<std::size_t>(num_comm_pairs)) {
-    consecutive_failures_.resize(static_cast<std::size_t>(num_comm_pairs),
-                                 0);
+  if (timer_armed_) {
+    sim_.cancel(timer_);
+    timer_armed_ = false;
   }
-  // Shrinking needs no action here: deactivated chains complete their
-  // in-flight window (the old-share epoch) and stop at the reschedule
-  // check in on_window_complete. Growing restarts only chains that have
-  // actually died — a still-alive chain keeps its phase.
-  if (started_ && running_) {
-    for (int p = old_active; p < active_pairs_; ++p) {
-      auto& alive = pair_alive_[static_cast<std::size_t>(p)];
-      if (alive) continue;
-      alive = 1;
-      const double offset = offset_of(p);
-      const double first = (offset > 0.0) ? offset : params_.cycle_time;
-      schedule_completion(p, now + first);
+  const bool was_up = eff_.up;
+  eff_ = eff;
+  log1m_p_ = Rng::geometric_log1m(eff_.p_succ);
+  for (LazyPair& pair : lazy_pairs_) {
+    // The new segment starts at the first window at or after `now`, or
+    // just past a success the timer already heralded at `now`.
+    const std::uint64_t cut = std::max(windows_before(pair, now), pair.from);
+    if (was_up) {
+      pair.banked += cut - pair.seg_start;
+      trace_windows(pair, cut, /*ok=*/false);
     }
+    pair.seg_start = cut;
+    pair.traced = cut;
+    draw_next_success(pair, cut);
   }
-  return buffer_.resize_capacity(buffer_capacity, now);
+  arm_timer();
 }
 
 void GenerationService::pre_fill_buffer() {
@@ -158,9 +153,8 @@ void GenerationService::pre_fill_buffer() {
                      "pre-fill requires a buffered service");
   // Under a scenario, pre-loaded pairs carry the effective birth fidelity
   // of the fill instant (they were generated by the same drifting fabric).
-  const double f0 = provider_ ? provider_(sim_.now()).f0 : params_.f0;
   while (!buffer_.full(sim_.now())) {
-    buffer_.deposit(sim_.now(), f0);
+    buffer_.deposit(sim_.now(), eff_.f0);
   }
 }
 
@@ -180,107 +174,10 @@ void GenerationService::schedule_deposit(des::SimTime at, double birth_f0) {
   });
 }
 
-void GenerationService::schedule_completion(int pair_index,
-                                            des::SimTime completion) {
-  sim_.schedule_at(completion, [this, pair_index, epoch = epoch_] {
-    if (epoch == epoch_) on_window_complete(pair_index);
-  });
-}
-
-// DQCSIM_HOT
-void GenerationService::on_window_complete(int pair_index) {
-  if (!running_) return;
-  const des::SimTime now = sim_.now();
-
-  // Under an active scenario, re-read the effective link parameters at this
-  // window boundary. A down link pauses attempting — no attempt counted, no
-  // RNG draw — but the completion chain stays on the phase grid, so
-  // generation resumes in phase on recovery. Without a provider this path
-  // is identical to the stationary service.
-  double p_succ = params_.p_succ;
-  double birth_f0 = params_.f0;
-  bool up = true;
-  if (provider_) {
-    const EffectiveLink eff = provider_(now);
-    p_succ = eff.p_succ;
-    birth_f0 = eff.f0;
-    up = eff.up;
-  }
-
-  // The delay to this pair's next completion: one attempt window by
-  // default; a non-default RetryPolicy stretches it after failures. When
-  // the link is down the chain keeps probing on the plain cycle grid so
-  // generation resumes in phase on recovery (recovery is an exogenous
-  // repair, not a failed attempt — backoff does not apply).
-  double delay = params_.cycle_time;
-  if (up) {
-    ++attempts_;
-    const bool success = rng_.bernoulli(p_succ);
-    if (obs_trace_ != nullptr) {
-      obs_trace_->span(success ? obs::Ev::GenOk : obs::Ev::GenFail, obs_track_,
-                       now - params_.cycle_time, now);
-    }
-    if (success) {
-      ++successes_;
-      record_success(now);
-      if (params_.retry.kind != RetryKind::EveryWindow) {
-        consecutive_failures_[static_cast<std::size_t>(pair_index)] = 0;
-      }
-      if (mode_ == ServiceMode::Buffered) {
-        // SWAP into the buffer; availability is delayed by the SWAP latency.
-        schedule_deposit(now + params_.swap_latency, birth_f0);
-      } else {
-        if (params_.record_trace) trace_.record(now);
-        const bool consumed = handler_ ? handler_(now) : false;
-        if (!consumed) ++wasted_unconsumed_;
-      }
-    } else if (params_.retry.kind != RetryKind::EveryWindow) {
-      delay = retry_delay(
-          ++consecutive_failures_[static_cast<std::size_t>(pair_index)]);
-    }
-  }
-
-  // Reschedule unless a boundary re-share deactivated this pair — its
-  // in-flight window just completed under the old share (the epoch
-  // guard), and the chain ends here until a grow revives it.
-  if (pair_index < active_pairs_) {
-    schedule_completion(pair_index, now + delay);
-  } else {
-    pair_alive_[static_cast<std::size_t>(pair_index)] = 0;
-  }
-}
-
-// DQCSIM_HOT
-double GenerationService::retry_delay(int consecutive_failures) {
-  const RetryPolicy& r = params_.retry;
-  double d;
-  if (r.attempt_cutoff > 0 && consecutive_failures >= r.attempt_cutoff) {
-    // Past the cutoff the pair only probes at the ceiling interval.
-    d = r.max_interval;
-  } else if (r.kind == RetryKind::Fixed) {
-    d = r.interval;
-  } else {
-    // interval * growth^(n-1), capped — iterated multiply, not std::pow,
-    // so the value is bit-identical across libm implementations.
-    d = r.interval;
-    for (int i = 1; i < consecutive_failures && d < r.max_interval; ++i) {
-      d *= r.growth;
-    }
-    d = std::min(d, r.max_interval);
-  }
-  // A pair cannot re-attempt faster than its attempt window.
-  d = std::max(d, params_.cycle_time);
-  // Deterministic seeded jitter: one uniform draw per delayed retry, part
-  // of the service's replay stream.
-  if (r.jitter > 0.0) d *= 1.0 + r.jitter * rng_.uniform();
-  return d;
-}
-
 void GenerationService::stop(des::SimTime horizon) {
   DQCSIM_EXPECTS(horizon >= sim_.now());
   if (!running_) return;
   running_ = false;
-  if (!lazy_) return;
   // Every window completed by the horizon counts, whatever the order of
   // same-instant events: a success due exactly at the horizon is heralded
   // here, its SWAP or consumer beyond the trial.
@@ -292,9 +189,10 @@ void GenerationService::stop(des::SimTime horizon) {
   }
   attempts_ = 0;
   for (LazyPair& pair : lazy_pairs_) {
-    const std::uint64_t done = windows_through(pair, horizon);
-    attempts_ += done;
-    trace_windows(pair, done, /*ok=*/false);
+    attempts_ += pair_attempts(pair, horizon);
+    if (eff_.up) {
+      trace_windows(pair, windows_through(pair, horizon), /*ok=*/false);
+    }
   }
 }
 
@@ -306,25 +204,9 @@ std::optional<BufferedPair> GenerationService::pop(des::SimTime now,
 }
 
 std::size_t GenerationService::flush_buffer(des::SimTime now) {
-  DQCSIM_EXPECTS_MSG(!lazy_, "node-outage flushes need a provider-driven "
-                             "service (scenarios only)");
+  // A flush happens at a scenario boundary: settle strictly before it.
+  if (parked_) wake(now, -kInf);
   return buffer_.flush(now);
-}
-
-void GenerationService::start_lazy() {
-  const des::SimTime now = sim_.now();
-  log1m_p_ = Rng::geometric_log1m(params_.p_succ);
-  side_rng_ = Rng(side_seed_);
-  lazy_pairs_.resize(static_cast<std::size_t>(params_.num_comm_pairs));
-  for (std::size_t p = 0; p < lazy_pairs_.size(); ++p) {
-    LazyPair& pair = lazy_pairs_[p];
-    // Same first completion as the eager chain (see start()).
-    const double offset = offset_of(static_cast<int>(p));
-    pair.origin = now + ((offset > 0.0) ? offset : params_.cycle_time);
-    pair.traced = 0;
-    draw_next_success(pair, 0);
-  }
-  arm_timer();
 }
 
 std::uint64_t GenerationService::windows_through(
@@ -344,19 +226,38 @@ std::uint64_t GenerationService::windows_landed_before(
       });
 }
 
+std::uint64_t GenerationService::windows_before(
+    const LazyPair& pair, des::SimTime t) const noexcept {
+  return leading_windows(
+      (t - pair.origin) / params_.cycle_time,
+      [&](std::uint64_t m) { return window_time(pair, m) < t; });
+}
+
+std::uint64_t GenerationService::pair_attempts(
+    const LazyPair& pair, des::SimTime t) const noexcept {
+  if (!eff_.up) return pair.banked;
+  return pair.banked + windows_through(pair, t) - pair.seg_start;
+}
+
 std::size_t GenerationService::lazy_attempts(des::SimTime t) const noexcept {
   std::size_t total = 0;
-  for (const LazyPair& pair : lazy_pairs_) total += windows_through(pair, t);
+  for (const LazyPair& pair : lazy_pairs_) total += pair_attempts(pair, t);
   return total;
 }
 
 // DQCSIM_HOT
 void GenerationService::draw_next_success(LazyPair& pair,
                                           std::uint64_t from) noexcept {
+  pair.from = from;
+  if (!eff_.up) {
+    pair.next = kNever;
+    pair.due = kInf;
+    return;
+  }
   // Failures before the next success; a saturated draw (p so small the
   // skip exceeds 2^64 windows) means the pair never succeeds this trial.
   const std::uint64_t skip =
-      params_.p_succ >= 1.0 ? 0 : rng_.geometric_from_log1m(log1m_p_);
+      eff_.p_succ >= 1.0 ? 0 : rng_.geometric_from_log1m(log1m_p_);
   if (skip >= kNever - from) {
     pair.next = kNever;
     pair.due = kInf;
@@ -407,7 +308,7 @@ void GenerationService::herald(LazyPair& pair, des::SimTime at) {
   record_success(at);
   trace_windows(pair, n, /*ok=*/true);
   if (mode_ == ServiceMode::Buffered) {
-    schedule_deposit(at + params_.swap_latency, params_.f0);
+    schedule_deposit(at + params_.swap_latency, eff_.f0);
   } else {
     if (params_.record_trace) trace_.record(at);
     const bool consumed = handler_ ? handler_(at) : false;
@@ -485,7 +386,7 @@ void GenerationService::replay_skipped(des::SimTime until, bool stopping,
     if (deposit_at < until || (deposit_at == until && waker_queued >= at)) {
       ++wasted_buffer_full_;
     } else if (!stopping) {
-      schedule_deposit(deposit_at, params_.f0);
+      schedule_deposit(deposit_at, eff_.f0);
     }
   }
 }
@@ -502,7 +403,7 @@ void GenerationService::settle_parked(des::SimTime until) {
     if (!(pair.due + params_.swap_latency < until)) continue;
     const std::uint64_t n = pair.next;
     const std::uint64_t span = windows_landed_before(pair, until) - 1 - n;
-    const std::uint64_t count = 1 + rng_.binomial(span, params_.p_succ);
+    const std::uint64_t count = 1 + rng_.binomial(span, eff_.p_succ);
     draw_next_success(pair, n + span + 1);
     successes_ += count;
     wasted_buffer_full_ += count;

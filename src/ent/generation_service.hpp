@@ -18,38 +18,54 @@
 ///    returning true; otherwise the pair is wasted, reproducing the
 ///    "significant EPR pair waste" of the no-buffer design (§V-A).
 ///
-/// Lazy generation (replay format v3). On a stationary link — no effective-
-/// parameter provider and the default RetryKind::EveryWindow — every window
-/// is an independent Bernoulli(p_succ) trial, so the service draws the
-/// index of each pair's next successful window with one Rng::geometric draw
-/// and keeps exactly one DES event alive: at the earliest pending success
-/// over its pairs. Pairs due at the same grid instant are heralded in one
-/// event, in pair-index order. Window n of pair p completes at
-/// origin_p + n * cycle_time, with origin_p fixed at start(), so pairs on
-/// one phase grid share bitwise-equal instants (the Fig. 3 burst pattern).
+/// Lazy generation (replay format v4). Every window is an independent
+/// Bernoulli trial at the link's current success probability, so the
+/// service draws the index of each pair's next successful window with one
+/// Rng::geometric draw and keeps exactly one DES event alive: at the
+/// earliest pending success over its pairs. Pairs due at the same grid
+/// instant are heralded in one event, in pair-index order. Window n of pair
+/// p completes at origin_p + n * cycle_time, with origin_p fixed at start(),
+/// so pairs on one phase grid share bitwise-equal instants (the Fig. 3
+/// burst pattern).
+///
+/// Segments. Under a fault & drift scenario the engine pushes the link's
+/// EffectiveLink (p_succ, f0, up) through set_effective() at t = 0 and at
+/// every scenario boundary; between boundaries it is constant. A change of
+/// p_succ or up settles the service up to the boundary t under the old
+/// values, then redraws each pair's pending success as a fresh geometric
+/// from its first window at or after t (exact: the windows are iid, the
+/// geometric memoryless). A down segment makes no attempt and no draw, and
+/// each pair keeps its phase grid, so generation resumes in phase. A change
+/// of f0 alone redraws nothing: later heralds carry the new f0 (a parked
+/// service settles first, so its SWAPs in flight keep their herald's f0).
+///
+/// Same-instant rule: a window completing exactly at a boundary belongs to
+/// the new segment, except a success the service's timer already heralded
+/// at that instant, which happens when the timer was queued before the
+/// boundary event (ties keep queue order). A settle at a boundary (and a
+/// boundary flush) therefore stops strictly before t.
 ///
 /// A buffered service whose buffer is full at a herald *parks*: it schedules
 /// nothing until a pop (or, under a finite cutoff, its oldest pair's
 /// expiry) can free a slot. On waking at W it settles the skipped
-/// successes (replay format v3) in two steps:
+/// successes in two steps:
 ///
 ///  - Bulk. Every success whose SWAP lands strictly before W met the full
 ///    buffer. For a pair with its pending success at window n and M the
 ///    last window whose SWAP lands before W, the wasted count is
 ///    1 + Binomial(M - n, p_succ), and the pair's next success is a fresh
-///    geometric draw from M + 1 (exact: the windows are iid, the
-///    geometric memoryless). Pairs are settled in pair order, two draws
+///    geometric draw from M + 1. Pairs are settled in pair order, two draws
 ///    each, so a wake costs O(pairs), not O(successes).
 ///  - Walk. The successes left, at most ceil(swap_latency / cycle) + 1
 ///    windows per pair, are replayed one by one in time order across
-///    pairs. A later SWAP gets a real deposit event. Same-instant ties keep
-///    the per-window chain's FIFO order against the waking event
-///    (des::Simulator::scheduled_at says when it was queued): a SWAP
-///    landing at W was queued at its herald, so it is wasted when the
-///    waker was queued at or after that herald and deposits after the pop
-///    otherwise; a success due at W is heralded inside the wake when its
-///    window event (queued one cycle earlier) precedes the waker, else on
-///    the timer after it.
+///    pairs. A later SWAP gets a real deposit event. Same-instant ties
+///    against a consumer's pop keep the per-window chain's FIFO order
+///    (des::Simulator::scheduled_at says when the pop's event was queued):
+///    a SWAP landing at W was queued at its herald, so it is wasted when
+///    the waker was queued at or after that herald and deposits after the
+///    pop otherwise; a success due at W is heralded inside the wake when
+///    its window event (queued one cycle earlier) precedes the waker, else
+///    on the timer after it.
 ///
 /// stop() settles the same way up to the trial's end, where a SWAP landing
 /// at or after the end stays in flight. OnDemand services skip ahead but
@@ -65,10 +81,9 @@
 /// so tracking and tracing cannot perturb the trial.
 ///
 /// attempts() is exact at any instant (it counts the windows each pair
-/// completed on its grid). successes, waste and max_delivery_gap of a
-/// parked service are settled at the next pop or at stop(); the engine
-/// reads them only after stop(). Providers (scenarios) and backoff policies
-/// keep the eager one-event, one-draw-per-window chain.
+/// completed on its grid in up segments). successes, waste and
+/// max_delivery_gap of a parked service are settled at the next pop, flush
+/// or boundary, or at stop(); the engine reads them only after stop().
 
 #pragma once
 
@@ -95,18 +110,14 @@ enum class ServiceMode {
   OnDemand,
 };
 
-/// Effective link parameters at one instant, as seen through an active
+/// Effective link parameters of one segment, as seen through an active
 /// fault & drift scenario (the engine composes scenario::ScenarioRuntime
 /// scales over the logical link's current route).
 struct EffectiveLink {
-  double p_succ = 1.0;  ///< per-attempt success probability right now
-  double f0 = 0.99;     ///< fidelity a pair born right now would have
+  double p_succ = 1.0;  ///< per-attempt success probability
+  double f0 = 0.99;     ///< fidelity of a pair born in this segment
   bool up = true;       ///< false while any hop of the route is down
 };
-
-/// Queried by the service at every attempt-window boundary (and at
-/// pre-fill). Absent provider == stationary fabric.
-using EffectiveProvider = std::function<EffectiveLink(des::SimTime)>;
 
 /// Event-driven generation service over one inter-node link.
 class GenerationService {
@@ -131,48 +142,30 @@ class GenerationService {
   /// offset(p) + cycle_time. Idempotent once started.
   void start();
 
-  /// Stop scheduling further attempt windows (already-scheduled completions
-  /// still fire but do nothing). A lazy service first settles its counters
-  /// up to `horizon`, so every lifetime counter is final once stop()
-  /// returns. `horizon` >= now() is the instant generation ends: a trial
-  /// cut at a sim-time budget ends at the budget, past its last event.
+  /// Stop generating (SWAPs already in flight still deposit). The service
+  /// first settles its counters up to `horizon`, so every lifetime counter
+  /// is final once stop() returns. `horizon` >= now() is the instant
+  /// generation ends: a trial cut at a sim-time budget ends at the budget,
+  /// past its last event.
   void stop(des::SimTime horizon);
   void stop() { stop(sim_.now()); }
 
-  /// Fill the buffer to capacity with fresh pairs at the current simulation
-  /// time (the paper's init_buf pre-initialization).
+  /// Fill the buffer to capacity with fresh pairs of the current f0 at the
+  /// current simulation time (the paper's init_buf pre-initialization).
   /// Precondition: Buffered mode.
   void pre_fill_buffer();
-
-  /// Boundary capacity re-sharing (ArchConfig::reshare_at_boundaries):
-  /// adopt a new comm-pair count and buffer capacity mid-trial without
-  /// clearing the buffer, counters, or handlers. Returns the number of
-  /// buffered pairs discarded when the buffer share shrank below the
-  /// current stock (oldest first; see BufferPool::resize_capacity).
-  ///
-  /// The attempt chains carry the epoch guard: a window already in flight
-  /// completes its attempt under the old share, and only then does its
-  /// chain stop (shrink) — deactivated pairs never lose a started window.
-  /// Growing restarts dead chains on a fresh phase grid from `now`;
-  /// chains still in flight simply keep running.
-  ///
-  /// Reached only at scenario boundaries, so only on a provider-driven
-  /// (never lazy) service. Precondition: the service is not lazy.
-  std::size_t set_capacity_share(int num_comm_pairs, int buffer_capacity);
 
   void set_arrival_handler(ArrivalHandler handler) {
     handler_ = std::move(handler);
   }
 
-  /// Install a time-varying effective-parameter source (see
-  /// EffectiveProvider). The provider is re-read at every attempt-window
-  /// completion: drift takes effect at the next window boundary, and a
-  /// down link pauses attempting (no attempt counted, no RNG draw) while
-  /// the completion chain stays on the phase grid, so generation resumes
-  /// in phase on recovery. Cleared by reset().
-  void set_effective_provider(EffectiveProvider provider) {
-    provider_ = std::move(provider);
-  }
+  /// Enter a new segment at the current simulation time with the given
+  /// effective parameters (see the file comment). A bitwise-unchanged value
+  /// is a no-op. Before start() it sets the first segment, which pre-fill
+  /// and start() read. Cleared by reset() to the stationary
+  /// {params.p_succ, params.f0, up}.
+  void set_effective(const EffectiveLink& eff);
+  const EffectiveLink& effective() const noexcept { return eff_; }
 
   /// Trial-trace hook (see src/obs/): when set, attempt-window outcomes
   /// are recorded as gen_ok/gen_fail spans and buffer deposits as instants
@@ -203,8 +196,8 @@ class GenerationService {
   std::size_t available(des::SimTime now) { return buffer_.size(now); }
 
   /// Drop every buffered pair (a down endpoint node) and return how many
-  /// were dropped. Reached only under a scenario, so only on a provider-
-  /// driven service. Precondition: the service is not lazy.
+  /// were dropped. A parked service settles up to `now` first, so the
+  /// slots the flush frees reach the generation it suspended.
   std::size_t flush_buffer(des::SimTime now);
 
   /// Read-only view: consumers mutate the pool through pop()/flush_buffer().
@@ -218,7 +211,7 @@ class GenerationService {
 
   // Lifetime counters.
   std::size_t attempts() const noexcept {
-    return lazy_ && running_ ? lazy_attempts(sim_.now()) : attempts_;
+    return running_ ? lazy_attempts(sim_.now()) : attempts_;
   }
   std::size_t successes() const noexcept { return successes_; }
   /// Buffered-mode successes dropped because the pool was full.
@@ -245,15 +238,16 @@ class GenerationService {
  private:
   /// Lazy per-pair state (see the file comment).
   struct LazyPair {
-    des::SimTime origin = 0.0;  ///< completion instant of window 0
-    std::uint64_t next = 0;     ///< index of the next successful window
-    des::SimTime due = 0.0;     ///< its completion instant (inf: never)
-    std::uint64_t traced = 0;   ///< first window no trace span covers yet
+    des::SimTime origin = 0.0;    ///< completion instant of window 0
+    std::uint64_t from = 0;       ///< first window of the pending draw
+    std::uint64_t next = 0;       ///< index of the next successful window
+    des::SimTime due = 0.0;       ///< its completion instant (inf: never)
+    std::uint64_t traced = 0;     ///< first window no trace span covers yet
+    std::uint64_t seg_start = 0;  ///< first window of the current segment
+    std::uint64_t banked = 0;     ///< windows attempted in earlier segments
   };
 
-  void schedule_completion(int pair_index, des::SimTime completion);
   void schedule_deposit(des::SimTime at, double birth_f0);
-  void start_lazy();
   des::SimTime window_time(const LazyPair& pair,
                            std::uint64_t n) const noexcept {
     return pair.origin + static_cast<double>(n) * params_.cycle_time;
@@ -261,10 +255,17 @@ class GenerationService {
   /// Windows of `pair` completed at or before `t`.
   std::uint64_t windows_through(const LazyPair& pair,
                                 des::SimTime t) const noexcept;
+  /// Windows of `pair` completed strictly before `t`.
+  std::uint64_t windows_before(const LazyPair& pair,
+                               des::SimTime t) const noexcept;
+  /// Windows `pair` attempted through `t` (t >= its segment's start).
+  std::uint64_t pair_attempts(const LazyPair& pair,
+                              des::SimTime t) const noexcept;
   /// Windows of `pair` whose SWAP lands strictly before `t`.
   std::uint64_t windows_landed_before(const LazyPair& pair,
                                       des::SimTime t) const noexcept;
   std::size_t lazy_attempts(des::SimTime t) const noexcept;
+  /// The pair's next success at or after window `from`; none while down.
   void draw_next_success(LazyPair& pair, std::uint64_t from) noexcept;
   void arm_timer();
   void on_timer();
@@ -292,10 +293,6 @@ class GenerationService {
   /// Trace pair windows [traced, n) as one GenFail span; when `ok`, also
   /// window n as a GenOk span.
   void trace_windows(LazyPair& pair, std::uint64_t n, bool ok);
-  void on_window_complete(int pair_index);
-  /// Delay until pair `pair_index`'s next attempt after a failure (>=
-  /// cycle_time; draws jitter from the service RNG when configured).
-  double retry_delay(int consecutive_failures);
   void record_success(des::SimTime at) noexcept {
     max_delivery_gap_ = std::max(max_delivery_gap_, at - last_success_);
     last_success_ = at;
@@ -308,7 +305,7 @@ class GenerationService {
   BufferPool buffer_;
   ArrivalTrace trace_;
   ArrivalHandler handler_;
-  EffectiveProvider provider_;
+  EffectiveLink eff_;  ///< the current segment
   obs::TraceBuffer* obs_trace_ = nullptr;
   std::uint32_t obs_track_ = 0;
   bool started_ = false;
@@ -322,11 +319,10 @@ class GenerationService {
   std::size_t wasted_unconsumed_ = 0;
 
   // Lazy generation state, sized at start() with capacity retained.
-  bool lazy_ = false;
   bool parked_ = false;
   bool timer_armed_ = false;
   des::EventId timer_ = 0;
-  double log1m_p_ = 0.0;  ///< Rng::geometric_log1m(p_succ), fixed at start()
+  double log1m_p_ = 0.0;  ///< Rng::geometric_log1m of the segment's p_succ
   std::vector<LazyPair> lazy_pairs_;
 
   // Bulk-settle placement (tracked or traced services only): the side
@@ -339,18 +335,6 @@ class GenerationService {
   std::vector<des::SimTime> settled_;     ///< placed instants, all pairs
   std::vector<std::size_t> settled_runs_;  ///< end of each pair's run
   std::vector<des::SimTime> merged_;      ///< merge_settled_runs buffer
-
-  // Boundary re-sharing state. active_pairs_ tracks the live comm-pair
-  // count (== params_.num_comm_pairs unless set_capacity_share moved it);
-  // pair_alive_[p] marks whether pair p's completion chain is still
-  // scheduled, so a grow never double-chains a pair whose final event is
-  // in flight.
-  int active_pairs_ = 0;
-  std::vector<char> pair_alive_;
-
-  // Retry/backoff state: consecutive failed attempts per pair (only
-  // maintained when params_.retry.kind != RetryKind::EveryWindow).
-  std::vector<int> consecutive_failures_;
 
   // Delivery-gap state (see max_delivery_gap).
   des::SimTime last_success_ = 0.0;

@@ -6,30 +6,6 @@
 
 namespace dqcsim::ent {
 
-void RetryPolicy::validate() const {
-  if (kind == RetryKind::EveryWindow) return;
-  if (!(interval > 0.0)) {
-    throw ConfigError("RetryPolicy: interval must be positive");
-  }
-  if (!(growth >= 1.0)) {
-    throw ConfigError("RetryPolicy: growth must be at least 1");
-  }
-  if (!(max_interval >= interval)) {
-    throw ConfigError("RetryPolicy: max_interval must be >= interval");
-  }
-  if (!(jitter >= 0.0 && jitter < 1.0)) {
-    throw ConfigError("RetryPolicy: jitter must be in [0, 1)");
-  }
-  if (attempt_cutoff < 0) {
-    throw ConfigError("RetryPolicy: attempt_cutoff must be nonnegative");
-  }
-  if (attempt_cutoff > 0 && !std::isfinite(max_interval)) {
-    throw ConfigError(
-        "RetryPolicy: attempt_cutoff needs a finite max_interval to probe "
-        "at");
-  }
-}
-
 void LinkParams::validate() const {
   if (num_comm_pairs < 1) {
     throw ConfigError("LinkParams: need at least one communication pair");
@@ -58,7 +34,6 @@ void LinkParams::validate() const {
   if (async_subgroups < 1) {
     throw ConfigError("LinkParams: async_subgroups must be at least 1");
   }
-  retry.validate();
 }
 
 }  // namespace dqcsim::ent

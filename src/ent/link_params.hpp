@@ -7,6 +7,11 @@
 /// Table II). Successes are SWAPped into buffer qubits (capacity
 /// `buffer_capacity`) where they decay per the Werner law with rate `kappa`
 /// and may be discarded after `cutoff` (§III-C cut-off policy).
+///
+/// These are the stationary values. Under a fault & drift scenario the
+/// engine scales p_succ and f0, and takes the link down, one segment at a
+/// time (ent::EffectiveLink, GenerationService::set_effective); the
+/// structural fields stay fixed for the whole trial.
 
 #pragma once
 
@@ -18,54 +23,6 @@ namespace dqcsim::ent {
 enum class AttemptSchedule {
   Synchronous,   ///< all pairs share aligned attempt windows (sync_buf)
   Asynchronous,  ///< pairs staggered in subgroups (async_buf, §III-C)
-};
-
-/// When a failed attempt window schedules its pair's next attempt.
-enum class RetryKind {
-  /// Retry every window (the default tight loop): the next attempt always
-  /// completes one cycle_time after the last, success or failure. The
-  /// legacy behavior — bit-identical whether a RetryPolicy is set or not.
-  EveryWindow,
-  /// After a failure, delay the next attempt by a fixed `interval`
-  /// (clamped up to cycle_time); a success returns to the per-cycle grid.
-  Fixed,
-  /// After n consecutive failures, delay by interval * growth^(n-1),
-  /// capped at max_interval. A success resets the streak.
-  ExponentialBackoff,
-};
-
-/// Per-link retry/timeout policy for generation attempts. On links whose
-/// effective p_succ collapses under drift, the default every-window loop
-/// burns one DES event per pair per cycle for next to no deliveries; a
-/// backoff policy thins the attempt stream instead, retreating to probes
-/// at max_interval once attempt_cutoff consecutive failures accrue.
-///
-/// Deterministic seeded jitter: with `jitter` > 0 each backoff delay is
-/// stretched by a factor uniform in [1, 1 + jitter), drawn from the
-/// owning service's RNG — the draw is part of the replay stream, so the
-/// policy is deterministic per trial seed. EveryWindow draws nothing and
-/// leaves the stream untouched.
-struct RetryPolicy {
-  RetryKind kind = RetryKind::EveryWindow;
-  /// Base delay after a failed attempt (Fixed / ExponentialBackoff).
-  /// Delays below cycle_time are clamped to cycle_time: a pair cannot
-  /// re-attempt faster than its attempt window.
-  double interval = 0.0;
-  /// Backoff multiplier per consecutive failure (ExponentialBackoff).
-  double growth = 2.0;
-  /// Delay ceiling; also the probe interval past attempt_cutoff.
-  double max_interval = std::numeric_limits<double>::infinity();
-  /// Deterministic jitter fraction in [0, 1): each delay is stretched by
-  /// uniform [1, 1 + jitter). 0 disables the draw entirely.
-  double jitter = 0.0;
-  /// After this many consecutive failures the pair retreats to probing at
-  /// max_interval regardless of kind; 0 disables the cutoff.
-  int attempt_cutoff = 0;
-
-  /// Throws ConfigError when any field is out of domain.
-  void validate() const;
-
-  friend bool operator==(const RetryPolicy&, const RetryPolicy&) = default;
 };
 
 /// Entanglement link configuration.
@@ -89,9 +46,6 @@ struct LinkParams {
   /// Fig. 3 burstiness analysis; Monte-Carlo sweeps that never read it can
   /// switch it off to avoid the per-arrival log growth entirely.
   bool record_trace = true;
-  /// Retry/backoff policy after failed attempts (default: retry every
-  /// window, the legacy behavior).
-  RetryPolicy retry;
 
   /// Throws ConfigError when any field is out of domain.
   void validate() const;

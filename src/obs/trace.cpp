@@ -29,8 +29,6 @@ const char* ev_name(Ev ev) noexcept {
       return "outage";
     case Ev::Reroute:
       return "reroute";
-    case Ev::Reshare:
-      return "reshare";
   }
   return "unknown";
 }
@@ -51,7 +49,6 @@ const char* ev_category(Ev ev) noexcept {
     case Ev::Salvage:
     case Ev::Outage:
     case Ev::Reroute:
-    case Ev::Reshare:
       return "fault";
   }
   return "unknown";

@@ -34,7 +34,6 @@ enum class Ev : std::uint8_t {
   Salvage,       ///< degraded-mode pair salvage (instant)
   Outage,        ///< link/edge without a live route (span)
   Reroute,       ///< logical link re-established its route (instant)
-  Reshare,       ///< capacity re-share at a scenario boundary (instant)
 };
 
 /// Chrome trace "name" string for an event type.

@@ -45,17 +45,11 @@ void ArchConfig::validate() const {
   if (!(fid.epr_f0 >= 0.25 && fid.epr_f0 <= 1.0)) {
     throw ConfigError("ArchConfig: EPR fidelity must be in [0.25, 1]");
   }
-  retry_policy.validate();
   if (stall_windows < 0) {
     throw ConfigError("ArchConfig: stall_windows must be nonnegative");
   }
   if (!(max_trial_sim_time > 0.0)) {
     throw ConfigError("ArchConfig: max_trial_sim_time must be positive");
-  }
-  if (reshare_at_boundaries && !share_edge_capacity) {
-    throw ConfigError(
-        "ArchConfig: reshare_at_boundaries re-computes capacity shares and "
-        "needs share_edge_capacity on");
   }
   if (!topology &&
       (share_edge_capacity || congestion_aware_routing || swap_as_you_go)) {
@@ -100,7 +94,6 @@ ent::LinkParams common_link_params(const ArchConfig& cfg,
   link.async_subgroups = cfg.async_subgroups;
   link.consume_freshest = cfg.consume_freshest;
   link.record_trace = cfg.record_arrival_trace;
-  link.retry = cfg.retry_policy;
   return link;
 }
 

@@ -162,19 +162,6 @@ struct ArchConfig {
   /// pairs_salvaged / pairs_discarded; arbitration between links follows
   /// the usual creation order.
   bool salvage_pairs = false;
-  /// Recompute per-route capacity shares at every outage/recovery
-  /// boundary over the surviving routes (requires share_edge_capacity;
-  /// without this knob shares stay frozen at t=0 while routes re-plan).
-  /// In-flight attempt windows complete under the old shares — a
-  /// deactivated comm pair finishes its started window before its chain
-  /// stops (see ent::GenerationService::set_capacity_share). Buffer
-  /// overflow from a shrunken share is discarded oldest-first and
-  /// reported as pairs_discarded.
-  bool reshare_at_boundaries = false;
-  /// Retry/timeout/backoff policy applied to every generation service
-  /// (per-link and per-edge); the default retries every window, which is
-  /// the legacy tight loop. See ent::RetryPolicy.
-  ent::RetryPolicy retry_policy;
   /// link_stalled watchdog: report (in RunResult::links_stalled) how many
   /// generation services went longer than stall_windows attempt windows
   /// without a single successful generation at any point in the trial.

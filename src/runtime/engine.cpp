@@ -237,7 +237,6 @@ struct RunContext::State {
     bool consume_freshest = false;
     bool record_trace = true;
     net::SwapParams swap;
-    ent::RetryPolicy retry;
 
     friend bool operator==(const RouteInputs&,
                            const RouteInputs&) = default;
@@ -281,10 +280,12 @@ struct RunContext::State {
   }
 
   // --- fault-scenario state (config.scenario; see src/scenario/) -----------
-  // Outage boundaries are engine-pushed events (scheduled lazily, one at a
-  // time, from the ScenarioRuntime's boundary stream); drift needs no
-  // events at all — the generation services pull effective parameters at
-  // their own window boundaries through link_effective.
+  // Scenario boundaries (outage flips and every drift or snapshot change)
+  // are engine-pushed events, scheduled lazily, one at a time, from the
+  // ScenarioRuntime's boundary stream. Each one re-plans routes when the
+  // up mask changed and pushes every generation service its new effective
+  // link (link_effective / edge_effective): between boundaries the
+  // services run one constant segment each.
   scenario::ScenarioRuntime scen;
   bool scen_active = false;
   std::uint64_t scen_epoch = 0;    ///< invalidates stale boundary events
@@ -735,7 +736,6 @@ struct RunContext::State {
     inputs.consume_freshest = config.consume_freshest;
     inputs.record_trace = config.record_arrival_trace;
     inputs.swap = config.swap_params();
-    inputs.retry = config.retry_policy;
     if (route_cache.valid && route_cache.topology == config.topology &&
         route_cache.inputs == inputs) {
       if (obs_metrics()) reg.add(regh.route_hits);
@@ -777,8 +777,6 @@ struct RunContext::State {
     double p = 1.0;
     scen_hop_f0.clear();
     for (const std::size_t e : link.route_edges) {
-      // Window completions can share an instant with a boundary event in
-      // either order; asking the schedule directly keeps `up` exact.
       if (!scen.edge_up(e, t)) eff.up = false;
       const ent::LinkParams& ep = route_cache.edge_params[e];
       p *= scen.effective_p_succ(e, ep.p_succ, t);
@@ -791,13 +789,37 @@ struct RunContext::State {
     return eff;
   }
 
+  /// Effective parameters of physical edge `e` at time `t` (the
+  /// swap-as-you-go per-edge services).
+  ent::EffectiveLink edge_effective(std::size_t e, des::SimTime t) {
+    const ent::LinkParams& ep = route_cache.edge_params[e];
+    return {scen.effective_p_succ(e, ep.p_succ, t),
+            scen.effective_f0(e, ep.f0, t), scen.edge_up(e, t)};
+  }
+
+  /// Scenario boundary at `t`: re-route when the up mask changed, then
+  /// start every generation service's next segment. A service whose
+  /// effective link did not change ignores the push.
+  void apply_scen_boundary(double t) {
+    reroute_at_boundary(t);
+    if (use_swap_go) {
+      for (std::size_t e = 0; e < edge_services.size(); ++e) {
+        edge_services[e]->set_effective(edge_effective(e, t));
+      }
+    } else {
+      for (LinkState& link : links) {
+        link.service->set_effective(link_effective(link, t));
+      }
+    }
+  }
+
   /// Recompute the edge up/down mask at boundary time `t` and re-route
   /// every logical link whose state it affects. Spurious boundaries
-  /// (overlapping outage windows) change nothing and return early. Rebuilds
-  /// the masked router when edges are down — an allocation, but outage
-  /// boundaries are rare relative to simulation events, so the steady-state
-  /// trial loop stays allocation-free.
-  void apply_scen_boundary(double t) {
+  /// (overlapping outage windows, drift-only boundaries) change nothing
+  /// and return early. Rebuilds the masked router when edges are down — an
+  /// allocation, but outage boundaries are rare relative to simulation
+  /// events, so the steady-state trial loop stays allocation-free.
+  void reroute_at_boundary(double t) {
     bool changed = false;
     bool any_down = false;
     for (std::size_t e = 0; e < scen_edge_up.size(); ++e) {
@@ -856,13 +878,10 @@ struct RunContext::State {
       for (std::size_t i = 0; i < links.size(); ++i) {
         try_serve_pending_swap(i);
       }
-    } else if (use_shared_caps && config.reshare_at_boundaries) {
-      if (obs_trace) trace_buf.instant(obs::Ev::Reshare, 0, t);
-      reshare_capacity();
     }
   }
 
-  /// Schedule the next outage boundary as a simulation event (lazily, one
+  /// Schedule the next scenario boundary as a simulation event (lazily, one
   /// at a time: the stochastic schedule is unbounded, and sim.reset()
   /// between trials discards whatever was left pending).
   void schedule_next_scen_boundary(double t) {
@@ -981,10 +1000,7 @@ struct RunContext::State {
         link.route_edges.assign(route->edges.begin(), route->edges.end());
         link.route_up = true;
         link.down_since = 0.0;
-        link.service->set_effective_provider(
-            [this, link_ptr](des::SimTime t) {
-              return link_effective(*link_ptr, t);
-            });
+        link.service->set_effective(link_effective(link, sim.now()));
       }
       if (mode == ent::ServiceMode::Buffered) {
         link.service->set_arrival_handler([this, link_ptr](des::SimTime) {
@@ -1060,16 +1076,7 @@ struct RunContext::State {
         on_edge_deposit(e);
         return true;
       });
-      if (scen_active) {
-        svc.set_effective_provider([this, e](des::SimTime t) {
-          const ent::LinkParams& edge_p = route_cache.edge_params[e];
-          ent::EffectiveLink eff;
-          eff.p_succ = scen.effective_p_succ(e, edge_p.p_succ, t);
-          eff.f0 = scen.effective_f0(e, edge_p.f0, t);
-          eff.up = scen.edge_up(e, t);
-          return eff;
-        });
-      }
+      if (scen_active) svc.set_effective(edge_effective(e, sim.now()));
       if (design_uses_prefill(design)) svc.pre_fill_buffer();
       svc.start();
     }
@@ -1111,28 +1118,6 @@ struct RunContext::State {
       link.hops = route.hops();
       link.extra_latency = static_cast<double>(link.hops - 1) *
                            route_cache.inputs.swap.latency;
-    }
-  }
-
-  /// Recompute every surviving composed link's capacity share from the
-  /// freshly planned loads (reshare_at_boundaries): the hop grants and
-  /// bottleneck fold of setup_composed_links, re-run over the post-boundary
-  /// edge loads. Ranks are assigned in link creation order, the same
-  /// deterministic rule as the t=0 assignment; links without a route keep
-  /// their old share (their effective provider already blocks attempts).
-  /// In-flight windows finish under the old share inside
-  /// set_capacity_share's epoch guard; buffer overflow from a shrunken
-  /// share is discarded oldest-first.
-  void reshare_capacity() {
-    edge_rank.assign(config.topology->num_edges(), 0);
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      LinkState& link = links[i];
-      const net::RoutePlan& plan = link_plans[i];
-      if (!plan.has_route) continue;
-      grant_hop_shares(plan.primary);
-      result.pairs_discarded += link.service->set_capacity_share(
-          *std::min_element(hop_comm_scratch.begin(), hop_comm_scratch.end()),
-          *std::min_element(hop_buf_scratch.begin(), hop_buf_scratch.end()));
     }
   }
 
@@ -1635,10 +1620,8 @@ struct RunContext::State {
   bool on_demand_arrival(LinkState& link, des::SimTime now) {
     if (link.pending.empty()) return false;
     PendingRemote& req = link.pending.front();
-    // A heralded pair is born right now; under a scenario its birth
-    // fidelity is the link's effective value at this instant.
-    req.birth_f0[req.num_births] =
-        scen_active ? link_effective(link, now).f0 : link.service->params().f0;
+    // A heralded pair is born right now, at the current segment's f0.
+    req.birth_f0[req.num_births] = link.service->effective().f0;
     req.births[req.num_births++] = now;
     result.entanglement_swaps += static_cast<std::size_t>(link.hops - 1);
     if (static_cast<int>(req.num_births) < config.pairs_per_remote_gate()) {

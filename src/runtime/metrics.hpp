@@ -91,17 +91,16 @@ enum class RegistryFold : std::uint8_t {
       boundary taking two links down for 5 units accrues 10). Aggregated   \
       as `outage_downtime_mean` / `_p50` / `_p99` in bench reports. */      \
   X(double, outage_downtime, 0.0, None)                                      \
-  /* Degraded-mode accounting (opt-in salvage / re-sharing / retry knobs;  \
-     see docs/ARCHITECTURE.md "Fault handling & degraded modes"). All zero \
-     with the knobs off. */                                                  \
+  /* Degraded-mode accounting (opt-in salvage knob; see                      \
+     docs/ARCHITECTURE.md "Fault handling & degraded modes"). All zero       \
+     with the knob off. */                                                   \
   /** Pairs rescued across an outage (salvage_pairs): end-to-end pairs     \
       assembled from pre-outage hop stock over a severed route (swap-as-   \
       you-go), pairs consumed or kept through a route loss / re-plan in    \
       the composed model. */                                                 \
   X(std::size_t, pairs_salvaged, 0, Counter)                                 \
-  /** Buffered pairs dropped at fault boundaries: stock at a down node     \
-      (salvage_pairs) or overflow from a shrunken capacity share           \
-      (reshare_at_boundaries), oldest first. */                              \
+  /** Buffered pairs dropped at fault boundaries: the stock at a down        \
+      node (salvage_pairs). */                                               \
   X(std::size_t, pairs_discarded, 0, Counter)                                \
   /** Generation services that at some point went more than               \
       ArchConfig::stall_windows attempt windows without one successful     \

@@ -96,11 +96,19 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
                      [](const Snap& a, const Snap& b) { return a.time < b.time; });
   }
 
-  // Potential-flip times of the deterministic outage set. Overlapping
-  // intervals can make some of these spurious (no actual state change);
-  // the engine re-derives the full mask at each boundary, so spurious
-  // entries cost one no-op check.
+  // Deterministic boundaries: the potential flips of the outage set, step
+  // times and snapshot times. Overlapping intervals or unit levels can make
+  // some of these spurious (no actual change); the engine re-derives the
+  // mask and the effective links at each boundary, so a spurious entry
+  // costs one no-op check.
   det_boundaries_.clear();
+  for (const DriftTrack& track : scenario.drift) {
+    det_boundaries_.insert(det_boundaries_.end(), track.times.begin(),
+                           track.times.end());
+  }
+  for (const CalibrationSnapshot& snap : scenario.snapshots) {
+    det_boundaries_.push_back(snap.time);
+  }
   for (auto& intervals : edge_downs_) {
     std::sort(intervals.begin(), intervals.end());
     for (const auto& [start, end] : intervals) {
@@ -133,6 +141,18 @@ void ScenarioRuntime::begin_trial(const Scenario& scenario,
   }
 }
 
+std::size_t ScenarioRuntime::walk_level_index(const DriftTrack& track,
+                                              double t) {
+  // Level k holds on [k * interval, (k + 1) * interval), with the products
+  // as computed here: next_boundary returns exactly these instants.
+  const double interval = track.walk_interval;
+  auto step =
+      static_cast<std::size_t>(std::max(0.0, std::floor(t / interval)));
+  while (step > 0 && static_cast<double>(step) * interval > t) --step;
+  while (static_cast<double>(step + 1) * interval <= t) ++step;
+  return step;
+}
+
 double ScenarioRuntime::track_scale(std::size_t i, double time) {
   const DriftTrack& track = scn_->drift[i];
   switch (track.kind) {
@@ -144,20 +164,13 @@ double ScenarioRuntime::track_scale(std::size_t i, double time) {
       return track.levels[static_cast<std::size_t>(it - track.times.begin()) -
                           1];
     }
-    case DriftKind::Ramp: {
-      if (time <= track.t0) return track.s0;
-      if (time >= track.t1) return track.s1;
-      return track.s0 + (track.s1 - track.s0) * (time - track.t0) /
-                            (track.t1 - track.t0);
-    }
     case DriftKind::RandomWalk: {
       // Memoized grid levels allow random access in time (consumption-time
       // fidelity queries look back to a pair's deposit instant). The walk
       // freezes past the scenario horizon, bounding memoization.
       WalkState& walk = walks_[i];
-      const double capped = std::min(time, scn_->horizon);
-      const std::size_t step = static_cast<std::size_t>(
-          std::max(0.0, std::floor(capped / track.walk_interval)));
+      const std::size_t step =
+          walk_level_index(track, std::min(time, scn_->horizon));
       while (walk.levels.size() <= step) {
         const double factor =
             1.0 + walk.rng.uniform(-track.walk_step, track.walk_step);
@@ -284,6 +297,15 @@ std::optional<double> ScenarioRuntime::next_boundary(double t) {
       }
       if (it != fail.intervals.end()) best = std::min(best, it->first);
     }
+  }
+
+  for (const DriftTrack& track : scn_->drift) {
+    if (track.kind != DriftKind::RandomWalk) continue;
+    // The next grid point; the walk freezes past the horizon.
+    const double next =
+        static_cast<double>(walk_level_index(track, t) + 1) *
+        track.walk_interval;
+    if (next <= scn_->horizon) best = std::min(best, next);
   }
 
   if (best == kInf) return std::nullopt;

@@ -11,10 +11,13 @@
 ///    access in time (the engine evaluates the fidelity of a buffered pair
 ///    at its deposit instant, which lies in the past at consumption).
 ///
-///  - *Availability*: edge_up / node_up report the outage state, and
-///    next_boundary returns the next instant any up/down state flips —
-///    the engine schedules its re-routing events at exactly these times,
-///    so between boundaries the availability state is constant.
+///  - *Availability*: edge_up / node_up report the outage state.
+///
+/// next_boundary returns the next instant at which an up state or an
+/// effective scale can change: outage flips, step times, snapshot times and
+/// random-walk grid points. The engine schedules its boundary events at
+/// exactly these times, so between boundaries every edge's state and
+/// scales are constant and each generation service runs one segment.
 ///
 /// Stochastic components (random-walk drift, per-edge failure processes,
 /// random burst targets) draw from streams derived from
@@ -68,11 +71,14 @@ class ScenarioRuntime {
   bool node_up(int node, double t) const;
 
   /// Earliest instant strictly after `t` at which any edge/node up state
-  /// flips; nullopt when none remains before the horizon. Lazily extends
-  /// the stochastic failure processes through the returned time.
+  /// or any effective scale can change; nullopt when none remains before
+  /// the horizon. Lazily extends the stochastic failure processes through
+  /// the returned time.
   std::optional<double> next_boundary(double t);
 
  private:
+  /// Index of the random-walk level in force at `t` >= 0.
+  static std::size_t walk_level_index(const DriftTrack& track, double t);
   /// Scale contributed by drift track `i` at time `time`.
   double track_scale(std::size_t i, double time);
   /// Product of all scales matching (edge, field) at `time`.
@@ -113,7 +119,9 @@ class ScenarioRuntime {
   std::vector<std::vector<std::pair<double, double>>> edge_downs_;
   std::vector<std::vector<std::pair<double, double>>> node_downs_;
   std::vector<std::vector<Snap>> node_snaps_;  ///< per node, time-sorted
-  std::vector<double> det_boundaries_;  ///< sorted unique det. flip times
+  /// Sorted unique deterministic boundaries: outage flips, step and
+  /// snapshot times.
+  std::vector<double> det_boundaries_;
   std::vector<std::size_t> scratch_indices_;  ///< burst target sampling
 };
 

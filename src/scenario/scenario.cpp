@@ -47,14 +47,6 @@ void validate_track(const net::Topology& topo, const DriftTrack& t) {
       }
       break;
     }
-    case DriftKind::Ramp:
-      require(std::isfinite(t.t0) && std::isfinite(t.t1) && t.t0 >= 0.0 &&
-                  t.t1 > t.t0,
-              "ramp needs 0 <= t0 < t1");
-      require(std::isfinite(t.s0) && std::isfinite(t.s1) && t.s0 > 0.0 &&
-                  t.s1 > 0.0,
-              "ramp scales must be positive");
-      break;
     case DriftKind::RandomWalk:
       require(std::isfinite(t.walk_interval) && t.walk_interval > 0.0,
               "random walk needs a positive step interval");

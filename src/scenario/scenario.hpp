@@ -7,8 +7,8 @@
 /// interconnect over *simulated* time:
 ///
 ///  - link-quality drift: per-edge (or fabric-wide) multiplicative scales on
-///    p_succ and f0 — piecewise-constant steps, linear ramps, or seeded
-///    random walks, always clamped back into the field's valid domain;
+///    p_succ and f0 — piecewise-constant steps or seeded random walks,
+///    always clamped back into the field's valid domain;
 ///  - link and node outages with recovery windows: a down edge generates no
 ///    pairs, a down node takes all of its incident edges down;
 ///  - correlated failure bursts: one event disabling a set of edges at once
@@ -28,12 +28,14 @@
 /// Wiring: set runtime::ArchConfig::scenario (requires a topology; the
 /// all-to-all interconnect is available explicitly via
 /// net::Topology::all_to_all). A null scenario is bit-identical to the
-/// stationary engine. Any installed scenario, even a no-op one, moves its
-/// links to the per-window replay format (docs/ARCHITECTURE.md, "Replay
-/// formats"). See runtime/engine.cpp for the execution semantics:
-/// generation services re-read the effective link parameters at every
-/// attempt-window boundary, and outages invalidate a logical link's route,
-/// re-routing it through net::Router over the surviving subgraph.
+/// stationary engine, and so is a scenario whose every scale is exactly
+/// 1.0. Every scale is piecewise constant in time, so the engine changes
+/// link parameters only at scenario boundaries (ScenarioRuntime::
+/// next_boundary; docs/ARCHITECTURE.md, "Replay formats"). See
+/// runtime/engine.cpp for the execution semantics: at each boundary the
+/// generation services adopt the new effective link parameters, and
+/// outages invalidate a logical link's route, re-routing it through
+/// net::Router over the surviving subgraph.
 
 #pragma once
 
@@ -55,7 +57,6 @@ enum class DriftField {
 /// Shape of a drift track's scale-over-time curve.
 enum class DriftKind {
   Step,        ///< piecewise-constant scale levels at given times
-  Ramp,        ///< linear scale from (t0, s0) to (t1, s1), held outside
   RandomWalk,  ///< seeded multiplicative walk on a fixed step grid
 };
 
@@ -74,15 +75,9 @@ struct DriftTrack {
   std::vector<double> times;
   std::vector<double> levels;
 
-  // Ramp: scale s0 at t0 linearly to s1 at t1; s0 before t0, s1 after t1.
-  double t0 = 0.0;
-  double t1 = 0.0;
-  double s0 = 1.0;
-  double s1 = 1.0;
-
-  // RandomWalk: every `walk_interval` time units the scale multiplies by
-  // (1 + u), u uniform in [-walk_step, +walk_step], clamped to
-  // [walk_min, walk_max]. Steps are drawn from a per-trial stream, so the
+  // RandomWalk: at every multiple k * walk_interval (k >= 1) the scale
+  // multiplies by (1 + u), u uniform in [-walk_step, +walk_step], clamped
+  // to [walk_min, walk_max]. Steps are drawn from a per-trial stream, so the
   // walk differs between trials but is identical for identical seeds.
   double walk_interval = 0.0;
   double walk_step = 0.0;

@@ -1,7 +1,6 @@
 /// Engine-level tests for degraded-mode delivery under faults: mid-flight
-/// pair salvage (swap-as-you-go and composed), boundary capacity
-/// re-sharing, retry/backoff wiring, the link_stalled watchdog, the trial
-/// sim-time budget, and the determinism contract for every new knob
+/// pair salvage (swap-as-you-go and composed), the link_stalled watchdog,
+/// the trial sim-time budget, and the determinism contract for every knob
 /// combination (thread-count invariance under drift + outages).
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "ent/link_params.hpp"
 #include "expect_identical.hpp"
 #include "net/topology.hpp"
 #include "runtime/arch_config.hpp"
@@ -38,16 +36,6 @@ RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
 
 // ------------------------------------------------------------ validation ----
 
-TEST(DegradedConfig, ReshareRequiresSharedCapacity) {
-  ArchConfig config;
-  config.num_nodes = 4;
-  config.set_topology(net::Topology::ring(4));
-  config.reshare_at_boundaries = true;
-  EXPECT_THROW(config.validate(), ConfigError);
-  config.share_edge_capacity = true;
-  EXPECT_NO_THROW(config.validate());
-}
-
 TEST(DegradedConfig, ValidateCatchesBadKnobs) {
   ArchConfig config;
   config.stall_windows = -1;
@@ -57,9 +45,6 @@ TEST(DegradedConfig, ValidateCatchesBadKnobs) {
   EXPECT_THROW(config.validate(), ConfigError);
   config.max_trial_sim_time = 1.0;
   EXPECT_NO_THROW(config.validate());
-  config.retry_policy.kind = ent::RetryKind::Fixed;
-  config.retry_policy.interval = -1.0;
-  EXPECT_THROW(config.validate(), ConfigError);
 }
 
 // -------------------------------------------------------------- salvage -----
@@ -144,72 +129,7 @@ TEST(Salvage, ComposedModeCountsSalvageWithoutChangingResults) {
   EXPECT_GE(on.pairs_salvaged, 3u);
 }
 
-// -------------------------------------------------------------- reshare -----
-
-/// Ring(6) with two *disjoint* two-hop links (0-2 via 0-1-2, 3-5 via
-/// 3-4-5): at t=0 every edge load is 1, so t=0 shares equal the full
-/// budget. A long outage on edge {4, 5} then detours 3-5 onto
-/// 3-2-1-0-5, which shares edges {1, 2} and {0, 1} with the 0-2 link.
-Circuit disjoint_then_overlapping_circuit() {
-  Circuit qc(12);
-  for (int rep = 0; rep < 20; ++rep) {
-    qc.rzz(0, 4, 0.1);   // nodes 0-2
-    qc.rzz(6, 10, 0.1);  // nodes 3-5
-  }
-  return qc;
-}
-
-TEST(Reshare, BoundaryReshareThrottlesRoutesSharingASurvivingEdge) {
-  const Circuit qc = disjoint_then_overlapping_circuit();
-  const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5};
-  ArchConfig frozen;
-  frozen.num_nodes = 6;
-  frozen.set_topology(net::Topology::ring(6));
-  frozen.share_edge_capacity = true;
-  Scenario scn;
-  scn.link_outages.push_back({4, 5, 15.0, 1500.0});
-  frozen.set_scenario(scn);
-  ArchConfig reshared = frozen;
-  reshared.reshare_at_boundaries = true;
-
-  const RunResult a = run_once(qc, nodes, frozen, DesignKind::AsyncBuf);
-  const RunResult b = run_once(qc, nodes, reshared, DesignKind::AsyncBuf);
-  // Frozen shares keep both links drawing their full t=0 budgets over the
-  // now-shared edges; resharing shrinks the comm-pair grants for the
-  // whole fault window, so strictly fewer generation attempts run.
-  EXPECT_LT(b.epr_attempts, a.epr_attempts);
-  EXPECT_GT(b.reroutes, 0u);
-}
-
-// -------------------------------------------------------- retry/watchdog ----
-
-TEST(RetryKnob, BackoffReducesProbingOnAFailingLink) {
-  // Backoff changes the attempt *rate*, not the attempts-per-success law
-  // (the Bernoulli stream per pair is untouched), so the observable is
-  // probing over a fixed sim-time horizon on a link that effectively
-  // never succeeds: every-window probes each cycle, backoff stretches
-  // the gaps up to the ceiling.
-  Circuit qc(4);
-  qc.rzz(0, 2, 0.1);
-  const std::vector<int> nodes = {0, 0, 1, 1};
-  ArchConfig every;
-  every.num_nodes = 2;
-  every.set_topology(net::Topology::chain(2));
-  every.p_succ = 1e-7;  // dead-in-practice link
-  every.max_trial_sim_time = 2000.0;
-  ArchConfig backoff = every;
-  backoff.retry_policy.kind = ent::RetryKind::ExponentialBackoff;
-  backoff.retry_policy.interval = backoff.lat.epr_cycle;
-  backoff.retry_policy.growth = 2.0;
-  backoff.retry_policy.max_interval = 16.0 * backoff.lat.epr_cycle;
-
-  const RunResult a = run_once(qc, nodes, every, DesignKind::AsyncBuf);
-  const RunResult b = run_once(qc, nodes, backoff, DesignKind::AsyncBuf);
-  EXPECT_TRUE(a.truncated);
-  EXPECT_TRUE(b.truncated);
-  EXPECT_GT(a.epr_attempts, 2u * b.epr_attempts);
-  EXPECT_GT(b.epr_attempts, 0u);
-}
+// -------------------------------------------------------------- watchdog ----
 
 TEST(StallWatchdog, LongOutageTripsTheWatchdog) {
   Circuit qc(4);
@@ -374,6 +294,42 @@ Scenario faulty_scenario() {
   return scn;
 }
 
+/// Step drift on both fields plus calibration snapshots: boundaries that
+/// change rates without touching the routes.
+Scenario step_snapshot_scenario() {
+  Scenario scn;
+  DriftTrack step;
+  step.field = DriftField::PSucc;
+  step.kind = DriftKind::Step;
+  step.node_a = 0;
+  step.node_b = 1;
+  step.times = {30.0, 90.0};
+  step.levels = {0.5, 1.4};
+  scn.drift.push_back(step);
+  step.field = DriftField::F0;
+  step.node_a = -1;
+  step.node_b = -1;
+  step.times = {45.0};
+  step.levels = {0.97};
+  scn.drift.push_back(step);
+  scn.snapshots.push_back({2, 60.0, 0.7, 0.99});
+  scn.snapshots.push_back({2, 140.0, 1.1, 1.0});
+  return scn;
+}
+
+/// A random walk on f0 with a node outage that flushes edge buffers.
+Scenario walk_node_outage_scenario() {
+  Scenario scn;
+  DriftTrack walk;
+  walk.field = DriftField::F0;
+  walk.kind = DriftKind::RandomWalk;
+  walk.walk_interval = 12.5;
+  walk.walk_step = 0.02;
+  scn.drift.push_back(walk);
+  scn.node_outages.push_back({1, 40.0, 50.0});
+  return scn;
+}
+
 TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
   const Circuit qc = four_node_circuit();
   const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3};
@@ -382,36 +338,30 @@ TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
 
   struct Combo {
     const char* name;
-    bool swap_go, salvage, share, reshare, retry, jitter;
+    Scenario (*scenario)();
+    bool swap_go, salvage, share;
     int stall;
     double budget;
   };
   const Combo combos[] = {
-      {"salvage_swap_go", true, true, false, false, false, false, 0, 1e18},
-      {"salvage_composed", false, true, false, false, false, false, 0, 1e18},
-      {"reshare", false, false, true, true, false, false, 0, 1e18},
-      {"retry_jitter", false, false, false, false, true, true, 0, 1e18},
-      {"stall_budget", false, false, false, false, false, false, 5, 900.0},
-      {"all_swap_go", true, true, false, false, true, true, 5, 900.0},
-      {"all_composed", false, true, true, true, true, true, 5, 900.0},
+      {"salvage_swap_go", faulty_scenario, true, true, false, 0, 1e18},
+      {"salvage_composed", faulty_scenario, false, true, false, 0, 1e18},
+      {"step_snapshot_shared", step_snapshot_scenario, false, false, true, 0,
+       1e18},
+      {"walk_node_outage_swap_go", walk_node_outage_scenario, true, true,
+       false, 0, 1e18},
+      {"stall_budget", faulty_scenario, false, false, false, 5, 900.0},
+      {"all_swap_go", faulty_scenario, true, true, false, 5, 900.0},
+      {"all_composed", faulty_scenario, false, true, true, 5, 900.0},
   };
   for (const Combo& combo : combos) {
     ArchConfig config;
     config.num_nodes = 4;
     config.set_topology(net::Topology::ring(4));
-    config.set_scenario(faulty_scenario());
+    config.set_scenario(combo.scenario());
     config.swap_as_you_go = combo.swap_go;
     config.salvage_pairs = combo.salvage;
     config.share_edge_capacity = combo.share;
-    config.reshare_at_boundaries = combo.reshare;
-    if (combo.retry) {
-      config.retry_policy.kind = ent::RetryKind::ExponentialBackoff;
-      config.retry_policy.interval = config.lat.epr_cycle;
-      config.retry_policy.growth = 2.0;
-      config.retry_policy.max_interval = 8.0 * config.lat.epr_cycle;
-      config.retry_policy.attempt_cutoff = 6;
-      if (combo.jitter) config.retry_policy.jitter = 0.3;
-    }
     config.stall_windows = combo.stall;
     config.max_trial_sim_time = combo.budget;
     for (const DesignKind design : distributed_designs()) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <tuple>
 #include <utility>
@@ -23,14 +26,6 @@ namespace {
 LinkParams paper_link() {
   LinkParams link;  // defaults match the paper's Table II configuration
   return link;
-}
-
-/// A provider that reports `link` unchanged: it keeps a service on the
-/// eager per-window chain without perturbing the fabric.
-EffectiveProvider constant_provider(const LinkParams& link) {
-  return [p_succ = link.p_succ, f0 = link.f0](des::SimTime) {
-    return EffectiveLink{p_succ, f0, true};
-  };
 }
 
 // ------------------------------------------------------------ LinkParams ----
@@ -448,73 +443,6 @@ TEST(ArrivalTrace, BurstinessZeroWhenEmpty) {
 
 // ----------------------------------------------- degraded-mode primitives ----
 
-TEST(RetryPolicy, ValidateCatchesEveryBadField) {
-  const auto expect_bad = [](auto mutate) {
-    RetryPolicy r;
-    r.kind = RetryKind::ExponentialBackoff;
-    r.interval = 10.0;
-    mutate(r);
-    EXPECT_THROW(r.validate(), ConfigError);
-  };
-  expect_bad([](RetryPolicy& r) { r.interval = 0.0; });
-  expect_bad([](RetryPolicy& r) { r.growth = 0.5; });
-  expect_bad([](RetryPolicy& r) { r.max_interval = 5.0; });  // < interval
-  expect_bad([](RetryPolicy& r) { r.jitter = 1.0; });        // must be < 1
-  expect_bad([](RetryPolicy& r) { r.jitter = -0.1; });
-  expect_bad([](RetryPolicy& r) { r.attempt_cutoff = -1; });
-  expect_bad([](RetryPolicy& r) { r.attempt_cutoff = 3; });  // infinite ceiling
-  // The default every-window policy validates whatever the other fields
-  // hold — they are ignored.
-  RetryPolicy off;
-  off.interval = -5.0;
-  EXPECT_NO_THROW(off.validate());
-  // A well-formed backoff policy passes.
-  RetryPolicy ok;
-  ok.kind = RetryKind::ExponentialBackoff;
-  ok.interval = 10.0;
-  ok.max_interval = 80.0;
-  ok.attempt_cutoff = 4;
-  ok.jitter = 0.25;
-  EXPECT_NO_THROW(ok.validate());
-}
-
-TEST(BufferPool, ResizeShrinkDropsOldestFirst) {
-  BufferPool pool(4, 0.99, 0.002, 1e9);
-  pool.deposit(1.0);
-  pool.deposit(2.0);
-  pool.deposit(3.0);
-  EXPECT_EQ(pool.resize_capacity(2, 4.0), 1u);  // the t=1 pair dropped
-  EXPECT_EQ(pool.size(4.0), 2u);
-  const auto oldest = pool.pop_oldest(4.0);
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_DOUBLE_EQ(oldest->deposited, 2.0);
-  // The pool enforces the new capacity: one slot freed by the pop.
-  EXPECT_TRUE(pool.deposit(5.0));
-  EXPECT_FALSE(pool.deposit(6.0));
-}
-
-TEST(BufferPool, ResizeGrowKeepsStockAndOpensRoom) {
-  BufferPool pool(1, 0.99, 0.002, 1e9);
-  pool.deposit(1.0);
-  EXPECT_FALSE(pool.deposit(2.0));
-  EXPECT_EQ(pool.resize_capacity(3, 3.0), 0u);
-  EXPECT_TRUE(pool.deposit(4.0));
-  EXPECT_TRUE(pool.deposit(5.0));
-  EXPECT_FALSE(pool.deposit(6.0));
-  const auto pair = pool.pop_oldest(7.0);
-  ASSERT_TRUE(pair.has_value());
-  EXPECT_DOUBLE_EQ(pair->deposited, 1.0);  // pre-resize stock survived
-}
-
-TEST(BufferPool, ResizeExpiresBeforeDropping) {
-  BufferPool pool(3, 0.99, 0.002, /*cutoff=*/10.0);
-  pool.deposit(0.0);   // expired by t=15
-  pool.deposit(12.0);  // live
-  EXPECT_EQ(pool.resize_capacity(1, 15.0), 0u);  // expiry made room
-  EXPECT_EQ(pool.total_expired(), 1u);
-  EXPECT_EQ(pool.size(15.0), 1u);
-}
-
 TEST(BufferPool, FlushDropsEverythingAndReportsCount) {
   BufferPool pool(4, 0.99, 0.002, 1e9);
   pool.deposit(1.0);
@@ -525,109 +453,6 @@ TEST(BufferPool, FlushDropsEverythingAndReportsCount) {
   EXPECT_FALSE(pool.pop_oldest(4.0).has_value());
   EXPECT_TRUE(pool.deposit(5.0));  // pool remains usable
   EXPECT_EQ(pool.flush(6.0), 1u);
-}
-
-TEST(GenerationService, FixedRetryAtOrBelowCycleIsIdentity) {
-  // A retry interval no longer than the attempt window clamps to the
-  // window: the schedule (and the RNG stream — jitter off draws nothing)
-  // is bit-identical to the every-window default.
-  LinkParams every = paper_link();
-  every.p_succ = 0.3;
-  LinkParams fixed = every;
-  fixed.retry.kind = RetryKind::Fixed;
-  fixed.retry.interval = every.cycle_time / 2.0;
-
-  des::Simulator sim_a;
-  Rng rng_a(42);
-  GenerationService a(sim_a, every, rng_a, ServiceMode::Buffered);
-  // A provider keeps the every-window service on the per-window chain the
-  // retry policies extend (a stationary one would skip ahead lazily).
-  a.set_effective_provider(constant_provider(every));
-  des::Simulator sim_b;
-  Rng rng_b(42);
-  GenerationService b(sim_b, fixed, rng_b, ServiceMode::Buffered);
-  a.start();
-  b.start();
-  sim_a.run_until(500.0);
-  sim_b.run_until(500.0);
-  EXPECT_EQ(a.attempts(), b.attempts());
-  EXPECT_EQ(a.successes(), b.successes());
-  ASSERT_EQ(a.trace().arrivals().size(), b.trace().arrivals().size());
-  for (std::size_t i = 0; i < a.trace().arrivals().size(); ++i) {
-    EXPECT_EQ(a.trace().arrivals()[i], b.trace().arrivals()[i]);
-  }
-}
-
-TEST(GenerationService, ExponentialBackoffThrottlesFailingLink) {
-  // A link that essentially never succeeds: every-window probes each
-  // cycle, backoff doubles the gap up to the ceiling — far fewer attempts
-  // over the same horizon.
-  LinkParams every = paper_link();
-  every.p_succ = 1e-9;
-  every.num_comm_pairs = 1;
-  LinkParams backoff = every;
-  backoff.retry.kind = RetryKind::ExponentialBackoff;
-  backoff.retry.interval = every.cycle_time;
-  backoff.retry.growth = 2.0;
-  backoff.retry.max_interval = 64.0 * every.cycle_time;
-
-  des::Simulator sim_a;
-  Rng rng_a(7);
-  GenerationService a(sim_a, every, rng_a, ServiceMode::Buffered);
-  des::Simulator sim_b;
-  Rng rng_b(7);
-  GenerationService b(sim_b, backoff, rng_b, ServiceMode::Buffered);
-  a.start();
-  b.start();
-  sim_a.run_until(10000.0);
-  sim_b.run_until(10000.0);
-  EXPECT_GE(a.attempts(), 999u);  // one per cycle
-  EXPECT_LT(b.attempts(), a.attempts() / 4);
-  EXPECT_GT(b.attempts(), 0u);
-}
-
-TEST(GenerationService, AttemptCutoffDropsToProbingRate) {
-  // After attempt_cutoff consecutive failures the pair probes at the
-  // ceiling interval straight away.
-  LinkParams link = paper_link();
-  link.p_succ = 1e-9;
-  link.num_comm_pairs = 1;
-  link.retry.kind = RetryKind::ExponentialBackoff;
-  link.retry.interval = link.cycle_time;
-  link.retry.growth = 1.0;  // no growth: cutoff is the only throttle
-  link.retry.max_interval = 50.0 * link.cycle_time;
-  link.retry.attempt_cutoff = 3;
-
-  des::Simulator sim;
-  Rng rng(7);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.start();
-  sim.run_until(10000.0);
-  // 3 tight attempts (t=10,20,30), then every 500: attempts stay near
-  // 3 + horizon / max_interval instead of one per cycle.
-  EXPECT_LT(svc.attempts(), 30u);
-  EXPECT_GE(svc.attempts(), 20u);
-}
-
-TEST(GenerationService, JitterDrawsPerturbDelaysDeterministically) {
-  LinkParams link = paper_link();
-  link.p_succ = 0.05;
-  link.num_comm_pairs = 2;
-  link.retry.kind = RetryKind::Fixed;
-  link.retry.interval = 3.0 * link.cycle_time;
-  link.retry.jitter = 0.5;
-
-  const auto run = [&](std::uint64_t seed) {
-    des::Simulator sim;
-    Rng rng(seed);
-    GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-    svc.start();
-    sim.run_until(2000.0);
-    return std::tuple(svc.attempts(), svc.successes());
-  };
-  const auto a = run(11);
-  EXPECT_EQ(a, run(11));       // same seed replays exactly
-  EXPECT_NE(a, run(12));       // jitter stream is seed-dependent
 }
 
 TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
@@ -657,113 +482,89 @@ TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
   EXPECT_DOUBLE_EQ(never.max_delivery_gap(sim2.now()), sim2.now());
 }
 
-TEST(GenerationService, CapacityShareShrinkFinishesInFlightWindow) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 2;
-  link.buffer_capacity = 10;
-  link.swap_latency = 0.0;
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  // Re-sharing happens only at scenario boundaries, on provider-driven
-  // services.
-  svc.set_effective_provider(constant_provider(link));
-  svc.start();
-  sim.run_until(5.0);
-  // Both pairs have an in-flight window ending at t=10; shrinking to one
-  // pair lets both complete (the epoch guard) and only then stops pair 1.
-  EXPECT_EQ(svc.set_capacity_share(1, 10), 0u);
-  sim.run_until(45.0);
-  // t=10: 2 attempts (both in-flight windows), then one per cycle at
-  // t=20, 30, 40 from the surviving pair.
-  EXPECT_EQ(svc.attempts(), 5u);
-  EXPECT_EQ(svc.successes(), 5u);
-}
+// ------------------------------------------------- lazy generation (v4) ----
 
-TEST(GenerationService, CapacityShareGrowRestartsOnlyDeadChains) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 2;
-  link.buffer_capacity = 10;
-  link.swap_latency = 0.0;
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  // Re-sharing happens only at scenario boundaries, on provider-driven
-  // services.
-  svc.set_effective_provider(constant_provider(link));
-  svc.start();
-  sim.run_until(15.0);   // both chains fired at t=10
-  svc.set_capacity_share(1, 10);
-  sim.run_until(25.0);   // pair 1's chain dies after its t=20 completion
-  svc.set_capacity_share(2, 10);
-  sim.run_until(44.0);
-  // Pair 0 fires at t=10,20,30,40; pair 1 at t=10, t=20 (the in-flight
-  // window that ends its chain), then restarted at t=25 on a fresh grid:
-  // one completion at t=35 inside the horizon.
-  EXPECT_EQ(svc.attempts(), 7u);
-  // A second grow to an already-alive chain is a no-op (no double chain).
-  svc.set_capacity_share(2, 10);
-  sim.run_until(54.0);
-  EXPECT_EQ(svc.attempts(), 9u);  // t=45 (pair 1), t=50 (pair 0)
-}
-
-TEST(GenerationService, CapacityShareShrinkReturnsDroppedOverflow) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 4;
-  link.buffer_capacity = 4;
-  link.swap_latency = 0.0;
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  // Re-sharing happens only at scenario boundaries, on provider-driven
-  // services.
-  svc.set_effective_provider(constant_provider(link));
-  svc.start();
-  sim.run_until(15.0);  // buffer holds 4 pairs
-  EXPECT_EQ(svc.available(sim.now()), 4u);
-  EXPECT_EQ(svc.set_capacity_share(1, 1), 3u);  // oldest three dropped
-  EXPECT_EQ(svc.available(sim.now()), 1u);
-}
-
-// ------------------------------------------------- lazy generation (v3) ----
+/// A down segment [from, until) of a service's effective link.
+struct DownSegment {
+  double from = 0.0;
+  double until = 0.0;
+};
 
 /// Windows of a `link` service completed at or before `t` on the grid:
 /// pair p's window n ends at first_p + n * cycle (first_p as in start()).
+/// A window completing inside `down` is not attempted.
 std::size_t grid_windows(const GenerationService& svc, const LinkParams& link,
-                         double t) {
+                         double t, DownSegment down = {}) {
   std::size_t total = 0;
   for (int p = 0; p < link.num_comm_pairs; ++p) {
     const double offset = svc.offset_of(p);
     const double first = offset > 0.0 ? offset : link.cycle_time;
-    for (double w = first; w <= t; w += link.cycle_time) ++total;
+    for (double w = first; w <= t; w += link.cycle_time) {
+      if (!(w >= down.from && w < down.until)) ++total;
+    }
   }
   return total;
 }
 
-TEST(LazyGeneration, OnlyStationaryServicesAreLazy) {
-  // Re-sharing and outage flushes are scenario-boundary operations, never
-  // reached on a lazy service: they reject it, and accept the
-  // provider-driven and backoff services that keep the per-window chain.
+/// Push `down` to `svc` as two segment changes, queued before any of the
+/// service's own events at the same instants.
+void schedule_down_segment(des::Simulator& sim, GenerationService& svc,
+                           const LinkParams& link, DownSegment down) {
+  if (!(down.until > down.from)) return;
+  sim.schedule_at(down.from, [&svc, link] {
+    svc.set_effective({link.p_succ, link.f0, false});
+  });
+  sim.schedule_at(down.until, [&svc, link] {
+    svc.set_effective({link.p_succ, link.f0, true});
+  });
+}
+
+/// The per-window chain the lazy service replaces (replay format v1): one
+/// DES event and one Bernoulli draw per pair per window, each success
+/// SWAPped into a buffer that no consumer drains.
+struct PerWindowRun {
+  std::size_t events = 0;
+  std::size_t attempts = 0;
+  std::size_t successes = 0;
+  std::size_t wasted = 0;
+  double max_gap = 0.0;  ///< longest gap between successes, to the horizon
+};
+
+PerWindowRun run_per_window(const LinkParams& link, std::uint64_t seed,
+                            double horizon) {
   des::Simulator sim;
-  Rng rng(1);
-  GenerationService lazy(sim, paper_link(), rng, ServiceMode::Buffered);
-  lazy.start();
-  EXPECT_THROW(lazy.set_capacity_share(5, 5), PreconditionError);
-  EXPECT_THROW(lazy.flush_buffer(0.0), PreconditionError);
-  GenerationService eager(sim, paper_link(), rng, ServiceMode::Buffered);
-  eager.set_effective_provider(constant_provider(paper_link()));
-  eager.start();
-  EXPECT_NO_THROW(eager.set_capacity_share(5, 5));
-  EXPECT_NO_THROW(eager.flush_buffer(0.0));
-  LinkParams backoff = paper_link();
-  backoff.retry.kind = RetryKind::Fixed;
-  backoff.retry.interval = 20.0;
-  GenerationService retry(sim, backoff, rng, ServiceMode::Buffered);
-  retry.start();
-  EXPECT_NO_THROW(retry.set_capacity_share(5, 5));
+  Rng rng(seed);
+  BufferPool buffer(link.buffer_capacity, link.f0, link.kappa, link.cutoff);
+  PerWindowRun run;
+  double last_success = 0.0;
+  std::function<void(int)> complete = [&](int pair) {
+    const double now = sim.now();
+    ++run.attempts;
+    if (rng.bernoulli(link.p_succ)) {
+      ++run.successes;
+      run.max_gap = std::max(run.max_gap, now - last_success);
+      last_success = now;
+      sim.schedule_at(now + link.swap_latency, [&] {
+        if (!buffer.deposit(sim.now(), link.f0)) ++run.wasted;
+      });
+    }
+    sim.schedule_at(now + link.cycle_time, [&complete, pair] {
+      complete(pair);
+    });
+  };
+  const int groups = std::min(link.async_subgroups, link.num_comm_pairs);
+  for (int p = 0; p < link.num_comm_pairs; ++p) {
+    const double offset =
+        link.schedule == AttemptSchedule::Synchronous
+            ? 0.0
+            : link.cycle_time * (p % groups) / static_cast<double>(groups);
+    sim.schedule_at(offset > 0.0 ? offset : link.cycle_time,
+                    [&complete, p] { complete(p); });
+  }
+  sim.run_until(horizon);
+  run.events = sim.executed_events();
+  run.max_gap = std::max(run.max_gap, horizon - last_success);
+  return run;
 }
 
 TEST(LazyGeneration, ParkedServiceWithoutConsumerRunsNoEvents) {
@@ -787,29 +588,102 @@ TEST(LazyGeneration, ParkedServiceWithoutConsumerRunsNoEvents) {
   // Every success past the ten that filled the buffer was wasted.
   EXPECT_EQ(svc.wasted_buffer_full(), svc.successes() - 10u);
 
-  des::Simulator sim_eager;
-  Rng rng_eager(5);
-  GenerationService eager(sim_eager, link, rng_eager, ServiceMode::Buffered);
-  eager.set_effective_provider(constant_provider(link));
-  eager.start();
-  sim_eager.run_until(horizon);
-  EXPECT_GE(sim_eager.executed_events(), 100000u);
+  const PerWindowRun eager = run_per_window(link, 5, horizon);
+  EXPECT_GE(eager.events, 100000u);
+  EXPECT_EQ(eager.attempts, svc.attempts());
+  EXPECT_NEAR(static_cast<double>(eager.successes), 0.4 * 100000.0, 1000.0);
+  EXPECT_EQ(eager.wasted, eager.successes - 10u);
 }
 
 TEST(LazyGeneration, AttemptsMidRunCountCompletedGridWindows) {
   LinkParams link = paper_link();
   link.schedule = AttemptSchedule::Asynchronous;
   link.async_subgroups = 4;
-  des::Simulator sim;
-  Rng rng(8);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.start();
-  for (const double t : {0.5, 2.5, 9.99, 10.0, 123.4, 777.7, 5000.25}) {
-    sim.run_until(t);  // the buffer is full and parked for most of these
-    EXPECT_EQ(svc.attempts(), grid_windows(svc, link, t)) << "t = " << t;
+  // Stationary, then up -> down -> up with both edges on pair grids.
+  for (const DownSegment down : {DownSegment{}, DownSegment{1000.0, 2502.5}}) {
+    SCOPED_TRACE(down.from);
+    des::Simulator sim;
+    Rng rng(8);
+    GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+    schedule_down_segment(sim, svc, link, down);
+    svc.start();
+    for (const double t : {0.5, 2.5, 9.99, 10.0, 123.4, 777.7, 1000.0, 1500.0,
+                           2502.5, 5000.25}) {
+      sim.run_until(t);  // the buffer is full and parked for most of these
+      EXPECT_EQ(svc.attempts(), grid_windows(svc, link, t, down))
+          << "t = " << t;
+    }
+    svc.stop();
+    EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 5000.25, down));
   }
+}
+
+TEST(LazyGeneration, SetEffectiveSettlesAParkedGapAtTheOldRate) {
+  // Every window succeeds until the boundary at 95: the parked gap 20..90
+  // holds eight successes that met the full buffer, all settled at p = 1
+  // before the new p applies.
+  LinkParams link = paper_link();
+  link.p_succ = 1.0;
+  link.num_comm_pairs = 1;
+  link.buffer_capacity = 1;
+  des::Simulator sim;
+  Rng rng(2);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  sim.schedule_at(95.0, [&] { svc.set_effective({1e-12, link.f0, true}); });
+  svc.start();
+  sim.run_until(200.0);
   svc.stop();
-  EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 5000.25));
+  EXPECT_EQ(svc.successes(), 9u);  // t = 10, 20, ..., 90
+  EXPECT_EQ(svc.wasted_buffer_full(), 8u);
+  EXPECT_EQ(svc.attempts(), 20u);
+}
+
+TEST(LazyGeneration, F0OnlyChangeRedrawsNothing) {
+  // A new f0 reaches the next deposit without touching the main stream.
+  const auto run = [](bool drift) {
+    LinkParams link = paper_link();
+    link.buffer_capacity = 100;
+    des::Simulator sim;
+    Rng rng(9);
+    GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+    if (drift) {
+      sim.schedule_at(50.0,
+                      [&] { svc.set_effective({link.p_succ, 0.9, true}); });
+    }
+    svc.start();
+    sim.run_until(200.0);
+    svc.stop();
+    const BufferedPair freshest = *svc.pop(200.0, ConsumeOrder::FreshestFirst);
+    return std::tuple(svc.successes(), freshest.deposited, freshest.f0, rng());
+  };
+  const auto [successes, deposited, f0, next_draw] = run(true);
+  const auto [successes0, deposited0, f00, next_draw0] = run(false);
+  EXPECT_EQ(successes, successes0);
+  EXPECT_EQ(deposited, deposited0);
+  EXPECT_EQ(next_draw, next_draw0);
+  EXPECT_DOUBLE_EQ(f00, 0.99);
+  EXPECT_DOUBLE_EQ(f0, 0.9);
+}
+
+TEST(LazyGeneration, FlushWakesAParkedService) {
+  // Parked since the t = 20 herald; a node-outage flush at 95 empties the
+  // buffer, and the t = 100 success refills it at 101.
+  LinkParams link = paper_link();
+  link.p_succ = 1.0;
+  link.num_comm_pairs = 1;
+  link.buffer_capacity = 1;
+  des::Simulator sim;
+  Rng rng(2);
+  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  std::size_t flushed = 0;
+  sim.schedule_at(95.0, [&] { flushed = svc.flush_buffer(95.0); });
+  svc.start();
+  sim.run_until(105.0);
+  EXPECT_EQ(flushed, 1u);
+  EXPECT_EQ(svc.wasted_buffer_full(), 8u);  // 20 .. 90 met a full buffer
+  ASSERT_EQ(svc.trace().count(), 2u);
+  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 101.0);
+  EXPECT_EQ(svc.available(105.0), 1u);
 }
 
 TEST(LazyGeneration, PopWakesParkedServiceAndNextDepositLands) {
@@ -925,41 +799,49 @@ TEST(LazyGeneration, FiniteCutoffWakesAtExpiry) {
 
 TEST(LazyGeneration, TracedSpansCoverEveryWindow) {
   // Runs of failures become one GenFail span each and every success one
-  // GenOk span, so the spans tile each pair's windows exactly — across
-  // parked stretches too, whose successes a wake or stop() settles in bulk
-  // and places from the side stream (the last gap is ~1000 windows).
+  // GenOk span, so the spans tile each pair's attempted windows exactly —
+  // across parked stretches too, whose successes a wake or stop() settles
+  // in bulk and places from the side stream (the last gap is ~1000
+  // windows) — and no span covers a window of a down segment.
   LinkParams link = paper_link();
   link.schedule = AttemptSchedule::Asynchronous;
   link.buffer_capacity = 3;
-  obs::TraceBuffer buf;
-  buf.reset(1u << 16);
-  des::Simulator sim;
-  Rng rng(4);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  svc.set_trial_trace(&buf, 7);
-  svc.start();
-  for (const double t : {250.0, 600.0, 610.0, 1400.0, 9000.0}) {
-    sim.schedule_at(t, [&svc, t] {
-      svc.pop(t, ConsumeOrder::FreshestFirst);
-    });
+  for (const DownSegment down : {DownSegment{}, DownSegment{1000.0, 2502.5}}) {
+    SCOPED_TRACE(down.from);
+    obs::TraceBuffer buf;
+    buf.reset(1u << 16);
+    des::Simulator sim;
+    Rng rng(4);
+    GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+    svc.set_trial_trace(&buf, 7);
+    schedule_down_segment(sim, svc, link, down);
+    svc.start();
+    for (const double t : {250.0, 600.0, 610.0, 1400.0, 9000.0}) {
+      sim.schedule_at(t, [&svc, t] {
+        svc.pop(t, ConsumeOrder::FreshestFirst);
+      });
+    }
+    sim.run_until(20003.5);
+    svc.stop();
+    std::size_t ok = 0;
+    double covered = 0.0;
+    for (const obs::TraceEvent& e : buf.events()) {
+      if (e.ev != obs::Ev::GenOk && e.ev != obs::Ev::GenFail) continue;
+      EXPECT_EQ(e.track, 7u);
+      if (e.ev == obs::Ev::GenOk) ++ok;
+      covered += e.t1 - e.t0;
+      // The span's windows complete at t0 + cycle .. t1.
+      EXPECT_TRUE(e.t1 < down.from || e.t0 + link.cycle_time >= down.until)
+          << "span [" << e.t0 << ", " << e.t1 << "] in a down segment";
+    }
+    EXPECT_EQ(buf.dropped(), 0u);
+    EXPECT_EQ(ok, svc.successes());
+    EXPECT_DOUBLE_EQ(covered / link.cycle_time,
+                     static_cast<double>(svc.attempts()));
+    EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 20003.5, down));
+    // Bulk settles, not one event or walk step per success.
+    EXPECT_GT(svc.successes(), 50u * sim.executed_events());
   }
-  sim.run_until(20003.5);
-  svc.stop();
-  std::size_t ok = 0;
-  double covered = 0.0;
-  for (const obs::TraceEvent& e : buf.events()) {
-    if (e.ev != obs::Ev::GenOk && e.ev != obs::Ev::GenFail) continue;
-    EXPECT_EQ(e.track, 7u);
-    if (e.ev == obs::Ev::GenOk) ++ok;
-    covered += e.t1 - e.t0;
-  }
-  EXPECT_EQ(buf.dropped(), 0u);
-  EXPECT_EQ(ok, svc.successes());
-  EXPECT_DOUBLE_EQ(covered / link.cycle_time,
-                   static_cast<double>(svc.attempts()));
-  EXPECT_EQ(svc.attempts(), grid_windows(svc, link, 20003.5));
-  // Bulk settles, not one event or walk step per success.
-  EXPECT_GT(svc.successes(), 50u * sim.executed_events());
 }
 
 TEST(LazyGeneration, GapTrackingNeverTouchesTheMainStream) {
@@ -1010,15 +892,20 @@ TEST(LazyGeneration, BulkPlacementMatchesPerWindowGaps) {
       double sum = 0.0;
       double sum2 = 0.0;
       for (int t = 0; t < kTrials; ++t) {
-        des::Simulator sim;
-        Rng rng(100 + static_cast<std::uint64_t>(t));
-        GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-        svc.set_gap_tracking(true, 7 + static_cast<std::uint64_t>(t));
-        if (!lazy) svc.set_effective_provider(constant_provider(link));
-        svc.start();
-        sim.run_until(2000.5);
-        svc.stop();
-        const double gap = svc.max_delivery_gap(sim.now());
+        const auto seed = static_cast<std::uint64_t>(t);
+        double gap = 0.0;
+        if (lazy) {
+          des::Simulator sim;
+          Rng rng(100 + seed);
+          GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+          svc.set_gap_tracking(true, 7 + seed);
+          svc.start();
+          sim.run_until(2000.5);
+          svc.stop();
+          gap = svc.max_delivery_gap(sim.now());
+        } else {
+          gap = run_per_window(link, 100 + seed, 2000.5).max_gap;
+        }
         sum += gap;
         sum2 += gap * gap;
       }

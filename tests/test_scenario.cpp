@@ -1,16 +1,21 @@
 /// Unit tests for the fault & drift scenario engine: ScenarioRuntime
 /// schedule evaluation, Scenario/ArchConfig validation, the determinism
 /// contract (same seed => bit-identical results across thread counts, with
-/// drift and outages enabled), the lazy-generation statistical-equivalence
-/// gate (lazy stationary generation vs the per-window no-op-scenario
-/// reference), and end-to-end re-routing behavior under outages.
+/// drift and outages enabled), the replay-format statistical-equivalence
+/// gate (lazy generation vs the frozen per-window samples under
+/// tests/data/replay_v1/), and end-to-end re-routing behavior under
+/// outages.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -60,26 +65,6 @@ TEST(ScenarioRuntime, StepDriftScalesFromEachStepTime) {
   EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 25.0), 0.32);  // last level
   // Other edges are untouched by an edge-targeted track.
   EXPECT_DOUBLE_EQ(rt.effective_p_succ(e12, 0.4, 25.0), 0.4);
-}
-
-TEST(ScenarioRuntime, RampDriftInterpolatesAndHoldsOutside) {
-  const net::Topology topo = net::Topology::chain(2);
-  Scenario scn;
-  DriftTrack track;
-  track.field = DriftField::F0;
-  track.kind = DriftKind::Ramp;
-  track.t0 = 10.0;
-  track.t1 = 20.0;
-  track.s0 = 1.0;
-  track.s1 = 0.5;
-  scn.drift.push_back(track);  // fabric-wide (node_a = node_b = -1)
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 0.0), 0.99);
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 15.0), 0.99 * 0.75);
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 100.0), 0.99 * 0.5);
 }
 
 TEST(ScenarioRuntime, EffectiveValuesAreClampedIntoDomain) {
@@ -154,6 +139,45 @@ TEST(ScenarioRuntime, LinkOutageIntervalAndBoundaries) {
   EXPECT_DOUBLE_EQ(*rt.next_boundary(0.0), 5.0);
   EXPECT_DOUBLE_EQ(*rt.next_boundary(5.0), 8.0);
   EXPECT_FALSE(rt.next_boundary(8.0).has_value());
+}
+
+TEST(ScenarioRuntime, NextBoundaryCoversEveryScaleChange) {
+  // Outage flips, step times, snapshot times and random-walk grid points
+  // (up to the horizon) are boundaries, and between two boundaries every
+  // effective value is constant.
+  const net::Topology topo = net::Topology::chain(3);
+  Scenario scn;
+  DriftTrack step;
+  step.kind = DriftKind::Step;
+  step.times = {7.0, 30.0};
+  step.levels = {0.5, 0.8};
+  DriftTrack walk;
+  walk.kind = DriftKind::RandomWalk;
+  walk.walk_interval = 12.5;
+  walk.walk_step = 0.2;
+  scn.drift = {step, walk};
+  scn.snapshots.push_back({1, 20.0, 0.9, 1.0});
+  scn.link_outages.push_back({0, 1, 5.0, 3.0});
+  scn.horizon = 40.0;
+  scn.validate(topo);
+
+  ScenarioRuntime rt;
+  rt.begin_trial(scn, topo, 3);
+  std::vector<double> seq = {0.0};
+  while (const auto next = rt.next_boundary(seq.back())) {
+    seq.push_back(*next);
+  }
+  EXPECT_EQ(seq, (std::vector<double>{0.0, 5.0, 7.0, 8.0, 12.5, 20.0, 25.0,
+                                      30.0, 37.5}));
+  for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
+    const double last = std::nextafter(seq[i + 1], 0.0);
+    for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+      EXPECT_EQ(rt.effective_p_succ(e, 0.4, seq[i]),
+                rt.effective_p_succ(e, 0.4, last))
+          << "edge " << e << " in [" << seq[i] << ", " << seq[i + 1] << ")";
+      EXPECT_EQ(rt.edge_up(e, seq[i]), rt.edge_up(e, last));
+    }
+  }
 }
 
 TEST(ScenarioRuntime, NodeOutageTakesDownAllIncidentEdges) {
@@ -283,15 +307,6 @@ TEST(ScenarioValidation, RejectsOutOfDomainSpecs) {
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
   {
-    Scenario scn;  // ramp with t1 <= t0
-    DriftTrack track;
-    track.kind = DriftKind::Ramp;
-    track.t0 = 5.0;
-    track.t1 = 5.0;
-    scn.drift.push_back(track);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
     Scenario scn;  // walk without an interval
     DriftTrack track;
     track.kind = DriftKind::RandomWalk;
@@ -368,14 +383,12 @@ Scenario rich_scenario() {
   step.levels = {0.7, 0.9};
   scn.drift.push_back(step);
 
-  DriftTrack ramp;
-  ramp.field = DriftField::F0;
-  ramp.kind = DriftKind::Ramp;
-  ramp.t0 = 0.0;
-  ramp.t1 = 300.0;
-  ramp.s0 = 1.0;
-  ramp.s1 = 0.97;
-  scn.drift.push_back(ramp);
+  DriftTrack f0_step;
+  f0_step.field = DriftField::F0;
+  f0_step.kind = DriftKind::Step;
+  f0_step.times = {0.0, 150.0, 300.0};
+  f0_step.levels = {1.0, 0.985, 0.97};
+  scn.drift.push_back(f0_step);
 
   DriftTrack walk;
   walk.field = DriftField::PSucc;
@@ -422,55 +435,66 @@ TEST(ScenarioDeterminism, ParallelRunsAreBitIdenticalToSerialForEveryDesign) {
   }
 }
 
-// ---------------------------------------- lazy replay format equivalence ----
+// ------------------------------------------ replay format v4 equivalence ----
 //
-// Stationary links generate lazily (replay format v3: one geometric draw
-// per success, parked full buffers settled in bulk); any installed provider
-// keeps the per-window chain of replay format v1. The suite keeps its
-// ReplayFormatV2 name. A no-op scenario installs providers while scaling
-// nothing, so it is the in-process v1 reference: the two formats draw
-// different random streams, and these gates check that the streams
-// describe the same physics. Seeds are fixed, so every gate is
-// deterministic.
+// Every link generates lazily (replay format v4: one geometric draw per
+// success, redrawn when a scenario boundary changes the link's rate, parked
+// full buffers settled in bulk). The per-window chain of replay format v1,
+// one event and one draw per pair per window, is the physics the lazy
+// service must reproduce. Its per-seed samples are frozen under
+// tests/data/replay_v1/ (see the README there), one file per cell, and each
+// cell below gates today's engine against its file: stationary cells
+// against the v1 run of the same cell under a unit-scale scenario, scenario
+// cells against the v1 run of the same scenario. The suite keeps its
+// ReplayFormatV2 name. Seeds are fixed, so every gate is deterministic.
+//
+// Setting DQCSIM_REPLAY_V1_WRITE=<dir> turns the suite into the fixture
+// writer: each cell runs its reference configuration and writes
+// <dir>/<cell>.csv instead of gating, with DQCSIM_REPLAY_V1_COMMIT naming
+// the commit in its header. Only a commit that still has the per-window
+// chain writes v1 samples.
 
-/// A scenario whose tracks scale by exactly 1.0: it exercises the full
-/// effective-parameter pipeline (provider calls, composed-route folds)
-/// without perturbing the fabric.
-Scenario noop_scenario() {
-  Scenario noop;
+/// Scale tracks of exactly 1.0. Under the v1 engine any installed scenario
+/// moved its links to the per-window chain, so this is the configuration
+/// the stationary cells' references were recorded with.
+Scenario unit_step_scenario() {
+  Scenario unit;
   DriftTrack step;
   step.field = DriftField::PSucc;
   step.kind = DriftKind::Step;
   step.times = {0.0};
   step.levels = {1.0};
-  noop.drift.push_back(step);
-  DriftTrack ramp;
-  ramp.field = DriftField::F0;
-  ramp.kind = DriftKind::Ramp;
-  ramp.t0 = 0.0;
-  ramp.t1 = 100.0;
-  ramp.s0 = 1.0;
-  ramp.s1 = 1.0;
-  noop.drift.push_back(ramp);
-  return noop;
+  unit.drift.push_back(step);
+  step.field = DriftField::F0;
+  unit.drift.push_back(step);
+  return unit;
 }
 
 /// Per-trial samples of the compared metrics.
 struct TrialSamples {
   std::vector<double> depth, fidelity, attempts, successes, wasted, expired,
-      stalled;
-  double reroutes = 0.0;  ///< summed over trials
-  double downtime = 0.0;  ///< summed over trials
+      stalled, reroutes, downtime;
 };
 
-TrialSamples run_trials(const Circuit& qc, const std::vector<int>& nodes,
-                        const ArchConfig& config, DesignKind design,
-                        int trials) {
-  TrialSamples s;
+/// The fixture's columns, in file order.
+constexpr std::vector<double> TrialSamples::*kColumns[] = {
+    &TrialSamples::depth,    &TrialSamples::fidelity, &TrialSamples::attempts,
+    &TrialSamples::successes, &TrialSamples::wasted,  &TrialSamples::expired,
+    &TrialSamples::stalled,  &TrialSamples::reroutes, &TrialSamples::downtime};
+constexpr const char* kFixtureHeader =
+    "depth,fidelity,attempts,successes,wasted,expired,stalled,reroutes,"
+    "downtime";
+
+constexpr int kGateTrials = 1000;
+constexpr std::uint64_t kGateSeed = 0xC0FFEEULL;
+
+void run_trials(const Circuit& qc, const std::vector<int>& nodes,
+                const ArchConfig& config, DesignKind design,
+                TrialSamples& s) {
   runtime::RunContext ctx;
-  for (int t = 0; t < trials; ++t) {
-    const std::uint64_t seed = 0xC0FFEEULL + static_cast<std::uint64_t>(t);
-    const RunResult r = ctx.execute(qc, nodes, config, design, seed);
+  for (int t = 0; t < kGateTrials; ++t) {
+    const RunResult r = ctx.execute(qc, nodes, config, design,
+                                    kGateSeed + static_cast<std::uint64_t>(t));
     s.depth.push_back(r.depth);
     s.fidelity.push_back(r.fidelity);
     s.attempts.push_back(static_cast<double>(r.epr_attempts));
@@ -478,10 +502,59 @@ TrialSamples run_trials(const Circuit& qc, const std::vector<int>& nodes,
     s.wasted.push_back(static_cast<double>(r.epr_wasted));
     s.expired.push_back(static_cast<double>(r.epr_expired));
     s.stalled.push_back(static_cast<double>(r.links_stalled));
-    s.reroutes += static_cast<double>(r.reroutes);
-    s.downtime += r.outage_downtime;
+    s.reroutes.push_back(static_cast<double>(r.reroutes));
+    s.downtime.push_back(r.outage_downtime);
   }
-  return s;
+}
+
+std::string fixture_path(const std::string& dir, const std::string& cell) {
+  return dir + "/" + cell + ".csv";
+}
+
+void write_fixture(const std::string& path, const std::string& cell,
+                   const TrialSamples& s) {
+  const char* commit = std::getenv("DQCSIM_REPLAY_V1_COMMIT");
+  std::ofstream out(path);
+  ASSERT_TRUE(out) << path;
+  out << "# replay format v1 reference (per-window generation chain), cell "
+      << cell << "\n"
+      << "# commit " << (commit != nullptr ? commit : "unknown")
+      << "; generator: tests/test_scenario.cpp run_trials with "
+         "DQCSIM_REPLAY_V1_WRITE\n"
+      << "# seeds 0xC0FFEE + 0.." << kGateTrials - 1 << "\n"
+      << kFixtureHeader << "\n";
+  char buf[32];
+  for (std::size_t t = 0; t < s.depth.size(); ++t) {
+    const char* sep = "";
+    for (const auto column : kColumns) {
+      std::snprintf(buf, sizeof buf, "%.17g", (s.*column)[t]);
+      out << sep << buf;
+      sep = ",";
+    }
+    out << "\n";
+  }
+}
+
+void read_fixture(const std::string& path, TrialSamples& s) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing fixture " << path;
+  std::string line;
+  bool header_seen = false;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    if (!header_seen) {
+      ASSERT_EQ(line, kFixtureHeader) << path;
+      header_seen = true;
+      continue;
+    }
+    std::istringstream row(line);
+    std::string field;
+    for (const auto column : kColumns) {
+      ASSERT_TRUE(std::getline(row, field, ',')) << path << ": " << line;
+      (s.*column).push_back(std::stod(field));
+    }
+  }
+  ASSERT_EQ(s.depth.size(), static_cast<std::size_t>(kGateTrials)) << path;
 }
 
 /// Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
@@ -532,35 +605,48 @@ void expect_same_mean(const std::vector<double>& a,
       << what << ": " << mean_a << " vs " << mean_b;
 }
 
-/// Runs `trials` seeds of `design` with and without the no-op scenario and
-/// gates the lazy (null) samples against the per-window (no-op) reference.
-/// Returns the lazy samples.
-TrialSamples expect_replay_equivalent(const Circuit& qc,
-                                      const std::vector<int>& nodes,
-                                      const ArchConfig& null_config,
-                                      DesignKind design, int trials) {
-  SCOPED_TRACE(runtime::design_name(design) + " on " +
-               std::to_string(qc.num_qubits()) + " qubits");
-  ArchConfig noop_config = null_config;
-  noop_config.set_scenario(noop_scenario());
-  const TrialSamples lazy = run_trials(qc, nodes, null_config, design, trials);
-  const TrialSamples eager =
-      run_trials(qc, nodes, noop_config, design, trials);
+double mean_of(const std::vector<double>& v) {
+  double sum = 0.0;
+  for (const double x : v) sum += x;
+  return v.empty() ? 0.0 : sum / static_cast<double>(v.size());
+}
+
+/// Runs `kGateTrials` seeds of `design` under `config` into `lazy` and
+/// gates them against the frozen v1 samples of `cell`. A cell without a
+/// scenario was recorded under unit_step_scenario().
+void expect_matches_v1(const std::string& cell, const Circuit& qc,
+                       const std::vector<int>& nodes, const ArchConfig& config,
+                       DesignKind design, TrialSamples& lazy) {
+  SCOPED_TRACE(cell);
+  if (const char* dir = std::getenv("DQCSIM_REPLAY_V1_WRITE")) {
+    ArchConfig reference = config;
+    if (!reference.scenario) reference.set_scenario(unit_step_scenario());
+    run_trials(qc, nodes, reference, design, lazy);
+    write_fixture(fixture_path(dir, cell), cell, lazy);
+    return;
+  }
+  TrialSamples v1;
+  read_fixture(fixture_path(DQCSIM_TEST_DATA_DIR "/replay_v1", cell), v1);
+  run_trials(qc, nodes, config, design, lazy);
   // The formats draw different streams; identical samples would mean the
   // gate compared one path against itself.
-  EXPECT_TRUE(lazy.successes != eager.successes ||
-              lazy.fidelity != eager.fidelity);
-  // The no-op scenario perturbs nothing: no reroute, no downtime.
-  EXPECT_EQ(eager.reroutes, 0.0);
-  EXPECT_EQ(eager.downtime, 0.0);
-  expect_same_distribution(lazy.depth, eager.depth, "depth");
-  expect_same_distribution(lazy.fidelity, eager.fidelity, "fidelity");
-  expect_same_mean(lazy.attempts, eager.attempts, "attempts");
-  expect_same_mean(lazy.successes, eager.successes, "successes");
-  expect_same_mean(lazy.wasted, eager.wasted, "wasted");
-  expect_same_mean(lazy.expired, eager.expired, "expired");
-  expect_same_mean(lazy.stalled, eager.stalled, "links_stalled");
-  return lazy;
+  EXPECT_TRUE(lazy.successes != v1.successes || lazy.fidelity != v1.fidelity);
+  expect_same_distribution(lazy.depth, v1.depth, "depth");
+  expect_same_distribution(lazy.fidelity, v1.fidelity, "fidelity");
+  expect_same_mean(lazy.attempts, v1.attempts, "attempts");
+  expect_same_mean(lazy.successes, v1.successes, "successes");
+  expect_same_mean(lazy.wasted, v1.wasted, "wasted");
+  expect_same_mean(lazy.expired, v1.expired, "expired");
+  expect_same_mean(lazy.stalled, v1.stalled, "links_stalled");
+  expect_same_mean(lazy.reroutes, v1.reroutes, "reroutes");
+  expect_same_mean(lazy.downtime, v1.downtime, "downtime");
+}
+
+void expect_matches_v1(const std::string& cell, const Circuit& qc,
+                       const std::vector<int>& nodes, const ArchConfig& config,
+                       DesignKind design) {
+  TrialSamples lazy;
+  expect_matches_v1(cell, qc, nodes, config, design, lazy);
 }
 
 /// 8 qubits on 2 nodes, remote-bound: remote gates arrive faster than the
@@ -623,7 +709,6 @@ Circuit long_gap_circuit() {
   return qc;
 }
 
-
 /// 12 qubits on chain(6): nearest-neighbour and long-range traffic, so
 /// composed links span 1 to 5 hops.
 Circuit chain6_circuit() {
@@ -651,7 +736,7 @@ ArchConfig chain6_config() {
 
 TEST(ReplayFormatV2, EveryDesignMatchesPerWindowReference) {
   ArchConfig config;
-  config.set_topology(net::Topology::chain(2));  // scenarios need a topology
+  config.set_topology(net::Topology::chain(2));
   const Circuit qaoa = gen::make_benchmark(gen::BenchmarkId::QAOA_R4_32);
   const std::vector<int> qaoa_nodes =
       runtime::partition_circuit(qaoa, 2).assignment;
@@ -659,29 +744,30 @@ TEST(ReplayFormatV2, EveryDesignMatchesPerWindowReference) {
   ring4.num_nodes = 4;
   ring4.set_topology(net::Topology::ring(4));
   for (const DesignKind design : runtime::distributed_designs()) {
-    expect_replay_equivalent(remote_bound_circuit(), two_node_assignment(),
-                             config, design, 1000);
-    expect_replay_equivalent(four_node_circuit(), four_node_assignment(),
-                             ring4, design, 1000);
-    expect_replay_equivalent(qaoa, qaoa_nodes, config, design, 1000);
-    expect_replay_equivalent(buffer_bound_circuit(), two_node_assignment(),
-                             config, design, 1000);
+    const std::string name = runtime::design_name(design);
+    expect_matches_v1("remote_bound_" + name, remote_bound_circuit(),
+                      two_node_assignment(), config, design);
+    expect_matches_v1("ring4_" + name, four_node_circuit(),
+                      four_node_assignment(), ring4, design);
+    expect_matches_v1("qaoa_r4_32_" + name, qaoa, qaoa_nodes, config, design);
+    expect_matches_v1("buffer_bound_" + name, buffer_bound_circuit(),
+                      two_node_assignment(), config, design);
   }
 }
 
 TEST(ReplayFormatV2, Chain6ComposedMatchesPerWindowReference) {
   const Circuit qc = chain6_circuit();
   for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::SyncBuf}) {
-    expect_replay_equivalent(qc, chain6_assignment(), chain6_config(), design,
-                             1000);
+    expect_matches_v1("chain6_composed_" + runtime::design_name(design), qc,
+                      chain6_assignment(), chain6_config(), design);
   }
 }
 
 TEST(ReplayFormatV2, Chain6SwapAsYouGoMatchesPerWindowReference) {
   ArchConfig config = chain6_config();
   config.swap_as_you_go = true;
-  expect_replay_equivalent(chain6_circuit(), chain6_assignment(), config,
-                           DesignKind::AsyncBuf, 1000);
+  expect_matches_v1("chain6_swapgo", chain6_circuit(), chain6_assignment(),
+                    config, DesignKind::AsyncBuf);
 }
 
 TEST(ReplayFormatV2, FiniteCutoffMatchesPerWindowReference) {
@@ -690,8 +776,8 @@ TEST(ReplayFormatV2, FiniteCutoffMatchesPerWindowReference) {
   ArchConfig config;
   config.set_topology(net::Topology::chain(2));
   config.buffer_cutoff = 25.0;
-  expect_replay_equivalent(buffer_bound_circuit(), two_node_assignment(),
-                           config, DesignKind::AsyncBuf, 1000);
+  expect_matches_v1("finite_cutoff", buffer_bound_circuit(),
+                    two_node_assignment(), config, DesignKind::AsyncBuf);
 }
 
 TEST(ReplayFormatV2, LongGapBulkSettleMatchesPerWindowReference) {
@@ -699,12 +785,11 @@ TEST(ReplayFormatV2, LongGapBulkSettleMatchesPerWindowReference) {
   config.set_topology(net::Topology::chain(2));
   const Circuit qc = long_gap_circuit();
   for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::InitBuf}) {
-    const TrialSamples lazy = expect_replay_equivalent(
-        qc, two_node_assignment(), config, design, 1000);
+    TrialSamples lazy;
+    expect_matches_v1("long_gap_" + runtime::design_name(design), qc,
+                      two_node_assignment(), config, design, lazy);
     // Each of the 6 wakes settles far more successes than the 10 pairs.
-    double wasted = 0.0;
-    for (const double w : lazy.wasted) wasted += w;
-    EXPECT_GT(wasted / static_cast<double>(lazy.wasted.size()), 6.0 * 50.0);
+    EXPECT_GT(mean_of(lazy.wasted), 6.0 * 50.0);
   }
 }
 
@@ -715,8 +800,10 @@ TEST(ReplayFormatV2, TruncatedTailMatchesPerWindowReference) {
   config.set_topology(net::Topology::chain(2));
   config.max_trial_sim_time = 1000.0;
   for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::InitBuf}) {
-    const TrialSamples lazy = expect_replay_equivalent(
-        long_gap_circuit(), two_node_assignment(), config, design, 1000);
+    TrialSamples lazy;
+    expect_matches_v1("truncated_tail_" + runtime::design_name(design),
+                      long_gap_circuit(), two_node_assignment(), config,
+                      design, lazy);
     for (const double depth : lazy.depth) EXPECT_DOUBLE_EQ(depth, 1000.0);
   }
 }
@@ -733,13 +820,198 @@ TEST(ReplayFormatV2, StallWatchdogMatchesPerWindowReference) {
   config.p_succ = 0.1;
   config.stall_windows = 18;
   for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::SyncBuf}) {
-    const TrialSamples lazy = expect_replay_equivalent(
-        long_gap_circuit(), two_node_assignment(), config, design, 1000);
-    double stalled = 0.0;
-    for (const double x : lazy.stalled) stalled += x;
-    stalled /= static_cast<double>(lazy.stalled.size());
-    EXPECT_GT(stalled, 0.2);
-    EXPECT_LT(stalled, 0.8);
+    TrialSamples lazy;
+    expect_matches_v1("stall_watchdog_" + runtime::design_name(design),
+                      long_gap_circuit(), two_node_assignment(), config,
+                      design, lazy);
+    EXPECT_GT(mean_of(lazy.stalled), 0.2);
+    EXPECT_LT(mean_of(lazy.stalled), 0.8);
+  }
+}
+
+// Scenario cells: v1 pulled every window's parameters from the scenario;
+// v4 changes them only at scenario boundaries.
+
+/// 10 qubits on star(5) (hub 0): every leaf-to-leaf link crosses the hub.
+Circuit star5_circuit() {
+  Circuit qc(10);
+  for (int rep = 0; rep < 3; ++rep) {
+    qc.rzz(1, 2, 0.1);  // nodes 0-1
+    qc.rzz(3, 5, 0.1);  // nodes 1-2
+    qc.rzz(4, 7, 0.1);  // nodes 2-3
+    qc.rzz(6, 9, 0.1);  // nodes 3-4
+    qc.rzz(8, 0, 0.1);  // nodes 4-0
+    qc.h(0);
+  }
+  return qc;
+}
+
+TEST(ReplayFormatV2, RandomLinkFailuresMatchPerWindowReference) {
+  // Outages every ~100 time units of a ~40-unit repair on every edge:
+  // links re-route, stall and recover several times per trial.
+  Scenario scn;
+  scn.random_failures.mtbf = 100.0;
+  scn.random_failures.duration = 40.0;
+  ArchConfig config;
+  config.num_nodes = 4;
+  config.set_scenario(scn);
+  config.set_topology(net::Topology::chain(4));
+  expect_matches_v1("failures_chain4_async_buf", four_node_circuit(),
+                    four_node_assignment(), config, DesignKind::AsyncBuf);
+  config.set_topology(net::Topology::ring(4));
+  expect_matches_v1("failures_ring4_original", four_node_circuit(),
+                    four_node_assignment(), config, DesignKind::Original);
+  config.num_nodes = 5;
+  config.set_topology(net::Topology::star(5));
+  expect_matches_v1("failures_star5_init_buf", star5_circuit(),
+                    {0, 0, 1, 1, 2, 2, 3, 3, 4, 4}, config,
+                    DesignKind::InitBuf);
+}
+
+TEST(ReplayFormatV2, Chain6SwapAsYouGoSalvageMatchesPerWindowReference) {
+  ArchConfig config = chain6_config();
+  config.swap_as_you_go = true;
+  config.salvage_pairs = true;
+  Scenario scn;
+  scn.random_failures.mtbf = 150.0;
+  scn.random_failures.duration = 30.0;
+  config.set_scenario(scn);
+  expect_matches_v1("failures_chain6_swapgo_salvage", chain6_circuit(),
+                    chain6_assignment(), config, DesignKind::AsyncBuf);
+}
+
+TEST(ReplayFormatV2, NodeOutageFlushMatchesPerWindowReference) {
+  // Buffer-bound swap-as-you-go on chain(2): the edge buffer is full, and
+  // in about a fifth of the trials its service is parked, when node 1 goes
+  // down at t = 40 and the outage flushes it.
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  config.swap_as_you_go = true;
+  config.salvage_pairs = true;
+  Scenario scn;
+  scn.node_outages.push_back({1, 40.0, 30.0});
+  config.set_scenario(scn);
+  TrialSamples lazy;
+  expect_matches_v1("node_outage_flush", buffer_bound_circuit(),
+                    two_node_assignment(), config, DesignKind::AsyncBuf, lazy);
+  EXPECT_GT(mean_of(lazy.downtime), 0.0);
+}
+
+TEST(ReplayFormatV2, GridAlignedLinkOutageMatchesPerWindowReference) {
+  // Both ends of the outage fall on the synchronous window grid (cycle
+  // 10): windows completing at 60 and at 110 meet the boundary at their
+  // own instant, which is the same-instant tie rule's case.
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  Scenario scn;
+  scn.link_outages.push_back({0, 1, 60.0, 50.0});
+  config.set_scenario(scn);
+  for (const DesignKind design : {DesignKind::SyncBuf, DesignKind::Original}) {
+    expect_matches_v1("grid_outage_" + runtime::design_name(design),
+                      remote_bound_circuit(), two_node_assignment(), config,
+                      design);
+  }
+}
+
+TEST(ReplayFormatV2, StepDriftMatchesPerWindowReference) {
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  Scenario scn;
+  DriftTrack step;
+  step.field = DriftField::PSucc;
+  step.kind = DriftKind::Step;
+  step.times = {25.0, 80.0, 143.0};
+  step.levels = {0.3, 1.6, 0.7};
+  scn.drift.push_back(step);
+  config.set_scenario(scn);
+  expect_matches_v1("step_drift_async_buf", remote_bound_circuit(),
+                    two_node_assignment(), config, DesignKind::AsyncBuf);
+}
+
+TEST(ReplayFormatV2, RandomWalkDriftMatchesPerWindowReference) {
+  ArchConfig config;
+  config.num_nodes = 4;
+  config.set_topology(net::Topology::ring(4));
+  Scenario scn;
+  DriftTrack walk;
+  walk.field = DriftField::PSucc;
+  walk.kind = DriftKind::RandomWalk;
+  walk.walk_interval = 15.0;
+  walk.walk_step = 0.3;
+  walk.walk_min = 0.3;
+  walk.walk_max = 1.5;
+  scn.drift.push_back(walk);
+  config.set_scenario(scn);
+  expect_matches_v1("random_walk_sync_buf", four_node_circuit(),
+                    four_node_assignment(), config, DesignKind::SyncBuf);
+}
+
+TEST(ReplayFormatV2, CalibrationSnapshotMatchesPerWindowReference) {
+  ArchConfig config;
+  config.num_nodes = 4;
+  config.set_topology(net::Topology::ring(4));
+  Scenario scn;
+  scn.snapshots.push_back({1, 30.0, 0.4, 0.97});
+  scn.snapshots.push_back({1, 90.0, 1.2, 1.0});
+  config.set_scenario(scn);
+  expect_matches_v1("snapshot_adapt_buf", four_node_circuit(),
+                    four_node_assignment(), config, DesignKind::AdaptBuf);
+}
+
+TEST(ReplayFormatV2, F0OnlyDriftMatchesPerWindowReference) {
+  // Only the birth fidelity moves: no redraw, but deposits and on-demand
+  // heralds must carry the fidelity of their own instant.
+  ArchConfig config;
+  config.set_topology(net::Topology::chain(2));
+  Scenario scn;
+  DriftTrack step;
+  step.field = DriftField::F0;
+  step.kind = DriftKind::Step;
+  step.times = {30.0, 70.0, 120.0};
+  step.levels = {0.97, 0.93, 0.99};
+  scn.drift.push_back(step);
+  config.set_scenario(scn);
+  for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::Original}) {
+    expect_matches_v1("f0_drift_" + runtime::design_name(design),
+                      remote_bound_circuit(), two_node_assignment(), config,
+                      design);
+  }
+}
+
+TEST(ScenarioDeterminism, UnitScaleScenarioIsBitIdenticalToStationary) {
+  // Tracks and snapshots that scale by exactly 1.0 leave every service's
+  // effective link bitwise unchanged, so each boundary's push is a no-op
+  // and the trial draws the stationary stream, composed or swap-as-you-go.
+  Scenario unit = unit_step_scenario();
+  DriftTrack step;
+  step.field = DriftField::PSucc;
+  step.kind = DriftKind::Step;
+  step.node_a = 1;
+  step.node_b = 2;
+  step.times = {0.0, 35.0, 90.0};
+  step.levels = {1.0, 1.0, 1.0};
+  unit.drift.push_back(step);
+  DriftTrack walk;
+  walk.field = DriftField::F0;
+  walk.kind = DriftKind::RandomWalk;
+  walk.walk_interval = 20.0;
+  walk.walk_step = 0.0;
+  unit.drift.push_back(walk);
+  unit.snapshots.push_back({3, 45.0, 1.0, 1.0});
+  for (const bool swap_go : {false, true}) {
+    ArchConfig plain = chain6_config();
+    plain.swap_as_you_go = swap_go;
+    ArchConfig scenario = plain;
+    scenario.set_scenario(unit);
+    for (const DesignKind design : runtime::distributed_designs()) {
+      SCOPED_TRACE(runtime::design_name(design) +
+                   (swap_go ? " swap-as-you-go" : " composed"));
+      expect_identical(
+          runtime::run_design(chain6_circuit(), chain6_assignment(), plain,
+                              design, 32, 77, 1),
+          runtime::run_design(chain6_circuit(), chain6_assignment(), scenario,
+                              design, 32, 77, 1));
+    }
   }
 }
 
