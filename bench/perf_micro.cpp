@@ -216,6 +216,32 @@ void BM_TeleportModelEval(benchmark::State& state) {
 }
 BENCHMARK(BM_TeleportModelEval);
 
+// Model construction from the Pauli-frame closed forms: what a cold
+// RunContext pays per setup (no density matrix on this path). The params
+// alternate between two non-default values, so neither the Table II
+// recorded calibration nor a repeated input is measured.
+void BM_TeleportModelBuild(benchmark::State& state) {
+  noise::TeleportNoiseParams params;
+  for (auto _ : state) {
+    params.local_2q_fidelity = params.local_2q_fidelity == 0.998 ? 0.997
+                                                                 : 0.998;
+    const noise::TeleportFidelityModel model(params);
+    benchmark::DoNotOptimize(model.slope());
+  }
+}
+BENCHMARK(BM_TeleportModelBuild);
+
+void BM_StateTeleportModelBuild(benchmark::State& state) {
+  noise::TeleportNoiseParams params;
+  for (auto _ : state) {
+    params.local_2q_fidelity = params.local_2q_fidelity == 0.998 ? 0.997
+                                                                 : 0.998;
+    const noise::StateTeleportCnotModel model(params);
+    benchmark::DoNotOptimize(model.eval(0.9, 0.9));
+  }
+}
+BENCHMARK(BM_StateTeleportModelBuild);
+
 void BM_EngineRunQaoaR8_32(benchmark::State& state) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   const auto part = runtime::partition_circuit(qc, 2);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <memory>
 #include <utility>
 
 namespace dqcsim {
@@ -64,8 +65,15 @@ void ThreadPool::parallel_for(std::size_t n,
 
 void ThreadPool::parallel_for_workers(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
+  parallel_for_workers(n, size(), body);
+}
+
+void ThreadPool::parallel_for_workers(
+    std::size_t n, std::size_t max_workers,
+    const std::function<void(std::size_t, std::size_t)>& body) {
   if (n == 0) return;
-  if (size() == 0 || n == 1) {
+  const std::size_t tasks = std::min({size(), n, max_workers});
+  if (tasks <= 1) {
     for (std::size_t i = 0; i < n; ++i) body(0, i);
     return;
   }
@@ -91,7 +99,6 @@ void ThreadPool::parallel_for_workers(
   // One draining task per worker id; a task may migrate to whichever pool
   // thread picks it up, but two tasks never share an id, so id-keyed
   // workspaces are race-free.
-  const std::size_t tasks = std::min(size(), n);
   for (std::size_t t = 0; t < tasks; ++t) {
     submit([&drain, t] { drain(t); });
   }
@@ -126,8 +133,14 @@ void parallel_for_workers(
     for (std::size_t i = 0; i < n; ++i) body(0, i);
     return;
   }
-  ThreadPool pool(workers);
-  pool.parallel_for_workers(n, body);
+  // This thread's pool (see the file comment), replaced by a larger one
+  // when a call needs more workers: the idle old one joins first.
+  thread_local std::unique_ptr<ThreadPool> pool;
+  if (pool == nullptr || pool->size() < workers) {
+    pool.reset();
+    pool = std::make_unique<ThreadPool>(workers);
+  }
+  pool->parallel_for_workers(n, workers, body);
 }
 
 }  // namespace dqcsim

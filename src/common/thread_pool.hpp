@@ -7,6 +7,14 @@
 /// negligible next to task cost. Determinism is the caller's job: tasks must
 /// write to disjoint, pre-sized slots so the completion order never affects
 /// the result (see runtime::run_design).
+///
+/// The free parallel_for / parallel_for_workers run on a pool owned by the
+/// calling thread: created on its first parallel call, kept for the
+/// thread's lifetime and grown to the largest worker count it has asked
+/// for, so a small call pays a wake-up instead of thread creation. The
+/// caller blocks while its pool drains, and a body that calls parallel_for
+/// again runs on a pool thread, which owns its own pool: nested and
+/// concurrent callers never share a pool, so no lock is held across calls.
 
 #pragma once
 
@@ -45,7 +53,8 @@ class ThreadPool {
   /// Run body(i) for i in [0, n), distributed over the pool's workers via a
   /// shared atomic index. Blocks until all n calls return. The first
   /// exception thrown by any call is rethrown here (remaining indices still
-  /// run). With size() == 0 this degenerates to an inline serial loop.
+  /// run). When size() or n is <= 1 this degenerates to an inline serial
+  /// loop.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
@@ -56,6 +65,12 @@ class ThreadPool {
   /// uses worker 0.
   void parallel_for_workers(
       std::size_t n,
+      const std::function<void(std::size_t, std::size_t)>& body);
+
+  /// As parallel_for_workers, with worker ids limited to
+  /// [0, min(size(), n, max_workers)).
+  void parallel_for_workers(
+      std::size_t n, std::size_t max_workers,
       const std::function<void(std::size_t, std::size_t)>& body);
 
   /// std::thread::hardware_concurrency(), but never 0.
@@ -73,10 +88,10 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Convenience: run body(i) for i in [0, n) on a transient pool of
-/// `num_threads` workers (0 = hardware_threads()). Serial and inline when
-/// the resolved thread count or n is <= 1, so single-threaded callers pay
-/// no threading cost at all.
+/// Convenience: run body(i) for i in [0, n) on `num_threads` workers
+/// (0 = hardware_threads()) of the calling thread's pool. Serial and inline
+/// when the resolved thread count or n is <= 1, so single-threaded callers
+/// pay no threading cost at all.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t num_threads = 0);
 
@@ -85,7 +100,7 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
 std::size_t parallel_worker_count(std::size_t n,
                                   std::size_t num_threads = 0) noexcept;
 
-/// Worker-id variant of the transient-pool parallel_for: body receives
+/// Worker-id variant of the free parallel_for: body receives
 /// (worker, i) with worker in [0, parallel_worker_count(n, num_threads)).
 /// Calls sharing a worker id never run concurrently.
 void parallel_for_workers(

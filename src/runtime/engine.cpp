@@ -655,10 +655,11 @@ struct RunContext::State {
 
     // Cache-hit resolution: the same Circuit object hits on pointer
     // identity alone, keeping the per-trial cost O(1) (a circuit must not
-    // be mutated in place between execute() calls). A *different* address
-    // — including a new circuit recycled at the old address — hits only if
-    // its content fingerprint matches the cached one; the fingerprint
-    // covers gate count and width, so a shape change always rebuilds.
+    // be mutated in place between execute() calls; release_inputs() forgets
+    // the address between batches). A *different* address — including a
+    // new circuit recycled at the old address — hits only if its content
+    // fingerprint matches the cached one; the fingerprint covers gate
+    // count and width, so a shape change always rebuilds.
     bool setup_hit = false;
     if (setup_fields_match(assignment, cfg, d)) {
       if (key.circuit == &c) {
@@ -1800,6 +1801,17 @@ RunContext::RunContext() : state_(std::make_unique<State>()) {}
 RunContext::~RunContext() = default;
 RunContext::RunContext(RunContext&&) noexcept = default;
 RunContext& RunContext::operator=(RunContext&&) noexcept = default;
+
+void RunContext::release_inputs() noexcept {
+  State& st = *state_;
+  st.config.observe.reset();
+  st.config.scenario.reset();
+  st.config.topology.reset();  // the routing cache pins its own reference
+  st.observe = nullptr;
+  st.circuit = nullptr;
+  st.teleport_model = nullptr;
+  st.key.circuit = nullptr;
+}
 
 RunResult RunContext::execute(const Circuit& circuit,
                               const std::vector<int>& assignment,

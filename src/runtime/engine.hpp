@@ -24,7 +24,8 @@
 ///    and circuit-derived artifacts (gate placement, segment variants,
 ///    fusion chains, link topology, teleportation models) are cached while
 ///    consecutive calls share a setup — so a Monte-Carlo trial loop does
-///    zero steady-state allocation. Each thread-pool worker owns one.
+///    zero steady-state allocation. Each worker id of each thread calling
+///    runtime::run_design owns one, warm across calls.
 ///  - ExecutionEngine: the one-shot facade over a private RunContext
 ///    (construct, run() once).
 
@@ -65,6 +66,15 @@ class RunContext {
                     std::uint64_t seed,
                     const noise::TeleportFidelityModel* teleport_model =
                         nullptr);
+
+  /// End a batch of execute() calls (runtime::run_design calls this when
+  /// it returns): drop every reference to the batch's inputs — the
+  /// config's observer, scenario and topology handles, the circuit and
+  /// model pointers — and keep the cached setup (the routing cache pins the
+  /// topology it was built from). The next execute() resolves its circuit by
+  /// content fingerprint, never by address, so a circuit mutated in place
+  /// between batches cannot hit the stale setup.
+  void release_inputs() noexcept;
 
  private:
   struct State;

@@ -13,13 +13,31 @@ namespace dqcsim::runtime {
 
 namespace {
 
-/// Shared fidelity model for one architecture configuration.
-noise::TeleportFidelityModel make_teleport_model(const ArchConfig& config) {
-  noise::TeleportNoiseParams tele;
-  tele.local_2q_fidelity = config.fid.local_cnot;
-  tele.local_1q_fidelity = config.fid.one_qubit;
-  tele.readout_fidelity = config.fid.measurement;
-  return noise::TeleportFidelityModel(tele);
+/// Run cell(context, i) for i in [0, n) on `threads` workers (0 = all
+/// hardware threads), each worker id owning one RunContext of the calling
+/// thread. The contexts outlive the call, warm: their setup, routing and
+/// teleport-model caches carry over, so a repeated call pays only its
+/// trials. Nested and concurrent callers run on different threads and so
+/// never share a context.
+template <typename Cell>
+void run_cells(std::size_t n, int threads, const Cell& cell) {
+  thread_local std::vector<RunContext> mine;
+  std::vector<RunContext>& contexts = mine;  // this thread's, not a worker's
+  const std::size_t num_threads =
+      threads <= 0 ? 0 : static_cast<std::size_t>(threads);
+  const std::size_t workers = parallel_worker_count(n, num_threads);
+  if (contexts.size() < workers) contexts.resize(workers);
+  try {
+    parallel_for_workers(
+        n,
+        [&](std::size_t worker, std::size_t i) { cell(contexts[worker], i); },
+        num_threads);
+  } catch (...) {
+    // A trial that threw may have left its context mid-run: start afresh.
+    contexts.clear();
+    throw;
+  }
+  for (RunContext& context : contexts) context.release_inputs();
 }
 
 }  // namespace
@@ -71,25 +89,14 @@ AggregateResult run_design(const Circuit& circuit,
                            const ArchConfig& config, DesignKind design,
                            int runs, std::uint64_t base_seed, int threads) {
   DQCSIM_EXPECTS(runs >= 1);
-  const noise::TeleportFidelityModel model = make_teleport_model(config);
-
   // Per-run results land in disjoint slots; the streaming aggregate is then
   // folded in run order, so thread count and completion order never change
-  // a single bit of the statistics. Each worker reuses one RunContext
-  // across its trials, so the steady-state trial loop allocates nothing.
-  const std::size_t workers = parallel_worker_count(
-      static_cast<std::size_t>(runs),
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<RunContext> contexts(workers);
+  // a single bit of the statistics.
   std::vector<RunResult> results(static_cast<std::size_t>(runs));
-  parallel_for_workers(
-      results.size(),
-      [&](std::size_t worker, std::size_t r) {
-        results[r] = contexts[worker].execute(
-            circuit, assignment, config, design,
-            base_seed + static_cast<std::uint64_t>(r), &model);
-      },
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
+  run_cells(results.size(), threads, [&](RunContext& context, std::size_t r) {
+    results[r] = context.execute(circuit, assignment, config, design,
+                                 base_seed + static_cast<std::uint64_t>(r));
+  });
 
   AggregateResult aggregate;
   for (const RunResult& run : results) aggregate.add(run);
@@ -103,31 +110,18 @@ std::vector<AggregateResult> run_design_matrix(
   DQCSIM_EXPECTS(runs >= 1);
   if (points.empty()) return {};
 
-  std::vector<noise::TeleportFidelityModel> models;
-  models.reserve(points.size());
-  for (const DesignPoint& point : points) {
-    models.push_back(make_teleport_model(point.config));
-  }
-
   // One flat cell grid: all point x run pairs share the pool, so a sweep of
   // many small-run points parallelizes as well as one large run_design.
   // Cells are claimed in p-major order, so a worker's consecutive trials
   // usually share a design point and hit its RunContext's setup cache.
   const std::size_t num_runs = static_cast<std::size_t>(runs);
   std::vector<RunResult> cells(points.size() * num_runs);
-  const std::size_t workers = parallel_worker_count(
-      cells.size(), threads <= 0 ? 0 : static_cast<std::size_t>(threads));
-  std::vector<RunContext> contexts(workers);
-  parallel_for_workers(
-      cells.size(),
-      [&](std::size_t worker, std::size_t cell) {
-        const std::size_t p = cell / num_runs;
-        const std::size_t r = cell % num_runs;
-        cells[cell] = contexts[worker].execute(
-            circuit, assignment, points[p].config, points[p].design,
-            base_seed + static_cast<std::uint64_t>(r), &models[p]);
-      },
-      threads <= 0 ? 0 : static_cast<std::size_t>(threads));
+  run_cells(cells.size(), threads, [&](RunContext& context, std::size_t cell) {
+    const DesignPoint& point = points[cell / num_runs];
+    cells[cell] = context.execute(
+        circuit, assignment, point.config, point.design,
+        base_seed + static_cast<std::uint64_t>(cell % num_runs));
+  });
 
   std::vector<AggregateResult> aggregates(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {

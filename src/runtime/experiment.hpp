@@ -35,10 +35,13 @@ partition::PartitionResult partition_circuit(const Circuit& circuit,
 
 /// Run `design` on the partitioned circuit `runs` times with seeds
 /// base_seed, base_seed+1, ... and aggregate depth/fidelity statistics.
-/// The teleported-gate fidelity model is built once and shared.
 ///
-/// Runs fan out across a thread pool of `threads` workers (0 = all hardware
-/// threads, 1 = serial in the calling thread). Seed derivation is per-run
+/// Runs fan out across `threads` workers of the calling thread's pool
+/// (0 = all hardware threads, 1 = serial in the calling thread). Each
+/// worker id keeps one RunContext per calling thread, warm across calls
+/// (setup and teleport models cached); a call releases its inputs when it
+/// returns and the next resolves its circuit by content, so the result
+/// equals a loop over fresh ExecutionEngines. Seed derivation is per-run
 /// (base_seed + r) and results are folded into the aggregate in run order,
 /// so the statistics are bit-identical for every thread count.
 AggregateResult run_design(const Circuit& circuit,

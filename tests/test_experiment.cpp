@@ -5,14 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
+#include "obs/observe.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/experiment.hpp"
 
@@ -276,6 +280,171 @@ TEST(RunDesignMatrix, ThreadCountNeverChangesResults) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_identical(serial[i], parallel[i]);
+  }
+}
+
+// ------------------------------------------------------- warm contexts ----
+// run_design keeps one RunContext per worker id of the calling thread
+// across calls; each call must still behave like a loop over fresh engines.
+
+AggregateResult fresh_engines(const Circuit& qc,
+                              const std::vector<int>& assignment,
+                              const ArchConfig& config, DesignKind design,
+                              int runs, std::uint64_t base_seed) {
+  AggregateResult aggregate;
+  for (int r = 0; r < runs; ++r) {
+    aggregate.add(ExecutionEngine(qc, assignment, config, design,
+                                  base_seed + static_cast<std::uint64_t>(r))
+                      .run());
+  }
+  return aggregate;
+}
+
+/// `qc` with gate `index` replaced by `g` (same width and gate count).
+Circuit with_gate(const Circuit& qc, std::size_t index, const Gate& g) {
+  Circuit out(qc.num_qubits(), qc.name());
+  for (std::size_t i = 0; i < qc.num_gates(); ++i) {
+    out.append(i == index ? g : qc.gate(i));
+  }
+  return out;
+}
+
+TEST(WarmContexts, CircuitMutatedInPlaceIsResolvedByContent) {
+  const Circuit original = gen::make_benchmark(gen::BenchmarkId::QAOA_R4_32);
+  const auto part = partition_circuit(original, 2);
+  const auto node = [&](QubitId q) {
+    return part.assignment[static_cast<std::size_t>(q)];
+  };
+  // The first local two-qubit gate, and a qubit on the other node.
+  std::size_t local = original.num_gates();
+  for (std::size_t i = 0; i < original.num_gates(); ++i) {
+    const Gate& g = original.gate(i);
+    if (g.arity() == 2 && node(g.q0()) == node(g.q1())) {
+      local = i;
+      break;
+    }
+  }
+  ASSERT_LT(local, original.num_gates());
+  const Gate& g = original.gate(local);
+  QubitId remote_peer = 0;
+  while (node(remote_peer) == node(g.q0())) ++remote_peer;
+
+  constexpr int kRuns = 6;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Circuit qc = original;
+    const auto check = [&] {
+      expect_identical(
+          run_design(qc, part.assignment, {}, DesignKind::AsyncBuf, kRuns,
+                     1000, threads),
+          fresh_engines(qc, part.assignment, {}, DesignKind::AsyncBuf, kRuns,
+                        1000));
+    };
+    check();
+    // Same address, same shape, one local gate made remote.
+    qc = with_gate(qc, local, make_gate(g.kind, g.q0(), remote_peer,
+                                        g.param + 0.25));
+    check();
+    // Same address, one more remote gate.
+    qc.cx(g.q0(), remote_peer);
+    check();
+  }
+}
+
+TEST(WarmContexts, DoNotKeepTheObserverAlive) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R4_32);
+  const auto part = partition_circuit(qc, 2);
+  for (const int threads : {1, 2}) {
+    ArchConfig config;
+    auto observe = obs::make_observe();
+    const std::weak_ptr<obs::Observe> watch = observe;
+    config.observe = std::move(observe);
+    run_design(qc, part.assignment, config, DesignKind::AsyncBuf, 4, 1000,
+               threads);
+    config.observe.reset();
+    EXPECT_TRUE(watch.expired()) << threads << " threads";
+  }
+}
+
+TEST(WarmContexts, CallAfterAThrowingTrialMatchesSerial) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = partition_circuit(qc, 2);
+  constexpr int kRuns = 8;
+  constexpr std::uint64_t kSeed = 1000;
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    // Every trial throws mid-run, after it has counted itself into its
+    // context's registry: a state-teleported gate needs two pairs, one
+    // buffer qubit per node holds one, and with no trial budget the
+    // stalled simulation is an invariant failure.
+    ArchConfig stalling;
+    stalling.remote_impl = RemoteImpl::StateTeleport;
+    stalling.buffer_per_node = 1;
+    stalling.observe = obs::make_observe();
+    EXPECT_THROW(run_design(qc, part.assignment, stalling,
+                            DesignKind::AsyncBuf, kRuns, kSeed, threads),
+                 InvariantError);
+
+    ArchConfig observed;
+    observed.observe = obs::make_observe();
+    const AggregateResult after = run_design(
+        qc, part.assignment, observed, DesignKind::AdaptBuf, kRuns, kSeed,
+        threads);
+    expect_identical(after, fresh_engines(qc, part.assignment, {},
+                                          DesignKind::AdaptBuf, kRuns, kSeed));
+    // Nothing the failed call accumulated leaks into this call's collector.
+    const obs::Registry reg = observed.observe->collector.registry();
+    EXPECT_EQ(reg.counter_value("trials"), static_cast<std::uint64_t>(kRuns));
+    EXPECT_EQ(reg.counter_value("remote_gates"),
+              static_cast<std::uint64_t>(after.remote_gates.mean() * kRuns));
+  }
+}
+
+TEST(WarmContexts, NestedCallsMatchSerial) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = partition_circuit(qc, 2);
+  const std::vector<DesignKind> designs = {DesignKind::AsyncBuf,
+                                           DesignKind::InitBuf};
+  std::vector<AggregateResult> nested(designs.size());
+  parallel_for(
+      designs.size(),
+      [&](std::size_t k) {
+        nested[k] = run_design(qc, part.assignment, {}, designs[k], 8, 1000,
+                               /*threads=*/2);
+      },
+      /*num_threads=*/2);
+  for (std::size_t k = 0; k < designs.size(); ++k) {
+    SCOPED_TRACE(design_name(designs[k]));
+    expect_identical(nested[k], run_design(qc, part.assignment, {},
+                                           designs[k], 8, 1000, 1));
+  }
+}
+
+TEST(WarmContexts, ConcurrentCallersMatchSerial) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = partition_circuit(qc, 2);
+  ArchConfig wide;
+  wide.comm_per_node = 20;
+  wide.buffer_per_node = 20;
+  ArchConfig state_tp;
+  state_tp.remote_impl = RemoteImpl::StateTeleport;
+  const std::vector<ArchConfig> configs = {wide, state_tp};
+  std::vector<AggregateResult> concurrent(configs.size());
+  std::vector<std::thread> callers;
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    callers.emplace_back([&, k] {
+      for (int rep = 0; rep < 3; ++rep) {
+        concurrent[k] = run_design(qc, part.assignment, configs[k],
+                                   DesignKind::AsyncBuf, 8, 1000, 2);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (std::size_t k = 0; k < configs.size(); ++k) {
+    SCOPED_TRACE("config " + std::to_string(k));
+    expect_identical(concurrent[k],
+                     run_design(qc, part.assignment, configs[k],
+                                DesignKind::AsyncBuf, 8, 1000, 1));
   }
 }
 
