@@ -22,6 +22,9 @@
 ///    edge-disjoint alternate tie in scaled cost, the planner can register
 ///    both (RoutePlan::split) so the engine's swap-as-you-go mode serves a
 ///    request from whichever path first holds a full pair quota.
+///    At alpha = 0 it is also the engine's static router over an outage
+///    mask: each pair is planned from its lower-numbered endpoint and
+///    reversed for the other direction, as net::Router mirrors its routes.
 ///
 /// Determinism: the planner is a plain sequential algorithm over an
 /// explicitly ordered work list — Dijkstra scan order, strict-improvement

@@ -7,9 +7,8 @@
 
 namespace dqcsim::net {
 
-Router::Router(const Topology& topo) : topo_(topo) {
-  build(std::vector<double>(topo_.num_edges(), 1.0), nullptr);
-}
+Router::Router(const Topology& topo)
+    : Router(topo, std::vector<double>(topo.num_edges(), 1.0)) {}
 
 Router::Router(const Topology& topo, const std::vector<double>& edge_costs)
     : topo_(topo) {
@@ -18,35 +17,14 @@ Router::Router(const Topology& topo, const std::vector<double>& edge_costs)
   for (const double c : edge_costs) {
     DQCSIM_EXPECTS_MSG(c > 0.0, "edge costs must be positive");
   }
-  build(edge_costs, nullptr);
-}
-
-Router::Router(const Topology& topo, const std::vector<double>& edge_costs,
-               const std::vector<char>& edge_enabled)
-    : topo_(topo) {
-  DQCSIM_EXPECTS_MSG(edge_costs.size() == topo_.num_edges(),
-                     "one cost per topology edge");
-  DQCSIM_EXPECTS_MSG(edge_enabled.size() == topo_.num_edges(),
-                     "one enabled flag per topology edge");
-  for (std::size_t e = 0; e < edge_costs.size(); ++e) {
-    DQCSIM_EXPECTS_MSG(!edge_enabled[e] || edge_costs[e] > 0.0,
-                       "enabled edge costs must be positive");
-  }
-  build(edge_costs, &edge_enabled);
-}
-
-void Router::build(const std::vector<double>& edge_costs,
-                   const std::vector<char>* edge_enabled) {
   topo_.validate();
   const int n = topo_.num_nodes();
   const auto un = static_cast<std::size_t>(n);
   routes_.assign(un * un, Route{});
 
-  // Incidence lists: per node, (edge index, other endpoint). A mask (the
-  // surviving subgraph during an outage) simply drops disabled edges.
+  // Incidence lists: per node, (edge index, other endpoint).
   std::vector<std::vector<std::pair<std::size_t, int>>> incident(un);
   for (std::size_t e = 0; e < topo_.num_edges(); ++e) {
-    if (edge_enabled != nullptr && !(*edge_enabled)[e]) continue;
     const TopologyEdge& edge = topo_.edge(e);
     incident[static_cast<std::size_t>(edge.a)].push_back({e, edge.b});
     incident[static_cast<std::size_t>(edge.b)].push_back({e, edge.a});
@@ -94,14 +72,8 @@ void Router::build(const std::vector<double>& edge_costs,
     // ties would let the two Dijkstra sweeps pick different paths.
     for (int dst = src + 1; dst < n; ++dst) {
       const auto ud = static_cast<std::size_t>(dst);
-      if (dist[ud] == kInf) {
-        // Reachable only through masked-out edges: leave both directions
-        // empty (has_route reports false). Without a mask the topology is
-        // validated connected, so this is a masked-router-only outcome.
-        DQCSIM_ENSURES_MSG(edge_enabled != nullptr,
-                           "router requires a connected topology");
-        continue;
-      }
+      DQCSIM_ENSURES_MSG(dist[ud] != kInf,
+                         "router requires a connected topology");
       Route& r = routes_[static_cast<std::size_t>(src) * un + ud];
       r.cost = dist[ud];
       for (int v = dst; v != src;
@@ -128,10 +100,6 @@ const Route& Router::route(int a, int b) const {
   // empty self-route: hops() == 0 and cost 0, matching hop_distance(a, a).
   return routes_[static_cast<std::size_t>(a) * static_cast<std::size_t>(n) +
                  static_cast<std::size_t>(b)];
-}
-
-bool Router::has_route(int a, int b) const {
-  return a == b || !route(a, b).nodes.empty();
 }
 
 int Router::hop_distance(int a, int b) const {

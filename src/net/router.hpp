@@ -7,6 +7,10 @@
 /// fast links are preferred over thin slow ones). Routes are deterministic:
 /// cost ties are broken toward the lexicographically smaller predecessor,
 /// so the same topology and costs always produce the same paths.
+///
+/// The router covers the full fabric only. Routes over a surviving subgraph
+/// (an outage's edge mask) come from net::CongestionPlanner, one pair at a
+/// time with reusable scratch.
 
 #pragma once
 
@@ -38,36 +42,19 @@ class Router {
   /// Preconditions: costs.size() == topo.num_edges(), every cost > 0.
   Router(const Topology& topo, const std::vector<double>& edge_costs);
 
-  /// Route over the subgraph of edges with edge_enabled[e] != 0 (indexed
-  /// like topo.edges()) — the surviving fabric during an outage. Unlike the
-  /// full-topology constructors this tolerates disconnection: pairs with no
-  /// surviving path get an empty route (see has_route).
-  /// Preconditions: both vectors sized topo.num_edges(), enabled costs > 0.
-  Router(const Topology& topo, const std::vector<double>& edge_costs,
-         const std::vector<char>& edge_enabled);
-
   const Topology& topology() const noexcept { return topo_; }
 
   /// The selected route from `a` to `b` (directed view of an undirected
   /// path: route(b, a) traverses the same edges reversed). For a == b the
   /// empty self-route (hops() == 0, cost 0) is returned, consistent with
-  /// hop_distance(a, a) == 0. For a masked router, a disconnected pair also
-  /// yields an empty route — distinguish via has_route.
+  /// hop_distance(a, a) == 0.
   /// Preconditions: both in range.
   const Route& route(int a, int b) const;
-
-  /// True when a path exists: always for a == b, and for a != b whenever
-  /// route(a, b) is non-empty (full-topology routers are connected by
-  /// construction; masked routers may not be).
-  bool has_route(int a, int b) const;
 
   /// Hop count of the selected route; 0 for a == b.
   int hop_distance(int a, int b) const;
 
  private:
-  void build(const std::vector<double>& edge_costs,
-             const std::vector<char>* edge_enabled);
-
   Topology topo_;
   std::vector<Route> routes_;  ///< [a * n + b], empty for a == b
 };

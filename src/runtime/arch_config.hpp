@@ -123,7 +123,8 @@ struct ArchConfig {
   /// the edge's comm/buffer capacity (floor + remainder by route creation
   /// rank, clamped to >= 1; see net::capacity_share) instead of drawing
   /// the full per-edge budget. Shares are assigned at t=0 and stay frozen
-  /// for the trial, matching the frozen structural composition.
+  /// for the trial, matching the frozen structural composition. No effect
+  /// with swap_as_you_go, whose edge buffers are shared dynamically.
   bool share_edge_capacity = false;
   /// Select routes sequentially (in first-traffic creation order) over
   /// load-scaled edge costs, cost(e) = static_cost(e) * (1 + load(e)), so
@@ -143,7 +144,9 @@ struct ArchConfig {
   /// run a degraded one-slot-per-edge service: each hop pair parks on the
   /// edge's communication qubits until the fusion drains it, so the knob
   /// selects the same delivery model for every design instead of silently
-  /// falling back to the composed model for the original design.
+  /// falling back to the composed model for the original design. Every
+  /// edge buffer, the degraded slot included, must hold one remote gate's
+  /// pairs (pairs_per_remote_gate()), else the engine throws ConfigError.
   bool swap_as_you_go = false;
 
   // --- Degraded-mode delivery under faults (all default off; see

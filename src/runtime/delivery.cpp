@@ -1,0 +1,592 @@
+#include "runtime/delivery.hpp"
+
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+
+#include "common/error.hpp"
+#include "noise/werner.hpp"
+#include "obs/scope.hpp"
+
+namespace dqcsim::runtime::detail {
+
+namespace {
+
+/// A buffered service that cannot hold one remote gate's pairs never serves
+/// that gate: reject the configuration before the first event.
+void require_gate_quota(int capacity, int needed, const char* what) {
+  if (capacity >= needed) return;
+  throw ConfigError(std::string(what) + " holds " + std::to_string(capacity) +
+                    " pairs, fewer than one remote gate's " +
+                    std::to_string(needed));
+}
+
+/// Make `route` the link's live path: its edges, hops and swap-chain delay.
+void adopt_path(LogicalLink& link, const net::Route& route,
+                double swap_latency) {
+  link.route_edges.assign(route.edges.begin(), route.edges.end());
+  link.hops = route.hops();
+  link.extra_latency = static_cast<double>(link.hops - 1) * swap_latency;
+}
+
+}  // namespace
+
+// --- shared routing & scenario state ---------------------------------------
+
+/// Plan and adopt every logical link's t=0 route (without a topology, each
+/// link is one flat hop) and record the placement's contention figures.
+void TrialState::plan_links() {
+  if (config.topology == nullptr) {
+    for (LogicalLink& link : links) {
+      link.hops = 1;
+      link.extra_latency = 0.0;
+    }
+    return;
+  }
+  RouteInputs inputs;
+  inputs.design = design;
+  inputs.comm_per_node = config.comm_per_node;
+  inputs.buffer_per_node = config.buffer_per_node;
+  inputs.p_succ = config.p_succ;
+  inputs.epr_cycle = config.lat.epr_cycle;
+  inputs.swap_buffer = config.lat.swap_buffer;
+  inputs.f0 = config.fid.epr_f0;
+  inputs.kappa = config.kappa;
+  inputs.cutoff = config.buffer_cutoff;
+  inputs.async_subgroups = config.async_subgroups;
+  inputs.consume_freshest = config.consume_freshest;
+  inputs.record_trace = config.record_arrival_trace;
+  inputs.swap = config.swap_params();
+  if (route_cache.valid && route_cache.topology == config.topology &&
+      route_cache.inputs == inputs) {
+    if (obs_metrics()) reg.add(regh.route_hits);
+  } else {
+    if (obs_metrics()) reg.add(regh.route_misses);
+    OBS_SCOPE(prof(), obs::Phase::Routing);
+    const net::Topology& topo = *config.topology;
+    const std::size_t num_edges = topo.num_edges();
+    route_cache.valid = false;
+    route_cache.topology = config.topology;
+    route_cache.inputs = inputs;
+    route_cache.edge_params.resize(num_edges);
+    route_cache.edge_costs.resize(num_edges);
+    for (std::size_t e = 0; e < num_edges; ++e) {
+      const net::TopologyEdge& edge = topo.edge(e);
+      const ent::LinkParams p = config.link_params(design, edge.a, edge.b);
+      route_cache.edge_params[e] = p;
+      // Expected time per delivered pair: attempt window over the link's
+      // aggregate success rate.
+      route_cache.edge_costs[e] =
+          p.cycle_time / (p.p_succ * static_cast<double>(p.num_comm_pairs));
+    }
+    route_cache.router = net::Router(topo, route_cache.edge_costs);
+    route_cache.valid = true;
+  }
+
+  plan_all_routes(nullptr);  // the full fabric routes every pair
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    adopt_path(links[i], link_plans[i].primary,
+               route_cache.inputs.swap.latency);
+    links[i].route_up = true;
+    links[i].down_since = 0.0;
+  }
+  // Contention figures of the t=0 placement. Knobs-off runs report no
+  // contention, even though the static plan's load map is populated.
+  if (!config.swap_as_you_go && !config.share_edge_capacity &&
+      !config.congestion_aware_routing) {
+    return;
+  }
+  for (const int load : planner.edge_load()) {
+    if (load > 1) ++result.edges_shared;
+    result.max_edge_load =
+        std::max(result.max_edge_load, static_cast<std::size_t>(load));
+  }
+  for (const net::RoutePlan& plan : link_plans) {
+    if (plan.split) ++result.route_splits;
+  }
+}
+
+/// (Re)assign every logical link's physical path, in link creation order.
+/// With congestion-aware routing each link is routed over load-scaled
+/// costs (alpha = 1: earlier traffic raises the cost later traffic sees)
+/// and, under swap-as-you-go, cost-tied disjoint paths split the link's
+/// traffic. Otherwise static routes are adopted and only the load
+/// accounting runs (capacity shares are load-derived even under static
+/// routes): the cached all-pairs route on the full fabric at t=0 (`mask`
+/// null), else the planner's route over the surviving subgraph at
+/// alpha = 0 — planned from the lower-numbered endpoint and reversed for
+/// the other direction, exactly as net::Router mirrors its routes.
+void TrialState::plan_all_routes(const std::vector<char>* mask) {
+  const bool congestion = config.congestion_aware_routing;
+  planner.begin(*config.topology, route_cache.edge_costs,
+                congestion ? 1.0 : 0.0, mask);
+  link_plans.resize(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    net::RoutePlan& plan = link_plans[i];
+    const int a = links[i].node_a;
+    const int b = links[i].node_b;
+    if (congestion) {
+      planner.plan(a, b, config.swap_as_you_go, plan);
+    } else if (mask != nullptr) {
+      planner.plan(std::min(a, b), std::max(a, b), false, plan);
+      if (a > b) {
+        std::reverse(plan.primary.nodes.begin(), plan.primary.nodes.end());
+        std::reverse(plan.primary.edges.begin(), plan.primary.edges.end());
+      }
+    } else {
+      plan.split = false;
+      plan.has_route = true;
+      plan.primary = route_cache.router.route(a, b);  // reuses capacity
+      planner.charge(plan.primary);
+    }
+  }
+}
+
+/// Effective end-to-end parameters of logical link `i` at time `t`:
+/// per-hop base values from the route cache, scaled by the scenario and
+/// composed exactly like net::compose_route (same product order for
+/// p_succ, same weight fold via swap_composed_fidelity for f0), so unit
+/// scales reproduce the stationary composition bit-for-bit.
+ent::EffectiveLink TrialState::link_effective(std::size_t i, des::SimTime t) {
+  const LogicalLink& link = links[i];
+  ent::EffectiveLink eff;
+  eff.up = link.route_up;
+  double p = 1.0;
+  scen_hop_f0.clear();
+  for (const std::size_t e : link.route_edges) {
+    if (!scen.edge_up(e, t)) eff.up = false;
+    const ent::LinkParams& ep = route_cache.edge_params[e];
+    p *= scen.effective_p_succ(e, ep.p_succ, t);
+    scen_hop_f0.push_back(scen.effective_f0(e, ep.f0, t));
+  }
+  eff.p_succ = p;
+  eff.f0 = net::swap_composed_fidelity(scen_hop_f0.data(), scen_hop_f0.size(),
+                                       route_cache.inputs.swap.bsm_fidelity);
+  return eff;
+}
+
+/// Effective parameters of physical edge `e` at time `t`.
+ent::EffectiveLink TrialState::edge_effective(std::size_t e, des::SimTime t) {
+  const ent::LinkParams& ep = route_cache.edge_params[e];
+  return {scen.effective_p_succ(e, ep.p_succ, t),
+          scen.effective_f0(e, ep.f0, t), scen.edge_up(e, t)};
+}
+
+/// Scenario boundary at `t`. Unless the edge up mask is unchanged (a
+/// spurious or drift-only boundary), every route is re-planned over the
+/// surviving subgraph: with congestion routing the detours contend again,
+/// else the masked static routes are adopted. Then every service starts
+/// its next segment (one whose effective link is unchanged ignores it).
+void TrialState::apply_boundary(double t) {
+  bool changed = false;
+  for (std::size_t e = 0; e < scen_edge_up.size(); ++e) {
+    const char up = scen.edge_up(e, t) ? 1 : 0;
+    if (up != scen_edge_up[e]) {
+      changed = true;
+      // Traced trial: physical-edge outage intervals as spans on the
+      // edge's own track (logical-link outages live on the link tracks).
+      if (obs_trace) {
+        if (up) {
+          trace_buf.span(obs::Ev::Outage, edge_track(e), edge_down_since[e],
+                         t);
+        } else {
+          edge_down_since[e] = t;
+        }
+      }
+    }
+    scen_edge_up[e] = up;
+  }
+  if (changed) {
+    plan_all_routes(&scen_edge_up);
+    bool any_lost = false;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      const bool was_up = links[i].route_up;
+      if (update_link_from_plan(i, t)) delivery->on_path_change(i, t);
+      if (was_up && !links[i].route_up) any_lost = true;
+    }
+    if (any_lost) ++result.outage_events;
+    delivery->after_replan(t);
+  }
+  delivery->push_boundary(t);
+}
+
+/// Adopt link i's freshly planned path at outage boundary `t`: count a
+/// reroute on any route re-establishment (a path change while live, or a
+/// recovery after downtime), or mark the link down when no path survives.
+/// True when a live route moved to a different path.
+bool TrialState::update_link_from_plan(std::size_t i, double t) {
+  LogicalLink& link = links[i];
+  const net::RoutePlan& plan = link_plans[i];
+  if (!plan.has_route) {
+    if (link.route_up) {
+      link.route_up = false;
+      link.down_since = t;
+    }
+    return false;
+  }
+  const net::Route& route = plan.primary;
+  const bool path_changed = link.route_edges != route.edges;
+  if (link.route_up && !path_changed) return false;
+  if (!link.route_up) {
+    result.outage_downtime += t - link.down_since;
+    obs_outage_over(link_track(i), link.down_since, t);
+    link.route_up = true;
+  }
+  ++result.reroutes;
+  if (obs_trace) trace_buf.instant(obs::Ev::Reroute, link_track(i), t);
+  if (path_changed) adopt_path(link, route, route_cache.inputs.swap.latency);
+  return path_changed;
+}
+
+namespace {
+
+/// Re-arm and start service `index` (a link's or an edge's) in the one
+/// order bit-identity depends on. Gap tracking is on only when the trial
+/// reads max_delivery_gap (the link_stalled watchdog, the registry gauge);
+/// the side stream is seeded from the trial seed, never from `rng`.
+void start_service(TrialState& t, ent::GenerationService& svc,
+                   const ent::LinkParams& params, ent::ServiceMode mode,
+                   std::size_t index, std::uint32_t track,
+                   const std::optional<ent::EffectiveLink>& eff,
+                   ent::GenerationService::ArrivalHandler handler) {
+  constexpr std::uint64_t kTagGenSide = 0x47454E53ULL;  // "GENS"
+  svc.reset(params, mode);
+  svc.set_gap_tracking(t.config.stall_windows > 0 || t.obs_metrics(),
+                       Rng::derive_seed(t.trial_seed, 0, kTagGenSide, index));
+  if (t.obs_trace) svc.set_trial_trace(&t.trace_buf, track);
+  if (eff) svc.set_effective(*eff);
+  svc.set_arrival_handler(std::move(handler));
+  if (design_uses_prefill(t.design)) svc.pre_fill_buffer();
+  svc.start();
+}
+
+// --- composed delivery -------------------------------------------------------
+
+/// One GenerationService per logical link. Without a topology each link
+/// gets the homogeneous all-to-all parameters. With one, the link's planned
+/// route (static or congestion-selected) is composed hop by hop from its
+/// hop grants, frozen at t=0 like the rest of the structural composition.
+/// Covers the Buffered and the OnDemand (bufferless) modes.
+class ComposedDelivery final : public Delivery {
+ public:
+  explicit ComposedDelivery(TrialState& t) : Delivery(t, false) {}
+
+  void setup() override {
+    const bool routed = t_.config.topology != nullptr;
+    const auto mode = design_uses_buffer(t_.design)
+                          ? ent::ServiceMode::Buffered
+                          : ent::ServiceMode::OnDemand;
+    net::RoutedLink flat;
+    if (routed) {
+      edge_rank_.assign(t_.config.topology->num_edges(), 0);
+    } else {
+      flat.params = t_.config.link_params(t_.design);
+    }
+    run_services(t_.links.size());
+    for (std::size_t i = 0; i < running_; ++i) {
+      net::RoutedLink rl = flat;
+      if (routed) {
+        const net::Route& route = t_.link_plans[i].primary;
+        grant_hop_shares(route);
+        rl = net::compose_route_shared(
+            route, t_.route_cache.edge_params, t_.route_cache.inputs.swap,
+            hop_comm_.data(), hop_buf_.data());
+      }
+      ent::GenerationService::ArrivalHandler handler;
+      if (mode == ent::ServiceMode::Buffered) {
+        require_gate_quota(rl.params.buffer_capacity,
+                           t_.config.pairs_per_remote_gate(),
+                           "a composed link's buffer");
+        handler = [this, i](des::SimTime) {
+          t_.serve_pending(i);
+          return true;
+        };
+      } else {  // OnDemand links hold a gate's pairs across heralds
+        handler = [this, i](des::SimTime now) {
+          return t_.on_demand_arrival(i, now, *services_[i]);
+        };
+      }
+      std::optional<ent::EffectiveLink> eff;
+      if (t_.scen_active) eff = t_.link_effective(i, t_.sim.now());
+      start_service(t_, *services_[i], rl.params, mode, i, t_.link_track(i),
+                    eff, std::move(handler));
+    }
+  }
+
+  /// A gate is served only when the buffer holds its full pair quota, so a
+  /// two-pair gate cannot strand a half-claimed pair decaying outside the
+  /// cutoff policy's reach. Each pair decays from its own deposit at the
+  /// fidelity it was born with (swap-composed on routed links,
+  /// drift-scaled under a scenario).
+  bool claim(std::size_t i, std::size_t needed, PairClaim& out,
+             std::vector<double>& fidelities) override {
+    ent::GenerationService& svc = *services_[i];
+    const des::SimTime now = t_.sim.now();
+    if (svc.mode() != ent::ServiceMode::Buffered ||
+        svc.available(now) < needed) {
+      return false;
+    }
+    const auto order = svc.params().consume_freshest
+                           ? ent::ConsumeOrder::FreshestFirst
+                           : ent::ConsumeOrder::OldestFirst;
+    fidelities.clear();
+    for (std::size_t k = 0; k < needed; ++k) {
+      auto pair = svc.pop(now, order);
+      DQCSIM_ENSURES(pair.has_value());
+      const double age = now - pair->deposited;
+      t_.record_pair_age(age);
+      fidelities.push_back(
+          noise::werner_decayed_fidelity(pair->f0, svc.params().kappa, age));
+    }
+    // The composed model never discards stock at boundaries, so salvage
+    // here is accounting: pairs buffered before the outage serving a gate
+    // while the route is severed.
+    const LogicalLink& link = t_.links[i];
+    out = {link.hops, link.extra_latency,
+           t_.config.salvage_pairs && t_.scen_active && !link.route_up};
+    return true;
+  }
+
+  std::size_t occupancy() override {
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < running_; ++i) {
+      total += services_[i]->available(t_.sim.now());
+    }
+    return total;
+  }
+
+  void push_boundary(double t) override {
+    for (std::size_t i = 0; i < running_; ++i) {
+      services_[i]->set_effective(t_.link_effective(i, t));
+    }
+  }
+
+  /// With salvage_pairs, the stock kept across the re-plan is re-credited
+  /// to the new route's budget instead of rotting against the dead path.
+  void on_path_change(std::size_t i, double t) override {
+    if (t_.config.salvage_pairs) {
+      t_.result.pairs_salvaged += services_[i]->available(t);
+    }
+  }
+
+ private:
+  /// Per-hop capacity grants of one link along `route`, written to
+  /// hop_comm_ / hop_buf_: with share_edge_capacity, the link's share of
+  /// each edge by its creation rank there (advancing edge_rank_, zeroed per
+  /// setup), else the full budget.
+  void grant_hop_shares(const net::Route& route) {
+    const std::size_t hops = route.edges.size();
+    hop_comm_.resize(hops);
+    hop_buf_.resize(hops);
+    for (std::size_t k = 0; k < hops; ++k) {
+      const std::size_t e = route.edges[k];
+      const ent::LinkParams& ep = t_.route_cache.edge_params[e];
+      hop_comm_[k] = ep.num_comm_pairs;
+      hop_buf_[k] = ep.buffer_capacity;
+      if (t_.config.share_edge_capacity) {
+        const int load = t_.planner.edge_load()[e];
+        const int rank = edge_rank_[e]++;
+        hop_comm_[k] = net::capacity_share(ep.num_comm_pairs, load, rank);
+        hop_buf_[k] = net::capacity_share(ep.buffer_capacity, load, rank);
+      }
+    }
+  }
+
+  std::vector<int> edge_rank_;  ///< next share rank per edge
+  std::vector<int> hop_comm_;   ///< per-hop comm share
+  std::vector<int> hop_buf_;    ///< per-hop buffer share
+};
+
+// --- swap-as-you-go delivery -------------------------------------------------
+
+/// One buffered generation service per *physical edge*, each with the
+/// edge's full budget: every topology edge generates continuously (unrouted
+/// edges waste their successes into a full buffer, which is what idle
+/// hardware does), and routes share an edge dynamically by draining its
+/// common buffer. An end-to-end pair is fused on demand from one buffered
+/// pair per hop.
+class SwapGoDelivery final : public Delivery {
+ public:
+  explicit SwapGoDelivery(TrialState& t) : Delivery(t, true) {}
+
+  void setup() override {
+    run_services(t_.config.topology->num_edges());
+    rebuild_links_on_edge();
+    for (std::size_t e = 0; e < running_; ++e) {
+      // Bufferless designs hold each hop pair on the edge's communication
+      // qubits until the end-to-end fusion drains it: a degraded one-slot
+      // buffer per edge, so swap-as-you-go applies to every design.
+      ent::LinkParams ep = t_.route_cache.edge_params[e];
+      if (!design_uses_buffer(t_.design)) ep.buffer_capacity = 1;
+      // Every edge, routed or not: an outage re-plan may route over any.
+      require_gate_quota(ep.buffer_capacity, t_.config.pairs_per_remote_gate(),
+                         "a swap-as-you-go edge buffer");
+      std::optional<ent::EffectiveLink> eff;
+      if (t_.scen_active) eff = t_.edge_effective(e, t_.sim.now());
+      // A deposit is offered to the links crossing the edge, in link
+      // creation order (the deterministic arbitration rule).
+      start_service(t_, *services_[e], ep, ent::ServiceMode::Buffered, e,
+                    t_.edge_track(e), eff, [this, e](des::SimTime) {
+                      for (const int link : links_on_edge_[e]) {
+                        t_.serve_pending(static_cast<std::size_t>(link));
+                      }
+                      return true;
+                    });
+    }
+  }
+
+  /// Assemble each end-to-end pair by popping one buffered pair per hop and
+  /// fusing them at the intermediate nodes *now*. Each hop pair decays from
+  /// its own deposit instant; the fused pair is born at the assembly
+  /// instant, so decay to the consuming gate is the identity and is
+  /// skipped. With a split plan a request is served by the primary path
+  /// when ready, else by the cost-tied alternate.
+  ///
+  /// Mid-flight pair salvage (config.salvage_pairs): a link whose whole
+  /// route was severed may still drain hop pairs buffered *before* the
+  /// outage along its last route, provided every node on it survives —
+  /// the gate completes on pre-outage stock instead of stalling for the
+  /// repair window. Links salvage in creation order (after_replan), the
+  /// same arbitration rule deposits follow.
+  bool claim(std::size_t i, std::size_t needed, PairClaim& out,
+             std::vector<double>& fidelities) override {
+    const LogicalLink& link = t_.links[i];
+    const net::RoutePlan& plan = t_.link_plans[i];
+    const des::SimTime now = t_.sim.now();
+    const bool salvaging = !plan.has_route;
+    const std::vector<std::size_t>* path = nullptr;
+    if (salvaging) {
+      const auto& last = link.route_edges;
+      if (!t_.config.salvage_pairs || !t_.scen_active || last.empty() ||
+          !std::all_of(last.begin(), last.end(),
+                       [&](std::size_t e) { return nodes_up(e, now); }) ||
+          !edges_ready(last, needed)) {
+        return false;
+      }
+      path = &link.route_edges;
+    } else if (edges_ready(plan.primary.edges, needed)) {
+      path = &plan.primary.edges;
+    } else if (plan.split && edges_ready(plan.alternate.edges, needed)) {
+      path = &plan.alternate.edges;
+    } else {
+      return false;
+    }
+    const auto order = t_.config.consume_freshest
+                           ? ent::ConsumeOrder::FreshestFirst
+                           : ent::ConsumeOrder::OldestFirst;
+    fidelities.clear();
+    for (std::size_t k = 0; k < needed; ++k) {
+      hop_fid_.clear();
+      for (const std::size_t e : *path) {
+        auto pair = services_[e]->pop(now, order);
+        DQCSIM_ENSURES(pair.has_value());
+        const double age = now - pair->deposited;
+        t_.record_pair_age(age);
+        hop_fid_.push_back(noise::werner_decayed_fidelity(
+            pair->f0, t_.route_cache.edge_params[e].kappa, age));
+      }
+      fidelities.push_back(net::swap_composed_fidelity(
+          hop_fid_.data(), hop_fid_.size(),
+          t_.route_cache.inputs.swap.bsm_fidelity));
+    }
+    const int hops = static_cast<int>(path->size());
+    out = {hops, (hops - 1) * t_.route_cache.inputs.swap.latency, salvaging};
+    return true;
+  }
+
+  /// A link's availability is the bottleneck hop's buffered count along
+  /// its primary path — optimistic when routes overlap (each counts the
+  /// shared buffer in full), but a deterministic, cheap occupancy signal.
+  std::size_t occupancy() override {
+    std::size_t total = 0;
+    for (const net::RoutePlan& plan : t_.link_plans) {
+      if (!plan.has_route) continue;
+      std::size_t avail = ~std::size_t{0};
+      for (const std::size_t e : plan.primary.edges) {
+        avail = std::min(avail, services_[e]->available(t_.sim.now()));
+      }
+      total += avail;
+    }
+    return total;
+  }
+
+  void push_boundary(double t) override {
+    for (std::size_t e = 0; e < running_; ++e) {
+      services_[e]->set_effective(t_.edge_effective(e, t));
+    }
+  }
+
+  void after_replan(double t) override {
+    rebuild_links_on_edge();
+    if (t_.config.salvage_pairs) {
+      // A down node loses its stored halves: flush the buffers of its
+      // incident edges before anyone salvages through them.
+      for (std::size_t e = 0; e < running_; ++e) {
+        if (!nodes_up(e, t)) {
+          t_.result.pairs_discarded += services_[e]->flush_buffer(t);
+        }
+      }
+    }
+    // Deposits wasted against full buffers do not re-fire the arrival
+    // handler, so a link re-planned onto already-full edges would
+    // otherwise stall until some other deposit lands: serve everyone once
+    // against the new plans. With salvage_pairs this same pass is the
+    // salvage drain — links whose routes were just severed consume their
+    // pre-outage stock here, in creation order.
+    for (std::size_t i = 0; i < t_.links.size(); ++i) t_.serve_pending(i);
+  }
+
+ private:
+  /// Deterministic arbitration index: which links a deposit on each edge
+  /// may serve, in link creation order. Rebuilt whenever plans change.
+  void rebuild_links_on_edge() {
+    links_on_edge_.resize(running_);
+    for (auto& v : links_on_edge_) v.clear();
+    for (std::size_t i = 0; i < t_.links.size(); ++i) {
+      const net::RoutePlan& plan = t_.link_plans[i];
+      if (!plan.has_route) continue;
+      for (const std::size_t e : plan.primary.edges) {
+        links_on_edge_[e].push_back(static_cast<int>(i));
+      }
+      if (plan.split) {
+        for (const std::size_t e : plan.alternate.edges) {
+          links_on_edge_[e].push_back(static_cast<int>(i));
+        }
+      }
+    }
+  }
+
+  /// True when every edge buffer along `edges` holds the full pair quota.
+  bool edges_ready(const std::vector<std::size_t>& edges,
+                   std::size_t needed) {
+    return std::all_of(edges.begin(), edges.end(), [&](std::size_t e) {
+      return services_[e]->available(t_.sim.now()) >= needed;
+    });
+  }
+
+  /// Both endpoint nodes of edge `e` are up at `t`. Stored pair halves
+  /// survive a *channel* outage — only new generation pauses — but die
+  /// with a down node.
+  bool nodes_up(std::size_t e, double t) const {
+    const net::TopologyEdge& edge = t_.config.topology->edge(e);
+    return t_.scen.node_up(edge.a, t) && t_.scen.node_up(edge.b, t);
+  }
+
+  /// Links whose current plan crosses each edge, in link creation order.
+  std::vector<std::vector<int>> links_on_edge_;
+  std::vector<double> hop_fid_;  ///< one pair's hop fidelities
+};
+
+}  // namespace
+
+Delivery& select_delivery(TrialState& t,
+                          std::array<std::unique_ptr<Delivery>, 2>& cache) {
+  const bool swap_go = t.config.swap_as_you_go;
+  std::unique_ptr<Delivery>& slot = cache[swap_go ? 1 : 0];
+  if (slot == nullptr && swap_go) slot = std::make_unique<SwapGoDelivery>(t);
+  if (slot == nullptr) slot = std::make_unique<ComposedDelivery>(t);
+  return *slot;
+}
+
+}  // namespace dqcsim::runtime::detail

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/congestion.hpp"
+#include "net/router.hpp"
 #include "net/topology.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/engine.hpp"
@@ -145,6 +148,7 @@ TEST(CongestionPlanner, NoDisjointAlternateMeansNoSplit) {
 }
 
 TEST(CongestionPlanner, MaskedEdgesAreUnusable) {
+  // ring(4) with edge {0, 1} masked out: 0 reaches 1 the long way round.
   const Topology topo = Topology::ring(4);
   const std::vector<double> costs = unit_costs(topo);
   std::vector<char> enabled(topo.num_edges(), 1);
@@ -154,13 +158,55 @@ TEST(CongestionPlanner, MaskedEdgesAreUnusable) {
   RoutePlan plan;
   planner.plan(0, 1, false, plan);
   ASSERT_TRUE(plan.has_route);
-  EXPECT_EQ(plan.primary.hops(), 3);  // the long way around
+  EXPECT_EQ(plan.primary.nodes, (std::vector<int>{0, 3, 2, 1}));
+  EXPECT_EQ(plan.primary.hops(), 3);
 
   // Masking both endpoints' edges disconnects the pair.
   enabled[topo.edge_index(0, 3)] = 0;
   planner.begin(topo, costs, 1.0, &enabled);
   planner.plan(0, 2, false, plan);
   EXPECT_FALSE(plan.has_route);
+
+  // chain(3) without its middle edge: node 2 is cut off from both others,
+  // while the surviving pair still routes.
+  const Topology chain = Topology::chain(3);
+  const std::vector<double> chain_costs = unit_costs(chain);
+  std::vector<char> chain_up(chain.num_edges(), 1);
+  chain_up[chain.edge_index(1, 2)] = 0;
+  planner.begin(chain, chain_costs, 0.0, &chain_up);
+  planner.plan(0, 1, false, plan);
+  EXPECT_TRUE(plan.has_route);
+  planner.plan(0, 2, false, plan);
+  EXPECT_FALSE(plan.has_route);
+  EXPECT_EQ(plan.primary.hops(), 0);  // empty, not a path
+  planner.plan(1, 2, false, plan);
+  EXPECT_FALSE(plan.has_route);
+}
+
+TEST(CongestionPlanner, LowerEndpointPlanMirrorsTheRouterOnACostTie) {
+  // A relabeled 6-ring, 0-5-1-3-2-4-0: the pair {0, 3} has two tied
+  // 3-hop paths. Dijkstra from 0 settles node 1 before node 2 and takes
+  // 0-5-1-3; from 3 it settles 4 before 5 and takes 3-2-4-0. net::Router
+  // routes from the lower endpoint and mirrors, so (3, 0) must be planned
+  // from 0 and reversed — as the engine's outage re-plan does — to equal
+  // Router::route(3, 0) edge for edge.
+  const Topology ring = Topology::custom(
+      6, {{0, 5}, {5, 1}, {1, 3}, {3, 2}, {2, 4}, {4, 0}});
+  const std::vector<double> costs = unit_costs(ring);
+  const Router router(ring, costs);
+  const std::vector<char> all_up(ring.num_edges(), 1);
+  CongestionPlanner planner;
+  planner.begin(ring, costs, 0.0, &all_up);
+  RoutePlan plan;
+  planner.plan(0, 3, false, plan);
+  ASSERT_TRUE(plan.has_route);
+  std::reverse(plan.primary.edges.begin(), plan.primary.edges.end());
+  EXPECT_EQ(plan.primary.edges, router.route(3, 0).edges);
+  EXPECT_EQ(plan.primary.cost, router.route(3, 0).cost);
+
+  planner.plan(3, 0, false, plan);  // the other orientation breaks the tie
+  EXPECT_EQ(plan.primary.nodes, (std::vector<int>{3, 2, 4, 0}));
+  EXPECT_NE(plan.primary.edges, router.route(3, 0).edges);
 }
 
 // --------------------------------------------------- engine-level tests ----
@@ -263,32 +309,53 @@ TEST(CongestionRouting, UniquePathTopologyIsBitIdenticalToLegacy) {
 
 // Two-node chain: one physical edge, zero swaps. Swap-as-you-go then
 // differs from the composed model only in bookkeeping (pairs transit the
-// per-edge pool instead of the per-link service), so timing statistics
-// must match exactly and fidelity to float round-off (the single-pair
-// "fusion" round-trips the Werner weight once).
+// per-edge pool instead of the per-link service). This is the delivery
+// seam's differential oracle: both deliveries must produce bit-identical
+// trials through every buffered design (AdaptBuf reads each delivery's own
+// occupancy signal), both remote implementations, a cutoff and
+// purification. Only max_edge_load differs: knobs-off composed runs report
+// no contention.
 TEST(SwapAsYouGo, SingleHopMatchesComposedModel) {
-  Circuit qc(4);
-  for (int rep = 0; rep < 6; ++rep) {
-    qc.rzz(0, 2, 0.1);
-    qc.rzz(1, 3, 0.2);
-    qc.h(0);
-  }
-  const std::vector<int> nodes = {0, 0, 1, 1};
-  ArchConfig legacy;
-  legacy.num_nodes = 2;
-  legacy.set_topology(Topology::chain(2));
-  ArchConfig swap_go = legacy;
-  swap_go.swap_as_you_go = true;
-  for (const DesignKind design :
-       {DesignKind::AsyncBuf, DesignKind::SyncBuf, DesignKind::InitBuf}) {
-    SCOPED_TRACE(runtime::design_name(design));
-    const AggregateResult a =
-        runtime::run_design(qc, nodes, legacy, design, 6, 21, 1);
-    const AggregateResult b =
-        runtime::run_design(qc, nodes, swap_go, design, 6, 21, 1);
-    EXPECT_EQ(a.depth.mean(), b.depth.mean());
-    EXPECT_EQ(a.avg_remote_wait.mean(), b.avg_remote_wait.mean());
-    EXPECT_NEAR(a.fidelity.mean(), b.fidelity.mean(), 1e-12);
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const std::vector<int> nodes =
+      runtime::partition_circuit(qc, 2).assignment;
+  ArchConfig composed;
+  composed.num_nodes = 2;
+  composed.set_topology(Topology::chain(2));
+  using runtime::RemoteImpl;
+  constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
+  for (const RemoteImpl impl :
+       {RemoteImpl::GateTeleport, RemoteImpl::StateTeleport}) {
+    for (const double cutoff : {kNoCutoff, 20.0}) {
+      for (const bool purify : {false, true}) {
+        composed.remote_impl = impl;
+        composed.buffer_cutoff = cutoff;
+        composed.purify_on_consume = purify;
+        ArchConfig swap_go = composed;
+        swap_go.swap_as_you_go = true;
+        for (const DesignKind design :
+             {DesignKind::SyncBuf, DesignKind::AsyncBuf, DesignKind::AdaptBuf,
+              DesignKind::InitBuf}) {
+          for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+            SCOPED_TRACE(runtime::design_name(design) + " impl " +
+                         std::to_string(static_cast<int>(impl)) + " cutoff " +
+                         std::to_string(cutoff) + " purify " +
+                         std::to_string(purify) + " seed " +
+                         std::to_string(seed));
+            const runtime::RunResult a =
+                runtime::ExecutionEngine(qc, nodes, composed, design, seed)
+                    .run();
+            runtime::RunResult b =
+                runtime::ExecutionEngine(qc, nodes, swap_go, design, seed)
+                    .run();
+            EXPECT_EQ(a.max_edge_load, 0u);
+            EXPECT_EQ(b.max_edge_load, 1u);
+            b.max_edge_load = a.max_edge_load;
+            runtime::expect_identical(a, b);
+          }
+        }
+      }
+    }
   }
 }
 

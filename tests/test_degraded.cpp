@@ -198,25 +198,45 @@ TEST(Truncation, PermanentOutageTerminatesAtTheBudget) {
   EXPECT_DOUBLE_EQ(r.outage_downtime, 500.0);
 }
 
-TEST(Truncation, ParkedStationaryServiceTruncatesAtTheBudget) {
-  // A state-teleported gate needs two pairs, but one buffer qubit per node
-  // holds one: the lazy service parks on its full buffer with no event, so
-  // the queue empties long before the budget. That counts as reaching it.
+TEST(DeliverySetup, RejectsABufferBelowOneGatesPairs) {
+  // A buffered service that holds fewer pairs than one remote gate
+  // consumes can never serve that gate: it parks on its full buffer and
+  // the trial stalls. Each delivery rejects such a service at setup, before
+  // the first event, with or without a trial budget.
   Circuit qc(4);
   qc.rzz(0, 2, 0.1);
   const std::vector<int> nodes = {0, 0, 1, 1};
-  ArchConfig config;
-  config.buffer_per_node = 1;
-  config.remote_impl = RemoteImpl::StateTeleport;
-  config.max_trial_sim_time = 500.0;
-  for (const DesignKind design :
-       {DesignKind::SyncBuf, DesignKind::AsyncBuf, DesignKind::InitBuf}) {
-    SCOPED_TRACE(design_name(design));
-    const RunResult r = run_once(qc, nodes, config, design);
-    EXPECT_TRUE(r.truncated);
-    EXPECT_DOUBLE_EQ(r.depth, 500.0);
-    EXPECT_GT(r.fidelity, 0.0);
+  ArchConfig state_tp;  // (a) two pairs per gate, one buffer slot per link
+  state_tp.buffer_per_node = 1;
+  state_tp.remote_impl = RemoteImpl::StateTeleport;
+  ArchConfig purify;  // (b) two raw pairs per purified gate
+  purify.buffer_per_node = 1;
+  purify.purify_on_consume = true;
+  for (const ArchConfig& config : {state_tp, purify}) {
+    for (const DesignKind design :
+         {DesignKind::SyncBuf, DesignKind::AsyncBuf, DesignKind::AdaptBuf,
+          DesignKind::InitBuf}) {
+      SCOPED_TRACE(design_name(design));
+      EXPECT_THROW(run_once(qc, nodes, config, design), ConfigError);
+      ArchConfig bounded = config;
+      bounded.max_trial_sim_time = 500.0;
+      EXPECT_THROW(run_once(qc, nodes, bounded, design), ConfigError);
+    }
   }
+  // (c) Swap-as-you-go runs the bufferless design on a degraded one-slot
+  // edge buffer, which cannot hold a state-teleported gate's two pairs.
+  ArchConfig swap_go;
+  swap_go.set_topology(net::Topology::chain(2));
+  swap_go.swap_as_you_go = true;
+  swap_go.remote_impl = RemoteImpl::StateTeleport;
+  EXPECT_THROW(run_once(qc, nodes, swap_go, DesignKind::Original),
+               ConfigError);
+  // The composed bufferless link holds a gate's pairs across heralds.
+  swap_go.swap_as_you_go = false;
+  EXPECT_FALSE(run_once(qc, nodes, swap_go, DesignKind::Original).truncated);
+  // Enough buffer for the quota runs every shape.
+  state_tp.buffer_per_node = 2;
+  EXPECT_FALSE(run_once(qc, nodes, state_tp, DesignKind::AsyncBuf).truncated);
 }
 
 TEST(Truncation, NeverSucceedingStationaryLinkTruncatesAtTheBudget) {

@@ -16,9 +16,11 @@
 #include "common/thread_pool.hpp"
 #include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
+#include "net/topology.hpp"
 #include "obs/observe.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/experiment.hpp"
+#include "scenario/scenario.hpp"
 
 namespace dqcsim::runtime {
 namespace {
@@ -191,6 +193,56 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossSetupChanges) {
       const RunResult ctx = reused.execute(qc, assignment, config, design,
                                            seed);
       expect_identical(ctx, fresh);
+    }
+  }
+}
+
+TEST(RunContextReuse, MatchesFreshEngineAcrossDeliveryModes) {
+  // The context caches one object per delivery model and keeps its
+  // services warm: switching composed, shared-capacity, congestion and
+  // swap-as-you-go delivery (with and without a fault scenario) on one
+  // RunContext must reproduce a fresh one-shot engine bit for bit.
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = partition_circuit(qc, 4);
+  scenario::Scenario faults;
+  faults.link_outages.push_back({0, 1, 20.0, 300.0});
+  faults.node_outages.push_back({2, 50.0, 100.0});
+  faults.random_failures = {400.0, 60.0};
+
+  ArchConfig flat;
+  flat.num_nodes = 4;
+  ArchConfig ring = flat;
+  ring.set_topology(net::Topology::ring(4));
+  ArchConfig shared = ring;
+  shared.share_edge_capacity = true;
+  ArchConfig swap_go = ring;
+  swap_go.swap_as_you_go = true;
+  ArchConfig swap_go_faults = swap_go;
+  swap_go_faults.set_scenario(faults);
+  swap_go_faults.salvage_pairs = true;
+  ArchConfig congested = shared;
+  congested.congestion_aware_routing = true;
+  congested.set_scenario(faults);
+  ArchConfig chain = flat;
+  chain.set_topology(net::Topology::chain(4));
+  chain.set_scenario(faults);
+  const std::vector<ArchConfig> configs = {
+      flat, ring, shared, swap_go, swap_go_faults, congested, chain};
+
+  RunContext reused;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      for (const DesignKind design : distributed_designs()) {
+        SCOPED_TRACE("pass " + std::to_string(pass) + " config " +
+                     std::to_string(i) + " " + design_name(design));
+        const std::uint64_t seed = 40 + i;
+        const RunResult fresh =
+            ExecutionEngine(qc, part.assignment, configs[i], design, seed)
+                .run();
+        expect_identical(reused.execute(qc, part.assignment, configs[i],
+                                        design, seed),
+                         fresh);
+      }
     }
   }
 }
@@ -374,12 +426,11 @@ TEST(WarmContexts, CallAfterAThrowingTrialMatchesSerial) {
   for (const int threads : {1, 2}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     // Every trial throws mid-run, after it has counted itself into its
-    // context's registry: a state-teleported gate needs two pairs, one
-    // buffer qubit per node holds one, and with no trial budget the
-    // stalled simulation is an invariant failure.
+    // context's registry: no pair ever succeeds, the lazy services
+    // schedule nothing, and with no trial budget the stalled simulation
+    // is an invariant failure.
     ArchConfig stalling;
-    stalling.remote_impl = RemoteImpl::StateTeleport;
-    stalling.buffer_per_node = 1;
+    stalling.p_succ = 1e-25;
     stalling.observe = obs::make_observe();
     EXPECT_THROW(run_design(qc, part.assignment, stalling,
                             DesignKind::AsyncBuf, kRuns, kSeed, threads),

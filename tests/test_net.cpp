@@ -214,7 +214,6 @@ TEST(Router, SelfPairContractIsConsistent) {
     EXPECT_EQ(r.hop_distance(a, a), 0);
     EXPECT_EQ(r.route(a, a).hops(), 0);
     EXPECT_DOUBLE_EQ(r.route(a, a).cost, 0.0);
-    EXPECT_TRUE(r.has_route(a, a));
   }
 }
 
@@ -224,40 +223,6 @@ TEST(Router, OneNodeTopologyIsRejectedBeforeRouting) {
   // above is the only place a == b is ever answered).
   EXPECT_THROW(Topology::custom(1, {}).validate(), ConfigError);
   EXPECT_THROW(Router(Topology::custom(1, {})), ConfigError);
-}
-
-TEST(Router, MaskedRouterRoutesOverSurvivingSubgraph) {
-  // ring(4) with edge {0, 1} masked out: 0 reaches 1 the long way round.
-  const Topology t = Topology::ring(4);
-  const std::vector<double> costs(t.num_edges(), 1.0);
-  std::vector<char> up(t.num_edges(), 1);
-  up[t.edge_index(0, 1)] = 0;
-  const Router masked(t, costs, up);
-  EXPECT_TRUE(masked.has_route(0, 1));
-  EXPECT_EQ(masked.route(0, 1).nodes, (std::vector<int>{0, 3, 2, 1}));
-  EXPECT_EQ(masked.hop_distance(0, 1), 3);
-}
-
-TEST(Router, MaskedRouterToleratesDisconnection) {
-  // chain(3) without its middle edge: node 2 is cut off, which a masked
-  // router must report via has_route instead of failing to build.
-  const Topology t = Topology::chain(3);
-  const std::vector<double> costs(t.num_edges(), 1.0);
-  std::vector<char> up(t.num_edges(), 1);
-  up[t.edge_index(1, 2)] = 0;
-  const Router masked(t, costs, up);
-  EXPECT_TRUE(masked.has_route(0, 1));
-  EXPECT_FALSE(masked.has_route(0, 2));
-  EXPECT_FALSE(masked.has_route(1, 2));
-  EXPECT_TRUE(masked.has_route(2, 2));
-  EXPECT_EQ(masked.route(0, 2).hops(), 0);  // empty, not a path
-  // A disabled edge may carry a nonsensical cost; only enabled ones are
-  // checked.
-  std::vector<double> bad_costs(t.num_edges(), 1.0);
-  bad_costs[t.edge_index(1, 2)] = 0.0;
-  EXPECT_NO_THROW(Router(t, bad_costs, up));
-  std::vector<char> all_up(t.num_edges(), 1);
-  EXPECT_THROW(Router(t, bad_costs, all_up), PreconditionError);
 }
 
 // ----------------------------------------------------------- swap model ----
