@@ -20,12 +20,12 @@ int main() {
   // The exact gadget fidelities at a fresh pair (context for the tables).
   const noise::TeleportNoiseParams tele;  // Table II noise
   std::cout << "Gadget fidelity at fresh pairs (F0 = 0.99): gate-teleport = "
-            << TablePrinter::fmt(noise::teleported_cnot_avg_fidelity(0.99,
-                                                                     tele),
+            << TablePrinter::fmt(noise::teleported_cnot_closed_form(0.99,
+                                                                    tele),
                                  4)
             << ", state-teleport round trip = "
             << TablePrinter::fmt(
-                   noise::state_teleported_cnot_avg_fidelity(0.99, 0.99, tele),
+                   noise::state_teleported_cnot_closed_form(0.99, 0.99, tele),
                    4)
             << "\n\n";
 
@@ -35,6 +35,7 @@ int main() {
                 {"benchmark", "design", "impl", "depth_mean", "fidelity_mean",
                  "epr_consumed"});
 
+  const int runs = bench::runs_from_env();
   for (const auto id :
        {gen::BenchmarkId::TLIM_32, gen::BenchmarkId::QAOA_R8_32}) {
     const Circuit qc = gen::make_benchmark(id);
@@ -46,7 +47,7 @@ int main() {
         runtime::ArchConfig config;
         config.remote_impl = impl;
         const auto agg = runtime::run_design(qc, part.assignment, config,
-                                             design, bench::kRuns);
+                                             design, runs);
         const std::string impl_name =
             impl == runtime::RemoteImpl::GateTeleport ? "gate" : "state";
         const auto placement = sched::classify_gates(qc, part.assignment);

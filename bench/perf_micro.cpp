@@ -1,9 +1,9 @@
 /// \file perf_micro.cpp
 /// \brief google-benchmark microbenchmarks of the library's hot paths
 /// (not a paper experiment): DES throughput, partitioner, DAG analysis,
-/// the qsim density-matrix kernel, and full engine runs. Results are also
-/// exported to BENCH_perf_micro.json for the CI perf gate (see
-/// bench_report.hpp).
+/// the density-matrix kernel of the test oracle (tests/oracle), and full
+/// engine runs. Results are also exported to BENCH_perf_micro.json for the
+/// CI perf gate (see bench_report.hpp).
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +16,7 @@
 
 #include "bench_report.hpp"
 #include "dqcsim.hpp"
+#include "teleport_gadgets.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter: the steady-state benchmarks report

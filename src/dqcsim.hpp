@@ -36,7 +36,6 @@
 #include "circuit/dag.hpp"
 #include "circuit/gate.hpp"
 #include "circuit/interaction_graph.hpp"
-#include "circuit/qasm.hpp"
 
 #include "gen/benchmarks.hpp"
 #include "gen/qaoa.hpp"
@@ -49,10 +48,6 @@
 #include "partition/graph.hpp"
 #include "partition/initial_partition.hpp"
 #include "partition/partitioner.hpp"
-
-#include "qsim/channels.hpp"
-#include "qsim/density_matrix.hpp"
-#include "qsim/gates_matrices.hpp"
 
 #include "noise/fidelity_ledger.hpp"
 #include "noise/purification.hpp"

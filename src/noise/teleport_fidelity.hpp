@@ -7,13 +7,12 @@
 /// single-qubit measurement." The fidelity is the *process* fidelity of the
 /// induced channel, converted to average gate fidelity.
 ///
-/// Two evaluations of each gadget live here:
-///  - a density-matrix one (teleported_cnot_avg_fidelity: 6 qubits with two
-///    reference qubits; state_teleported_cnot_avg_fidelity: 8 qubits). It
-///    simulates the circuit literally and is the test oracle; nothing on
-///    the run path calls it.
-///  - a closed form in the Pauli-frame picture of stabilizer circuits
-///    (Aaronson & Gottesman, PRA 70, 052328 (2004)), which the models use.
+/// The models evaluate each gadget in closed form, in the Pauli-frame
+/// picture of stabilizer circuits (Aaronson & Gottesman, PRA 70, 052328
+/// (2004)). The literal density-matrix simulation of the same circuits
+/// (6 qubits for the gate gadget, 8 for the state gadget) is the test
+/// oracle; it lives beside the tests in tests/oracle/teleport_gadgets.hpp,
+/// and nothing in the library calls it.
 ///
 /// The closed form. Every noise source in both gadgets is an independent
 /// Pauli channel on a Clifford circuit, so the output channel is the ideal
@@ -21,7 +20,7 @@
 /// With v_i the error of source i propagated to (c, t) (a vector in F_2^4)
 ///   F_pro = (1/16) sum_{s in F_2^4} prod_i E_i[(-1)^{s.v_i}],
 ///   F_avg = (4 F_pro + 1) / 5.
-/// p2 and p1 are qsim::depolarizing_prob_for_avg_fidelity(4 | 2, f) of the
+/// p2 and p1 are depolarizing_prob_for_avg_fidelity(4 | 2, f) of the
 /// local two- and one-qubit fidelities, and a readout flips with
 /// probability 1 - f_r. A Werner pair of fidelity F is |Phi+> with a Pauli
 /// error on one half: I with probability F, X, Y, Z with (1 - F)/3 each.
@@ -84,43 +83,28 @@ struct TeleportNoiseParams {
                          const TeleportNoiseParams&) = default;
 };
 
-/// Exact average gate fidelity of the teleported CNOT consuming a Bell pair
-/// of fidelity `pair_fidelity` (Werner form), simulated on a 6-qubit
-/// density matrix (16 measurement branches). The oracle of
-/// teleported_cnot_closed_form; milliseconds per call.
-/// Preconditions: pair_fidelity in [0.25, 1].
-double teleported_cnot_avg_fidelity(double pair_fidelity,
-                                    const TeleportNoiseParams& params = {});
+/// Depolarizing probability p that realizes average gate fidelity `f_avg`
+/// on a d-dimensional gate:
+///   F_avg = (d * F_pro + 1) / (d + 1),   F_pro = 1 - p * (1 - 1/d^2).
+/// Preconditions: dim in {2, 4}, f_avg in (1/(d+1), 1].
+double depolarizing_prob_for_avg_fidelity(int dim, double f_avg);
 
-/// teleported_cnot_avg_fidelity by the Pauli-frame character sum (see the
-/// file comment). Same preconditions; no density matrix.
+/// Average gate fidelity of the teleported CNOT consuming a Bell pair of
+/// fidelity `pair_fidelity` (Werner form), by the Pauli-frame character sum
+/// (see the file comment). Preconditions: pair_fidelity in [0.25, 1].
 double teleported_cnot_closed_form(double pair_fidelity,
                                    const TeleportNoiseParams& params = {});
 
-/// Exact average fidelity of teleporting one qubit's *state* across a Bell
-/// pair of fidelity `pair_fidelity` (the paper's Fig. 1(b) gadget with
-/// noisy local ops and readout). This is the d = 2 building block of the
-/// state-teleportation implementation of remote gates.
-double teleported_state_avg_fidelity(double pair_fidelity,
-                                     const TeleportNoiseParams& params = {});
-
-/// Exact average gate fidelity of a remote CNOT implemented by *state*
+/// Average gate fidelity of a remote CNOT implemented by *state*
 /// teleportation: teleport the control to the target's node (pair 1), apply
-/// the CNOT locally, teleport the control back (pair 2). Consumes two Bell
-/// pairs; evaluated exactly on an 8-qubit density matrix. The oracle of
-/// state_teleported_cnot_closed_form; tens of milliseconds per call.
+/// the CNOT locally, teleport the control back (pair 2); by the Pauli-frame
+/// character sum (see the file comment).
 /// Preconditions: both fidelities in [0.25, 1].
-double state_teleported_cnot_avg_fidelity(
-    double pair1_fidelity, double pair2_fidelity,
-    const TeleportNoiseParams& params = {});
-
-/// state_teleported_cnot_avg_fidelity by the Pauli-frame character sum
-/// (see the file comment). Same preconditions; no density matrix.
 double state_teleported_cnot_closed_form(
     double pair1_fidelity, double pair2_fidelity,
     const TeleportNoiseParams& params = {});
 
-/// Bilinear model of state_teleported_cnot_avg_fidelity:
+/// Bilinear model of state_teleported_cnot_closed_form:
 ///   F(F1, F2) = c00 + c10*F1 + c01*F2 + c11*F1*F2,
 /// exact for Werner resources (the channel is linear in each resource
 /// state); calibrated at the four corners (closed form; recorded gadget

@@ -1,6 +1,7 @@
 #include "runtime/arch_config.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.hpp"
 #include "sched/segmentation.hpp"
@@ -20,8 +21,8 @@ void ArchConfig::validate() const {
   if (!(p_succ > 0.0 && p_succ <= 1.0)) {
     throw ConfigError("ArchConfig: p_succ must be in (0, 1]");
   }
-  if (kappa < 0.0) {
-    throw ConfigError("ArchConfig: kappa must be nonnegative");
+  if (!(std::isfinite(kappa) && kappa >= 0.0)) {
+    throw ConfigError("ArchConfig: kappa must be finite and nonnegative");
   }
   if (!(buffer_cutoff > 0.0)) {
     throw ConfigError("ArchConfig: buffer cutoff must be positive");
@@ -29,13 +30,18 @@ void ArchConfig::validate() const {
   if (async_subgroups < 1) {
     throw ConfigError("ArchConfig: async_subgroups must be at least 1");
   }
-  if (lat.one_qubit < 0.0 || lat.local_cnot <= 0.0 || lat.measurement < 0.0 ||
-      lat.epr_cycle <= 0.0 || lat.swap_buffer < 0.0 ||
-      lat.remote_gate <= 0.0 || lat.remote_gate_state <= 0.0) {
+  // Every latency is a finite duration; NaN and infinity fail every test.
+  const auto nonneg = [](double t) { return std::isfinite(t) && t >= 0.0; };
+  const auto positive = [](double t) { return std::isfinite(t) && t > 0.0; };
+  if (!nonneg(lat.one_qubit) || !positive(lat.local_cnot) ||
+      !nonneg(lat.measurement) || !positive(lat.epr_cycle) ||
+      !nonneg(lat.swap_buffer) || !positive(lat.remote_gate) ||
+      !positive(lat.remote_gate_state)) {
     throw ConfigError("ArchConfig: latencies out of domain");
   }
-  if (purification_latency < 0.0) {
-    throw ConfigError("ArchConfig: purification latency must be nonnegative");
+  if (!nonneg(purification_latency)) {
+    throw ConfigError(
+        "ArchConfig: purification latency must be finite and nonnegative");
   }
   const auto fid_ok = [](double f) { return f > 0.0 && f <= 1.0; };
   if (!fid_ok(fid.one_qubit) || !fid_ok(fid.local_cnot) ||

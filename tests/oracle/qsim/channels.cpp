@@ -1,23 +1,15 @@
 #include "qsim/channels.hpp"
 
 #include "common/error.hpp"
+#include "noise/teleport_fidelity.hpp"
 
 namespace dqcsim::qsim {
-
-double depolarizing_prob_for_avg_fidelity(int dim, double f_avg) {
-  DQCSIM_EXPECTS_MSG(dim == 2 || dim == 4, "dim must be 2 or 4");
-  const double d = static_cast<double>(dim);
-  DQCSIM_EXPECTS_MSG(f_avg > 1.0 / (d + 1.0) && f_avg <= 1.0,
-                     "average fidelity out of the depolarizing range");
-  const double f_pro = ((d + 1.0) * f_avg - 1.0) / d;
-  const double p = (1.0 - f_pro) / (1.0 - 1.0 / (d * d));
-  return p;
-}
 
 void apply_noisy_1q(DensityMatrix& rho, const Mat2& u, int q, double f_avg) {
   rho.apply_1q(u, q);
   if (f_avg < 1.0) {
-    rho.depolarize_1q(q, depolarizing_prob_for_avg_fidelity(2, f_avg));
+    rho.depolarize_1q(q,
+                      noise::depolarizing_prob_for_avg_fidelity(2, f_avg));
   }
 }
 
@@ -26,7 +18,7 @@ void apply_noisy_2q(DensityMatrix& rho, const Mat4& u, int q_high, int q_low,
   rho.apply_2q(u, q_high, q_low);
   if (f_avg < 1.0) {
     rho.depolarize_2q(q_high, q_low,
-                      depolarizing_prob_for_avg_fidelity(4, f_avg));
+                      noise::depolarizing_prob_for_avg_fidelity(4, f_avg));
   }
 }
 

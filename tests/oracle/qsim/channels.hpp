@@ -2,21 +2,15 @@
 /// \brief Noise-channel helpers bridging quoted gate fidelities (Table II)
 /// to concrete depolarizing channels in the density-matrix simulator.
 ///
-/// Hardware papers quote *average gate fidelity* F_avg; the corresponding
-/// depolarizing probability follows from
-///   F_avg = (d * F_pro + 1) / (d + 1),   F_pro = 1 - p * (1 - 1/d^2),
-/// where d is the Hilbert-space dimension of the gate (2 or 4).
+/// Hardware papers quote *average gate fidelity* F_avg; the depolarizing
+/// probability realizing it is noise::depolarizing_prob_for_avg_fidelity,
+/// the same conversion the closed-form teleport models use.
 
 #pragma once
 
 #include "qsim/density_matrix.hpp"
 
 namespace dqcsim::qsim {
-
-/// Depolarizing probability p that realizes average gate fidelity `f_avg`
-/// on a d-dimensional gate. Preconditions: dim in {2, 4},
-/// f_avg in (1/(d+1), 1].
-double depolarizing_prob_for_avg_fidelity(int dim, double f_avg);
 
 /// Apply a one-qubit unitary followed by a depolarizing channel realizing
 /// average fidelity `f_avg` on qubit q.

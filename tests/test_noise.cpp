@@ -1,5 +1,7 @@
 /// Unit tests for the noise models: Werner decay, teleported-gate fidelity,
-/// and the fidelity ledger.
+/// swap composition, purification and the fidelity ledger. The models are
+/// checked against the density-matrix oracle (tests/oracle) as well as
+/// against their own formulas.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +12,13 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "net/swap.hpp"
 #include "noise/fidelity_ledger.hpp"
 #include "noise/purification.hpp"
 #include "noise/teleport_fidelity.hpp"
 #include "noise/werner.hpp"
+#include "qsim/gates_matrices.hpp"
+#include "teleport_gadgets.hpp"
 
 namespace dqcsim::noise {
 namespace {
@@ -463,6 +468,130 @@ TEST(Purification, RejectsOutOfRange) {
   EXPECT_THROW(purify_werner(0.1, 0.9), PreconditionError);
   EXPECT_THROW(purify_werner(0.9, 1.2), PreconditionError);
   EXPECT_THROW(purify_werner_nested(0.9, -1), PreconditionError);
+}
+
+// ------------------------------- pair models against the density matrix ----
+// Each Werner-pair model against the circuit it abstracts, simulated on the
+// density-matrix oracle: 200 seeded draws per model, |delta| <= 1e-12.
+
+constexpr double kOracleTol = 1e-12;
+constexpr int kOracleDraws = 200;
+
+/// Fidelity of a two-qubit state with |Phi+>.
+double phi_plus_fidelity(const qsim::DensityMatrix& pair) {
+  const double s = 1.0 / std::sqrt(2.0);
+  return pair.fidelity_with_pure({qsim::Complex{s, 0}, qsim::Complex{0, 0},
+                                  qsim::Complex{0, 0}, qsim::Complex{s, 0}});
+}
+
+/// Ideal local operations and readout: teleport_through is then the ideal
+/// Bell measurement with its Pauli correction.
+TeleportNoiseParams ideal_ops() {
+  TeleportNoiseParams p;
+  p.local_2q_fidelity = 1.0;
+  p.local_1q_fidelity = 1.0;
+  p.readout_fidelity = 1.0;
+  return p;
+}
+
+TEST(PairModelOracle, WernerDecayIsBothHalvesDepolarized) {
+  Rng rng(101);
+  for (int i = 0; i < kOracleDraws; ++i) {
+    const double f0 = rng.uniform(0.25, 1.0);
+    const double kappa = i == 0 ? 0.0 : rng.uniform(0.0, 0.01);
+    const double t = i == 1 ? 0.0 : rng.uniform(0.0, 500.0);
+    // Bloch factor e^{-kappa t} on each half.
+    const double p = 1.0 - std::exp(-kappa * t);
+    qsim::DensityMatrix pair = qsim::DensityMatrix::werner(f0);
+    pair.depolarize_1q(0, p);
+    pair.depolarize_1q(1, p);
+    EXPECT_NEAR(werner_decayed_fidelity(f0, kappa, t),
+                phi_plus_fidelity(pair), kOracleTol)
+        << "f0=" << f0 << " kappa=" << kappa << " t=" << t;
+  }
+}
+
+TEST(PairModelOracle, TwoHopSwapIsIdealBellMeasurement) {
+  Rng rng(102);
+  for (int i = 0; i < kOracleDraws; ++i) {
+    const double fa = rng.uniform(0.25, 1.0);
+    const double fb = rng.uniform(0.25, 1.0);
+    // Pairs (0, 1) and (2, 3); the Bell measurement on (1, 2) leaves the
+    // swapped pair on (0, 3).
+    const qsim::DensityMatrix hops = qsim::DensityMatrix::werner(fa).tensor(
+        qsim::DensityMatrix::werner(fb));
+    const double oracle = phi_plus_fidelity(
+        teleport_through(hops, 1, 2, 3, ideal_ops())
+            .partial_trace(2)
+            .partial_trace(1));
+    const double f[] = {fa, fb};
+    EXPECT_NEAR(werner_swapped_fidelity(fa, fb), oracle, kOracleTol)
+        << fa << ", " << fb;
+    EXPECT_NEAR(net::swap_composed_fidelity(f, 2, 1.0), oracle, kOracleTol)
+        << fa << ", " << fb;
+  }
+}
+
+TEST(PairModelOracle, ThreeHopSwapIsIdealBellMeasurements) {
+  Rng rng(103);
+  for (int i = 0; i < kOracleDraws; ++i) {
+    const double fa = rng.uniform(0.25, 1.0);
+    const double fb = rng.uniform(0.25, 1.0);
+    const double fc = rng.uniform(0.25, 1.0);
+    // Pairs (0, 1), (2, 3), (4, 5); Bell measurements on (1, 2), then on
+    // (3, 4), leave the end-to-end pair on (0, 5).
+    const qsim::DensityMatrix hops =
+        qsim::DensityMatrix::werner(fa)
+            .tensor(qsim::DensityMatrix::werner(fb))
+            .tensor(qsim::DensityMatrix::werner(fc));
+    const qsim::DensityMatrix first =
+        teleport_through(hops, 1, 2, 3, ideal_ops());
+    const double oracle = phi_plus_fidelity(
+        teleport_through(first, 3, 4, 5, ideal_ops())
+            .partial_trace(4)
+            .partial_trace(3)
+            .partial_trace(2)
+            .partial_trace(1));
+    const double f[] = {fa, fb, fc};
+    EXPECT_NEAR(werner_swapped_fidelity(werner_swapped_fidelity(fa, fb), fc),
+                oracle, kOracleTol)
+        << fa << ", " << fb << ", " << fc;
+    EXPECT_NEAR(net::swap_composed_fidelity(f, 3, 1.0), oracle, kOracleTol)
+        << fa << ", " << fb << ", " << fc;
+  }
+}
+
+TEST(PairModelOracle, PurificationIsBilateralCnotWithCoincidentOutcomes) {
+  Rng rng(104);
+  for (int i = 0; i < kOracleDraws; ++i) {
+    const double f1 = rng.uniform(0.25, 1.0);
+    const double f2 = rng.uniform(0.25, 1.0);
+    // Source pair (0, 1), target pair (2, 3); qubits 0 and 2 are on one
+    // node, 1 and 3 on the other. Each node applies CNOT(source -> target)
+    // and measures its target half; the round succeeds on equal outcomes.
+    qsim::DensityMatrix rho = qsim::DensityMatrix::werner(f1).tensor(
+        qsim::DensityMatrix::werner(f2));
+    rho.apply_2q(qsim::cnot(), 0, 2);
+    rho.apply_2q(qsim::cnot(), 1, 3);
+    const auto near = rho.measure_branches(2);
+    double p_succ = 0.0;
+    qsim::DensityMatrix kept = qsim::DensityMatrix::mix(rho, 0.0, rho, 0.0);
+    for (int o = 0; o < 2; ++o) {
+      const auto far =
+          near.state[static_cast<std::size_t>(o)].measure_branches(3);
+      const double w = near.prob[o] * far.prob[o];
+      p_succ += w;
+      kept = qsim::DensityMatrix::mix(kept, 1.0,
+                                      far.state[static_cast<std::size_t>(o)],
+                                      w);
+    }
+    const double f_out =
+        phi_plus_fidelity(kept.partial_trace(3).partial_trace(2)) / p_succ;
+    const PurificationOutcome model = purify_werner(f1, f2);
+    EXPECT_NEAR(model.success_probability, p_succ, kOracleTol)
+        << f1 << ", " << f2;
+    EXPECT_NEAR(model.fidelity, f_out, kOracleTol) << f1 << ", " << f2;
+  }
 }
 
 // --------------------------------------------------------- fidelity ledger ----

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "noise/teleport_fidelity.hpp"
 #include "qsim/channels.hpp"
 #include "qsim/density_matrix.hpp"
 #include "qsim/gates_matrices.hpp"
@@ -233,7 +234,7 @@ TEST(Channels, DepolarizingProbRoundTrip) {
   // p derived from a target average fidelity must reproduce that fidelity
   // when applied to the identity gate (measured via a Bell/Choi state).
   const double f_target = 0.999;
-  const double p = depolarizing_prob_for_avg_fidelity(4, f_target);
+  const double p = noise::depolarizing_prob_for_avg_fidelity(4, f_target);
   EXPECT_GT(p, 0.0);
   EXPECT_LT(p, 0.01);
   // Average fidelity of two-qubit depolarizing: 1 - p*(1 - 1/16)*(4/5).
@@ -243,6 +244,7 @@ TEST(Channels, DepolarizingProbRoundTrip) {
 }
 
 TEST(Channels, DepolarizingProbRejectsOutOfRange) {
+  using noise::depolarizing_prob_for_avg_fidelity;
   EXPECT_THROW(depolarizing_prob_for_avg_fidelity(3, 0.9), PreconditionError);
   EXPECT_THROW(depolarizing_prob_for_avg_fidelity(2, 0.2), PreconditionError);
   EXPECT_THROW(depolarizing_prob_for_avg_fidelity(2, 1.1), PreconditionError);

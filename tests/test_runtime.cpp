@@ -100,6 +100,27 @@ TEST(ArchConfig, ValidateCatchesBadFields) {
   expect_bad([](ArchConfig& c) { c.lat.local_cnot = 0.0; });
   expect_bad([](ArchConfig& c) { c.fid.local_cnot = 0.0; });
   expect_bad([](ArchConfig& c) { c.fid.epr_f0 = 0.1; });
+  // NaN and infinity fail up front, not mid-run. buffer_cutoff and
+  // max_trial_sim_time take +inf as their "off" value but reject NaN.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNan, kInf}) {
+    expect_bad([bad](ArchConfig& c) { c.kappa = bad; });
+    expect_bad([bad](ArchConfig& c) { c.lat.one_qubit = bad; });
+    expect_bad([bad](ArchConfig& c) { c.lat.local_cnot = bad; });
+    expect_bad([bad](ArchConfig& c) { c.lat.measurement = bad; });
+    expect_bad([bad](ArchConfig& c) { c.lat.epr_cycle = bad; });
+    expect_bad([bad](ArchConfig& c) { c.lat.swap_buffer = bad; });
+    expect_bad([bad](ArchConfig& c) { c.lat.remote_gate = bad; });
+    expect_bad([bad](ArchConfig& c) { c.lat.remote_gate_state = bad; });
+    expect_bad([bad](ArchConfig& c) { c.purification_latency = bad; });
+  }
+  expect_bad([](ArchConfig& c) { c.buffer_cutoff = kNan; });
+  expect_bad([](ArchConfig& c) { c.max_trial_sim_time = kNan; });
+  ArchConfig off;
+  off.buffer_cutoff = kInf;
+  off.max_trial_sim_time = kInf;
+  EXPECT_NO_THROW(off.validate());
 }
 
 TEST(ArchConfig, LinkParamsFollowDesignFeatures) {

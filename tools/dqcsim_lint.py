@@ -20,7 +20,7 @@ Rules (see --list-rules for the one-line summaries):
                    a justification — see obs/scope.hpp.)
   no-unordered     std::unordered_{map,set,multimap,multiset} in the
                    result-affecting subsystems (runtime, ent, net, scenario,
-                   des, qsim). Hash-container iteration order varies with
+                   des). Hash-container iteration order varies with
                    libstdc++ version and insertion history; ordered containers
                    or index-keyed vectors keep every traversal deterministic.
   no-raw-libm      std::pow/exp/log (and the exp2/expm1/log2/log10/log1p
@@ -79,7 +79,7 @@ import sys
 
 # Subsystems whose code affects simulation *results* (stats, fidelities,
 # event order). Iteration-order and libm discipline are enforced here.
-RESULT_SUBSYSTEMS = {"runtime", "ent", "net", "scenario", "des", "qsim"}
+RESULT_SUBSYSTEMS = {"runtime", "ent", "net", "scenario", "des"}
 
 # Superset: everything that feeds the engine (circuit generation, scheduling,
 # partitioning) — raw libm here leaks into results through gate angles,
