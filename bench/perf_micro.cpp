@@ -249,9 +249,11 @@ void BM_EngineRunQaoaR8_32(benchmark::State& state) {
   const runtime::ArchConfig config;
   std::uint64_t seed = 0;
   for (auto _ : state) {
-    runtime::ExecutionEngine engine(qc, part.assignment, config,
-                                    runtime::DesignKind::AsyncBuf, ++seed);
-    benchmark::DoNotOptimize(engine.run().depth);
+    runtime::RunContext cold;  // a fresh workspace per run: no warm setup
+    benchmark::DoNotOptimize(
+        cold.execute(qc, part.assignment, config,
+                     runtime::DesignKind::AsyncBuf, ++seed)
+            .depth);
   }
 }
 BENCHMARK(BM_EngineRunQaoaR8_32);

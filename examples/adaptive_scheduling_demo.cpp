@@ -68,9 +68,8 @@ int main() {
   TablePrinter results({"seed", "depth", "fidelity", "ASAP segs",
                         "ALAP segs", "original segs"});
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    runtime::ExecutionEngine engine(qc, assignment, config,
-                                    runtime::DesignKind::AdaptBuf, seed);
-    const auto r = engine.run();
+    const auto r = runtime::RunContext().execute(
+        qc, assignment, config, runtime::DesignKind::AdaptBuf, seed);
     results.add_row({TablePrinter::fmt(static_cast<std::size_t>(seed)),
                      TablePrinter::fmt(r.depth, 1),
                      TablePrinter::fmt(r.fidelity, 3),

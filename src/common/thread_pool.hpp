@@ -3,7 +3,7 @@
 /// runs across cores.
 ///
 /// Deliberately simple (one locked FIFO, no work stealing): experiment tasks
-/// are coarse — one full ExecutionEngine run each — so queue contention is
+/// are coarse — one full engine trial each — so queue contention is
 /// negligible next to task cost. Determinism is the caller's job: tasks must
 /// write to disjoint, pre-sized slots so the completion order never affects
 /// the result (see runtime::run_design).

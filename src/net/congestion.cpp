@@ -23,7 +23,6 @@ void CongestionPlanner::begin(const Topology& topo,
   DQCSIM_EXPECTS_MSG(alpha >= 0.0, "congestion alpha must be nonnegative");
   topo_ = &topo;
   costs_ = &static_costs;
-  enabled_ = edge_enabled;
   alpha_ = alpha;
   load_.assign(topo.num_edges(), 0);
 
@@ -31,7 +30,7 @@ void CongestionPlanner::begin(const Topology& topo,
   incident_.resize(n);
   for (auto& inc : incident_) inc.clear();
   for (std::size_t e = 0; e < topo.num_edges(); ++e) {
-    if (enabled_ != nullptr && !(*enabled_)[e]) continue;
+    if (edge_enabled != nullptr && !(*edge_enabled)[e]) continue;
     const TopologyEdge& edge = topo.edge(e);
     incident_[static_cast<std::size_t>(edge.a)].push_back({e, edge.b});
     incident_[static_cast<std::size_t>(edge.b)].push_back({e, edge.a});
@@ -52,8 +51,9 @@ bool CongestionPlanner::find_route(int src, int dst,
   std::fill(done_.begin(), done_.end(), 0);
   dist_[static_cast<std::size_t>(src)] = 0.0;
 
-  // O(n^2) scan like net::Router: node-selection order — and therefore the
-  // chosen path — is deterministic, with strict-improvement tie-breaks.
+  // O(n^2) Dijkstra: topologies are small (tens of QPUs), and scanning
+  // keeps the node-selection order — hence the path — deterministic, with
+  // strict-improvement tie-breaks (on a tie the first-found path wins).
   for (int round = 0; round < n; ++round) {
     int u = -1;
     for (int v = 0; v < n; ++v) {

@@ -22,14 +22,15 @@
 ///    edge-disjoint alternate tie in scaled cost, the planner can register
 ///    both (RoutePlan::split) so the engine's swap-as-you-go mode serves a
 ///    request from whichever path first holds a full pair quota.
-///    At alpha = 0 it is also the engine's static router over an outage
-///    mask: each pair is planned from its lower-numbered endpoint and
-///    reversed for the other direction, as net::Router mirrors its routes.
+///    At alpha = 0 it is the static router: net::Router tabulates its plan
+///    for the full fabric, and the engine runs it over an outage mask. Each
+///    pair is planned from its lower-numbered endpoint and reversed for the
+///    other direction, as net::Router mirrors its routes.
 ///
 /// Determinism: the planner is a plain sequential algorithm over an
 /// explicitly ordered work list — Dijkstra scan order, strict-improvement
-/// tie-breaks and rank assignment mirror net::Router, so the same inputs
-/// always yield the same plan regardless of thread count.
+/// tie-breaks and rank assignment are fixed — so the same inputs always
+/// yield the same plan regardless of thread count.
 
 #pragma once
 
@@ -101,7 +102,6 @@ class CongestionPlanner {
 
   const Topology* topo_ = nullptr;
   const std::vector<double>* costs_ = nullptr;
-  const std::vector<char>* enabled_ = nullptr;
   double alpha_ = 0.0;
   std::vector<int> load_;
 

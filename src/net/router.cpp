@@ -1,9 +1,7 @@
 #include "net/router.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "common/error.hpp"
+#include "net/congestion.hpp"
 
 namespace dqcsim::net {
 
@@ -22,70 +20,24 @@ Router::Router(const Topology& topo, const std::vector<double>& edge_costs)
   const auto un = static_cast<std::size_t>(n);
   routes_.assign(un * un, Route{});
 
-  // Incidence lists: per node, (edge index, other endpoint).
-  std::vector<std::vector<std::pair<std::size_t, int>>> incident(un);
-  for (std::size_t e = 0; e < topo_.num_edges(); ++e) {
-    const TopologyEdge& edge = topo_.edge(e);
-    incident[static_cast<std::size_t>(edge.a)].push_back({e, edge.b});
-    incident[static_cast<std::size_t>(edge.b)].push_back({e, edge.a});
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(un);
-  std::vector<int> pred_node(un);
-  std::vector<std::size_t> pred_edge(un);
-  std::vector<char> done(un);
-
+  // Every entry is the congestion planner's static plan (alpha = 0: plain
+  // edge costs), so the two share one Dijkstra. Each pair is planned from
+  // its lower-numbered endpoint and mirrored, so route(b, a) is route(a, b)
+  // reversed by construction even when cost ties would let the two
+  // directions pick different paths.
+  CongestionPlanner planner;
+  planner.begin(topo_, edge_costs, 0.0, nullptr);
+  RoutePlan plan;
   for (int src = 0; src + 1 < n; ++src) {
-    std::fill(dist.begin(), dist.end(), kInf);
-    std::fill(pred_node.begin(), pred_node.end(), -1);
-    std::fill(done.begin(), done.end(), 0);
-    dist[static_cast<std::size_t>(src)] = 0.0;
-
-    // O(n^2) Dijkstra: topologies are small (tens of QPUs), and scanning
-    // keeps the node-selection order — hence the routes — deterministic.
-    for (int round = 0; round < n; ++round) {
-      int u = -1;
-      for (int v = 0; v < n; ++v) {
-        const auto uv = static_cast<std::size_t>(v);
-        if (done[uv] || dist[uv] == kInf) continue;
-        if (u == -1 || dist[uv] < dist[static_cast<std::size_t>(u)]) u = v;
-      }
-      if (u == -1) break;
-      const auto uu = static_cast<std::size_t>(u);
-      done[uu] = 1;
-      for (const auto& [e, other] : incident[uu]) {
-        const auto uo = static_cast<std::size_t>(other);
-        const double cand = dist[uu] + edge_costs[e];
-        // Strict improvement only: on ties the first-found (smallest
-        // predecessor id, since u grows with cost) path wins.
-        if (cand < dist[uo]) {
-          dist[uo] = cand;
-          pred_node[uo] = u;
-          pred_edge[uo] = e;
-        }
-      }
-    }
-
-    // Materialize only dst > src and mirror the reverse direction, so
-    // route(b, a) is route(a, b) reversed by construction even when cost
-    // ties would let the two Dijkstra sweeps pick different paths.
     for (int dst = src + 1; dst < n; ++dst) {
-      const auto ud = static_cast<std::size_t>(dst);
-      DQCSIM_ENSURES_MSG(dist[ud] != kInf,
+      planner.plan(src, dst, false, plan);
+      DQCSIM_ENSURES_MSG(plan.has_route,
                          "router requires a connected topology");
-      Route& r = routes_[static_cast<std::size_t>(src) * un + ud];
-      r.cost = dist[ud];
-      for (int v = dst; v != src;
-           v = pred_node[static_cast<std::size_t>(v)]) {
-        r.nodes.push_back(v);
-        r.edges.push_back(pred_edge[static_cast<std::size_t>(v)]);
-      }
-      r.nodes.push_back(src);
-      std::reverse(r.nodes.begin(), r.nodes.end());
-      std::reverse(r.edges.begin(), r.edges.end());
-
-      Route& back = routes_[ud * un + static_cast<std::size_t>(src)];
+      const auto us = static_cast<std::size_t>(src);
+      const auto ud = static_cast<std::size_t>(dst);
+      Route& r = routes_[us * un + ud];
+      r = plan.primary;
+      Route& back = routes_[ud * un + us];
       back.cost = r.cost;
       back.nodes.assign(r.nodes.rbegin(), r.nodes.rend());
       back.edges.assign(r.edges.rbegin(), r.edges.rend());

@@ -1,15 +1,17 @@
 /// \file router.hpp
 /// \brief Multi-hop entanglement routing over a physical topology.
 ///
-/// A Router precomputes one route per ordered node pair by Dijkstra on
-/// configurable per-edge costs (hop count by default; the engine uses the
-/// expected time per delivered pair, cycle_time / (p_succ * pairs), so fat
-/// fast links are preferred over thin slow ones). Routes are deterministic:
-/// cost ties are broken toward the lexicographically smaller predecessor,
-/// so the same topology and costs always produce the same paths.
+/// A Router precomputes one route per ordered node pair on configurable
+/// per-edge costs (hop count by default; the engine uses the expected time
+/// per delivered pair, cycle_time / (p_succ * pairs), so fat fast links are
+/// preferred over thin slow ones). It tabulates net::CongestionPlanner's
+/// static plan (alpha = 0), so both share one Dijkstra. Routes are
+/// deterministic: cost ties are broken toward the lexicographically smaller
+/// predecessor, so the same topology and costs always produce the same
+/// paths.
 ///
 /// The router covers the full fabric only. Routes over a surviving subgraph
-/// (an outage's edge mask) come from net::CongestionPlanner, one pair at a
+/// (an outage's edge mask) come from the planner directly, one pair at a
 /// time with reusable scratch.
 
 #pragma once

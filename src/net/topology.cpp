@@ -1,6 +1,7 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
@@ -134,8 +135,10 @@ void validate_overrides(const EdgeOverrides& o) {
   if (o.p_succ && !(*o.p_succ > 0.0 && *o.p_succ <= 1.0)) {
     throw ConfigError("Topology: edge p_succ override must be in (0, 1]");
   }
-  if (o.cycle_time && !(*o.cycle_time > 0.0)) {
-    throw ConfigError("Topology: edge cycle_time override must be positive");
+  if (o.cycle_time &&
+      !(*o.cycle_time > 0.0 && std::isfinite(*o.cycle_time))) {
+    throw ConfigError(
+        "Topology: edge cycle_time override must be finite and positive");
   }
   if (o.f0 && !(*o.f0 >= 0.25 && *o.f0 <= 1.0)) {
     throw ConfigError("Topology: edge f0 override must be in [0.25, 1]");

@@ -103,7 +103,7 @@ class Topology {
 
   /// Attach per-edge parameter overrides to edge {a, b}.
   /// Throws ConfigError when the edge is absent or a value is out of
-  /// domain (p_succ in (0,1], cycle_time > 0, f0 in [0.25, 1]).
+  /// domain (p_succ in (0,1], cycle_time finite and > 0, f0 in [0.25, 1]).
   void set_edge_overrides(int a, int b, const EdgeOverrides& overrides);
 
   /// Throws ConfigError unless the topology has >= 2 nodes, >= 1 edge, no

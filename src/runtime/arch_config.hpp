@@ -50,6 +50,8 @@ struct Fidelities {
   double local_cnot = 0.999;
   double measurement = 0.998;
   double epr_f0 = 0.99;  ///< freshly generated Bell-pair fidelity
+
+  friend bool operator==(const Fidelities&, const Fidelities&) = default;
 };
 
 /// Full architecture configuration for a DQC system of `num_nodes` QPUs.

@@ -1,13 +1,13 @@
 #include "runtime/delivery.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
 #include "noise/werner.hpp"
 #include "obs/scope.hpp"
+#include "runtime/faults.hpp"
 
 namespace dqcsim::runtime::detail {
 
@@ -22,21 +22,13 @@ void require_gate_quota(int capacity, int needed, const char* what) {
                     std::to_string(needed));
 }
 
-/// Make `route` the link's live path: its edges, hops and swap-chain delay.
-void adopt_path(LogicalLink& link, const net::Route& route,
-                double swap_latency) {
-  link.route_edges.assign(route.edges.begin(), route.edges.end());
-  link.hops = route.hops();
-  link.extra_latency = static_cast<double>(link.hops - 1) * swap_latency;
-}
-
 }  // namespace
 
-// --- shared routing & scenario state ---------------------------------------
+// --- shared routing state --------------------------------------------------
 
 /// Plan and adopt every logical link's t=0 route (without a topology, each
 /// link is one flat hop) and record the placement's contention figures.
-void TrialState::plan_links() {
+void TrialState::plan_links(TrialObserver& observer) {
   if (config.topology == nullptr) {
     for (LogicalLink& link : links) {
       link.hops = 1;
@@ -58,16 +50,14 @@ void TrialState::plan_links() {
   inputs.consume_freshest = config.consume_freshest;
   inputs.record_trace = config.record_arrival_trace;
   inputs.swap = config.swap_params();
-  if (route_cache.valid && route_cache.topology == config.topology &&
-      route_cache.inputs == inputs) {
-    if (obs_metrics()) reg.add(regh.route_hits);
-  } else {
-    if (obs_metrics()) reg.add(regh.route_misses);
-    OBS_SCOPE(prof(), obs::Phase::Routing);
+  const bool hit = route_cache.topology == config.topology &&
+                   route_cache.inputs == inputs;
+  observer.route_cache(hit);
+  if (!hit) {
+    OBS_SCOPE(observer.prof(), obs::Phase::Routing);
     const net::Topology& topo = *config.topology;
     const std::size_t num_edges = topo.num_edges();
-    route_cache.valid = false;
-    route_cache.topology = config.topology;
+    route_cache.topology.reset();  // invalid until rebuilt
     route_cache.inputs = inputs;
     route_cache.edge_params.resize(num_edges);
     route_cache.edge_costs.resize(num_edges);
@@ -81,15 +71,12 @@ void TrialState::plan_links() {
           p.cycle_time / (p.p_succ * static_cast<double>(p.num_comm_pairs));
     }
     route_cache.router = net::Router(topo, route_cache.edge_costs);
-    route_cache.valid = true;
+    route_cache.topology = config.topology;
   }
 
   plan_all_routes(nullptr);  // the full fabric routes every pair
   for (std::size_t i = 0; i < links.size(); ++i) {
-    adopt_path(links[i], link_plans[i].primary,
-               route_cache.inputs.swap.latency);
-    links[i].route_up = true;
-    links[i].down_since = 0.0;
+    links[i].adopt(link_plans[i].primary, route_cache.inputs.swap.latency);
   }
   // Contention figures of the t=0 placement. Knobs-off runs report no
   // contention, even though the static plan's load map is populated.
@@ -143,100 +130,32 @@ void TrialState::plan_all_routes(const std::vector<char>* mask) {
   }
 }
 
-/// Effective end-to-end parameters of logical link `i` at time `t`:
-/// per-hop base values from the route cache, scaled by the scenario and
-/// composed exactly like net::compose_route (same product order for
-/// p_succ, same weight fold via swap_composed_fidelity for f0), so unit
-/// scales reproduce the stationary composition bit-for-bit.
-ent::EffectiveLink TrialState::link_effective(std::size_t i, des::SimTime t) {
-  const LogicalLink& link = links[i];
-  ent::EffectiveLink eff;
-  eff.up = link.route_up;
-  double p = 1.0;
-  scen_hop_f0.clear();
-  for (const std::size_t e : link.route_edges) {
-    if (!scen.edge_up(e, t)) eff.up = false;
-    const ent::LinkParams& ep = route_cache.edge_params[e];
-    p *= scen.effective_p_succ(e, ep.p_succ, t);
-    scen_hop_f0.push_back(scen.effective_f0(e, ep.f0, t));
-  }
-  eff.p_succ = p;
-  eff.f0 = net::swap_composed_fidelity(scen_hop_f0.data(), scen_hop_f0.size(),
-                                       route_cache.inputs.swap.bsm_fidelity);
-  return eff;
-}
-
-/// Effective parameters of physical edge `e` at time `t`.
-ent::EffectiveLink TrialState::edge_effective(std::size_t e, des::SimTime t) {
-  const ent::LinkParams& ep = route_cache.edge_params[e];
-  return {scen.effective_p_succ(e, ep.p_succ, t),
-          scen.effective_f0(e, ep.f0, t), scen.edge_up(e, t)};
-}
-
-/// Scenario boundary at `t`. Unless the edge up mask is unchanged (a
-/// spurious or drift-only boundary), every route is re-planned over the
-/// surviving subgraph: with congestion routing the detours contend again,
-/// else the masked static routes are adopted. Then every service starts
-/// its next segment (one whose effective link is unchanged ignores it).
-void TrialState::apply_boundary(double t) {
-  bool changed = false;
-  for (std::size_t e = 0; e < scen_edge_up.size(); ++e) {
-    const char up = scen.edge_up(e, t) ? 1 : 0;
-    if (up != scen_edge_up[e]) {
-      changed = true;
-      // Traced trial: physical-edge outage intervals as spans on the
-      // edge's own track (logical-link outages live on the link tracks).
-      if (obs_trace) {
-        if (up) {
-          trace_buf.span(obs::Ev::Outage, edge_track(e), edge_down_since[e],
-                         t);
-        } else {
-          edge_down_since[e] = t;
-        }
-      }
+void Delivery::finish(double horizon, RunResult& result) {
+  for (const auto& svc : services()) svc->stop(horizon);
+  // Under swap-as-you-go a "consumed" pair is a single-hop pair drained
+  // into an end-to-end fusion. OnDemand pairs are consumed at their herald
+  // unless no gate claimed them.
+  for (const auto& svc : services()) {
+    result.epr_attempts += svc->attempts();
+    result.epr_successes += svc->successes();
+    result.epr_consumed +=
+        svc->buffer().total_consumed() +
+        (svc->mode() == ent::ServiceMode::OnDemand
+             ? svc->successes() - svc->wasted_unconsumed()
+             : 0);
+    result.epr_wasted += svc->wasted_buffer_full() + svc->wasted_unconsumed();
+    result.epr_expired += svc->buffer().total_expired();
+    // link_stalled watchdog: services that at some point went longer than
+    // stall_windows attempt windows without one successful generation.
+    // Pure observation over the tracked success-gap maximum — no draw from
+    // the trial's stream, no event, so the knob cannot perturb the trial.
+    if (t_.config.stall_windows > 0 &&
+        svc->max_delivery_gap(horizon) >
+            static_cast<double>(t_.config.stall_windows) *
+                svc->params().cycle_time) {
+      ++result.links_stalled;
     }
-    scen_edge_up[e] = up;
   }
-  if (changed) {
-    plan_all_routes(&scen_edge_up);
-    bool any_lost = false;
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      const bool was_up = links[i].route_up;
-      if (update_link_from_plan(i, t)) delivery->on_path_change(i, t);
-      if (was_up && !links[i].route_up) any_lost = true;
-    }
-    if (any_lost) ++result.outage_events;
-    delivery->after_replan(t);
-  }
-  delivery->push_boundary(t);
-}
-
-/// Adopt link i's freshly planned path at outage boundary `t`: count a
-/// reroute on any route re-establishment (a path change while live, or a
-/// recovery after downtime), or mark the link down when no path survives.
-/// True when a live route moved to a different path.
-bool TrialState::update_link_from_plan(std::size_t i, double t) {
-  LogicalLink& link = links[i];
-  const net::RoutePlan& plan = link_plans[i];
-  if (!plan.has_route) {
-    if (link.route_up) {
-      link.route_up = false;
-      link.down_since = t;
-    }
-    return false;
-  }
-  const net::Route& route = plan.primary;
-  const bool path_changed = link.route_edges != route.edges;
-  if (link.route_up && !path_changed) return false;
-  if (!link.route_up) {
-    result.outage_downtime += t - link.down_since;
-    obs_outage_over(link_track(i), link.down_since, t);
-    link.route_up = true;
-  }
-  ++result.reroutes;
-  if (obs_trace) trace_buf.instant(obs::Ev::Reroute, link_track(i), t);
-  if (path_changed) adopt_path(link, route, route_cache.inputs.swap.latency);
-  return path_changed;
 }
 
 namespace {
@@ -244,18 +163,21 @@ namespace {
 /// Re-arm and start service `index` (a link's or an edge's) in the one
 /// order bit-identity depends on. Gap tracking is on only when the trial
 /// reads max_delivery_gap (the link_stalled watchdog, the registry gauge);
-/// the side stream is seeded from the trial seed, never from `rng`.
-void start_service(TrialState& t, ent::GenerationService& svc,
+/// the side stream is seeded from the trial seed, never from `rng`. Under a
+/// scenario the service starts at its effective link at t = 0.
+void start_service(TrialState& t, FaultController& faults,
+                   TrialObserver& observer, ent::GenerationService& svc,
                    const ent::LinkParams& params, ent::ServiceMode mode,
                    std::size_t index, std::uint32_t track,
-                   const std::optional<ent::EffectiveLink>& eff,
                    ent::GenerationService::ArrivalHandler handler) {
   constexpr std::uint64_t kTagGenSide = 0x47454E53ULL;  // "GENS"
   svc.reset(params, mode);
-  svc.set_gap_tracking(t.config.stall_windows > 0 || t.obs_metrics(),
+  svc.set_gap_tracking(t.config.stall_windows > 0 || observer.metrics(),
                        Rng::derive_seed(t.trial_seed, 0, kTagGenSide, index));
-  if (t.obs_trace) svc.set_trial_trace(&t.trace_buf, track);
-  if (eff) svc.set_effective(*eff);
+  observer.trace_service(svc, track);
+  if (faults.active()) {
+    svc.set_effective(faults.service_effective(index, t.sim.now()));
+  }
   svc.set_arrival_handler(std::move(handler));
   if (design_uses_prefill(t.design)) svc.pre_fill_buffer();
   svc.start();
@@ -270,7 +192,8 @@ void start_service(TrialState& t, ent::GenerationService& svc,
 /// Covers the Buffered and the OnDemand (bufferless) modes.
 class ComposedDelivery final : public Delivery {
  public:
-  explicit ComposedDelivery(TrialState& t) : Delivery(t, false) {}
+  ComposedDelivery(TrialState& t, FaultController& f, TrialObserver& o)
+      : Delivery(t, f, o, false) {}
 
   void setup() override {
     const bool routed = t_.config.topology != nullptr;
@@ -307,10 +230,8 @@ class ComposedDelivery final : public Delivery {
           return t_.on_demand_arrival(i, now, *services_[i]);
         };
       }
-      std::optional<ent::EffectiveLink> eff;
-      if (t_.scen_active) eff = t_.link_effective(i, t_.sim.now());
-      start_service(t_, *services_[i], rl.params, mode, i, t_.link_track(i),
-                    eff, std::move(handler));
+      start_service(t_, faults_, obs_, *services_[i], rl.params, mode, i,
+                    TrialObserver::link_track(i), std::move(handler));
     }
   }
 
@@ -335,7 +256,7 @@ class ComposedDelivery final : public Delivery {
       auto pair = svc.pop(now, order);
       DQCSIM_ENSURES(pair.has_value());
       const double age = now - pair->deposited;
-      t_.record_pair_age(age);
+      record_pair_age(age);
       fidelities.push_back(
           noise::werner_decayed_fidelity(pair->f0, svc.params().kappa, age));
     }
@@ -344,7 +265,7 @@ class ComposedDelivery final : public Delivery {
     // while the route is severed.
     const LogicalLink& link = t_.links[i];
     out = {link.hops, link.extra_latency,
-           t_.config.salvage_pairs && t_.scen_active && !link.route_up};
+           t_.config.salvage_pairs && faults_.link_down(i)};
     return true;
   }
 
@@ -354,12 +275,6 @@ class ComposedDelivery final : public Delivery {
       total += services_[i]->available(t_.sim.now());
     }
     return total;
-  }
-
-  void push_boundary(double t) override {
-    for (std::size_t i = 0; i < running_; ++i) {
-      services_[i]->set_effective(t_.link_effective(i, t));
-    }
   }
 
   /// With salvage_pairs, the stock kept across the re-plan is re-credited
@@ -408,7 +323,8 @@ class ComposedDelivery final : public Delivery {
 /// pair per hop.
 class SwapGoDelivery final : public Delivery {
  public:
-  explicit SwapGoDelivery(TrialState& t) : Delivery(t, true) {}
+  SwapGoDelivery(TrialState& t, FaultController& f, TrialObserver& o)
+      : Delivery(t, f, o, true) {}
 
   void setup() override {
     run_services(t_.config.topology->num_edges());
@@ -422,12 +338,11 @@ class SwapGoDelivery final : public Delivery {
       // Every edge, routed or not: an outage re-plan may route over any.
       require_gate_quota(ep.buffer_capacity, t_.config.pairs_per_remote_gate(),
                          "a swap-as-you-go edge buffer");
-      std::optional<ent::EffectiveLink> eff;
-      if (t_.scen_active) eff = t_.edge_effective(e, t_.sim.now());
       // A deposit is offered to the links crossing the edge, in link
       // creation order (the deterministic arbitration rule).
-      start_service(t_, *services_[e], ep, ent::ServiceMode::Buffered, e,
-                    t_.edge_track(e), eff, [this, e](des::SimTime) {
+      start_service(t_, faults_, obs_, *services_[e], ep,
+                    ent::ServiceMode::Buffered, e, obs_.edge_track(e),
+                    [this, e](des::SimTime) {
                       for (const int link : links_on_edge_[e]) {
                         t_.serve_pending(static_cast<std::size_t>(link));
                       }
@@ -458,9 +373,10 @@ class SwapGoDelivery final : public Delivery {
     const std::vector<std::size_t>* path = nullptr;
     if (salvaging) {
       const auto& last = link.route_edges;
-      if (!t_.config.salvage_pairs || !t_.scen_active || last.empty() ||
-          !std::all_of(last.begin(), last.end(),
-                       [&](std::size_t e) { return nodes_up(e, now); }) ||
+      if (!t_.config.salvage_pairs || !faults_.active() || last.empty() ||
+          !std::all_of(
+              last.begin(), last.end(),
+              [&](std::size_t e) { return faults_.nodes_up(e, now); }) ||
           !edges_ready(last, needed)) {
         return false;
       }
@@ -482,7 +398,7 @@ class SwapGoDelivery final : public Delivery {
         auto pair = services_[e]->pop(now, order);
         DQCSIM_ENSURES(pair.has_value());
         const double age = now - pair->deposited;
-        t_.record_pair_age(age);
+        record_pair_age(age);
         hop_fid_.push_back(noise::werner_decayed_fidelity(
             pair->f0, t_.route_cache.edge_params[e].kappa, age));
       }
@@ -511,19 +427,13 @@ class SwapGoDelivery final : public Delivery {
     return total;
   }
 
-  void push_boundary(double t) override {
-    for (std::size_t e = 0; e < running_; ++e) {
-      services_[e]->set_effective(t_.edge_effective(e, t));
-    }
-  }
-
   void after_replan(double t) override {
     rebuild_links_on_edge();
     if (t_.config.salvage_pairs) {
       // A down node loses its stored halves: flush the buffers of its
       // incident edges before anyone salvages through them.
       for (std::size_t e = 0; e < running_; ++e) {
-        if (!nodes_up(e, t)) {
+        if (!faults_.nodes_up(e, t)) {
           t_.result.pairs_discarded += services_[e]->flush_buffer(t);
         }
       }
@@ -565,14 +475,6 @@ class SwapGoDelivery final : public Delivery {
     });
   }
 
-  /// Both endpoint nodes of edge `e` are up at `t`. Stored pair halves
-  /// survive a *channel* outage — only new generation pauses — but die
-  /// with a down node.
-  bool nodes_up(std::size_t e, double t) const {
-    const net::TopologyEdge& edge = t_.config.topology->edge(e);
-    return t_.scen.node_up(edge.a, t) && t_.scen.node_up(edge.b, t);
-  }
-
   /// Links whose current plan crosses each edge, in link creation order.
   std::vector<std::vector<int>> links_on_edge_;
   std::vector<double> hop_fid_;  ///< one pair's hop fidelities
@@ -580,12 +482,17 @@ class SwapGoDelivery final : public Delivery {
 
 }  // namespace
 
-Delivery& select_delivery(TrialState& t,
+Delivery& select_delivery(TrialState& t, FaultController& faults,
+                          TrialObserver& observer,
                           std::array<std::unique_ptr<Delivery>, 2>& cache) {
   const bool swap_go = t.config.swap_as_you_go;
   std::unique_ptr<Delivery>& slot = cache[swap_go ? 1 : 0];
-  if (slot == nullptr && swap_go) slot = std::make_unique<SwapGoDelivery>(t);
-  if (slot == nullptr) slot = std::make_unique<ComposedDelivery>(t);
+  if (slot == nullptr && swap_go) {
+    slot = std::make_unique<SwapGoDelivery>(t, faults, observer);
+  }
+  if (slot == nullptr) {
+    slot = std::make_unique<ComposedDelivery>(t, faults, observer);
+  }
   return *slot;
 }
 

@@ -5,7 +5,9 @@
 /// composed delivery runs one GenerationService per logical link,
 /// swap-as-you-go one buffered service per physical edge. The scheduler in
 /// engine.cpp asks it to claim a gate's pairs and never branches on the
-/// mode. Routing and scenario state live once, in TrialState.
+/// mode. Routing state lives once, in TrialState; scenario decisions live in
+/// the FaultController (faults.hpp), observation in the TrialObserver
+/// (observer.hpp).
 
 #pragma once
 
@@ -20,11 +22,9 @@
 #include "ent/generation_service.hpp"
 #include "net/congestion.hpp"
 #include "net/swap.hpp"
-#include "obs/observe.hpp"
-#include "obs/trace.hpp"
 #include "runtime/arch_config.hpp"
 #include "runtime/metrics.hpp"
-#include "scenario/runtime.hpp"
+#include "runtime/observer.hpp"
 
 namespace dqcsim::runtime::detail {
 
@@ -36,13 +36,19 @@ struct LogicalLink {
   int hops = 1;                ///< physical edges backing the pair
   double extra_latency = 0.0;  ///< swap-chain delay per consuming gate
 
-  // Live route on a topology (see plan_links / update_link_from_plan).
-  // Under a scenario the path, p_succ and f0 follow it, while structural
-  // parameters (capacities, cycle time) stay frozen at the t=0 composition
-  // for the whole trial: endpoint hardware is the binding resource.
+  // Live route on a topology (see plan_links and the FaultController's
+  // re-plan; a routeless link keeps its last one). Under a scenario the
+  // path, p_succ and f0 follow it, while structural parameters
+  // (capacities, cycle time) stay frozen at the t=0 composition for the
+  // whole trial: endpoint hardware is the binding resource.
   std::vector<std::size_t> route_edges;  ///< physical edges, route order
-  bool route_up = true;                  ///< false while no live route
-  des::SimTime down_since = 0.0;         ///< when the route was lost
+
+  /// Make `route` the live path: its edges, hops and swap-chain delay.
+  void adopt(const net::Route& route, double swap_latency) {
+    route_edges.assign(route.edges.begin(), route.edges.end());
+    hops = route.hops();
+    extra_latency = static_cast<double>(hops - 1) * swap_latency;
+  }
 };
 
 /// The path one successful Delivery::claim drew its pairs over.
@@ -53,10 +59,11 @@ struct PairClaim {
 };
 
 class Delivery;
+class FaultController;
 
 /// Trial-scoped state shared by the scheduler (RunContext::State, which
-/// derives from it and answers the two callbacks) and the delivery layer,
-/// including the one copy of the routing and scenario state.
+/// derives from it and answers the two callbacks), the delivery layer and
+/// the fault controller, including the one copy of the routing state.
 struct TrialState {
   /// Serve link `link`'s queued remote gates from buffered pairs.
   virtual void serve_pending(std::size_t link) = 0;
@@ -74,69 +81,9 @@ struct TrialState {
   RunResult result;
   Accumulator pair_age_acc;
 
-  // --- observability (config.observe; see src/obs/) -------------------------
-  // Every hook below branches on the `observe` pointer and is dormant when
-  // it is null: one predictable branch, no clock read, no allocation — the
-  // contract behind the observer-off bit-identical + 0-alloc guarantee.
-  // Observation never draws from the RNG or schedules an event, so the
-  // observer-on results are bit-identical to observer-off too.
-  obs::Observe* observe = nullptr;  ///< borrowed from config.observe
-  bool obs_trace = false;           ///< this trial is the traced one
-  obs::TraceBuffer trace_buf;
-  obs::Registry reg;     ///< this worker's accumulation, merged per trial
-  obs::Profile profile;  ///< this worker's phase timings
-  /// Traced trial only: open outage start per physical edge.
-  std::vector<double> edge_down_since;
-
-  /// Registry handles, resolved once per RunContext (registration is the
-  /// cold path; recording through a handle is a vector index).
-  struct RegHandles {
-    bool valid = false;
-    obs::Registry::Handle trials = 0;
-    obs::Registry::Handle setup_hits = 0;
-    obs::Registry::Handle setup_misses = 0;
-    obs::Registry::Handle route_hits = 0;
-    obs::Registry::Handle route_misses = 0;
-    obs::Registry::Handle trace_dropped = 0;
-    obs::Registry::Handle max_delivery_gap = 0;
-    obs::Registry::Handle makespan_max = 0;
-    obs::Registry::Handle pair_age = 0;
-    obs::Registry::Handle remote_wait = 0;
-    obs::Registry::Handle outage_downtime = 0;
-    obs::Registry::Handle route_hops = 0;
-    /// The metric table's counter rows, in table order.
-    std::array<obs::Registry::Handle, kRegistryCounterCount> metrics{};
-  } regh;
-
-  bool obs_metrics() const noexcept {
-    return observe != nullptr && observe->metrics;
-  }
-  obs::Profile* prof() noexcept {
-    return observe != nullptr && observe->profile ? &profile : nullptr;
-  }
-  /// Trace track ids: 0 = engine, then logical links, then physical edges.
-  std::uint32_t link_track(std::size_t i) const noexcept {
-    return 1 + static_cast<std::uint32_t>(i);
-  }
-  std::uint32_t edge_track(std::size_t e) const noexcept {
-    return static_cast<std::uint32_t>(1 + links.size() + e);
-  }
-  /// One consumed pair's buffer dwell, recorded in pop order.
-  void record_pair_age(double age) noexcept {
-    pair_age_acc.add(age);
-    if (obs_metrics()) reg.observe(regh.pair_age, age);
-  }
-  /// A logical link's outage interval [since, t] just closed.
-  void obs_outage_over(std::uint32_t track, double since, double t) noexcept {
-    if (obs_metrics()) reg.observe(regh.outage_downtime, t - since);
-    if (obs_trace) trace_buf.span(obs::Ev::Outage, track, since, t);
-  }
-
   // --- logical links (rebuilt with the setup) and their delivery -----------
   std::vector<LogicalLink> links;
   Delivery* delivery = nullptr;  ///< this trial's; null when no link runs
-  /// The generation services this trial runs (none when no link runs).
-  std::span<const std::unique_ptr<ent::GenerationService>> services;
 
   // --- routing cache (topology-backed interconnects) ------------------------
   // Rebuilt only when its inputs change, so consecutive same-configuration
@@ -167,9 +114,9 @@ struct TrialState {
   };
 
   struct RouteCache {
-    bool valid = false;
-    /// Shared ownership pins the cached topology's address, so the pointer
-    /// comparison in plan_links can never alias a recycled object.
+    /// The topology the cache was built from (null while invalid). Shared
+    /// ownership pins its address, so the pointer comparison in plan_links
+    /// can never alias a recycled object.
     std::shared_ptr<const net::Topology> topology;
     RouteInputs inputs;
     std::vector<ent::LinkParams> edge_params;  ///< per topology edge
@@ -184,23 +131,9 @@ struct TrialState {
   net::CongestionPlanner planner;
   std::vector<net::RoutePlan> link_plans;  ///< parallel to links
 
-  // --- fault-scenario state (config.scenario; see src/scenario/) -----------
-  // Scenario boundaries (outage flips and every drift or snapshot change)
-  // re-plan routes when the up mask changed and push every generation
-  // service its new effective link (link_effective / edge_effective):
-  // between boundaries the services run one constant segment each.
-  scenario::ScenarioRuntime scen;
-  bool scen_active = false;
-  std::vector<char> scen_edge_up;   ///< current up mask, per topology edge
-  std::vector<double> scen_hop_f0;  ///< scratch for route f0 composition
-
-  // Routing and scenario steps (see the definitions).
-  void plan_links();
-  void apply_boundary(double t);
-  ent::EffectiveLink link_effective(std::size_t i, des::SimTime t);
-  ent::EffectiveLink edge_effective(std::size_t e, des::SimTime t);
+  // Routing steps (see the definitions).
+  void plan_links(TrialObserver& observer);
   void plan_all_routes(const std::vector<char>* mask);
-  bool update_link_from_plan(std::size_t i, double t);
 };
 
 /// One entanglement-delivery model (see the file comment). It persists in
@@ -222,19 +155,27 @@ class Delivery {
                      std::vector<double>& fidelities) = 0;
   /// Buffered pairs across every link: the adaptive controller's signal.
   virtual std::size_t occupancy() = 0;
-  /// Scenario boundary at `t`: start every service's next segment.
-  virtual void push_boundary(double t) = 0;
   /// Outage re-plan at `t`: link `link` moved to a different live path.
   virtual void on_path_change(std::size_t /*link*/, double /*t*/) {}
   /// Outage re-plan at `t`: every link has adopted its new plan.
   virtual void after_replan(double /*t*/) {}
+
+  /// End of trial at `horizon`: stop every service, then add their
+  /// generation accounting (epr_*, links_stalled) to `result`.
+  void finish(double horizon, RunResult& result);
+  /// The generation services this trial runs.
+  std::span<const std::unique_ptr<ent::GenerationService>> services() const {
+    return {services_.data(), running_};
+  }
 
   /// Services run per physical edge (traced on the edge tracks), and a
   /// claim fuses one pair per hop at the claiming instant.
   const bool per_edge;
 
  protected:
-  Delivery(TrialState& t, bool edges) : per_edge(edges), t_(t) {}
+  Delivery(TrialState& t, FaultController& faults, TrialObserver& observer,
+           bool edges)
+      : per_edge(edges), t_(t), faults_(faults), obs_(observer) {}
 
   /// Run the first `n` services this trial, constructing any missing one
   /// (with placeholder parameters: each is reset before it starts).
@@ -244,17 +185,25 @@ class Delivery {
           t_.sim, ent::LinkParams{}, t_.rng, ent::ServiceMode::Buffered));
     }
     running_ = n;
-    t_.services = {services_.data(), n};
+  }
+
+  /// One consumed pair's buffer dwell, recorded in pop order.
+  void record_pair_age(double age) {
+    t_.pair_age_acc.add(age);
+    obs_.pair_age(age);
   }
 
   TrialState& t_;
+  FaultController& faults_;
+  TrialObserver& obs_;
   std::vector<std::unique_ptr<ent::GenerationService>> services_;
   std::size_t running_ = 0;
 };
 
 /// The delivery `t.config` selects, built on first use into `cache` (one
 /// slot per delivery model) and kept warm there across trials.
-Delivery& select_delivery(TrialState& t,
+Delivery& select_delivery(TrialState& t, FaultController& faults,
+                          TrialObserver& observer,
                           std::array<std::unique_ptr<Delivery>, 2>& cache);
 
 }  // namespace dqcsim::runtime::detail

@@ -14,6 +14,8 @@
 #include "noise/werner.hpp"
 #include "obs/scope.hpp"
 #include "runtime/delivery.hpp"
+#include "runtime/faults.hpp"
+#include "runtime/observer.hpp"
 #include "sched/adaptive_policy.hpp"
 #include "sched/remote_gates.hpp"
 #include "sched/segmentation.hpp"
@@ -44,25 +46,6 @@ std::uint64_t circuit_fingerprint(const Circuit& c) {
     mix(param_bits);
   }
   return h;
-}
-
-bool same_fidelities(const Fidelities& a, const Fidelities& b) {
-  return a.one_qubit == b.one_qubit && a.local_cnot == b.local_cnot &&
-         a.measurement == b.measurement && a.epr_f0 == b.epr_f0;
-}
-
-void validate_inputs(const Circuit& circuit, const std::vector<int>& assignment,
-                     const ArchConfig& config, DesignKind design) {
-  config.validate();
-  if (design != DesignKind::IdealMono) {
-    DQCSIM_EXPECTS_MSG(
-        assignment.size() == static_cast<std::size_t>(circuit.num_qubits()),
-        "partition assignment must cover every qubit");
-    for (int node : assignment) {
-      DQCSIM_EXPECTS_MSG(node >= 0 && node < config.num_nodes,
-                         "node id outside [0, num_nodes)");
-    }
-  }
 }
 
 }  // namespace
@@ -180,7 +163,10 @@ struct RunContext::State final : detail::TrialState {
   // --- delivery (see runtime/delivery.hpp) ----------------------------------
   /// Both delivery models, built on first use and warm across trials.
   std::array<std::unique_ptr<detail::Delivery>, 2> deliveries;
-  std::uint64_t scen_epoch = 0;  ///< invalidates stale boundary events
+
+  // --- observation and faults (see runtime/observer.hpp, faults.hpp) --------
+  detail::TrialObserver observer{*this};
+  detail::FaultController faults{*this, observer};
 
   // --- adaptive scheduling state (per trial) --------------------------------
   std::size_t next_segment = 0;  ///< index of the next segment to admit
@@ -212,109 +198,6 @@ struct RunContext::State final : detail::TrialState {
   noise::FidelityLedger ledger;
   Accumulator remote_wait_acc;
   Accumulator route_hops_acc;
-  obs::TraceSink trace_sink;
-
-  void resolve_reg_handles() {
-    regh.trials = reg.counter("trials");
-    // The four *_cache_* counters measure per-worker work done: every
-    // RunContext misses its workspace/route caches once, so their totals
-    // scale with the worker count. They sit outside the bit-identical
-    // thread-count guarantee, which covers all trial-scoped metrics
-    // (docs/ARCHITECTURE.md "Observability").
-    regh.setup_hits = reg.counter("setup_cache_hits");
-    regh.setup_misses = reg.counter("setup_cache_misses");
-    regh.route_hits = reg.counter("route_cache_hits");
-    regh.route_misses = reg.counter("route_cache_misses");
-    // Only the names are read here; finish_observation adds the values.
-    std::size_t k = 0;
-    for_each_registry_counter(result, [&](const char* name, std::uint64_t) {
-      regh.metrics[k++] = reg.counter(name);
-    });
-    regh.trace_dropped = reg.counter("trace_dropped_events");
-    regh.max_delivery_gap = reg.gauge("max_delivery_gap");
-    regh.makespan_max = reg.gauge("makespan_max");
-    regh.pair_age = reg.log_histogram("pair_age");
-    regh.remote_wait = reg.log_histogram("remote_wait");
-    regh.outage_downtime = reg.log_histogram("outage_downtime");
-    regh.route_hops = reg.fixed_histogram("route_hops", 0.0, 64.0, 64);
-    regh.valid = true;
-  }
-
-  /// One served remote gate: wait/hops samples plus, on the traced trial,
-  /// the wait span and the execution span on the link's track.
-  void obs_remote_served(std::size_t link, double ready_at, double hops,
-                         double exec_latency) noexcept {
-    if (observe == nullptr) return;
-    if (observe->metrics) {
-      reg.observe(regh.remote_wait, sim.now() - ready_at);
-      reg.observe(regh.route_hops, hops);
-    }
-    if (obs_trace) {
-      const std::uint32_t track = link_track(link);
-      trace_buf.span(obs::Ev::RemoteWait, track, ready_at, sim.now());
-      trace_buf.span(obs::Ev::RemoteExec, track, sim.now(),
-                     sim.now() + exec_latency);
-    }
-  }
-
-  /// End-of-trial observation: close edge outage intervals still open at
-  /// the makespan, fold the trial's result counters into the registry, export
-  /// the traced trial, and merge this worker's accumulation into the
-  /// shared collector (then reset it — registrations and capacity stay).
-  void finish_observation() {
-    if (scen_active && obs_trace) {
-      for (std::size_t e = 0; e < scen_edge_up.size(); ++e) {
-        if (!scen_edge_up[e]) {
-          trace_buf.span(obs::Ev::Outage, edge_track(e), edge_down_since[e],
-                         std::max(edge_down_since[e], makespan));
-        }
-      }
-    }
-    if (obs_trace) {
-      trace_buf.span(obs::Ev::Trial, 0, 0.0, makespan);
-    }
-    if (observe->metrics) {
-      std::size_t k = 0;
-      for_each_registry_counter(result, [&](const char*, std::uint64_t v) {
-        reg.add(regh.metrics[k++], v);
-      });
-      if (obs_trace) reg.add(regh.trace_dropped, trace_buf.dropped());
-      reg.gauge_max(regh.makespan_max, makespan);
-      for (const auto& svc : services) {
-        reg.gauge_max(regh.max_delivery_gap, svc->max_delivery_gap(makespan));
-      }
-      observe->collector.merge_registry(reg);
-      reg.reset_values();
-    }
-    if (observe->profile) {
-      observe->collector.merge_profile(profile);
-      profile.reset();
-    }
-    if (obs_trace) {
-      trace_sink.clear();
-      trace_sink.set_track_name(0, "engine");
-      for (std::size_t i = 0; i < links.size(); ++i) {
-        trace_sink.set_track_name(link_track(i),
-                                  "link " + std::to_string(links[i].node_a) +
-                                      "-" + std::to_string(links[i].node_b));
-      }
-      const bool per_edge = delivery != nullptr && delivery->per_edge;
-      if (config.topology != nullptr && (scen_active || per_edge)) {
-        for (std::size_t e = 0; e < config.topology->num_edges(); ++e) {
-          const net::TopologyEdge& edge = config.topology->edge(e);
-          trace_sink.set_track_name(edge_track(e),
-                                    "edge " + std::to_string(edge.a) + "-" +
-                                        std::to_string(edge.b));
-        }
-      }
-      if (!observe->trace_path.empty()) {
-        trace_sink.write_file(trace_buf, observe->trace_path,
-                              observe->trace_us_per_unit);
-      }
-      observe->collector.set_trace_json(
-          trace_sink.to_json(trace_buf, observe->trace_us_per_unit).dump(0));
-    }
-  }
 
   // --- setup / reuse --------------------------------------------------------
 
@@ -325,8 +208,8 @@ struct RunContext::State final : detail::TrialState {
     return key.valid && key.design == d && key.num_nodes == cfg.num_nodes &&
            key.effective_segment_size == cfg.effective_segment_size() &&
            key.fuse_local_gates == cfg.fuse_local_gates &&
-           key.remote_impl == cfg.remote_impl &&
-           same_fidelities(key.fid, cfg.fid) && key.assignment == assignment;
+           key.remote_impl == cfg.remote_impl && key.fid == cfg.fid &&
+           key.assignment == assignment;
   }
 
   /// Recompute every circuit/assignment/design-derived artifact. Called
@@ -415,7 +298,16 @@ struct RunContext::State final : detail::TrialState {
   void prepare(const Circuit& c, const std::vector<int>& assignment,
                const ArchConfig& cfg, DesignKind d, std::uint64_t seed,
                const noise::TeleportFidelityModel* model) {
-    validate_inputs(c, assignment, cfg, d);
+    cfg.validate();
+    if (d != DesignKind::IdealMono) {
+      DQCSIM_EXPECTS_MSG(
+          assignment.size() == static_cast<std::size_t>(c.num_qubits()),
+          "partition assignment must cover every qubit");
+      for (int node : assignment) {
+        DQCSIM_EXPECTS_MSG(node >= 0 && node < cfg.num_nodes,
+                           "node id outside [0, num_nodes)");
+      }
+    }
     DQCSIM_ENSURES(static_cast<std::size_t>(cfg.pairs_per_remote_gate()) <=
                    kMaxPairsPerGate);
 
@@ -426,32 +318,7 @@ struct RunContext::State final : detail::TrialState {
     rng = Rng(seed);
     sim.reset();
 
-    // Arm observability for this trial (config.observe; see src/obs/). The
-    // traced trial is selected by its per-run seed, so the choice — and the
-    // exported trace — is thread-count independent. Its ring is (re)sized
-    // here, outside the steady-state path: non-traced trials never touch
-    // the buffer.
-    observe = config.observe.get();
-    obs_trace = observe != nullptr && observe->trace_seed == seed;
-    if (obs_trace) trace_buf.reset(observe->trace_capacity);
-    if (obs_metrics()) {
-      if (!regh.valid) resolve_reg_handles();
-      reg.add(regh.trials);
-    }
-
-    // Arm the fault scenario for this trial. A genuinely empty scenario is
-    // treated as absent, keeping the stationary fast path; the schedule is
-    // derived from the trial seed (never from `rng`), so enabling a
-    // scenario cannot perturb the generation stream's draws.
-    ++scen_epoch;
-    scen_active = config.scenario != nullptr && !config.scenario->empty();
-    if (scen_active) {
-      scen.begin_trial(*config.scenario, *config.topology, seed);
-      scen_edge_up.assign(config.topology->num_edges(), 1);
-      if (obs_trace) {
-        edge_down_since.assign(config.topology->num_edges(), 0.0);
-      }
-    }
+    observer.begin_trial();
 
     // Cache-hit resolution: the same Circuit object hits on pointer
     // identity alone, keeping the per-trial cost O(1) (a circuit must not
@@ -469,13 +336,12 @@ struct RunContext::State final : detail::TrialState {
         key.circuit = &c;
       }
     }
-    if (obs_metrics()) {
-      reg.add(setup_hit ? regh.setup_hits : regh.setup_misses);
-    }
+    observer.setup_cache(setup_hit);
     if (!setup_hit) {
-      OBS_SCOPE(prof(), obs::Phase::Setup);
+      OBS_SCOPE(observer.prof(), obs::Phase::Setup);
       rebuild_setup(c, assignment, cfg, d, circuit_fingerprint(c));
     }
+    faults.arm();  // after the setup: it sizes per-link state
 
     noise::TeleportNoiseParams tele;
     tele.local_2q_fidelity = config.fid.local_cnot;
@@ -508,29 +374,12 @@ struct RunContext::State final : detail::TrialState {
     makespan = 0.0;
     for (auto& queue : pending) queue.clear();
     delivery = nullptr;
-    services = {};
 
     ledger = noise::FidelityLedger{};
     result = RunResult{};
     pair_age_acc = Accumulator{};
     remote_wait_acc = Accumulator{};
     route_hops_acc = Accumulator{};
-  }
-
-  // --- fault scenario (drift, outages, re-routing) --------------------------
-
-  /// Schedule the next scenario boundary as a simulation event (lazily, one
-  /// at a time: the stochastic schedule is unbounded, and sim.reset()
-  /// between trials discards whatever was left pending).
-  void schedule_next_scen_boundary(double t) {
-    const std::optional<double> next = scen.next_boundary(t);
-    if (!next) return;
-    const double when = *next;
-    sim.schedule_at(when, [this, when, epoch = scen_epoch] {
-      if (epoch != scen_epoch) return;
-      apply_boundary(when);
-      schedule_next_scen_boundary(when);
-    });
   }
 
   // --- helpers --------------------------------------------------------------
@@ -686,7 +535,7 @@ struct RunContext::State final : detail::TrialState {
     if (!config.purify_on_consume) return &raw;
     // The serving link is unknown here, so purification rounds mark the
     // engine track; per-round counters fold at trial end.
-    if (obs_trace) trace_buf.instant(obs::Ev::Purify, 0, sim.now());
+    observer.instant(obs::Ev::Purify, 0, sim.now());
     scratch_outcomes.clear();
     std::size_t draws_needed = 0;
     for (std::size_t i = 0; i + 1 < raw.size(); i += 2) {
@@ -778,8 +627,8 @@ struct RunContext::State final : detail::TrialState {
     const double extra_delay =
         swap_delay +
         (config.purify_on_consume ? config.purification_latency : 0.0);
-    obs_remote_served(
-        i, ready_at, static_cast<double>(hops),
+    observer.remote_served(
+        i, ready_at, sim.now(), static_cast<double>(hops),
         extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
     pending[i].pop_front();
     // start_remote_gate reads `logical` before any re-entrant serve (via
@@ -800,12 +649,11 @@ struct RunContext::State final : detail::TrialState {
       result.entanglement_swaps +=
           static_cast<std::size_t>(claim.hops - 1) * needed;
       if (claim.salvaged) result.pairs_salvaged += needed;
-      if (obs_trace && delivery->per_edge) {
-        trace_buf.instant(obs::Ev::SwapAssemble, link_track(i), sim.now());
+      const std::uint32_t track = detail::TrialObserver::link_track(i);
+      if (delivery->per_edge) {
+        observer.instant(obs::Ev::SwapAssemble, track, sim.now());
       }
-      if (obs_trace && claim.salvaged) {
-        trace_buf.instant(obs::Ev::Salvage, link_track(i), sim.now());
-      }
+      if (claim.salvaged) observer.instant(obs::Ev::Salvage, track, sim.now());
       const auto* logical = maybe_purify(scratch_raw);
       // Purification failed: the pairs are lost and the gate retries from
       // the head of the queue (the buffers shrank, so this loop ends).
@@ -833,7 +681,8 @@ struct RunContext::State final : detail::TrialState {
     scratch_raw.clear();
     for (std::size_t k = 0; k < req.num_births; ++k) {
       const double age = sim.now() - req.births[k];
-      record_pair_age(age);
+      pair_age_acc.add(age);
+      observer.pair_age(age);
       scratch_raw.push_back(noise::werner_decayed_fidelity(
           req.birth_f0[k], svc.params().kappa, age));
     }
@@ -852,20 +701,15 @@ struct RunContext::State final : detail::TrialState {
     if (needs_link) {
       // The Plan phase covers per-trial link/service preparation; it nests
       // the Routing phase on a routing-cache miss.
-      OBS_SCOPE(prof(), obs::Phase::Plan);
+      OBS_SCOPE(observer.prof(), obs::Phase::Plan);
       if (design_uses_buffer(design) && config.buffer_per_node < 1) {
         throw ConfigError(
             "buffered designs need at least one buffer qubit per node");
       }
-      plan_links();
-      delivery = &detail::select_delivery(*this, deliveries);
+      plan_links(observer);
+      delivery = &detail::select_delivery(*this, faults, observer, deliveries);
       delivery->setup();
-      // Apply any outage already in force at t = 0, then start the lazy
-      // boundary event chain.
-      if (scen_active) {
-        apply_boundary(0.0);
-        schedule_next_scen_boundary(0.0);
-      }
+      faults.start();
     }
 
     if (use_adaptive) {
@@ -893,7 +737,7 @@ struct RunContext::State final : detail::TrialState {
     const double budget = config.max_trial_sim_time;
     const bool bounded = std::isfinite(budget);
     {
-      OBS_SCOPE(prof(), obs::Phase::Drive);
+      OBS_SCOPE(observer.prof(), obs::Phase::Drive);
       while (num_completed < circuit->num_gates()) {
         if (bounded && (sim.idle() || sim.next_event_time() > budget)) {
           result.truncated = true;
@@ -906,29 +750,18 @@ struct RunContext::State final : detail::TrialState {
       }
     }
     {
-      // Finalize must close before finish_observation merges the profile,
-      // or its own timing would lag one trial behind the collector.
-      OBS_SCOPE(prof(), obs::Phase::Finalize);
+      // Finalize must close before the observer merges the profile, or its
+      // own timing would lag one trial behind the collector.
+      OBS_SCOPE(observer.prof(), obs::Phase::Finalize);
       if (result.truncated) {
         // Depth and idling report the budget horizon the trial ran out at.
         makespan = std::max(makespan, budget);
       }
       // Generation ends with the trial, at its makespan: the last gate's
       // completion, or the budget when truncated (lazy services settle
-      // their skipped windows up to it).
-      const double horizon = makespan;
-      for (const auto& svc : services) svc->stop(horizon);
-
-      // Links still routeless when the last gate completes accrue their
-      // downtime up to the makespan (the reported trial duration), and
-      // their outage interval closes there.
-      for (std::size_t i = 0; scen_active && i < links.size(); ++i) {
-        if (links[i].route_up) continue;
-        result.outage_downtime +=
-            std::max(0.0, makespan - links[i].down_since);
-        obs_outage_over(link_track(i), links[i].down_since,
-                        std::max(links[i].down_since, makespan));
-      }
+      // their skipped windows up to it). Outages still open close there.
+      if (delivery != nullptr) delivery->finish(makespan, result);
+      faults.finish(makespan);
 
       // Figures of merit.
       ledger.add_idling(config.kappa, makespan);
@@ -949,37 +782,11 @@ struct RunContext::State final : detail::TrialState {
       result.fidelity_idling =
           ledger.category_fidelity(noise::FidelityTerm::Idling);
       result.remote_gates = placement.num_remote_2q;
-      // Under swap-as-you-go a "consumed" pair is a single-hop pair
-      // drained into an end-to-end fusion. OnDemand pairs are consumed at
-      // their herald unless no gate claimed them.
-      for (const auto& svc : services) {
-        result.epr_attempts += svc->attempts();
-        result.epr_successes += svc->successes();
-        result.epr_consumed +=
-            svc->buffer().total_consumed() +
-            (svc->mode() == ent::ServiceMode::OnDemand
-                 ? svc->successes() - svc->wasted_unconsumed()
-                 : 0);
-        result.epr_wasted +=
-            svc->wasted_buffer_full() + svc->wasted_unconsumed();
-        result.epr_expired += svc->buffer().total_expired();
-        // link_stalled watchdog: services that at some point went longer
-        // than stall_windows attempt windows without one successful
-        // generation. Pure observation over the tracked success-gap
-        // maximum — no draw from the trial's stream, no event, so the knob
-        // cannot perturb the trial itself.
-        if (config.stall_windows > 0 &&
-            svc->max_delivery_gap(horizon) >
-                static_cast<double>(config.stall_windows) *
-                    svc->params().cycle_time) {
-          ++result.links_stalled;
-        }
-      }
       result.avg_pair_age = pair_age_acc.mean();
       result.avg_remote_wait = remote_wait_acc.mean();
       result.avg_route_hops = route_hops_acc.mean();
     }
-    if (observe != nullptr) finish_observation();
+    observer.finish(makespan, faults.active());
     return result;
   }
 };
@@ -994,7 +801,6 @@ void RunContext::release_inputs() noexcept {
   st.config.observe.reset();
   st.config.scenario.reset();
   st.config.topology.reset();  // the routing cache pins its own reference
-  st.observe = nullptr;
   st.circuit = nullptr;
   st.teleport_model = nullptr;
   st.key.circuit = nullptr;
@@ -1007,45 +813,6 @@ RunResult RunContext::execute(const Circuit& circuit,
                               const noise::TeleportFidelityModel* model) {
   state_->prepare(circuit, assignment, config, design, seed, model);
   return state_->do_run();
-}
-
-struct ExecutionEngine::Impl {
-  RunContext ctx;
-  const Circuit& circuit;
-  std::vector<int> assignment;
-  ArchConfig config;
-  DesignKind design;
-  std::uint64_t seed;
-  const noise::TeleportFidelityModel* model;
-  bool ran = false;
-
-  Impl(const Circuit& c, std::vector<int> a, const ArchConfig& cfg,
-       DesignKind d, std::uint64_t s,
-       const noise::TeleportFidelityModel* m)
-      : circuit(c),
-        assignment(std::move(a)),
-        config(cfg),
-        design(d),
-        seed(s),
-        model(m) {
-    validate_inputs(circuit, assignment, config, design);
-  }
-};
-
-ExecutionEngine::ExecutionEngine(
-    const Circuit& circuit, std::vector<int> assignment,
-    const ArchConfig& config, DesignKind design, std::uint64_t seed,
-    const noise::TeleportFidelityModel* teleport_model)
-    : impl_(std::make_unique<Impl>(circuit, std::move(assignment), config,
-                                   design, seed, teleport_model)) {}
-
-ExecutionEngine::~ExecutionEngine() = default;
-
-RunResult ExecutionEngine::run() {
-  DQCSIM_EXPECTS_MSG(!impl_->ran, "ExecutionEngine::run may be called once");
-  impl_->ran = true;
-  return impl_->ctx.execute(impl_->circuit, impl_->assignment, impl_->config,
-                            impl_->design, impl_->seed, impl_->model);
 }
 
 }  // namespace dqcsim::runtime

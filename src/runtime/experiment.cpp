@@ -133,15 +133,13 @@ std::vector<AggregateResult> run_design_matrix(
 }
 
 double ideal_depth(const Circuit& circuit, const ArchConfig& config) {
-  ExecutionEngine engine(circuit, {}, config, DesignKind::IdealMono,
-                         /*seed=*/0);
-  return engine.run().depth;
+  return RunContext().execute(circuit, {}, config, DesignKind::IdealMono, 0)
+      .depth;
 }
 
 double ideal_fidelity(const Circuit& circuit, const ArchConfig& config) {
-  ExecutionEngine engine(circuit, {}, config, DesignKind::IdealMono,
-                         /*seed=*/0);
-  return engine.run().fidelity;
+  return RunContext().execute(circuit, {}, config, DesignKind::IdealMono, 0)
+      .fidelity;
 }
 
 }  // namespace dqcsim::runtime

@@ -41,7 +41,7 @@ partition::PartitionResult partition_circuit(const Circuit& circuit,
 /// worker id keeps one RunContext per calling thread, warm across calls
 /// (setup and teleport models cached); a call releases its inputs when it
 /// returns and the next resolves its circuit by content, so the result
-/// equals a loop over fresh ExecutionEngines. Seed derivation is per-run
+/// equals a loop over fresh RunContexts. Seed derivation is per-run
 /// (base_seed + r) and results are folded into the aggregate in run order,
 /// so the statistics are bit-identical for every thread count.
 AggregateResult run_design(const Circuit& circuit,

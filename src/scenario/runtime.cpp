@@ -17,13 +17,6 @@ constexpr std::uint64_t kTagWalk = 0x57414C4BULL;   // "WALK"
 constexpr std::uint64_t kTagBurst = 0x42555253ULL;  // "BURS"
 constexpr std::uint64_t kTagFail = 0x4641494CULL;   // "FAIL"
 
-/// Exp(mean) variate through the blessed Rng wrapper — the raw
-/// -mean * log(1 - u) inversion lives in common/rng so the engine
-/// subsystems stay free of raw libm calls (no-raw-libm).
-double exponential(Rng& rng, double mean) noexcept {
-  return rng.exponential(mean);
-}
-
 }  // namespace
 
 void ScenarioRuntime::begin_trial(const Scenario& scenario,
@@ -266,7 +259,7 @@ void ScenarioRuntime::extend_failures(double t) {
     // for any query at or before the returned boundary.
     while (!fail.exhausted &&
            (fail.intervals.empty() || fail.intervals.back().first <= t)) {
-      const double start = fail.sampled_until + exponential(fail.rng, mtbf);
+      const double start = fail.sampled_until + fail.rng.exponential(mtbf);
       if (start > scn_->horizon) {
         fail.exhausted = true;
         break;

@@ -54,9 +54,6 @@ class ScenarioRuntime {
   void begin_trial(const Scenario& scenario, const net::Topology& topo,
                    std::uint64_t trial_seed);
 
-  /// True between begin_trial() and the next re-arm.
-  bool active() const noexcept { return scn_ != nullptr; }
-
   /// `base` scaled by every matching drift track and endpoint calibration
   /// snapshot at time `t`, clamped to (0, 1].
   double effective_p_succ(std::size_t edge, double base, double t);

@@ -31,11 +31,11 @@
 /// stationary engine, and so is a scenario whose every scale is exactly
 /// 1.0. Every scale is piecewise constant in time, so the engine changes
 /// link parameters only at scenario boundaries (ScenarioRuntime::
-/// next_boundary; docs/ARCHITECTURE.md, "Replay formats"). See
-/// runtime/engine.cpp for the execution semantics: at each boundary the
-/// generation services adopt the new effective link parameters, and
-/// outages invalidate a logical link's route, re-routing it through
-/// net::Router over the surviving subgraph.
+/// next_boundary; docs/ARCHITECTURE.md, "Replay formats"). The engine's
+/// fault controller (runtime/faults.hpp) gives the execution semantics: at
+/// each boundary the generation services adopt the new effective link
+/// parameters, and an outage that changes the edge up mask re-plans every
+/// logical link over the surviving subgraph through net::CongestionPlanner.
 
 #pragma once
 

@@ -343,11 +343,11 @@ TEST(SwapAsYouGo, SingleHopMatchesComposedModel) {
                          std::to_string(purify) + " seed " +
                          std::to_string(seed));
             const runtime::RunResult a =
-                runtime::ExecutionEngine(qc, nodes, composed, design, seed)
-                    .run();
+                runtime::RunContext().execute(qc, nodes, composed, design,
+                                              seed);
             runtime::RunResult b =
-                runtime::ExecutionEngine(qc, nodes, swap_go, design, seed)
-                    .run();
+                runtime::RunContext().execute(qc, nodes, swap_go, design,
+                                              seed);
             EXPECT_EQ(a.max_edge_load, 0u);
             EXPECT_EQ(b.max_edge_load, 1u);
             b.max_edge_load = a.max_edge_load;

@@ -30,8 +30,7 @@ using scenario::Scenario;
 RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
                    const ArchConfig& config, DesignKind design,
                    std::uint64_t seed = 1) {
-  ExecutionEngine engine(qc, nodes, config, design, seed);
-  return engine.run();
+  return RunContext().execute(qc, nodes, config, design, seed);
 }
 
 // ------------------------------------------------------------ validation ----

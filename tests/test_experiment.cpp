@@ -189,7 +189,7 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossSetupChanges) {
                                           : part.assignment;
       const std::uint64_t seed = 100 + i;
       const RunResult fresh =
-          ExecutionEngine(qc, assignment, config, design, seed).run();
+          RunContext().execute(qc, assignment, config, design, seed);
       const RunResult ctx = reused.execute(qc, assignment, config, design,
                                            seed);
       expect_identical(ctx, fresh);
@@ -237,8 +237,8 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossDeliveryModes) {
                      std::to_string(i) + " " + design_name(design));
         const std::uint64_t seed = 40 + i;
         const RunResult fresh =
-            ExecutionEngine(qc, part.assignment, configs[i], design, seed)
-                .run();
+            RunContext().execute(qc, part.assignment, configs[i], design,
+                                 seed);
         expect_identical(reused.execute(qc, part.assignment, configs[i],
                                         design, seed),
                          fresh);
@@ -345,9 +345,9 @@ AggregateResult fresh_engines(const Circuit& qc,
                               int runs, std::uint64_t base_seed) {
   AggregateResult aggregate;
   for (int r = 0; r < runs; ++r) {
-    aggregate.add(ExecutionEngine(qc, assignment, config, design,
-                                  base_seed + static_cast<std::uint64_t>(r))
-                      .run());
+    aggregate.add(RunContext().execute(
+        qc, assignment, config, design,
+        base_seed + static_cast<std::uint64_t>(r)));
   }
   return aggregate;
 }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -117,6 +118,9 @@ TEST(Topology, EdgeOverridesValidateAndStick) {
   EXPECT_THROW(t.set_edge_overrides(0, 1, bad), ConfigError);
   bad = {};
   bad.cycle_time = -1.0;
+  EXPECT_THROW(t.set_edge_overrides(0, 1, bad), ConfigError);
+  // An infinite window would leave the edge unroutable mid-run.
+  bad.cycle_time = std::numeric_limits<double>::infinity();
   EXPECT_THROW(t.set_edge_overrides(0, 1, bad), ConfigError);
 }
 
@@ -429,8 +433,7 @@ TEST(NetEngine, ExplicitAllToAllIsBitIdenticalToLegacyForEveryDesign) {
 RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
                    const ArchConfig& config, DesignKind design,
                    std::uint64_t seed = 1) {
-  runtime::ExecutionEngine engine(qc, nodes, config, design, seed);
-  return engine.run();
+  return runtime::RunContext().execute(qc, nodes, config, design, seed);
 }
 
 TEST(NetEngine, ChainMultiHopPaysSwapLatency) {
@@ -521,9 +524,8 @@ TEST(NetEngine, MismatchedTopologyIsRejected) {
   qc.cx(0, 1);
   ArchConfig config;  // num_nodes = 2
   config.set_topology(Topology::ring(4));
-  EXPECT_THROW(
-      runtime::ExecutionEngine(qc, {0, 1}, config, DesignKind::SyncBuf, 1),
-      ConfigError);
+  EXPECT_THROW(run_once(qc, {0, 1}, config, DesignKind::SyncBuf),
+               ConfigError);
 }
 
 TEST(NetEngine, TopologyAwarePartitionRunsEndToEnd) {

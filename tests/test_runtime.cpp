@@ -32,8 +32,7 @@ Circuit single_remote_cx() {
 RunResult run_once(const Circuit& qc, const std::vector<int>& assignment,
                    const ArchConfig& config, DesignKind design,
                    std::uint64_t seed = 1) {
-  ExecutionEngine engine(qc, assignment, config, design, seed);
-  return engine.run();
+  return RunContext().execute(qc, assignment, config, design, seed);
 }
 
 /// 24 two-qubit gates on a 2|2 split, half of them remote.
@@ -313,20 +312,13 @@ TEST(Engine, DifferentSeedsVaryOutcomes) {
   EXPECT_TRUE(a.depth != b.depth || a.epr_attempts != b.epr_attempts);
 }
 
-TEST(Engine, RunTwiceIsRejected) {
-  const Circuit qc = single_remote_cx();
-  ExecutionEngine engine(qc, {0, 1}, paper_config(), DesignKind::SyncBuf, 1);
-  engine.run();
-  EXPECT_THROW(engine.run(), PreconditionError);
-}
-
 TEST(Engine, RejectsBadAssignments) {
   const Circuit qc = single_remote_cx();
+  RunContext ctx;
+  EXPECT_THROW(ctx.execute(qc, {0}, paper_config(), DesignKind::SyncBuf, 1),
+               PreconditionError);
   EXPECT_THROW(
-      ExecutionEngine(qc, {0}, paper_config(), DesignKind::SyncBuf, 1),
-      PreconditionError);
-  EXPECT_THROW(
-      ExecutionEngine(qc, {0, 2}, paper_config(), DesignKind::SyncBuf, 1),
+      ctx.execute(qc, {0, 2}, paper_config(), DesignKind::SyncBuf, 1),
       PreconditionError);
 }
 
@@ -334,11 +326,10 @@ TEST(Engine, BufferedDesignNeedsBufferQubits) {
   const Circuit qc = single_remote_cx();
   ArchConfig config = paper_config();
   config.buffer_per_node = 0;
-  ExecutionEngine engine(qc, {0, 1}, config, DesignKind::SyncBuf, 1);
-  EXPECT_THROW(engine.run(), ConfigError);
+  EXPECT_THROW(run_once(qc, {0, 1}, config, DesignKind::SyncBuf),
+               ConfigError);
   // The bufferless original design is fine without buffer qubits.
-  ExecutionEngine original(qc, {0, 1}, config, DesignKind::Original, 1);
-  EXPECT_NO_THROW(original.run());
+  EXPECT_NO_THROW(run_once(qc, {0, 1}, config, DesignKind::Original));
 }
 
 TEST(Engine, FidelityDecomposesMultiplicatively) {
@@ -504,8 +495,8 @@ TEST(MultiNode, EngineSurfacesTheLinkSplittingError) {
   wide.cx(0, 11);
   std::vector<int> nodes(12);
   for (int i = 0; i < 12; ++i) nodes[static_cast<std::size_t>(i)] = i;
-  ExecutionEngine engine(wide, nodes, config, DesignKind::SyncBuf, 1);
-  EXPECT_THROW(engine.run(), ConfigError);
+  EXPECT_THROW(run_once(wide, nodes, config, DesignKind::SyncBuf),
+               ConfigError);
 }
 
 TEST(MultiNode, FourNodeRingExecutes) {
@@ -605,14 +596,14 @@ TEST(PurificationRuntime, ImprovesRemoteFidelityForNoisyPairs) {
   EXPECT_GT(pure.depth.mean(), base.depth.mean());
   // ...but the average consumed-pair quality must rise; check via a direct
   // single-run comparison of the remote-fidelity product.
-  ExecutionEngine base_engine(qc, heavy_assignment(), plain,
-                              DesignKind::InitBuf, 7);
-  ExecutionEngine pure_engine(qc, heavy_assignment(), purified,
-                              DesignKind::InitBuf, 7);
   const double per_gate_base = std::pow(
-      base_engine.run().fidelity_remote, 1.0 / 12.0);
+      run_once(qc, heavy_assignment(), plain, DesignKind::InitBuf, 7)
+          .fidelity_remote,
+      1.0 / 12.0);
   const double per_gate_pure = std::pow(
-      pure_engine.run().fidelity_remote, 1.0 / 12.0);
+      run_once(qc, heavy_assignment(), purified, DesignKind::InitBuf, 7)
+          .fidelity_remote,
+      1.0 / 12.0);
   EXPECT_GT(per_gate_pure, per_gate_base);
 }
 
@@ -627,10 +618,8 @@ TEST(PurificationRuntime, FailuresAreCountedAndRetried) {
   const auto agg = run_design(qc, heavy_assignment(), config,
                               DesignKind::AsyncBuf, 10);
   EXPECT_EQ(agg.depth.count(), 10u);  // all runs completed
-  RunResult one = RunResult{};
-  ExecutionEngine engine(qc, heavy_assignment(), config,
-                         DesignKind::AsyncBuf, 11);
-  one = engine.run();
+  const RunResult one =
+      run_once(qc, heavy_assignment(), config, DesignKind::AsyncBuf, 11);
   EXPECT_GE(one.purification_rounds, 12u);  // >= one round per remote gate
   EXPECT_EQ(one.purification_rounds - one.purification_failures, 12u);
 }

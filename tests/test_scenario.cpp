@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -1092,8 +1093,7 @@ TEST(ScenarioDeterminism, EmptyScenarioShortCircuitsToStationary) {
 RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
                    const ArchConfig& config, DesignKind design,
                    std::uint64_t seed = 1) {
-  runtime::ExecutionEngine engine(qc, nodes, config, design, seed);
-  return engine.run();
+  return runtime::RunContext().execute(qc, nodes, config, design, seed);
 }
 
 TEST(ScenarioFaults, RingOutageReroutesOverSurvivingPath) {
@@ -1184,8 +1184,43 @@ TEST(ScenarioFaults, TotalDisconnectionTerminatesUnderTheTrialBudget) {
   const RunResult r = run_once(qc, nodes, config, DesignKind::AsyncBuf);
   EXPECT_TRUE(r.truncated);
   EXPECT_DOUBLE_EQ(r.depth, 400.0);
-  EXPECT_GT(r.outage_downtime, 0.0);
   EXPECT_GE(r.outage_events, 1u);
+  // The end-of-trial close: every logical link is routeless from t = 0 and
+  // accrues its downtime up to the 400 horizon, exactly.
+  std::set<std::pair<int, int>> link_pairs;  // node pairs with remote gates
+  for (std::size_t g = 0; g < qc.num_gates(); ++g) {
+    const Gate& gate = qc.gate(g);
+    if (gate.arity() != 2) continue;
+    const int a = nodes[static_cast<std::size_t>(gate.q0())];
+    const int b = nodes[static_cast<std::size_t>(gate.q1())];
+    if (a != b) link_pairs.insert(std::minmax(a, b));
+  }
+  EXPECT_EQ(r.outage_downtime,
+            400.0 * static_cast<double>(link_pairs.size()));
+
+  // Traced, the same trial exports one outage span per logical link and
+  // per ring edge, each opened at t = 0 and closed at the horizon.
+  ArchConfig traced = config;
+  traced.observe = obs::make_observe();
+  traced.observe->trace_seed = 1;  // run_once's seed
+  runtime::run_design(qc, nodes, traced, DesignKind::AsyncBuf, 1, 1, 1);
+  const std::string json = traced.observe->collector.trace_json();
+  std::size_t opened = 0;
+  std::size_t closed = 0;
+  for (std::size_t at = json.find("\"outage\""); at != std::string::npos;
+       at = json.find("\"outage\"", at + 1)) {
+    const std::string event = json.substr(at, json.find('}', at) - at);
+    if (event.find("\"ph\": \"b\"") != std::string::npos) {
+      ++opened;
+      EXPECT_NE(event.find("\"ts\": 0,"), std::string::npos) << event;
+    } else {
+      ++closed;
+      EXPECT_NE(event.find("\"ph\": \"e\""), std::string::npos) << event;
+      EXPECT_NE(event.find("\"ts\": 400,"), std::string::npos) << event;
+    }
+  }
+  EXPECT_EQ(opened, link_pairs.size() + 4);
+  EXPECT_EQ(closed, opened);
 
   const AggregateResult serial = runtime::run_design(
       qc, nodes, config, DesignKind::AsyncBuf, 6, 800, /*threads=*/1);
