@@ -426,6 +426,33 @@ void BM_RunDesignParallel(benchmark::State& state) {
 BENCHMARK(BM_RunDesignParallel)->Arg(16)->Arg(32)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The shape of a design sweep: back-to-back small calls, each switching
+// design, all threads. Per-call costs that a single-design loop hides (a
+// setup rebuilt per design, a pool woken per call) show here.
+void BM_RunDesignDesignSweep(benchmark::State& state) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = runtime::partition_circuit(qc, 2);
+  const runtime::ArchConfig config;
+  const int runs = static_cast<int>(state.range(0));
+  std::vector<runtime::DesignKind> designs;
+  for (const auto design : runtime::distributed_designs()) {
+    if (runtime::design_uses_buffer(design)) designs.push_back(design);
+  }
+  for (auto _ : state) {
+    for (const auto design : designs) {
+      const auto agg = runtime::run_design(qc, part.assignment, config, design,
+                                           runs, /*base_seed=*/1000,
+                                           /*threads=*/0);
+      benchmark::DoNotOptimize(agg.depth.mean());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(designs.size()) * runs);
+  state.SetLabel(std::to_string(designs.size()) + " calls");
+}
+BENCHMARK(BM_RunDesignDesignSweep)->Arg(16)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
 void BM_RunDesignMatrixAllDesigns(benchmark::State& state) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   const auto part = runtime::partition_circuit(qc, 2);

@@ -1,6 +1,7 @@
 #include "circuit/circuit.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -103,6 +104,26 @@ std::string Circuit::to_string() const {
      << gates_.size() << " gates)\n";
   for (const auto& g : gates_) os << "  " << g.to_string() << '\n';
   return os.str();
+}
+
+std::uint64_t Circuit::fingerprint() const noexcept {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
+  const auto mix = [&h](std::uint64_t v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  mix(static_cast<std::uint64_t>(num_qubits_));
+  mix(gates_.size());
+  for (const Gate& g : gates_) {
+    mix(static_cast<std::uint64_t>(g.kind));
+    mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.qubits[0]))
+         << 32) |
+        static_cast<std::uint32_t>(g.qubits[1]));
+    std::uint64_t param_bits;
+    std::memcpy(&param_bits, &g.param, sizeof param_bits);
+    mix(param_bits);
+  }
+  return h;
 }
 
 }  // namespace dqcsim

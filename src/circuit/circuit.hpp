@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -79,6 +80,11 @@ class Circuit {
 
   /// Multi-line textual dump (one gate per line), for debugging and tests.
   std::string to_string() const;
+
+  /// Cheap content hash (FNV-1a) of the width and every gate's kind,
+  /// operands and parameter; the name is not hashed. Caches keyed on a
+  /// circuit use it to tell a different circuit at a recycled address.
+  std::uint64_t fingerprint() const noexcept;
 
  private:
   int num_qubits_;

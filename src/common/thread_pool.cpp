@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <memory>
 #include <utility>
@@ -20,17 +19,21 @@ ThreadPool::~ThreadPool() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
+    posted_.fetch_add(1, std::memory_order_release);  // ends every spin
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
 void ThreadPool::submit(std::function<void()> job) {
+  bool wake = false;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     jobs_.push(std::move(job));
+    posted_.fetch_add(1, std::memory_order_release);
+    wake = sleeping_ > 0;
   }
-  work_cv_.notify_one();
+  if (wake) work_cv_.notify_one();
 }
 
 void ThreadPool::wait_idle() {
@@ -39,22 +42,50 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> job;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stop_ || !jobs_.empty(); });
-      if (jobs_.empty()) return;  // stop_ and drained
-      job = std::move(jobs_.front());
+    if (claimable()) {
+      const std::size_t id = next_id_++;
+      const std::function<void(std::size_t)>& task = *task_;
+      helpers_busy_.fetch_add(1, std::memory_order_relaxed);
+      lock.unlock();
+      task(id);
+      // The caller may return as soon as the count reaches zero: nothing of
+      // its call is touched after this.
+      const bool last =
+          helpers_busy_.fetch_sub(1, std::memory_order_acq_rel) == 1;
+      lock.lock();
+      if (last) idle_cv_.notify_all();
+      continue;
+    }
+    if (!jobs_.empty()) {
+      std::function<void()> job = std::move(jobs_.front());
       jobs_.pop();
       ++active_;
-    }
-    job();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      lock.unlock();
+      job();
+      lock.lock();
       --active_;
       if (jobs_.empty() && active_ == 0) idle_cv_.notify_all();
+      continue;
     }
+    if (stop_) return;  // stopped and drained
+
+    // Idle: stay awake for a short spin, so the next of a run of
+    // back-to-back calls finds this worker ready, then sleep.
+    const std::uint64_t seen = posted_.load(std::memory_order_relaxed);
+    lock.unlock();
+    for (unsigned r = 0; r < kSpinRounds &&
+                         posted_.load(std::memory_order_acquire) == seen;
+         ++r) {
+      std::this_thread::yield();
+    }
+    lock.lock();
+    ++sleeping_;
+    work_cv_.wait(lock, [&] {
+      return posted_.load(std::memory_order_relaxed) != seen;
+    });
+    --sleeping_;
   }
 }
 
@@ -65,24 +96,17 @@ void ThreadPool::parallel_for(std::size_t n,
 
 void ThreadPool::parallel_for_workers(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-  parallel_for_workers(n, size(), body);
+  parallel_for_workers(n, size() + 1, body);
 }
 
 void ThreadPool::parallel_for_workers(
     std::size_t n, std::size_t max_workers,
     const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  const std::size_t tasks = std::min({size(), n, max_workers});
-  if (tasks <= 1) {
-    for (std::size_t i = 0; i < n; ++i) body(0, i);
-    return;
-  }
-
+  const std::size_t ids = std::min({size() + 1, n, max_workers});
   std::atomic<std::size_t> next{0};
   std::atomic<bool> failed{false};
   std::exception_ptr error;
   std::mutex error_mutex;
-
   const auto drain = [&](std::size_t worker) {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -95,14 +119,50 @@ void ThreadPool::parallel_for_workers(
       }
     }
   };
+  // Helpers run the drain through this (one reference: no allocation).
+  const std::function<void(std::size_t)> task = [&drain](std::size_t worker) {
+    drain(worker);
+  };
 
-  // One draining task per worker id; a task may migrate to whichever pool
-  // thread picks it up, but two tasks never share an id, so id-keyed
-  // workspaces are race-free.
-  for (std::size_t t = 0; t < tasks; ++t) {
-    submit([&drain, t] { drain(t); });
+  // Open the call to helpers, unless a call is running already (a nested
+  // or concurrent caller): that one runs inline.
+  bool open = false;
+  bool wake = false;
+  if (ids > 1) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (task_ == nullptr) {
+      task_ = &task;
+      next_id_ = 1;
+      ids_ = ids;
+      posted_.fetch_add(1, std::memory_order_release);
+      open = true;
+      wake = sleeping_ > 0;
+    }
   }
-  wait_idle();
+  if (!open) {
+    for (std::size_t i = 0; i < n; ++i) body(0, i);
+    return;
+  }
+  if (wake) work_cv_.notify_all();
+
+  drain(0);  // the caller is worker 0
+  {
+    // Every index is claimed: close the call to late joiners, then wait
+    // for the helpers still running (briefly spinning, then asleep).
+    const std::lock_guard<std::mutex> lock(mutex_);
+    task_ = nullptr;
+  }
+  for (unsigned r = 0; r < kSpinRounds &&
+                       helpers_busy_.load(std::memory_order_acquire) != 0;
+       ++r) {
+    std::this_thread::yield();
+  }
+  if (helpers_busy_.load(std::memory_order_acquire) != 0) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_cv_.wait(lock, [this] {
+      return helpers_busy_.load(std::memory_order_acquire) == 0;
+    });
+  }
 
   if (failed.load()) std::rethrow_exception(error);
 }
@@ -128,18 +188,27 @@ std::size_t parallel_worker_count(std::size_t n,
 void parallel_for_workers(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& body,
     std::size_t num_threads) {
+  // This thread's pool (see the file comment), and whether this thread is
+  // inside a call on it: a nested call runs inline rather than replace or
+  // reuse the busy pool.
+  thread_local std::unique_ptr<ThreadPool> pool;
+  thread_local bool busy = false;
   const std::size_t workers = parallel_worker_count(n, num_threads);
-  if (workers <= 1) {
+  if (workers <= 1 || busy) {
     for (std::size_t i = 0; i < n; ++i) body(0, i);
     return;
   }
-  // This thread's pool (see the file comment), replaced by a larger one
-  // when a call needs more workers: the idle old one joins first.
-  thread_local std::unique_ptr<ThreadPool> pool;
-  if (pool == nullptr || pool->size() < workers) {
+  // Replaced by a larger pool when a call needs more workers: the idle old
+  // one joins first.
+  if (pool == nullptr || pool->size() + 1 < workers) {
     pool.reset();
-    pool = std::make_unique<ThreadPool>(workers);
+    pool = std::make_unique<ThreadPool>(workers - 1);
   }
+  struct Busy {
+    bool& flag;
+    explicit Busy(bool& f) : flag(f) { flag = true; }
+    ~Busy() { flag = false; }
+  } const guard(busy);
   pool->parallel_for_workers(n, workers, body);
 }
 

@@ -2,24 +2,37 @@
 /// \brief Minimal fixed-size thread pool used to fan Monte-Carlo experiment
 /// runs across cores.
 ///
-/// Deliberately simple (one locked FIFO, no work stealing): experiment tasks
-/// are coarse — one full engine trial each — so queue contention is
-/// negligible next to task cost. Determinism is the caller's job: tasks must
-/// write to disjoint, pre-sized slots so the completion order never affects
-/// the result (see runtime::run_design).
+/// Deliberately simple (no work stealing): experiment tasks are coarse —
+/// one full engine trial each — so index claiming is one atomic increment.
+/// Determinism is the caller's job: tasks must write to disjoint, pre-sized
+/// slots so the completion order never affects the result (see
+/// runtime::run_design).
+///
+/// A parallel call runs on the calling thread plus the pool's threads: the
+/// caller is worker 0 and starts draining indices at once, and each pool
+/// thread that joins in time claims the next worker id. A pool thread that
+/// finishes a job stays awake for a short, bounded spin (kSpinRounds
+/// yields) before it sleeps, so a closed loop of back-to-back small calls
+/// finds its helpers awake instead of paying a wake-up per call. Once the
+/// caller has drained its share it closes the call to late joiners and
+/// waits for the helpers still running, again spinning briefly before it
+/// sleeps.
 ///
 /// The free parallel_for / parallel_for_workers run on a pool owned by the
 /// calling thread: created on its first parallel call, kept for the
 /// thread's lifetime and grown to the largest worker count it has asked
-/// for, so a small call pays a wake-up instead of thread creation. The
-/// caller blocks while its pool drains, and a body that calls parallel_for
-/// again runs on a pool thread, which owns its own pool: nested and
-/// concurrent callers never share a pool, so no lock is held across calls.
+/// for (workers − 1 threads). A body that calls parallel_for again runs
+/// either on a pool thread, which owns its own pool, or on the calling
+/// thread, whose pool is busy: such a nested call never replaces or reuses
+/// the busy pool and runs inline. Nested and concurrent callers therefore
+/// never share a pool, so no lock is held across calls.
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -28,9 +41,16 @@
 
 namespace dqcsim {
 
-/// Fixed-size pool of worker threads draining a shared FIFO of jobs.
+/// Fixed-size pool of worker threads: parallel calls run on the caller and
+/// the workers; submit() feeds a shared FIFO of one-off jobs.
 class ThreadPool {
  public:
+  /// Yield rounds a worker (or a waiting caller) spins before it blocks.
+  /// About 60 µs on a 4-core host: long enough to bridge a closed loop's
+  /// gap between calls, short enough not to steal the serial work that
+  /// follows a burst of calls.
+  static constexpr unsigned kSpinRounds = 256;
+
   /// Spawn `num_threads` workers; 0 means hardware_threads().
   explicit ThreadPool(std::size_t num_threads = 0);
 
@@ -50,25 +70,25 @@ class ThreadPool {
   /// Block until the queue is empty and every worker is idle.
   void wait_idle();
 
-  /// Run body(i) for i in [0, n), distributed over the pool's workers via a
-  /// shared atomic index. Blocks until all n calls return. The first
-  /// exception thrown by any call is rethrown here (remaining indices still
-  /// run). When size() or n is <= 1 this degenerates to an inline serial
-  /// loop.
+  /// Run body(i) for i in [0, n) on the calling thread and the pool's
+  /// workers via a shared atomic index. Blocks until all n calls return.
+  /// The first exception thrown by any call is rethrown here (remaining
+  /// indices still run). When n is <= 1, or the pool is already running a
+  /// parallel call, this degenerates to an inline serial loop.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body);
 
   /// As parallel_for, but body receives (worker, i) where worker is a dense
-  /// id in [0, min(size(), n)) identifying the draining task: calls with
-  /// the same worker id never run concurrently, so each worker can own a
-  /// reusable workspace (e.g. a runtime::RunContext). The serial fallback
-  /// uses worker 0.
+  /// id in [0, min(size() + 1, n)) identifying the draining thread (the
+  /// caller is worker 0): calls with the same worker id never run
+  /// concurrently, so each worker can own a reusable workspace (e.g. a
+  /// runtime::RunContext). The serial fallback uses worker 0.
   void parallel_for_workers(
       std::size_t n,
       const std::function<void(std::size_t, std::size_t)>& body);
 
   /// As parallel_for_workers, with worker ids limited to
-  /// [0, min(size(), n, max_workers)).
+  /// [0, min(size() + 1, n, max_workers)).
   void parallel_for_workers(
       std::size_t n, std::size_t max_workers,
       const std::function<void(std::size_t, std::size_t)>& body);
@@ -78,20 +98,37 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// True while the current parallel call takes helpers (mutex_ held).
+  bool claimable() const { return task_ != nullptr && next_id_ < ids_; }
 
+  // Guarded by mutex_ (the atomics are also read without it while
+  // spinning).
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;  ///< signals workers: job or stop
-  std::condition_variable idle_cv_;  ///< signals wait_idle: drained
-  std::queue<std::function<void()>> jobs_;
-  std::vector<std::thread> workers_;
-  std::size_t active_ = 0;
+  std::condition_variable work_cv_;  ///< signals sleeping workers: new work
+  std::condition_variable idle_cv_;  ///< signals waiters: jobs or helpers done
   bool stop_ = false;
+  std::size_t sleeping_ = 0;  ///< workers blocked on work_cv_
+  /// Work posted so far (jobs and parallel calls): spinning workers watch
+  /// it for a change.
+  std::atomic<std::uint64_t> posted_{0};
+
+  // submit() FIFO.
+  std::queue<std::function<void()>> jobs_;
+  std::size_t active_ = 0;
+
+  // The running parallel call: helpers claim worker ids in [1, ids_).
+  const std::function<void(std::size_t)>* task_ = nullptr;
+  std::size_t next_id_ = 0;
+  std::size_t ids_ = 0;
+  std::atomic<std::size_t> helpers_busy_{0};
+
+  std::vector<std::thread> workers_;  ///< last: they use every member above
 };
 
 /// Convenience: run body(i) for i in [0, n) on `num_threads` workers
-/// (0 = hardware_threads()) of the calling thread's pool. Serial and inline
-/// when the resolved thread count or n is <= 1, so single-threaded callers
-/// pay no threading cost at all.
+/// (0 = hardware_threads()) — the calling thread and its pool. Serial and
+/// inline when the resolved thread count or n is <= 1, so single-threaded
+/// callers pay no threading cost at all.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t num_threads = 0);
 

@@ -70,6 +70,7 @@
 #include "obs/trace.hpp"
 
 #include "sched/adaptive_policy.hpp"
+#include "sched/fusible_chains.hpp"
 #include "sched/remote_gates.hpp"
 #include "sched/segmentation.hpp"
 #include "sched/variants.hpp"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <string>
@@ -17,59 +16,12 @@
 #include "runtime/faults.hpp"
 #include "runtime/observer.hpp"
 #include "sched/adaptive_policy.hpp"
+#include "sched/fusible_chains.hpp"
 #include "sched/remote_gates.hpp"
 #include "sched/segmentation.hpp"
 #include "sched/variants.hpp"
 
 namespace dqcsim::runtime {
-
-namespace {
-
-/// Cheap content hash guarding the setup cache against a different circuit
-/// materializing at a recycled address.
-std::uint64_t circuit_fingerprint(const Circuit& c) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  };
-  mix(static_cast<std::uint64_t>(c.num_qubits()));
-  mix(c.num_gates());
-  for (std::size_t i = 0; i < c.num_gates(); ++i) {
-    const Gate& g = c.gate(i);
-    mix(static_cast<std::uint64_t>(g.kind));
-    mix((static_cast<std::uint64_t>(static_cast<std::uint32_t>(g.qubits[0]))
-         << 32) |
-        static_cast<std::uint32_t>(g.qubits[1]));
-    std::uint64_t param_bits;
-    std::memcpy(&param_bits, &g.param, sizeof param_bits);
-    mix(param_bits);
-  }
-  return h;
-}
-
-}  // namespace
-
-std::vector<std::size_t> fusible_1q_chain_next(const Circuit& qc) {
-  std::vector<std::size_t> next(qc.num_gates(), kNoFusedNext);
-  std::vector<std::size_t> last_1q_on_wire(
-      static_cast<std::size_t>(qc.num_qubits()), kNoFusedNext);
-  for (std::size_t g = 0; g < qc.num_gates(); ++g) {
-    const Gate& gate = qc.gate(g);
-    if (gate.arity() == 1) {
-      const auto w = static_cast<std::size_t>(gate.q0());
-      if (last_1q_on_wire[w] != kNoFusedNext) {
-        next[last_1q_on_wire[w]] = g;
-      }
-      last_1q_on_wire[w] = g;
-    } else {
-      // A two-qubit gate breaks any chain on both wires.
-      last_1q_on_wire[static_cast<std::size_t>(gate.q0())] = kNoFusedNext;
-      last_1q_on_wire[static_cast<std::size_t>(gate.q1())] = kNoFusedNext;
-    }
-  }
-  return next;
-}
 
 struct RunContext::State final : detail::TrialState {
   static constexpr std::size_t kNone = ~std::size_t{0};
@@ -82,27 +34,34 @@ struct RunContext::State final : detail::TrialState {
   const noise::TeleportFidelityModel* teleport_model = nullptr;
 
   // --- cached setup (rebuilt only when the key changes) ---------------------
+  // The key holds no design: gate placement and links differ only between
+  // IdealMono and the distributed designs, and each design-derived artifact
+  // is built the first time a design needs it, then kept until the key
+  // changes. A sweep that switches design (or p_succ, and with it the
+  // default segment size) from call to call shares one setup.
   struct SetupKey {
     bool valid = false;
     const Circuit* circuit = nullptr;
     std::uint64_t fingerprint = 0;
     std::vector<int> assignment;
-    DesignKind design = DesignKind::AsyncBuf;
+    bool ideal = false;
     int num_nodes = 0;
-    std::size_t effective_segment_size = 0;
-    bool fuse_local_gates = false;
     RemoteImpl remote_impl = RemoteImpl::GateTeleport;
     Fidelities fid;
   } key;
 
   sched::GatePlacement placement;
+  // Adaptive designs: built by the first adaptive trial for segment_size
+  // remote gates per segment (0: not built for this key).
+  std::size_t segment_size = 0;
   std::vector<sched::Segment> segments;
   std::unique_ptr<sched::SegmentVariantTable> variant_table;
   std::optional<sched::AdaptivePolicy> adaptive_policy;
+  // Fused designs: built by the first fused trial (one entry per gate).
   std::vector<std::size_t> chain_next;  ///< kNoFusedNext-terminated chains
   std::optional<noise::TeleportFidelityModel> owned_model;
   std::optional<noise::StateTeleportCnotModel> state_model;
-  bool use_adaptive = false;
+  bool use_adaptive = false;  ///< per trial: adaptive design with links
 
   // --- local 1q chain fusion (config.fuse_local_gates) ----------------------
   // Runs of consecutive one-qubit gates on a wire execute as one event with
@@ -204,25 +163,25 @@ struct RunContext::State final : detail::TrialState {
   /// Setup-key equality for everything except circuit identity (which the
   /// caller resolves via pointer or fingerprint).
   bool setup_fields_match(const std::vector<int>& assignment,
-                          const ArchConfig& cfg, DesignKind d) const {
-    return key.valid && key.design == d && key.num_nodes == cfg.num_nodes &&
-           key.effective_segment_size == cfg.effective_segment_size() &&
-           key.fuse_local_gates == cfg.fuse_local_gates &&
+                          const ArchConfig& cfg, bool ideal) const {
+    return key.valid && key.ideal == ideal && key.num_nodes == cfg.num_nodes &&
            key.remote_impl == cfg.remote_impl && key.fid == cfg.fid &&
            key.assignment == assignment;
   }
 
-  /// Recompute every circuit/assignment/design-derived artifact. Called
-  /// only when the setup key changes; consecutive trials of one sweep cell
-  /// reuse everything built here.
+  /// Recompute gate placement and links and drop every design-derived
+  /// artifact. Called only when the setup key changes; consecutive trials
+  /// reuse everything built here, whatever their design.
   void rebuild_setup(const Circuit& c, const std::vector<int>& assignment,
-                     const ArchConfig& cfg, DesignKind d,
+                     const ArchConfig& cfg, bool ideal,
                      std::uint64_t fingerprint) {
     key.valid = false;
     owned_model.reset();
     state_model.reset();
+    segment_size = 0;
+    chain_next.clear();
 
-    if (d != DesignKind::IdealMono) {
+    if (!ideal) {
       sched::classify_gates(c, assignment, placement);
     } else {
       placement.is_remote.assign(c.num_gates(), 0);
@@ -232,34 +191,12 @@ struct RunContext::State final : detail::TrialState {
       placement.num_measure = 0;
     }
 
-    const bool needs_link =
-        d != DesignKind::IdealMono && placement.num_remote_2q > 0;
-    use_adaptive = design_uses_adaptive(d) && needs_link;
-    fuse_chains = !use_adaptive && cfg.fuse_local_gates;
-    if (fuse_chains) {
-      chain_next = fusible_1q_chain_next(c);
-    } else {
-      chain_next.clear();
-    }
-
-    if (use_adaptive) {
-      segments = sched::segment_by_remote_gates(
-          placement, cfg.effective_segment_size());
-      variant_table = std::make_unique<sched::SegmentVariantTable>(
-          c, placement, segments);
-      adaptive_policy.emplace(cfg.effective_segment_size());
-    } else {
-      segments.clear();
-      variant_table.reset();
-      adaptive_policy.reset();
-    }
-
     // Logical links: one per node pair with remote traffic, in
     // first-traffic order (the order their services are started in, which
     // the FIFO tie-break observes).
     links.clear();
     link_of_gate.assign(c.num_gates(), 0);
-    if (needs_link) {
+    if (placement.num_remote_2q > 0) {
       const auto n = static_cast<std::size_t>(cfg.num_nodes);
       std::vector<int> link_of_pair(n * n, -1);
       for (std::size_t g = 0; g < c.num_gates(); ++g) {
@@ -284,13 +221,34 @@ struct RunContext::State final : detail::TrialState {
     key.circuit = &c;
     key.fingerprint = fingerprint;
     key.assignment = assignment;
-    key.design = d;
+    key.ideal = ideal;
     key.num_nodes = cfg.num_nodes;
-    key.effective_segment_size = cfg.effective_segment_size();
-    key.fuse_local_gates = cfg.fuse_local_gates;
     key.remote_impl = cfg.remote_impl;
     key.fid = cfg.fid;
     key.valid = true;
+  }
+
+  /// Set this trial's design switches, building the artifacts they need
+  /// that the current setup does not hold yet.
+  void select_design(const Circuit& c, const ArchConfig& cfg, DesignKind d) {
+    use_adaptive = design_uses_adaptive(d) && placement.num_remote_2q > 0;
+    fuse_chains = !use_adaptive && cfg.fuse_local_gates;
+    const bool build_chains =
+        fuse_chains && chain_next.size() != c.num_gates();
+    const bool build_adaptive =
+        use_adaptive && segment_size != cfg.effective_segment_size();
+    if (!build_chains && !build_adaptive) return;
+    OBS_SCOPE(observer.prof(), obs::Phase::Setup);
+    if (build_chains) {
+      chain_next = sched::fusible_1q_chain_next(c);
+    }
+    if (build_adaptive) {
+      segment_size = cfg.effective_segment_size();
+      segments = sched::segment_by_remote_gates(placement, segment_size);
+      variant_table = std::make_unique<sched::SegmentVariantTable>(
+          c, placement, segments);
+      adaptive_policy.emplace(segment_size);
+    }
   }
 
   /// Point the workspace at one trial's inputs: reseed, rewind the
@@ -327,11 +285,12 @@ struct RunContext::State final : detail::TrialState {
     // new circuit recycled at the old address — hits only if its content
     // fingerprint matches the cached one; the fingerprint covers gate
     // count and width, so a shape change always rebuilds.
+    const bool ideal = d == DesignKind::IdealMono;
     bool setup_hit = false;
-    if (setup_fields_match(assignment, cfg, d)) {
+    if (setup_fields_match(assignment, cfg, ideal)) {
       if (key.circuit == &c) {
         setup_hit = true;
-      } else if (circuit_fingerprint(c) == key.fingerprint) {
+      } else if (c.fingerprint() == key.fingerprint) {
         setup_hit = true;
         key.circuit = &c;
       }
@@ -339,8 +298,9 @@ struct RunContext::State final : detail::TrialState {
     observer.setup_cache(setup_hit);
     if (!setup_hit) {
       OBS_SCOPE(observer.prof(), obs::Phase::Setup);
-      rebuild_setup(c, assignment, cfg, d, circuit_fingerprint(c));
+      rebuild_setup(c, assignment, cfg, ideal, c.fingerprint());
     }
+    select_design(c, cfg, d);
     faults.arm();  // after the setup: it sizes per-link state
 
     noise::TeleportNoiseParams tele;
@@ -515,7 +475,9 @@ struct RunContext::State final : detail::TrialState {
       ledger.add_factor(local_term_of(gate), gate_fidelity_local(gate));
       end += latency_of(gate, /*remote=*/false);
       tail = g;
-      if (chain_next[g] == kNoFusedNext || !admitted[chain_next[g]]) break;
+      if (chain_next[g] == sched::kNoFusedNext || !admitted[chain_next[g]]) {
+        break;
+      }
     }
     sim.schedule_at(end, [this, head, tail] {
       for (std::size_t g = head;; g = chain_next[g]) {

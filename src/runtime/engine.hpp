@@ -23,9 +23,12 @@
 /// between calls, and circuit-derived artifacts (gate placement, segment
 /// variants, fusion chains, link topology, teleportation models) are cached
 /// while consecutive calls share a setup — so a Monte-Carlo trial loop does
-/// zero steady-state allocation. Each worker id of each thread calling
-/// runtime::run_design owns one, warm across calls. A one-off run is a
-/// fresh RunContext and one execute().
+/// zero steady-state allocation. The design is not part of the setup key:
+/// trials of different distributed designs share one setup, and the
+/// artifacts only some designs use (segment variants, fusion chains) are
+/// built with the first trial that needs them. Each worker id of each
+/// thread calling runtime::run_design owns one, warm across calls. A
+/// one-off run is a fresh RunContext and one execute().
 
 #pragma once
 
@@ -81,16 +84,5 @@ class RunContext {
   struct State;
   std::unique_ptr<State> state_;
 };
-
-/// Sentinel for fusible_1q_chain_next: no fusible successor.
-inline constexpr std::size_t kNoFusedNext = ~std::size_t{0};
-
-/// Chain analysis behind ArchConfig::fuse_local_gates: next[g] is the
-/// index of the gate immediately following gate g on its wire when *both*
-/// are one-qubit operations (Measure included), i.e. when g's completion
-/// enables exactly that gate and nothing else. Entries are kNoFusedNext
-/// otherwise. Such chains can be executed as a single scheduling event with
-/// summed latency without changing any observable timing.
-std::vector<std::size_t> fusible_1q_chain_next(const Circuit& qc);
 
 }  // namespace dqcsim::runtime

@@ -17,16 +17,22 @@ namespace {
 /// hardware threads), each worker id owning one RunContext of the calling
 /// thread. The contexts outlive the call, warm: their setup, routing and
 /// teleport-model caches carry over, so a repeated call pays only its
-/// trials. Nested and concurrent callers run on different threads and so
-/// never share a context.
+/// trials. The calling thread runs worker 0 of its call, so a run_cells
+/// made while an enclosing one on this thread holds the contexts gets
+/// fresh contexts of its own and leaves those alone. Concurrent callers
+/// run on different threads and so never share a context.
 template <typename Cell>
 void run_cells(std::size_t n, int threads, const Cell& cell) {
   thread_local std::vector<RunContext> mine;
-  std::vector<RunContext>& contexts = mine;  // this thread's, not a worker's
+  thread_local bool mine_in_use = false;
+  const bool outer = !mine_in_use;
+  std::vector<RunContext> nested;
+  std::vector<RunContext>& contexts = outer ? mine : nested;
   const std::size_t num_threads =
       threads <= 0 ? 0 : static_cast<std::size_t>(threads);
   const std::size_t workers = parallel_worker_count(n, num_threads);
   if (contexts.size() < workers) contexts.resize(workers);
+  mine_in_use = true;
   try {
     parallel_for_workers(
         n,
@@ -35,9 +41,11 @@ void run_cells(std::size_t n, int threads, const Cell& cell) {
   } catch (...) {
     // A trial that threw may have left its context mid-run: start afresh.
     contexts.clear();
+    mine_in_use = !outer;
     throw;
   }
   for (RunContext& context : contexts) context.release_inputs();
+  mine_in_use = !outer;
 }
 
 }  // namespace
@@ -112,8 +120,10 @@ std::vector<AggregateResult> run_design_matrix(
 
   // One flat cell grid: all point x run pairs share the pool, so a sweep of
   // many small-run points parallelizes as well as one large run_design.
-  // Cells are claimed in p-major order, so a worker's consecutive trials
-  // usually share a design point and hit its RunContext's setup cache.
+  // The design is not part of the setup key, so every cell of one circuit
+  // and assignment shares its RunContext's setup; claiming cells in p-major
+  // order keeps a worker's consecutive trials on one point, which also
+  // keeps its route cache and adaptive segment tables warm.
   const std::size_t num_runs = static_cast<std::size_t>(runs);
   std::vector<RunResult> cells(points.size() * num_runs);
   run_cells(cells.size(), threads, [&](RunContext& context, std::size_t cell) {

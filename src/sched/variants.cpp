@@ -69,6 +69,15 @@ std::vector<std::size_t> prioritized_topological_order(
   return order;
 }
 
+/// The circuit restricted to the segment, with commutation analysed there.
+DependencyDag segment_dag(const Circuit& circuit, const Segment& segment) {
+  Circuit sub(circuit.num_qubits());
+  for (std::size_t i = segment.begin; i < segment.end; ++i) {
+    sub.append(circuit.gate(i));
+  }
+  return DependencyDag(sub, DependencyDag::Mode::CommutationAware);
+}
+
 }  // namespace
 
 const char* policy_name(SchedulingPolicy policy) noexcept {
@@ -96,15 +105,8 @@ std::vector<std::size_t> segment_variant_order(const Circuit& circuit,
     return order;
   }
 
-  // Restrict the circuit to the segment and analyse commutation there.
-  Circuit sub(circuit.num_qubits());
-  for (std::size_t i = segment.begin; i < segment.end; ++i) {
-    sub.append(circuit.gate(i));
-  }
-  const DependencyDag dag(sub, DependencyDag::Mode::CommutationAware);
-
   return prioritized_topological_order(
-      dag, segment, placement,
+      segment_dag(circuit, segment), segment, placement,
       /*reverse_direction=*/policy == SchedulingPolicy::Alap);
 }
 
@@ -114,14 +116,18 @@ SegmentVariantTable::SegmentVariantTable(const Circuit& circuit,
     : segments_(segments) {
   orders_.reserve(segments_.size());
   for (const Segment& seg : segments_) {
+    // ASAP and ALAP are two traversals of one DAG: build it once.
+    const DependencyDag dag = segment_dag(circuit, seg);
     std::array<std::vector<std::size_t>, 3> entry;
     entry[static_cast<std::size_t>(SchedulingPolicy::Original)] =
         segment_variant_order(circuit, placement, seg,
                               SchedulingPolicy::Original);
     entry[static_cast<std::size_t>(SchedulingPolicy::Asap)] =
-        segment_variant_order(circuit, placement, seg, SchedulingPolicy::Asap);
+        prioritized_topological_order(dag, seg, placement,
+                                      /*reverse_direction=*/false);
     entry[static_cast<std::size_t>(SchedulingPolicy::Alap)] =
-        segment_variant_order(circuit, placement, seg, SchedulingPolicy::Alap);
+        prioritized_topological_order(dag, seg, placement,
+                                      /*reverse_direction=*/true);
     orders_.push_back(std::move(entry));
   }
 }

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -90,6 +93,67 @@ TEST(ThreadPool, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::hardware_threads(), 1u);
 }
 
+TEST(ThreadPool, CallAfterWorkersParkedCoversEveryIndex) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 3; ++round) {
+    // Far past the workers' spin: they are asleep on the condvar.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    std::vector<std::atomic<int>> hits(64);
+    std::set<std::size_t> ids;
+    std::mutex ids_mutex;
+    pool.parallel_for_workers(hits.size(), [&](std::size_t w, std::size_t i) {
+      hits[i].fetch_add(1);
+      const std::lock_guard<std::mutex> lock(ids_mutex);
+      ids.insert(w);
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    }
+    EXPECT_LT(*ids.rbegin(), pool.size() + 1);
+  }
+}
+
+TEST(ThreadPool, BackToBackSmallCallsKeepWorkerIdsExclusive) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kItems = 16;
+  std::array<std::atomic<bool>, kThreads> held{};
+  std::atomic<int> overlaps{0};
+  std::atomic<int> bad_ids{0};
+  for (int call = 0; call < 20000; ++call) {
+    std::array<std::atomic<int>, kItems> hits{};
+    parallel_for_workers(
+        kItems,
+        [&](std::size_t w, std::size_t i) {
+          if (w >= kThreads) {
+            bad_ids.fetch_add(1);
+            return;
+          }
+          if (held[w].exchange(true)) overlaps.fetch_add(1);
+          hits[i].fetch_add(1);
+          held[w].store(false);
+        },
+        kThreads);
+    for (std::size_t i = 0; i < kItems; ++i) {
+      ASSERT_EQ(hits[i].load(), 1) << "call " << call << " index " << i;
+    }
+  }
+  EXPECT_EQ(bad_ids.load(), 0);
+  EXPECT_EQ(overlaps.load(), 0);
+}
+
+TEST(ThreadPool, DestroyedMidSpinJoinsPromptly) {
+  // Each pool is destroyed right after a call returns, while its workers
+  // still spin for the next call: the destructor must end the spin.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::atomic<int> counter{0};
+  for (int rep = 0; rep < 200; ++rep) {
+    ThreadPool pool(3);
+    pool.parallel_for(16, [&](std::size_t) { counter.fetch_add(1); });
+  }
+  EXPECT_EQ(counter.load(), 200 * 16);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+}
+
 // ----------------------------------------------------------- determinism ----
 
 TEST(ExperimentDeterminism, ParallelRunDesignIsBitIdenticalToSerial) {
@@ -155,8 +219,16 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossSetupChanges) {
   // must reproduce a fresh one-shot engine bit for bit on every trial.
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   const auto part = partition_circuit(qc, 2);
+  // Qubit 0 moved to the other node: a different set of remote gates.
+  std::vector<int> moved = part.assignment;
+  moved[0] = 1 - moved[0];
 
-  std::vector<std::pair<DesignKind, ArchConfig>> setups;
+  struct Setup {
+    DesignKind design;
+    ArchConfig config;
+    bool other_partition = false;
+  };
+  std::vector<Setup> setups;
   for (const DesignKind design : distributed_designs()) {
     setups.push_back({design, ArchConfig{}});
   }
@@ -176,6 +248,17 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossSetupChanges) {
   wide_segments.segment_size = 2;
   setups.push_back({DesignKind::AdaptBuf, wide_segments});
   setups.push_back({DesignKind::IdealMono, ArchConfig{}});
+  // Designs share a setup: the adaptive artifacts are built by the first
+  // adaptive trial, kept across non-adaptive ones, and rebuilt when the
+  // segment size or the setup key (here the partition) changes.
+  setups.push_back({DesignKind::AdaptBuf, wide_segments});
+  setups.push_back({DesignKind::InitBuf, wide_segments});
+  setups.push_back({DesignKind::SyncBuf, ArchConfig{}});
+  setups.push_back({DesignKind::AdaptBuf, ArchConfig{}});
+  setups.push_back({DesignKind::IdealMono, ArchConfig{}});
+  setups.push_back({DesignKind::InitBuf, ArchConfig{}});
+  setups.push_back({DesignKind::AdaptBuf, ArchConfig{}, true});
+  setups.push_back({DesignKind::InitBuf, ArchConfig{}});
 
   RunContext reused;
   // Two passes so every setup is revisited after the cache was retargeted.
@@ -183,9 +266,10 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossSetupChanges) {
     for (std::size_t i = 0; i < setups.size(); ++i) {
       SCOPED_TRACE("pass " + std::to_string(pass) + " setup " +
                    std::to_string(i));
-      const auto& [design, config] = setups[i];
+      const auto& [design, config, other_partition] = setups[i];
       const std::vector<int> assignment =
           design == DesignKind::IdealMono ? std::vector<int>{}
+          : other_partition               ? moved
                                           : part.assignment;
       const std::uint64_t seed = 100 + i;
       const RunResult fresh =
@@ -456,19 +540,44 @@ TEST(WarmContexts, NestedCallsMatchSerial) {
   const auto part = partition_circuit(qc, 2);
   const std::vector<DesignKind> designs = {DesignKind::AsyncBuf,
                                            DesignKind::InitBuf};
-  std::vector<AggregateResult> nested(designs.size());
-  parallel_for(
-      designs.size(),
-      [&](std::size_t k) {
-        nested[k] = run_design(qc, part.assignment, {}, designs[k], 8, 1000,
-                               /*threads=*/2);
-      },
-      /*num_threads=*/2);
-  for (std::size_t k = 0; k < designs.size(); ++k) {
-    SCOPED_TRACE(design_name(designs[k]));
-    expect_identical(nested[k], run_design(qc, part.assignment, {},
-                                           designs[k], 8, 1000, 1));
+  // The outer call's caller runs a body too, so one nested call runs on
+  // the thread whose pool and contexts the outer call holds; with threads
+  // 0 it asks for more workers than that pool has.
+  for (const int inner_threads : {2, 0}) {
+    SCOPED_TRACE("inner threads " + std::to_string(inner_threads));
+    std::vector<AggregateResult> nested(designs.size());
+    parallel_for(
+        designs.size(),
+        [&](std::size_t k) {
+          nested[k] = run_design(qc, part.assignment, {}, designs[k], 8, 1000,
+                                 inner_threads);
+        },
+        /*num_threads=*/2);
+    for (std::size_t k = 0; k < designs.size(); ++k) {
+      SCOPED_TRACE(design_name(designs[k]));
+      expect_identical(nested[k], run_design(qc, part.assignment, {},
+                                             designs[k], 8, 1000, 1));
+    }
   }
+}
+
+TEST(WarmContexts, DesignSweepBuildsOneSetup) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = partition_circuit(qc, 2);
+  ArchConfig config;
+  config.observe = obs::make_observe();
+  // A fresh thread: its warm contexts start cold.
+  std::thread([&] {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const DesignKind design : distributed_designs()) {
+        if (!design_uses_buffer(design)) continue;
+        run_design(qc, part.assignment, config, design, 4, 1000, 1);
+      }
+    }
+  }).join();
+  const obs::Registry reg = config.observe->collector.registry();
+  EXPECT_EQ(reg.counter_value("setup_cache_misses"), 1u);
+  EXPECT_EQ(reg.counter_value("setup_cache_hits"), 2u * 4u * 4u - 1u);
 }
 
 TEST(WarmContexts, ConcurrentCallersMatchSerial) {
