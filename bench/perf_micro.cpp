@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_report.hpp"
@@ -362,6 +363,46 @@ void BM_RunContextTrialObserverOff(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_RunContextTrialObserverOff);
+
+// Warm fault trial: perfbench's chain-swapgo-faults trial (QAOA-r8-32 on
+// chain(12), 16 + 16 qubits per node, async_buf, swap-as-you-go, random
+// link failures with mtbf 400 and duration 120, salvage). Each scenario
+// boundary that flips an edge re-plans every logical link, so this times
+// the outage re-plan path; a warm trial allocates nothing (allocs_per_op).
+void BM_RunContextTrialFaults(benchmark::State& state) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  runtime::ArchConfig config;
+  config.num_nodes = 12;
+  config.comm_per_node = 16;
+  config.buffer_per_node = 16;
+  config.record_arrival_trace = false;
+  config.set_topology(net::Topology::chain(12));
+  config.swap_as_you_go = true;
+  config.salvage_pairs = true;
+  scenario::Scenario scn;
+  scn.random_failures.mtbf = 400.0;
+  scn.random_failures.duration = 120.0;
+  config.set_scenario(std::move(scn));
+  const auto part = runtime::partition_circuit(qc, *config.topology);
+  runtime::RunContext ctx;
+  constexpr std::uint64_t kSeeds = 16;
+  for (std::uint64_t s = 0; s < kSeeds; ++s) {
+    ctx.execute(qc, part.assignment, config, runtime::DesignKind::AsyncBuf,
+                1000 + s);
+  }
+  const std::uint64_t allocs0 = allocs_since(0);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const auto result =
+        ctx.execute(qc, part.assignment, config,
+                    runtime::DesignKind::AsyncBuf, 1000 + (seed++ % kSeeds));
+    benchmark::DoNotOptimize(result.depth);
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs_since(allocs0)) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_RunContextTrialFaults);
 
 // End-to-end trial throughput of the experiment driver (one worker): the
 // number the fig5-fig8 sweeps and ablation benches are built from.

@@ -23,6 +23,7 @@ void CongestionPlanner::begin(const Topology& topo,
   DQCSIM_EXPECTS_MSG(alpha >= 0.0, "congestion alpha must be nonnegative");
   topo_ = &topo;
   costs_ = &static_costs;
+  enabled_ = edge_enabled;
   alpha_ = alpha;
   load_.assign(topo.num_edges(), 0);
 
@@ -39,7 +40,37 @@ void CongestionPlanner::begin(const Topology& topo,
   pred_node_.resize(n);
   pred_edge_.resize(n);
   done_.resize(n);
+
+  // Flood fill in node order: each component is labelled by its lowest
+  // node, so plan() can answer a cut-off pair without a search.
+  component_.assign(n, -1);
+  for (int s = 0; s < topo.num_nodes(); ++s) {
+    if (component_[static_cast<std::size_t>(s)] != -1) continue;
+    component_[static_cast<std::size_t>(s)] = s;
+    stack_.push_back(s);
+    while (!stack_.empty()) {
+      const int v = stack_.back();
+      stack_.pop_back();
+      for (const auto& [e, other] : incident_[static_cast<std::size_t>(v)]) {
+        int& label = component_[static_cast<std::size_t>(other)];
+        if (label == -1) {
+          label = s;
+          stack_.push_back(other);
+        }
+      }
+    }
+  }
 }
+
+namespace {
+
+void clear_route(Route& r) {
+  r.nodes.clear();
+  r.edges.clear();
+  r.cost = 0.0;
+}
+
+}  // namespace
 
 bool CongestionPlanner::find_route(int src, int dst,
                                    const std::vector<char>* exclude,
@@ -80,9 +111,7 @@ bool CongestionPlanner::find_route(int src, int dst,
     }
   }
 
-  out.nodes.clear();
-  out.edges.clear();
-  out.cost = 0.0;
+  clear_route(out);
   const auto ud = static_cast<std::size_t>(dst);
   if (dist_[ud] == kInf) return false;
   out.cost = dist_[ud];
@@ -101,6 +130,12 @@ void CongestionPlanner::plan(int a, int b, bool split_tied, RoutePlan& plan) {
   DQCSIM_EXPECTS(a != b && a >= 0 && b >= 0 && a < topo_->num_nodes() &&
                  b < topo_->num_nodes());
   plan.split = false;
+  if (component_[static_cast<std::size_t>(a)] !=
+      component_[static_cast<std::size_t>(b)]) {
+    plan.has_route = false;
+    clear_route(plan.primary);
+    return;
+  }
   plan.has_route = find_route(a, b, nullptr, plan.primary);
   if (!plan.has_route) return;
   if (split_tied) {
@@ -113,6 +148,28 @@ void CongestionPlanner::plan(int a, int b, bool split_tied, RoutePlan& plan) {
   }
   charge(plan.primary);
   if (plan.split) charge(plan.alternate);
+}
+
+void CongestionPlanner::plan_static(const Router& router, int a, int b,
+                                    RoutePlan& plan) {
+  DQCSIM_EXPECTS(alpha_ == 0.0);
+  const Route& fabric = router.route(a, b);
+  const bool fabric_up =
+      enabled_ == nullptr ||
+      std::all_of(fabric.edges.begin(), fabric.edges.end(),
+                  [this](std::size_t e) { return (*enabled_)[e] != 0; });
+  if (fabric_up) {
+    plan.split = false;
+    plan.has_route = true;
+    plan.primary = fabric;  // reuses capacity
+    charge(plan.primary);
+    return;
+  }
+  this->plan(std::min(a, b), std::max(a, b), false, plan);
+  if (a > b) {
+    std::reverse(plan.primary.nodes.begin(), plan.primary.nodes.end());
+    std::reverse(plan.primary.edges.begin(), plan.primary.edges.end());
+  }
 }
 
 void CongestionPlanner::charge(const Route& route) {

@@ -23,9 +23,23 @@
 ///    both (RoutePlan::split) so the engine's swap-as-you-go mode serves a
 ///    request from whichever path first holds a full pair quota.
 ///    At alpha = 0 it is the static router: net::Router tabulates its plan
-///    for the full fabric, and the engine runs it over an outage mask. Each
-///    pair is planned from its lower-numbered endpoint and reversed for the
-///    other direction, as net::Router mirrors its routes.
+///    for the full fabric, and plan_static() serves it over an outage mask.
+///    Each pair is planned from its lower-numbered endpoint and reversed
+///    for the other direction, as net::Router mirrors its routes.
+///
+/// Two exact shortcuts keep a masked pass from searching where the answer
+/// is already known:
+///
+///  - begin() labels the connected components of the surviving fabric, so
+///    a pair in different components gets has_route = false without a
+///    search. Connectivity does not depend on loads, so this holds at any
+///    alpha.
+///  - plan_static() keeps the full-fabric route whenever all its edges
+///    survive. Edge costs are positive and the O(n^2) scan finalizes nodes
+///    in (distance, index) order, so deleting edges off a shortest path
+///    cannot change the predecessor chain along it (rounded addition is
+///    monotone, so this holds for the doubles too). Only a pair whose route
+///    lost an edge is searched again.
 ///
 /// Determinism: the planner is a plain sequential algorithm over an
 /// explicitly ordered work list — Dijkstra scan order, strict-improvement
@@ -72,8 +86,9 @@ class CongestionPlanner {
 
   /// Arm one planning pass: zero the load map, adopt per-edge static costs,
   /// the load-scaling strength `alpha` (>= 0) and an optional surviving-
-  /// edge mask (edges with edge_enabled[e] == 0 are unusable). The
-  /// referenced topology/costs/mask must outlive the pass.
+  /// edge mask (edges with edge_enabled[e] == 0 are unusable), and label
+  /// the surviving fabric's connected components. The referenced
+  /// topology/costs/mask must outlive the pass.
   void begin(const Topology& topo, const std::vector<double>& static_costs,
              double alpha, const std::vector<char>* edge_enabled);
 
@@ -81,9 +96,18 @@ class CongestionPlanner {
   /// `plan` (storage is reused), then charge the chosen path(s) onto the
   /// load map. With `split_tied`, an edge-disjoint alternate whose scaled
   /// cost ties the primary's (within 1e-9 relative) is registered too.
-  /// plan.has_route is false when the masked fabric disconnects the pair.
+  /// plan.has_route is false, with an empty primary and no charge, when the
+  /// masked fabric disconnects the pair; that answer needs no search.
   /// Preconditions: begin() called, a != b, both in range.
   void plan(int a, int b, bool split_tied, RoutePlan& plan);
+
+  /// Static route of the pair (a, b) over this pass's mask, charged onto
+  /// the load map: router.route(a, b) when every edge of it survives, else
+  /// the alpha = 0 plan from the lower-numbered endpoint, reversed when
+  /// a > b (exactly net::Router's route on the surviving subgraph).
+  /// Preconditions: begin() called at alpha = 0 with router's topology and
+  /// costs; a != b, both in range.
+  void plan_static(const Router& router, int a, int b, RoutePlan& plan);
 
   /// Charge an externally selected path onto the load map (static-route
   /// mode still derives capacity shares from edge loads).
@@ -102,11 +126,14 @@ class CongestionPlanner {
 
   const Topology* topo_ = nullptr;
   const std::vector<double>* costs_ = nullptr;
+  const std::vector<char>* enabled_ = nullptr;
   double alpha_ = 0.0;
   std::vector<int> load_;
+  std::vector<int> component_;  ///< per node: lowest node id it reaches
 
-  // Reusable scratch (incidence lists + Dijkstra state).
+  // Reusable scratch (incidence lists, component flood fill, Dijkstra).
   std::vector<std::vector<std::pair<std::size_t, int>>> incident_;
+  std::vector<int> stack_;
   std::vector<double> dist_;
   std::vector<int> pred_node_;
   std::vector<std::size_t> pred_edge_;

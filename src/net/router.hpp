@@ -10,9 +10,11 @@
 /// predecessor, so the same topology and costs always produce the same
 /// paths.
 ///
-/// The router covers the full fabric only. Routes over a surviving subgraph
-/// (an outage's edge mask) come from the planner directly, one pair at a
-/// time with reusable scratch.
+/// The router covers the full fabric only. Over a surviving subgraph (an
+/// outage's edge mask) net::CongestionPlanner::plan_static keeps every
+/// router route whose edges all survive, answers a pair the mask cuts off
+/// from the surviving components, and searches only the pairs left, with
+/// reusable scratch.
 
 #pragma once
 

@@ -1,7 +1,10 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
+#include <memory_resource>
 #include <utility>
 
 #include "common/error.hpp"
@@ -110,8 +113,16 @@ int Topology::max_degree() const {
 
 bool Topology::is_connected() const {
   if (num_nodes_ <= 1) return true;
-  std::vector<char> seen(static_cast<std::size_t>(num_nodes_), 0);
-  std::vector<int> stack{0};
+  // The scratch lives on the stack for up to a few hundred nodes, so
+  // validating a config (once per trial) allocates nothing; a larger
+  // interconnect spills to the heap.
+  std::array<std::byte, 2048> arena;
+  std::pmr::monotonic_buffer_resource scratch(arena.data(), arena.size());
+  const auto n = static_cast<std::size_t>(num_nodes_);
+  std::pmr::vector<char> seen(n, 0, &scratch);
+  std::pmr::vector<int> stack(&scratch);
+  stack.reserve(n);  // each node is pushed at most once
+  stack.push_back(0);
   seen[0] = 1;
   int reached = 1;
   while (!stack.empty()) {

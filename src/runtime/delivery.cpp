@@ -94,38 +94,29 @@ void TrialState::plan_links(TrialObserver& observer) {
   }
 }
 
-/// (Re)assign every logical link's physical path, in link creation order.
-/// With congestion-aware routing each link is routed over load-scaled
-/// costs (alpha = 1: earlier traffic raises the cost later traffic sees)
-/// and, under swap-as-you-go, cost-tied disjoint paths split the link's
-/// traffic. Otherwise static routes are adopted and only the load
-/// accounting runs (capacity shares are load-derived even under static
-/// routes): the cached all-pairs route on the full fabric at t=0 (`mask`
-/// null), else the planner's route over the surviving subgraph at
-/// alpha = 0 — planned from the lower-numbered endpoint and reversed for
-/// the other direction, exactly as net::Router mirrors its routes.
+/// (Re)assign every logical link's physical path, in link creation order,
+/// over the surviving-edge `mask` (null at t=0: the full fabric). With
+/// congestion-aware routing each link is routed over load-scaled costs
+/// (alpha = 1: earlier traffic raises the cost later traffic sees) and,
+/// under swap-as-you-go, cost-tied disjoint paths split the link's traffic.
+/// Otherwise static routes are adopted and only the load accounting runs
+/// (capacity shares are load-derived even under static routes): a link
+/// keeps its cached full-fabric route while every edge of it is up, and
+/// only a link that lost an edge is searched again (see
+/// net::CongestionPlanner::plan_static). In both modes a pair the mask cuts
+/// off is answered from the surviving components, without a search.
 void TrialState::plan_all_routes(const std::vector<char>* mask) {
   const bool congestion = config.congestion_aware_routing;
   planner.begin(*config.topology, route_cache.edge_costs,
                 congestion ? 1.0 : 0.0, mask);
   link_plans.resize(links.size());
   for (std::size_t i = 0; i < links.size(); ++i) {
-    net::RoutePlan& plan = link_plans[i];
     const int a = links[i].node_a;
     const int b = links[i].node_b;
     if (congestion) {
-      planner.plan(a, b, config.swap_as_you_go, plan);
-    } else if (mask != nullptr) {
-      planner.plan(std::min(a, b), std::max(a, b), false, plan);
-      if (a > b) {
-        std::reverse(plan.primary.nodes.begin(), plan.primary.nodes.end());
-        std::reverse(plan.primary.edges.begin(), plan.primary.edges.end());
-      }
+      planner.plan(a, b, config.swap_as_you_go, link_plans[i]);
     } else {
-      plan.split = false;
-      plan.has_route = true;
-      plan.primary = route_cache.router.route(a, b);  // reuses capacity
-      planner.charge(plan.primary);
+      planner.plan_static(route_cache.router, a, b, link_plans[i]);
     }
   }
 }

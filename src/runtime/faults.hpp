@@ -5,10 +5,13 @@
 ///
 /// Scenario boundaries (outage flips and every drift or snapshot change)
 /// run as a lazy chain of simulation events, one pending at a time. At a
-/// boundary that changes the edge up mask every logical link is re-planned
-/// over the surviving subgraph, and then every generation service starts
-/// its next segment at its new effective link: between boundaries the
-/// services run one constant segment each.
+/// boundary that changes the edge up mask every logical link's route is
+/// re-planned over the surviving subgraph (TrialState::plan_all_routes):
+/// a pair the mask cuts off is answered from the surviving components and,
+/// under static routing, a route whose edges all survive is kept, so only
+/// the links left run a search. Then every generation service starts its
+/// next segment at its new effective link: between boundaries the services
+/// run one constant segment each.
 
 #pragma once
 

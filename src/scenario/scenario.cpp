@@ -9,23 +9,24 @@ namespace dqcsim::scenario {
 
 namespace {
 
-void require(bool ok, const std::string& msg) {
-  if (!ok) throw ConfigError("Scenario: " + msg);
+// Every message is built only when its check fails, so validating a
+// scenario (once per trial) allocates nothing.
+void require(bool ok, const char* what, const char* msg = "") {
+  if (!ok) throw ConfigError(std::string("Scenario: ") + what + msg);
 }
 
 void validate_edge_target(const net::Topology& topo, int a, int b,
-                          const std::string& what) {
+                          const char* what) {
   require(a >= 0 && b >= 0 && a < topo.num_nodes() && b < topo.num_nodes(),
-          what + " endpoint outside [0, num_nodes)");
-  require(topo.has_edge(a, b), what + " targets a node pair with no edge");
+          what, " endpoint outside [0, num_nodes)");
+  require(topo.has_edge(a, b), what, " targets a node pair with no edge");
 }
 
-void validate_outage_window(double start, double duration,
-                            const std::string& what) {
-  require(std::isfinite(start) && start >= 0.0,
-          what + " start must be finite and nonnegative");
-  require(std::isfinite(duration) && duration > 0.0,
-          what + " must recover: duration must be finite and positive");
+void validate_outage_window(double start, double duration, const char* what) {
+  require(std::isfinite(start) && start >= 0.0, what,
+          " start must be finite and nonnegative");
+  require(std::isfinite(duration) && duration > 0.0, what,
+          " must recover: duration must be finite and positive");
 }
 
 void validate_track(const net::Topology& topo, const DriftTrack& t) {

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "expect_identical.hpp"
 #include "gen/benchmarks.hpp"
 #include "net/congestion.hpp"
@@ -207,6 +211,235 @@ TEST(CongestionPlanner, LowerEndpointPlanMirrorsTheRouterOnACostTie) {
   planner.plan(3, 0, false, plan);  // the other orientation breaks the tie
   EXPECT_EQ(plan.primary.nodes, (std::vector<int>{3, 2, 4, 0}));
   EXPECT_NE(plan.primary.edges, router.route(3, 0).edges);
+}
+
+// ------------------------------------------ exhaustive masked planning ----
+
+/// The planner's search, restated as the reference its shortcuts must
+/// reproduce: O(n^2) Dijkstra over load-scaled costs on the surviving edges,
+/// nodes finalized in (distance, index) order, edges relaxed in index order
+/// with strict improvement. False, with an empty route, when dst is cut off.
+bool reference_route(const Topology& topo, const std::vector<double>& costs,
+                     const std::vector<char>& up, double alpha,
+                     const std::vector<int>& load, int src, int dst,
+                     Route& out) {
+  const auto n = static_cast<std::size_t>(topo.num_nodes());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(n, kInf);
+  std::vector<int> pred_node(n, -1);
+  std::vector<std::size_t> pred_edge(n, 0);
+  std::vector<char> done(n, 0);
+  dist[static_cast<std::size_t>(src)] = 0.0;
+  for (std::size_t round = 0; round < n; ++round) {
+    std::size_t u = n;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (!done[v] && dist[v] != kInf && (u == n || dist[v] < dist[u])) u = v;
+    }
+    if (u == n) break;
+    done[u] = 1;
+    if (static_cast<int>(u) == dst) break;
+    for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+      const TopologyEdge& edge = topo.edge(e);
+      if (!up[e]) continue;
+      const int iu = static_cast<int>(u);
+      if (edge.a != iu && edge.b != iu) continue;
+      const auto other = static_cast<std::size_t>(edge.a == iu ? edge.b : edge.a);
+      const double cand =
+          dist[u] + costs[e] * (1.0 + alpha * static_cast<double>(load[e]));
+      if (cand < dist[other]) {
+        dist[other] = cand;
+        pred_node[other] = iu;
+        pred_edge[other] = e;
+      }
+    }
+  }
+  out = Route{};
+  const auto ud = static_cast<std::size_t>(dst);
+  if (dist[ud] == kInf) return false;
+  out.cost = dist[ud];
+  for (int v = dst; v != src; v = pred_node[static_cast<std::size_t>(v)]) {
+    out.nodes.insert(out.nodes.begin(), v);
+    out.edges.insert(out.edges.begin(), pred_edge[static_cast<std::size_t>(v)]);
+  }
+  out.nodes.insert(out.nodes.begin(), src);
+  return true;
+}
+
+/// Breadth-first reachability over the surviving edges.
+bool connected(const Topology& topo, const std::vector<char>& up, int a,
+               int b) {
+  std::vector<char> seen(static_cast<std::size_t>(topo.num_nodes()), 0);
+  std::vector<int> queue{a};
+  seen[static_cast<std::size_t>(a)] = 1;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    for (std::size_t e = 0; e < topo.num_edges(); ++e) {
+      const TopologyEdge& edge = topo.edge(e);
+      int other = -1;
+      if (edge.a == queue[head]) other = edge.b;
+      if (edge.b == queue[head]) other = edge.a;
+      if (!up[e] || other < 0 || seen[static_cast<std::size_t>(other)]) {
+        continue;
+      }
+      seen[static_cast<std::size_t>(other)] = 1;
+      queue.push_back(other);
+    }
+  }
+  return seen[static_cast<std::size_t>(b)] != 0;
+}
+
+/// Equal path and bitwise-equal cost.
+bool same_route(const Route& x, const Route& y) {
+  return x.nodes == y.nodes && x.edges == y.edges &&
+         std::bit_cast<std::uint64_t>(x.cost) ==
+             std::bit_cast<std::uint64_t>(y.cost);
+}
+
+Route reversed(Route r) {
+  std::reverse(r.nodes.begin(), r.nodes.end());
+  std::reverse(r.edges.begin(), r.edges.end());
+  return r;
+}
+
+/// Where a check failed, printed only on failure.
+struct Where {
+  const std::string& label;
+  std::uint32_t mask;
+  int a;
+  int b;
+};
+
+std::ostream& operator<<(std::ostream& os, const Where& w) {
+  return os << w.label << " mask " << w.mask << " pair " << w.a << "->"
+            << w.b;
+}
+
+/// For every up mask of `topo` and every ordered pair, the planner with its
+/// shortcuts equals the reference search (static and load-scaled), a pair
+/// has no route exactly when the mask disconnects it, and plan_static
+/// equals the masked static plan: the router's route whenever all its edges
+/// survive.
+void check_every_mask(const Topology& topo, const std::vector<double>& costs,
+                      const std::string& label) {
+  const Router router(topo, costs);
+  const int n = topo.num_nodes();
+  const auto un = static_cast<std::size_t>(n);
+  const std::size_t num_edges = topo.num_edges();
+  ASSERT_LE(num_edges, 16U) << label;
+  CongestionPlanner planner;
+  RoutePlan plan;
+  Route expected;
+  std::vector<char> up(num_edges);
+  std::vector<int> ref_load(num_edges);
+  std::vector<Route> ref_static(un * un);  ///< [a * n + b]
+  std::vector<char> ref_found(un * un);
+  for (std::uint32_t mask = 0; mask < (1U << num_edges); ++mask) {
+    for (std::size_t e = 0; e < num_edges; ++e) up[e] = (mask >> e) & 1U;
+
+    // Load-scaled planning (alpha = 1) charges every routed pair, so each
+    // plan sees the loads of the ones before it.
+    planner.begin(topo, costs, 1.0, &up);
+    std::fill(ref_load.begin(), ref_load.end(), 0);
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        if (a == b) continue;
+        const Where at{label, mask, a, b};
+        planner.plan(a, b, false, plan);
+        const bool found =
+            reference_route(topo, costs, up, 1.0, ref_load, a, b, expected);
+        ASSERT_EQ(plan.has_route, found) << at;
+        ASSERT_EQ(found, connected(topo, up, a, b)) << at;
+        ASSERT_TRUE(same_route(plan.primary, expected)) << at;
+        for (const std::size_t e : expected.edges) ++ref_load[e];
+      }
+    }
+    ASSERT_EQ(planner.edge_load(), ref_load) << label << " mask " << mask;
+
+    // Static planning (alpha = 0): the search alone, then plan_static
+    // against the masked static plan (from the lower endpoint, mirrored).
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        if (a == b) continue;
+        const auto ab = static_cast<std::size_t>(a) * un +
+                        static_cast<std::size_t>(b);
+        ref_found[ab] = reference_route(topo, costs, up, 0.0, ref_load, a, b,
+                                        ref_static[ab]);
+      }
+    }
+    planner.begin(topo, costs, 0.0, &up);
+    for (int a = 0; a < n; ++a) {
+      for (int b = 0; b < n; ++b) {
+        if (a == b) continue;
+        const Where at{label, mask, a, b};
+        const auto ab = static_cast<std::size_t>(a) * un +
+                        static_cast<std::size_t>(b);
+        planner.plan(a, b, false, plan);
+        ASSERT_EQ(plan.has_route, ref_found[ab] != 0) << at;
+        ASSERT_TRUE(same_route(plan.primary, ref_static[ab])) << at;
+
+        expected = a < b ? ref_static[ab]
+                         : reversed(ref_static[static_cast<std::size_t>(b) *
+                                                   un +
+                                               static_cast<std::size_t>(a)]);
+        const Route& fabric = router.route(a, b);
+        if (std::all_of(fabric.edges.begin(), fabric.edges.end(),
+                        [&](std::size_t e) { return up[e] != 0; })) {
+          ASSERT_TRUE(same_route(fabric, expected)) << at;
+        }
+        planner.plan_static(router, a, b, plan);
+        ASSERT_EQ(plan.has_route, ref_found[ab] != 0) << at;
+        ASSERT_FALSE(plan.split) << at;
+        ASSERT_TRUE(same_route(plan.primary, expected)) << at;
+      }
+    }
+  }
+}
+
+/// A connected 7-node topology drawn from `seed`: a random spanning tree
+/// plus four extra edges (12 edges at most).
+Topology seeded_topology(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<int, int>> edges;
+  const auto has = [&](int a, int b) {
+    return std::find(edges.begin(), edges.end(), std::make_pair(a, b)) !=
+               edges.end() ||
+           std::find(edges.begin(), edges.end(), std::make_pair(b, a)) !=
+               edges.end();
+  };
+  constexpr int kNodes = 7;
+  for (int v = 1; v < kNodes; ++v) {
+    edges.push_back({static_cast<int>(rng.uniform_int(v)), v});
+  }
+  while (edges.size() < kNodes - 1 + 4) {
+    const int a = static_cast<int>(rng.uniform_int(kNodes));
+    const int b = static_cast<int>(rng.uniform_int(kNodes));
+    if (a != b && !has(a, b)) edges.push_back({a, b});
+  }
+  return Topology::custom(kNodes, edges);
+}
+
+std::vector<double> seeded_costs(const Topology& topo, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> costs(topo.num_edges());
+  for (double& c : costs) c = rng.uniform(0.25, 4.0);
+  return costs;
+}
+
+TEST(CongestionPlannerExhaustive, EveryMaskAndPairMatchesTheSearch) {
+  const std::vector<std::pair<std::string, Topology>> cases = {
+      {"chain(6)", Topology::chain(6)},
+      {"ring(6)", Topology::ring(6)},
+      {"star(6)", Topology::star(6)},
+      {"grid(3,3)", Topology::grid(3, 3)},
+      {"custom(seed 7)", seeded_topology(7)},
+  };
+  std::uint64_t seed = 100;
+  for (const auto& [name, topo] : cases) {
+    check_every_mask(topo, unit_costs(topo), name + " unit costs");
+    if (HasFatalFailure()) return;
+    check_every_mask(topo, seeded_costs(topo, ++seed),
+                     name + " random costs");
+    if (HasFatalFailure()) return;
+  }
 }
 
 // --------------------------------------------------- engine-level tests ----
