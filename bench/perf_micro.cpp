@@ -183,12 +183,28 @@ BENCHMARK(BM_BuildQft32);
 
 void BM_DependencyDagQft32(benchmark::State& state) {
   const Circuit qc = gen::make_qft(32);
+  DependencyDag dag;
   for (auto _ : state) {
-    const DependencyDag dag(qc, DependencyDag::Mode::CommutationAware);
-    benchmark::DoNotOptimize(dag.critical_path_length());
+    dag.build(qc, 0, qc.num_gates());
+    benchmark::DoNotOptimize(dag.succs(0).size());
   }
 }
 BENCHMARK(BM_DependencyDagQft32);
+
+// The adaptive designs' setup artifact: ASAP/ALAP/original orders of every
+// segment of QAOA-r8-32 on 2 nodes at the paper's default segment size.
+void BM_SegmentVariantTableQaoaR8_32(benchmark::State& state) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
+  const auto part = runtime::partition_circuit(qc, 2);
+  const auto placement = sched::classify_gates(qc, part.assignment);
+  const auto segments = sched::segment_by_remote_gates(
+      placement, runtime::ArchConfig{}.effective_segment_size());
+  for (auto _ : state) {
+    const sched::SegmentVariantTable table(qc, placement, segments);
+    benchmark::DoNotOptimize(table.num_segments());
+  }
+}
+BENCHMARK(BM_SegmentVariantTableQaoaR8_32);
 
 void BM_PartitionQaoaR8_32(benchmark::State& state) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);

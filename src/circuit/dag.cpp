@@ -1,120 +1,77 @@
 #include "circuit/dag.hpp"
 
 #include <algorithm>
-#include <queue>
 
 #include "circuit/commutation.hpp"
 #include "common/error.hpp"
 
 namespace dqcsim {
+namespace {
 
-DependencyDag::DependencyDag(const Circuit& circuit, Mode mode) {
-  const std::size_t n = circuit.num_gates();
-  preds_.assign(n, {});
-  succs_.assign(n, {});
+constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 
-  // Gates already seen on each wire, in program order.
-  std::vector<std::vector<std::size_t>> on_wire(
-      static_cast<std::size_t>(circuit.num_qubits()));
+}  // namespace
 
-  std::vector<char> linked(n, 0);  // scratch de-dup marker per gate
-  for (std::size_t i = 0; i < n; ++i) {
-    const Gate& gi = circuit.gate(i);
-    std::vector<std::size_t> new_preds;
-    for (int k = 0; k < gi.arity(); ++k) {
-      auto& wire =
-          on_wire[static_cast<std::size_t>(gi.qubits[static_cast<std::size_t>(k)])];
-      if (mode == Mode::ProgramOrder) {
-        if (!wire.empty()) {
-          const std::size_t j = wire.back();
-          if (!linked[j]) {
-            linked[j] = 1;
-            new_preds.push_back(j);
-          }
-        }
-      } else {
-        // Commutation-aware: gate i depends on every earlier wire-sharing
-        // gate it does not provably commute with. Stopping at the first
-        // non-commuting gate would be unsound (a commuting intermediary can
-        // hide an older conflicting gate), so the whole wire history is
-        // scanned; transitive edges are harmless for level computation.
-        for (auto it = wire.rbegin(); it != wire.rend(); ++it) {
-          const std::size_t j = *it;
-          if (linked[j]) continue;
-          if (!gates_commute(gi, circuit.gate(j))) {
-            linked[j] = 1;
-            new_preds.push_back(j);
-          }
+void DependencyDag::build(const Circuit& circuit, std::size_t begin,
+                          std::size_t end) {
+  DQCSIM_EXPECTS(begin <= end && end <= circuit.num_gates());
+  const std::size_t n = end - begin;
+  const Gate* gates = circuit.gates().data() + begin;
+  num_nodes_ = n;
+  last_on_wire_.assign(static_cast<std::size_t>(circuit.num_qubits()), kNone);
+  prev_on_wire_.resize(n);
+  scratch_.assign(n, kNone);  // scratch_[j] == l once j is a pred of l
+  pred_offsets_.resize(n + 1);
+  preds_.clear();
+
+  for (std::size_t l = 0; l < n; ++l) {
+    const Gate& gl = gates[l];
+    pred_offsets_[l] = preds_.size();
+    for (std::size_t k = 0; k < static_cast<std::size_t>(gl.arity()); ++k) {
+      const QubitId q = gl.qubits[k];
+      std::size_t& last = last_on_wire_[static_cast<std::size_t>(q)];
+      // Node l depends on every earlier node on the wire it does not
+      // provably commute with. Stopping at the first non-commuting node
+      // would be unsound (a commuting intermediary can hide an older
+      // conflicting node), so the whole wire history is walked; transitive
+      // edges do not change the set of linearizations.
+      for (std::size_t j = last; j != kNone;
+           j = prev_on_wire_[j][gates[j].qubits[0] == q ? 0 : 1]) {
+        if (scratch_[j] != l && !gates_commute(gl, gates[j])) {
+          scratch_[j] = l;
+          preds_.push_back(j);
         }
       }
-      wire.push_back(i);
+      prev_on_wire_[l][k] = last;
+      last = l;
     }
-    for (std::size_t j : new_preds) {
-      linked[j] = 0;
-      preds_[i].push_back(j);
-      succs_[j].push_back(i);
-    }
-    std::sort(preds_[i].begin(), preds_[i].end());
+    std::sort(preds_.begin() + static_cast<std::ptrdiff_t>(pred_offsets_[l]),
+              preds_.end());
   }
+  pred_offsets_[n] = preds_.size();
 
-  // ASAP levels in one forward pass (indices are already topological).
-  asap_.assign(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j : preds_[i]) {
-      asap_[i] = std::max(asap_[i], asap_[j] + 1);
-    }
-    depth_ = std::max(depth_, asap_[i]);
-  }
-
-  // ALAP levels in one backward pass.
-  alap_.assign(n, depth_);
-  for (std::size_t i = n; i-- > 0;) {
-    for (std::size_t j : succs_[i]) {
-      alap_[i] = std::min(alap_[i], alap_[j] - 1);
-    }
+  // Successor rows: count, prefix-sum, then fill in ascending l so that
+  // every row comes out ascending.
+  succ_offsets_.assign(n + 1, 0);
+  for (const std::size_t j : preds_) ++succ_offsets_[j + 1];
+  for (std::size_t i = 0; i < n; ++i) succ_offsets_[i + 1] += succ_offsets_[i];
+  succs_.resize(preds_.size());
+  std::copy(succ_offsets_.begin(), succ_offsets_.end() - 1, scratch_.begin());
+  for (std::size_t l = 0; l < n; ++l) {
+    for (const std::size_t j : preds(l)) succs_[scratch_[j]++] = l;
   }
 }
 
-const std::vector<std::size_t>& DependencyDag::preds(std::size_t i) const {
-  DQCSIM_EXPECTS(i < preds_.size());
-  return preds_[i];
+std::span<const std::size_t> DependencyDag::preds(std::size_t l) const {
+  DQCSIM_EXPECTS(l < num_nodes_);
+  return {preds_.data() + pred_offsets_[l],
+          pred_offsets_[l + 1] - pred_offsets_[l]};
 }
 
-const std::vector<std::size_t>& DependencyDag::succs(std::size_t i) const {
-  DQCSIM_EXPECTS(i < succs_.size());
-  return succs_[i];
-}
-
-std::size_t DependencyDag::slack(std::size_t i) const {
-  DQCSIM_EXPECTS(i < asap_.size());
-  return alap_[i] - asap_[i];
-}
-
-std::vector<std::size_t> DependencyDag::topological_order() const {
-  std::vector<std::size_t> order(num_nodes());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  return order;
-}
-
-bool DependencyDag::reaches(std::size_t a, std::size_t b) const {
-  DQCSIM_EXPECTS(a < num_nodes() && b < num_nodes());
-  if (a == b) return true;
-  std::vector<char> seen(num_nodes(), 0);
-  std::queue<std::size_t> frontier;
-  frontier.push(a);
-  seen[a] = 1;
-  while (!frontier.empty()) {
-    const std::size_t u = frontier.front();
-    frontier.pop();
-    for (std::size_t v : succs_[u]) {
-      if (v == b) return true;
-      if (!seen[v]) {
-        seen[v] = 1;
-        frontier.push(v);
-      }
-    }
-  }
-  return false;
+std::span<const std::size_t> DependencyDag::succs(std::size_t l) const {
+  DQCSIM_EXPECTS(l < num_nodes_);
+  return {succs_.data() + succ_offsets_[l],
+          succ_offsets_[l + 1] - succ_offsets_[l]};
 }
 
 }  // namespace dqcsim

@@ -1,74 +1,53 @@
 /// \file dag.hpp
-/// \brief Gate dependency DAG with ASAP/ALAP levels and critical path.
+/// \brief Commutation-aware dependency DAG over a gate range.
 ///
-/// Two dependency notions are supported:
-///  - *program-order* edges: consecutive gates sharing a qubit depend on each
-///    other (what a conventional scheduler enforces);
-///  - *commutation-aware* edges: a dependency exists only if the gates share
-///    a qubit AND do not provably commute (what the ASAP/ALAP segment
-///    variants in the paper's §III-D are allowed to exploit).
+/// An edge j -> l exists when gate j precedes gate l, the two share a
+/// qubit, and they do not provably commute (`gates_commute`). These are the
+/// orderings the ASAP/ALAP segment variants of the paper's §III-D must keep;
+/// every linearization of the DAG implements the same unitary.
 
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "circuit/circuit.hpp"
 
 namespace dqcsim {
 
-/// Dependency DAG over a circuit's gates. Node i corresponds to gate i.
+/// Dependency DAG of a contiguous gate range, stored in CSR form (one
+/// offsets array plus one flat index array per direction). Every build
+/// reuses the storage, so it allocates only when it needs more than any
+/// earlier build did.
 class DependencyDag {
  public:
-  enum class Mode {
-    ProgramOrder,      ///< edge between consecutive same-qubit gates
-    CommutationAware,  ///< edge only when the pair does not commute
-  };
+  /// Build the DAG of gates [begin, end) of `circuit`, replacing any earlier
+  /// build: node l is gate begin + l.
+  /// Precondition: begin <= end <= circuit.num_gates().
+  void build(const Circuit& circuit, std::size_t begin, std::size_t end);
 
-  /// Build the DAG for `circuit` under the given dependency mode.
-  explicit DependencyDag(const Circuit& circuit,
-                         Mode mode = Mode::ProgramOrder);
+  std::size_t num_nodes() const noexcept { return num_nodes_; }
 
-  std::size_t num_nodes() const noexcept { return preds_.size(); }
+  /// Direct predecessors of node l (nodes that must finish before it
+  /// starts), ascending. Rows stay valid until the next build.
+  std::span<const std::size_t> preds(std::size_t l) const;
 
-  /// Direct predecessors (gates that must finish before gate i starts).
-  const std::vector<std::size_t>& preds(std::size_t i) const;
-
-  /// Direct successors of gate i.
-  const std::vector<std::size_t>& succs(std::size_t i) const;
-
-  /// ASAP level of each gate: length (in gates) of the longest dependency
-  /// chain ending at, and including, the gate. Sources have level 1.
-  const std::vector<std::size_t>& asap_levels() const noexcept {
-    return asap_;
-  }
-
-  /// ALAP level of each gate for the DAG's overall depth: gates on the
-  /// critical path have asap == alap.
-  const std::vector<std::size_t>& alap_levels() const noexcept {
-    return alap_;
-  }
-
-  /// Longest chain length in gates (== max ASAP level; 0 for empty circuit).
-  std::size_t critical_path_length() const noexcept { return depth_; }
-
-  /// Slack of gate i: alap - asap (0 on the critical path).
-  std::size_t slack(std::size_t i) const;
-
-  /// Gates in a valid topological order (by construction, 0..n-1 is one,
-  /// since edges always point from earlier to later program positions).
-  std::vector<std::size_t> topological_order() const;
-
-  /// True if there is a directed path from gate `a` to gate `b`.
-  /// O(V+E) per query; intended for tests and assertions.
-  bool reaches(std::size_t a, std::size_t b) const;
+  /// Direct successors of node l, ascending; valid until the next build.
+  std::span<const std::size_t> succs(std::size_t l) const;
 
  private:
-  std::vector<std::vector<std::size_t>> preds_;
-  std::vector<std::vector<std::size_t>> succs_;
-  std::vector<std::size_t> asap_;
-  std::vector<std::size_t> alap_;
-  std::size_t depth_ = 0;
+  std::size_t num_nodes_ = 0;
+  std::vector<std::size_t> pred_offsets_;  // num_nodes_ + 1 row starts
+  std::vector<std::size_t> preds_;
+  std::vector<std::size_t> succ_offsets_;
+  std::vector<std::size_t> succs_;
+  // Build scratch: the latest node seen on each qubit, each node's previous
+  // node on the wire of its k-th operand, and a per-node marker / cursor.
+  std::vector<std::size_t> last_on_wire_;
+  std::vector<std::array<std::size_t, 2>> prev_on_wire_;
+  std::vector<std::size_t> scratch_;
 };
 
 }  // namespace dqcsim

@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -30,19 +31,12 @@ enum class SchedulingPolicy {
 
 const char* policy_name(SchedulingPolicy policy) noexcept;
 
-/// Compute the gate order (absolute gate indices into `circuit`) realizing
-/// `policy` for `segment`. The order is always a topological order of the
-/// commutation-aware DAG restricted to the segment.
-/// Preconditions: segment within circuit bounds; placement matches circuit.
-std::vector<std::size_t> segment_variant_order(const Circuit& circuit,
-                                               const GatePlacement& placement,
-                                               const Segment& segment,
-                                               SchedulingPolicy policy);
-
-/// All three variants of every segment, indexed [segment][policy].
-/// Convenience for the runtime's lookup-table strategy.
+/// All three variants of every segment, indexed [segment][policy]: the
+/// runtime's lookup table.
 class SegmentVariantTable {
  public:
+  /// Preconditions: every segment lies within the circuit; the placement
+  /// covers the circuit's gates.
   SegmentVariantTable(const Circuit& circuit, const GatePlacement& placement,
                       const std::vector<Segment>& segments);
 

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "circuit/commutation.hpp"
 #include "circuit/dag.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 
 namespace dqcsim {
 namespace {
@@ -121,54 +127,8 @@ TEST(Commutation, IsSymmetric) {
 
 // ------------------------------------------------------------------ DAG ----
 
-Circuit ghz3() {
-  Circuit qc(3);
-  qc.h(0);
-  qc.cx(0, 1);
-  qc.cx(1, 2);
-  return qc;
-}
-
-TEST(DependencyDag, ProgramOrderChain) {
-  const Circuit qc = ghz3();
-  const DependencyDag dag(qc);
-  EXPECT_EQ(dag.num_nodes(), 3u);
-  EXPECT_TRUE(dag.preds(0).empty());
-  EXPECT_EQ(dag.preds(1), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(dag.preds(2), (std::vector<std::size_t>{1}));
-  EXPECT_EQ(dag.critical_path_length(), 3u);
-}
-
-TEST(DependencyDag, AsapAlapAndSlack) {
-  Circuit qc(3);
-  qc.cx(0, 1);  // 0
-  qc.h(2);      // 1: parallel with everything before gate 2
-  qc.cx(1, 2);  // 2
-  const DependencyDag dag(qc);
-  EXPECT_EQ(dag.asap_levels()[0], 1u);
-  EXPECT_EQ(dag.asap_levels()[1], 1u);
-  EXPECT_EQ(dag.asap_levels()[2], 2u);
-  EXPECT_EQ(dag.slack(0), 0u);
-  EXPECT_EQ(dag.slack(1), 0u);  // alap of gate 1 is level 1 (succ at 2)
-  EXPECT_EQ(dag.slack(2), 0u);
-}
-
-TEST(DependencyDag, SlackOfDanglingGate) {
-  Circuit qc(3);
-  qc.h(2);      // 0: no successors -> full slack
-  qc.cx(0, 1);  // 1
-  qc.cx(0, 1);  // 2
-  const DependencyDag dag(qc);
-  EXPECT_EQ(dag.critical_path_length(), 2u);
-  EXPECT_EQ(dag.slack(0), 1u);
-}
-
-TEST(DependencyDag, ReachesFollowsEdges) {
-  const Circuit qc = ghz3();
-  const DependencyDag dag(qc);
-  EXPECT_TRUE(dag.reaches(0, 2));
-  EXPECT_FALSE(dag.reaches(2, 0));
-  EXPECT_TRUE(dag.reaches(1, 1));
+std::vector<std::size_t> as_vector(std::span<const std::size_t> row) {
+  return {row.begin(), row.end()};
 }
 
 TEST(DependencyDag, CommutationAwareRemovesDiagonalEdges) {
@@ -176,11 +136,13 @@ TEST(DependencyDag, CommutationAwareRemovesDiagonalEdges) {
   qc.rzz(0, 1, 0.2);  // all three mutually commute
   qc.rzz(1, 2, 0.2);
   qc.rzz(0, 2, 0.2);
-  const DependencyDag program(qc, DependencyDag::Mode::ProgramOrder);
-  const DependencyDag commuting(qc, DependencyDag::Mode::CommutationAware);
-  EXPECT_EQ(program.critical_path_length(), 3u);  // chained by sharing
-  EXPECT_EQ(commuting.critical_path_length(), 1u);
-  EXPECT_TRUE(commuting.preds(2).empty());
+  DependencyDag dag;
+  dag.build(qc, 0, qc.num_gates());
+  EXPECT_EQ(dag.num_nodes(), 3u);
+  for (std::size_t l = 0; l < dag.num_nodes(); ++l) {
+    EXPECT_TRUE(dag.preds(l).empty());
+    EXPECT_TRUE(dag.succs(l).empty());
+  }
 }
 
 TEST(DependencyDag, CommutationAwareSeesThroughIntermediary) {
@@ -190,9 +152,11 @@ TEST(DependencyDag, CommutationAwareSeesThroughIntermediary) {
   qc.z(0);
   qc.z(0);
   qc.x(0);
-  const DependencyDag dag(qc, DependencyDag::Mode::CommutationAware);
-  EXPECT_EQ(dag.preds(2), (std::vector<std::size_t>{0, 1}));
+  DependencyDag dag;
+  dag.build(qc, 0, qc.num_gates());
+  EXPECT_EQ(as_vector(dag.preds(2)), (std::vector<std::size_t>{0, 1}));
   EXPECT_TRUE(dag.preds(1).empty());  // Z commutes with Z
+  EXPECT_EQ(as_vector(dag.succs(0)), (std::vector<std::size_t>{2}));
 }
 
 TEST(DependencyDag, CommutationAwareKeepsRealDependencies) {
@@ -200,9 +164,10 @@ TEST(DependencyDag, CommutationAwareKeepsRealDependencies) {
   qc.h(0);      // 0
   qc.cx(0, 1);  // 1 depends on 0
   qc.rz(1, 1);  // 2 depends on 1 (diagonal on target)
-  const DependencyDag dag(qc, DependencyDag::Mode::CommutationAware);
-  EXPECT_EQ(dag.preds(1), (std::vector<std::size_t>{0}));
-  EXPECT_EQ(dag.preds(2), (std::vector<std::size_t>{1}));
+  DependencyDag dag;
+  dag.build(qc, 0, qc.num_gates());
+  EXPECT_EQ(as_vector(dag.preds(1)), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(as_vector(dag.preds(2)), (std::vector<std::size_t>{1}));
 }
 
 TEST(DependencyDag, QaoaLayerIsFullyParallelUnderCommutation) {
@@ -214,29 +179,90 @@ TEST(DependencyDag, QaoaLayerIsFullyParallelUnderCommutation) {
   qc.rzz(3, 4, 0.1);
   qc.rzz(4, 5, 0.1);
   qc.rzz(5, 0, 0.1);
-  const DependencyDag dag(qc, DependencyDag::Mode::CommutationAware);
-  EXPECT_EQ(dag.critical_path_length(), 1u);
-}
-
-TEST(DependencyDag, TopologicalOrderIsIdentity) {
-  const Circuit qc = ghz3();
-  const DependencyDag dag(qc);
-  const auto order = dag.topological_order();
-  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  DependencyDag dag;
+  dag.build(qc, 0, qc.num_gates());
+  for (std::size_t l = 0; l < dag.num_nodes(); ++l) {
+    EXPECT_TRUE(dag.preds(l).empty()) << "gate " << l;
+  }
 }
 
 TEST(DependencyDag, PredsOutOfRangeThrows) {
-  const Circuit qc = ghz3();
-  const DependencyDag dag(qc);
+  Circuit qc(3);
+  qc.h(0);
+  qc.cx(0, 1);
+  qc.cx(1, 2);
+  DependencyDag dag;
+  dag.build(qc, 0, qc.num_gates());
   EXPECT_THROW(dag.preds(3), PreconditionError);
-  EXPECT_THROW(dag.slack(99), PreconditionError);
+  EXPECT_THROW(dag.succs(3), PreconditionError);
+  EXPECT_THROW(dag.build(qc, 2, 1), PreconditionError);
+  EXPECT_THROW(dag.build(qc, 0, 4), PreconditionError);
 }
 
 TEST(DependencyDag, EmptyCircuit) {
   Circuit qc(2);
-  const DependencyDag dag(qc);
+  DependencyDag dag;
+  dag.build(qc, 0, 0);
   EXPECT_EQ(dag.num_nodes(), 0u);
-  EXPECT_EQ(dag.critical_path_length(), 0u);
+}
+
+/// A random gate of any kind (Measure included) on `num_qubits` qubits.
+Gate random_gate(Rng& rng, int num_qubits) {
+  const auto kind = static_cast<GateKind>(
+      rng.uniform_int(static_cast<std::uint64_t>(GateKind::Measure) + 1));
+  const auto q0 = static_cast<QubitId>(
+      rng.uniform_int(static_cast<std::uint64_t>(num_qubits)));
+  const double theta = rng.uniform(-3.0, 3.0);
+  if (gate_arity(kind) == 1) return make_gate(kind, q0, theta);
+  auto q1 = static_cast<QubitId>(
+      rng.uniform_int(static_cast<std::uint64_t>(num_qubits - 1)));
+  if (q1 >= q0) ++q1;
+  return make_gate(kind, q0, q1, theta);
+}
+
+TEST(DependencyDag, MatchesPairwiseRule) {
+  // Every row against the O(n^2) definition: j -> l iff j < l, the gates
+  // share a qubit and do not provably commute. One DAG is rebuilt over
+  // every range, so stale storage from a larger build would show.
+  DependencyDag dag;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(4200 + seed);
+    const int num_qubits = 2 + static_cast<int>(rng.uniform_int(5));
+    Circuit qc(num_qubits);
+    const std::size_t num_gates = rng.uniform_int(60);
+    for (std::size_t i = 0; i < num_gates; ++i) {
+      qc.append(random_gate(rng, num_qubits));
+    }
+    for (int range = 0; range < 4; ++range) {
+      // The first range is the whole circuit.
+      std::size_t begin = 0;
+      std::size_t end = num_gates;
+      if (range > 0) {
+        begin = rng.uniform_int(num_gates + 1);
+        end = rng.uniform_int(num_gates + 1);
+        if (begin > end) std::swap(begin, end);
+      }
+      dag.build(qc, begin, end);
+      ASSERT_EQ(dag.num_nodes(), end - begin);
+      const std::size_t n = end - begin;
+      for (std::size_t l = 0; l < n; ++l) {
+        std::vector<std::size_t> preds;
+        std::vector<std::size_t> succs;
+        for (std::size_t j = 0; j < n; ++j) {
+          const Gate& a = qc.gate(begin + std::min(j, l));
+          const Gate& b = qc.gate(begin + std::max(j, l));
+          if (j == l || !a.overlaps(b) || gates_commute(b, a)) continue;
+          (j < l ? preds : succs).push_back(j);
+        }
+        ASSERT_EQ(as_vector(dag.preds(l)), preds)
+            << "seed " << seed << " range [" << begin << ", " << end
+            << ") node " << l;
+        ASSERT_EQ(as_vector(dag.succs(l)), succs)
+            << "seed " << seed << " range [" << begin << ", " << end
+            << ") node " << l;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
 
+#include "circuit/commutation.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "gen/benchmarks.hpp"
 #include "gen/qaoa.hpp"
 #include "gen/tlim.hpp"
 #include "qsim/density_matrix.hpp"
+#include "runtime/experiment.hpp"
 #include "sched/adaptive_policy.hpp"
 #include "sched/fusible_chains.hpp"
 #include "sched/remote_gates.hpp"
@@ -179,21 +184,27 @@ TEST(Segmentation, RejectsZeroQuota) {
 
 // ---------------------------------------------------------------- variants ----
 
+/// The variant table of the whole circuit as one segment.
+SegmentVariantTable whole_circuit_table(const Circuit& qc,
+                                        const GatePlacement& placement) {
+  return SegmentVariantTable(
+      qc, placement, {Segment{0, qc.num_gates(), placement.num_remote_2q}});
+}
+
 TEST(Variants, OriginalPreservesProgramOrder) {
   const Circuit qc = mixed_circuit();
   const GatePlacement placement = classify_gates(qc, kSplit22);
-  const Segment whole{0, qc.num_gates(), placement.num_remote_2q};
-  const auto order = segment_variant_order(qc, placement, whole,
-                                           SchedulingPolicy::Original);
+  const SegmentVariantTable table = whole_circuit_table(qc, placement);
+  const auto& order = table.order(0, SchedulingPolicy::Original);
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 TEST(Variants, OrdersArePermutationsOfTheSegment) {
   const Circuit qc = mixed_circuit();
   const GatePlacement placement = classify_gates(qc, kSplit22);
-  const Segment whole{0, qc.num_gates(), placement.num_remote_2q};
+  const SegmentVariantTable table = whole_circuit_table(qc, placement);
   for (auto policy : {SchedulingPolicy::Asap, SchedulingPolicy::Alap}) {
-    const auto order = segment_variant_order(qc, placement, whole, policy);
+    const auto& order = table.order(0, policy);
     std::set<std::size_t> unique(order.begin(), order.end());
     EXPECT_EQ(unique.size(), qc.num_gates());
     EXPECT_EQ(*unique.begin(), 0u);
@@ -218,13 +229,10 @@ double mean_remote_position(const std::vector<std::size_t>& order,
 TEST(Variants, AsapHoistsAndAlapSinksRemoteGates) {
   const Circuit qc = mixed_circuit();
   const GatePlacement placement = classify_gates(qc, kSplit22);
-  const Segment whole{0, qc.num_gates(), placement.num_remote_2q};
-  const auto original = segment_variant_order(qc, placement, whole,
-                                              SchedulingPolicy::Original);
-  const auto asap =
-      segment_variant_order(qc, placement, whole, SchedulingPolicy::Asap);
-  const auto alap =
-      segment_variant_order(qc, placement, whole, SchedulingPolicy::Alap);
+  const SegmentVariantTable table = whole_circuit_table(qc, placement);
+  const auto& original = table.order(0, SchedulingPolicy::Original);
+  const auto& asap = table.order(0, SchedulingPolicy::Asap);
+  const auto& alap = table.order(0, SchedulingPolicy::Alap);
   EXPECT_LE(mean_remote_position(asap, placement),
             mean_remote_position(original, placement));
   EXPECT_GE(mean_remote_position(alap, placement),
@@ -249,12 +257,11 @@ qsim::DensityMatrix evaluate_in_order(const Circuit& qc,
 TEST(Variants, ReorderedCircuitsImplementTheSameUnitary) {
   const Circuit qc = mixed_circuit();
   const GatePlacement placement = classify_gates(qc, kSplit22);
-  const Segment whole{0, qc.num_gates(), placement.num_remote_2q};
-  const auto original = segment_variant_order(qc, placement, whole,
-                                              SchedulingPolicy::Original);
-  const qsim::DensityMatrix ref = evaluate_in_order(qc, original);
+  const SegmentVariantTable table = whole_circuit_table(qc, placement);
+  const qsim::DensityMatrix ref =
+      evaluate_in_order(qc, table.order(0, SchedulingPolicy::Original));
   for (auto policy : {SchedulingPolicy::Asap, SchedulingPolicy::Alap}) {
-    const auto order = segment_variant_order(qc, placement, whole, policy);
+    const auto& order = table.order(0, policy);
     const qsim::DensityMatrix got = evaluate_in_order(qc, order);
     for (std::size_t r = 0; r < ref.dim(); ++r) {
       for (std::size_t c = 0; c < ref.dim(); ++c) {
@@ -285,10 +292,9 @@ TEST(Variants, RandomQaoaSegmentsStayEquivalent) {
         const auto& seg_order = table.order(s, policy);
         order.insert(order.end(), seg_order.begin(), seg_order.end());
       }
+      const SegmentVariantTable whole = whole_circuit_table(qc, placement);
       const qsim::DensityMatrix ref = evaluate_in_order(
-          qc, segment_variant_order(qc, placement,
-                                    Segment{0, qc.num_gates(), 0},
-                                    SchedulingPolicy::Original));
+          qc, whole.order(0, SchedulingPolicy::Original));
       const qsim::DensityMatrix got = evaluate_in_order(qc, order);
       for (std::size_t r = 0; r < ref.dim(); ++r) {
         for (std::size_t c = 0; c < ref.dim(); ++c) {
@@ -317,6 +323,92 @@ TEST(Variants, TableExposesAllPolicies) {
   }
   EXPECT_THROW(table.order(table.num_segments(), SchedulingPolicy::Asap),
                PreconditionError);
+  // A segment past the circuit's end, and a placement of another circuit.
+  EXPECT_THROW(SegmentVariantTable(qc, placement,
+                                   {Segment{2, qc.num_gates() + 1, 0}}),
+               PreconditionError);
+  EXPECT_THROW(SegmentVariantTable(qc, GatePlacement{}, segments),
+               PreconditionError);
+}
+
+/// Kahn's algorithm over the pairwise edge rule (j -> l iff j < l, the
+/// gates share a qubit and do not provably commute), choosing each step by
+/// a linear scan in traversal order: the first ready remote gate, else the
+/// first ready gate. ALAP traverses the reversed edges and reverses the
+/// result.
+std::vector<std::size_t> reference_order(const Circuit& qc,
+                                         const GatePlacement& placement,
+                                         const Segment& seg, bool alap) {
+  const std::size_t n = seg.size();
+  std::vector<std::vector<std::size_t>> out(n);
+  std::vector<std::size_t> indegree(n, 0);
+  for (std::size_t l = 0; l < n; ++l) {
+    const Gate& later = qc.gate(seg.begin + l);
+    for (std::size_t j = 0; j < l; ++j) {
+      const Gate& earlier = qc.gate(seg.begin + j);
+      if (!later.overlaps(earlier) || gates_commute(later, earlier)) continue;
+      out[alap ? l : j].push_back(alap ? j : l);
+      ++indegree[alap ? j : l];
+    }
+  }
+  std::vector<char> done(n, 0);
+  std::vector<std::size_t> order;
+  for (std::size_t step = 0; step < n; ++step) {
+    std::size_t best = n;
+    for (std::size_t c = 0; c < n; ++c) {
+      const std::size_t l = alap ? n - 1 - c : c;
+      if (done[l] || indegree[l] != 0) continue;
+      if (best == n || (placement.remote(seg.begin + l) &&
+                        !placement.remote(seg.begin + best))) {
+        best = l;
+      }
+    }
+    if (best == n) return {};  // cycle: cannot happen for j < l edges
+    done[best] = 1;
+    order.push_back(seg.begin + best);
+    for (const std::size_t next : out[best]) --indegree[next];
+  }
+  if (alap) std::reverse(order.begin(), order.end());
+  return order;
+}
+
+TEST(Variants, TableMatchesReference) {
+  // Every Table-I circuit on 2 and 4 nodes at m in {1, 2, 4, 8, 16, all}.
+  std::size_t segments_checked = 0;
+  for (const auto id : gen::all_benchmarks()) {
+    const Circuit qc = gen::make_benchmark(id);
+    for (const int nodes : {2, 4}) {
+      const auto part = runtime::partition_circuit(qc, nodes);
+      const GatePlacement placement = classify_gates(qc, part.assignment);
+      const std::size_t all =
+          std::max<std::size_t>(1, placement.num_remote_2q);
+      for (const std::size_t m : {std::size_t{1}, std::size_t{2},
+                                  std::size_t{4}, std::size_t{8},
+                                  std::size_t{16}, all}) {
+        const auto segments = segment_by_remote_gates(placement, m);
+        const SegmentVariantTable table(qc, placement, segments);
+        for (std::size_t s = 0; s < segments.size(); ++s) {
+          const Segment& seg = segments[s];
+          std::vector<std::size_t> original(seg.size());
+          std::iota(original.begin(), original.end(), seg.begin);
+          const std::string where = gen::benchmark_name(id) + " nodes " +
+                                    std::to_string(nodes) + " m " +
+                                    std::to_string(m) + " segment " +
+                                    std::to_string(s);
+          ASSERT_EQ(table.order(s, SchedulingPolicy::Original), original)
+              << where;
+          ASSERT_EQ(table.order(s, SchedulingPolicy::Asap),
+                    reference_order(qc, placement, seg, /*alap=*/false))
+              << where;
+          ASSERT_EQ(table.order(s, SchedulingPolicy::Alap),
+                    reference_order(qc, placement, seg, /*alap=*/true))
+              << where;
+          ++segments_checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(segments_checked, 1000u);
 }
 
 TEST(Variants, PolicyNames) {
