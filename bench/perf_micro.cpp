@@ -6,9 +6,11 @@
 /// CI perf gate (see bench_report.hpp).
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -550,7 +552,8 @@ BENCHMARK(BM_DensityMatrixHadamard8Qubit);
 /// Console output plus capture of every run for the JSON report.
 class JsonExportReporter : public benchmark::ConsoleReporter {
  public:
-  explicit JsonExportReporter(bench::BenchReport& report) : report_(report) {}
+  JsonExportReporter(bench::BenchReport& report, OutputOptions opts)
+      : ConsoleReporter(opts), report_(report) {}
 
   void ReportRuns(const std::vector<Run>& runs) override {
     for (const Run& run : runs) {
@@ -583,11 +586,36 @@ class JsonExportReporter : public benchmark::ConsoleReporter {
 
 }  // namespace
 
+/// The console options google-benchmark would give its own reporter: colour
+/// only on a terminal and unless --benchmark_color is false (a custom
+/// display reporter does not read the flag itself), tabular counters as
+/// before. Reads argv before benchmark::Initialize consumes the flag.
+benchmark::ConsoleReporter::OutputOptions console_options(int argc,
+                                                          char** argv) {
+  const std::string flag = "--benchmark_color=";
+  bool color = isatty(STDOUT_FILENO) != 0;
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind(flag, 0) != 0) continue;
+    std::string value = arg.substr(flag.size());
+    for (char& c : value) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (value == "false" || value == "no" || value == "off" || value == "0" ||
+        value == "f" || value == "n") {
+      color = false;
+    }
+  }
+  return color ? benchmark::ConsoleReporter::OO_ColorTabular
+               : benchmark::ConsoleReporter::OO_Tabular;
+}
+
 int main(int argc, char** argv) {
+  const auto options = console_options(argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   bench::BenchReport report("perf_micro");
-  JsonExportReporter reporter(report);
+  JsonExportReporter reporter(report, options);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   report.write();
   benchmark::Shutdown();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <exception>
 #include <memory>
-#include <utility>
 
 namespace dqcsim {
 
@@ -25,22 +24,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::submit(std::function<void()> job) {
-  bool wake = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.push(std::move(job));
-    posted_.fetch_add(1, std::memory_order_release);
-    wake = sleeping_ > 0;
-  }
-  if (wake) work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock, [this] { return jobs_.empty() && active_ == 0; });
-}
-
 void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -58,18 +41,7 @@ void ThreadPool::worker_loop() {
       if (last) idle_cv_.notify_all();
       continue;
     }
-    if (!jobs_.empty()) {
-      std::function<void()> job = std::move(jobs_.front());
-      jobs_.pop();
-      ++active_;
-      lock.unlock();
-      job();
-      lock.lock();
-      --active_;
-      if (jobs_.empty() && active_ == 0) idle_cv_.notify_all();
-      continue;
-    }
-    if (stop_) return;  // stopped and drained
+    if (stop_) return;
 
     // Idle: stay awake for a short spin, so the next of a run of
     // back-to-back calls finds this worker ready, then sleep.

@@ -11,12 +11,12 @@
 /// A parallel call runs on the calling thread plus the pool's threads: the
 /// caller is worker 0 and starts draining indices at once, and each pool
 /// thread that joins in time claims the next worker id. A pool thread that
-/// finishes a job stays awake for a short, bounded spin (kSpinRounds
-/// yields) before it sleeps, so a closed loop of back-to-back small calls
-/// finds its helpers awake instead of paying a wake-up per call. Once the
-/// caller has drained its share it closes the call to late joiners and
-/// waits for the helpers still running, again spinning briefly before it
-/// sleeps.
+/// finishes its part of a call stays awake for a short, bounded spin
+/// (kSpinRounds yields) before it sleeps, so a closed loop of back-to-back
+/// small calls finds its helpers awake instead of paying a wake-up per
+/// call. Once the caller has drained its share it closes the call to late
+/// joiners and waits for the helpers still running, again spinning briefly
+/// before it sleeps.
 ///
 /// The free parallel_for / parallel_for_workers run on a pool owned by the
 /// calling thread: created on its first parallel call, kept for the
@@ -35,14 +35,13 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace dqcsim {
 
 /// Fixed-size pool of worker threads: parallel calls run on the caller and
-/// the workers; submit() feeds a shared FIFO of one-off jobs.
+/// the workers.
 class ThreadPool {
  public:
   /// Yield rounds a worker (or a waiting caller) spins before it blocks.
@@ -54,7 +53,7 @@ class ThreadPool {
   /// Spawn `num_threads` workers; 0 means hardware_threads().
   explicit ThreadPool(std::size_t num_threads = 0);
 
-  /// Blocks until queued jobs finish, then joins all workers.
+  /// Joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -62,13 +61,6 @@ class ThreadPool {
 
   /// Number of worker threads.
   std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Enqueue one job. Jobs must not throw (wrap work that can throw and
-  /// capture the exception; parallel_for does this for you).
-  void submit(std::function<void()> job);
-
-  /// Block until the queue is empty and every worker is idle.
-  void wait_idle();
 
   /// Run body(i) for i in [0, n) on the calling thread and the pool's
   /// workers via a shared atomic index. Blocks until all n calls return.
@@ -105,16 +97,11 @@ class ThreadPool {
   // spinning).
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< signals sleeping workers: new work
-  std::condition_variable idle_cv_;  ///< signals waiters: jobs or helpers done
+  std::condition_variable idle_cv_;  ///< signals the caller: helpers done
   bool stop_ = false;
   std::size_t sleeping_ = 0;  ///< workers blocked on work_cv_
-  /// Work posted so far (jobs and parallel calls): spinning workers watch
-  /// it for a change.
+  /// Parallel calls posted so far: spinning workers watch it for a change.
   std::atomic<std::uint64_t> posted_{0};
-
-  // submit() FIFO.
-  std::queue<std::function<void()>> jobs_;
-  std::size_t active_ = 0;
 
   // The running parallel call: helpers claim worker ids in [1, ids_).
   const std::function<void(std::size_t)>* task_ = nullptr;

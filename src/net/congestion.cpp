@@ -16,15 +16,12 @@ int capacity_share(int capacity, int load, int rank) {
 
 void CongestionPlanner::begin(const Topology& topo,
                               const std::vector<double>& static_costs,
-                              double alpha,
                               const std::vector<char>* edge_enabled) {
   DQCSIM_EXPECTS_MSG(static_costs.size() == topo.num_edges(),
                      "one static cost per topology edge");
-  DQCSIM_EXPECTS_MSG(alpha >= 0.0, "congestion alpha must be nonnegative");
   topo_ = &topo;
   costs_ = &static_costs;
   enabled_ = edge_enabled;
-  alpha_ = alpha;
   load_.assign(topo.num_edges(), 0);
 
   const auto n = static_cast<std::size_t>(topo.num_nodes());
@@ -72,9 +69,7 @@ void clear_route(Route& r) {
 
 }  // namespace
 
-bool CongestionPlanner::find_route(int src, int dst,
-                                   const std::vector<char>* exclude,
-                                   Route& out) {
+bool CongestionPlanner::find_route(int src, int dst, Route& out) {
   const int n = topo_->num_nodes();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::fill(dist_.begin(), dist_.end(), kInf);
@@ -97,12 +92,8 @@ bool CongestionPlanner::find_route(int src, int dst,
     done_[uu] = 1;
     if (u == dst) break;
     for (const auto& [e, other] : incident_[uu]) {
-      if (exclude != nullptr && (*exclude)[e]) continue;
       const auto uo = static_cast<std::size_t>(other);
-      // Load-scaled cost: previously placed traffic makes the edge pricier.
-      const double scaled =
-          (*costs_)[e] * (1.0 + alpha_ * static_cast<double>(load_[e]));
-      const double cand = dist_[uu] + scaled;
+      const double cand = dist_[uu] + (*costs_)[e];
       if (cand < dist_[uo]) {
         dist_[uo] = cand;
         pred_node_[uo] = u;
@@ -125,47 +116,34 @@ bool CongestionPlanner::find_route(int src, int dst,
   return true;
 }
 
-void CongestionPlanner::plan(int a, int b, bool split_tied, RoutePlan& plan) {
+void CongestionPlanner::plan(int a, int b, RoutePlan& plan) {
   DQCSIM_EXPECTS(topo_ != nullptr);
   DQCSIM_EXPECTS(a != b && a >= 0 && b >= 0 && a < topo_->num_nodes() &&
                  b < topo_->num_nodes());
-  plan.split = false;
   if (component_[static_cast<std::size_t>(a)] !=
       component_[static_cast<std::size_t>(b)]) {
     plan.has_route = false;
     clear_route(plan.primary);
     return;
   }
-  plan.has_route = find_route(a, b, nullptr, plan.primary);
-  if (!plan.has_route) return;
-  if (split_tied) {
-    exclude_scratch_.assign(topo_->num_edges(), 0);
-    for (const std::size_t e : plan.primary.edges) exclude_scratch_[e] = 1;
-    if (find_route(a, b, &exclude_scratch_, plan.alternate) &&
-        plan.alternate.cost <= plan.primary.cost * (1.0 + 1e-9)) {
-      plan.split = true;
-    }
-  }
-  charge(plan.primary);
-  if (plan.split) charge(plan.alternate);
+  plan.has_route = find_route(a, b, plan.primary);
+  if (plan.has_route) charge(plan.primary);
 }
 
 void CongestionPlanner::plan_static(const Router& router, int a, int b,
                                     RoutePlan& plan) {
-  DQCSIM_EXPECTS(alpha_ == 0.0);
   const Route& fabric = router.route(a, b);
   const bool fabric_up =
       enabled_ == nullptr ||
       std::all_of(fabric.edges.begin(), fabric.edges.end(),
                   [this](std::size_t e) { return (*enabled_)[e] != 0; });
   if (fabric_up) {
-    plan.split = false;
     plan.has_route = true;
     plan.primary = fabric;  // reuses capacity
     charge(plan.primary);
     return;
   }
-  this->plan(std::min(a, b), std::max(a, b), false, plan);
+  this->plan(std::min(a, b), std::max(a, b), plan);
   if (a > b) {
     std::reverse(plan.primary.nodes.begin(), plan.primary.nodes.end());
     std::reverse(plan.primary.edges.begin(), plan.primary.edges.end());

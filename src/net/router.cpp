@@ -20,17 +20,17 @@ Router::Router(const Topology& topo, const std::vector<double>& edge_costs)
   const auto un = static_cast<std::size_t>(n);
   routes_.assign(un * un, Route{});
 
-  // Every entry is the congestion planner's static plan (alpha = 0: plain
-  // edge costs), so the two share one Dijkstra. Each pair is planned from
+  // Every entry is the congestion planner's plan over the full fabric, so
+  // the two share one Dijkstra. Each pair is planned from
   // its lower-numbered endpoint and mirrored, so route(b, a) is route(a, b)
   // reversed by construction even when cost ties would let the two
   // directions pick different paths.
   CongestionPlanner planner;
-  planner.begin(topo_, edge_costs, 0.0, nullptr);
+  planner.begin(topo_, edge_costs, nullptr);
   RoutePlan plan;
   for (int src = 0; src + 1 < n; ++src) {
     for (int dst = src + 1; dst < n; ++dst) {
-      planner.plan(src, dst, false, plan);
+      planner.plan(src, dst, plan);
       DQCSIM_ENSURES_MSG(plan.has_route,
                          "router requires a connected topology");
       const auto us = static_cast<std::size_t>(src);

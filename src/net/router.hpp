@@ -5,7 +5,7 @@
 /// per-edge costs (hop count by default; the engine uses the expected time
 /// per delivered pair, cycle_time / (p_succ * pairs), so fat fast links are
 /// preferred over thin slow ones). It tabulates net::CongestionPlanner's
-/// static plan (alpha = 0), so both share one Dijkstra. Routes are
+/// plan over the full fabric, so both share one Dijkstra. Routes are
 /// deterministic: cost ties are broken toward the lexicographically smaller
 /// predecessor, so the same topology and costs always produce the same
 /// paths.

@@ -57,11 +57,10 @@ void ArchConfig::validate() const {
   if (!(max_trial_sim_time > 0.0)) {
     throw ConfigError("ArchConfig: max_trial_sim_time must be positive");
   }
-  if (!topology &&
-      (share_edge_capacity || congestion_aware_routing || swap_as_you_go)) {
+  if (!topology && (share_edge_capacity || swap_as_you_go)) {
     throw ConfigError(
-        "ArchConfig: share_edge_capacity, congestion_aware_routing and "
-        "swap_as_you_go act on physical edges and need a topology");
+        "ArchConfig: share_edge_capacity and swap_as_you_go act on physical "
+        "edges and need a topology");
   }
   if (topology) {
     topology->validate();

@@ -115,10 +115,10 @@ struct ArchConfig {
   std::shared_ptr<const scenario::Scenario> scenario;
 
   // --- Congestion & shared-capacity modes (see net/congestion.hpp and
-  // docs/ARCHITECTURE.md). All default off: every edge then grants each
-  // route its full budget over static routes, as before these modes
-  // existed. Each knob needs a topology; validate() rejects it without one
-  // (the homogeneous all-to-all interconnect has no shared edges).
+  // docs/ARCHITECTURE.md). Both default off: every edge then grants each
+  // route its full budget, as before these modes existed. Each knob needs a
+  // topology; validate() rejects it without one (the homogeneous
+  // all-to-all interconnect has no shared edges).
 
   /// Share each physical edge's generation budget between the routes
   /// crossing it: every route receives a deterministic near-even slice of
@@ -128,15 +128,6 @@ struct ArchConfig {
   /// for the trial, matching the frozen structural composition. No effect
   /// with swap_as_you_go, whose edge buffers are shared dynamically.
   bool share_edge_capacity = false;
-  /// Select routes sequentially (in first-traffic creation order) over
-  /// load-scaled edge costs, cost(e) = static_cost(e) * (1 + load(e)), so
-  /// later traffic detours around edges earlier traffic saturated. Applied
-  /// at t=0 placement and again at every outage/recovery boundary —
-  /// detours then contend too. Combined with swap_as_you_go, a link's
-  /// traffic splits across two edge-disjoint paths whose scaled costs tie:
-  /// a remote gate is served by whichever path first buffers its full
-  /// pair quota.
-  bool congestion_aware_routing = false;
   /// Swap-as-you-go delivery on a topology: one generation service per
   /// *physical edge* buffers pairs at intermediate swap nodes, and an
   /// end-to-end pair is fused on demand from one buffered pair per hop —

@@ -79,45 +79,28 @@ void TrialState::plan_links(TrialObserver& observer) {
     links[i].adopt(link_plans[i].primary, route_cache.inputs.swap.latency);
   }
   // Contention figures of the t=0 placement. Knobs-off runs report no
-  // contention, even though the static plan's load map is populated.
-  if (!config.swap_as_you_go && !config.share_edge_capacity &&
-      !config.congestion_aware_routing) {
-    return;
-  }
+  // contention, even though the load map is populated.
+  if (!config.swap_as_you_go && !config.share_edge_capacity) return;
   for (const int load : planner.edge_load()) {
     if (load > 1) ++result.edges_shared;
     result.max_edge_load =
         std::max(result.max_edge_load, static_cast<std::size_t>(load));
   }
-  for (const net::RoutePlan& plan : link_plans) {
-    if (plan.split) ++result.route_splits;
-  }
 }
 
-/// (Re)assign every logical link's physical path, in link creation order,
-/// over the surviving-edge `mask` (null at t=0: the full fabric). With
-/// congestion-aware routing each link is routed over load-scaled costs
-/// (alpha = 1: earlier traffic raises the cost later traffic sees) and,
-/// under swap-as-you-go, cost-tied disjoint paths split the link's traffic.
-/// Otherwise static routes are adopted and only the load accounting runs
-/// (capacity shares are load-derived even under static routes): a link
-/// keeps its cached full-fabric route while every edge of it is up, and
-/// only a link that lost an edge is searched again (see
-/// net::CongestionPlanner::plan_static). In both modes a pair the mask cuts
-/// off is answered from the surviving components, without a search.
+/// (Re)assign every logical link's static route, in link creation order,
+/// over the surviving-edge `mask` (null at t=0: the full fabric), and count
+/// the routes on each edge (capacity shares are load-derived). A link keeps
+/// its cached full-fabric route while every edge of it is up, a pair the
+/// mask cuts off is answered from the surviving components, and only a
+/// link that lost an edge is searched again (see
+/// net::CongestionPlanner::plan_static).
 void TrialState::plan_all_routes(const std::vector<char>* mask) {
-  const bool congestion = config.congestion_aware_routing;
-  planner.begin(*config.topology, route_cache.edge_costs,
-                congestion ? 1.0 : 0.0, mask);
+  planner.begin(*config.topology, route_cache.edge_costs, mask);
   link_plans.resize(links.size());
   for (std::size_t i = 0; i < links.size(); ++i) {
-    const int a = links[i].node_a;
-    const int b = links[i].node_b;
-    if (congestion) {
-      planner.plan(a, b, config.swap_as_you_go, link_plans[i]);
-    } else {
-      planner.plan_static(route_cache.router, a, b, link_plans[i]);
-    }
+    planner.plan_static(route_cache.router, links[i].node_a, links[i].node_b,
+                        link_plans[i]);
   }
 }
 
@@ -178,9 +161,9 @@ void start_service(TrialState& t, FaultController& faults,
 
 /// One GenerationService per logical link. Without a topology each link
 /// gets the homogeneous all-to-all parameters. With one, the link's planned
-/// route (static or congestion-selected) is composed hop by hop from its
-/// hop grants, frozen at t=0 like the rest of the structural composition.
-/// Covers the Buffered and the OnDemand (bufferless) modes.
+/// route is composed hop by hop from its hop grants, frozen at t=0 like
+/// the rest of the structural composition. Covers the Buffered and the
+/// OnDemand (bufferless) modes.
 class ComposedDelivery final : public Delivery {
  public:
   ComposedDelivery(TrialState& t, FaultController& f, TrialObserver& o)
@@ -346,8 +329,7 @@ class SwapGoDelivery final : public Delivery {
   /// fusing them at the intermediate nodes *now*. Each hop pair decays from
   /// its own deposit instant; the fused pair is born at the assembly
   /// instant, so decay to the consuming gate is the identity and is
-  /// skipped. With a split plan a request is served by the primary path
-  /// when ready, else by the cost-tied alternate.
+  /// skipped.
   ///
   /// Mid-flight pair salvage (config.salvage_pairs): a link whose whole
   /// route was severed may still drain hop pairs buffered *before* the
@@ -374,8 +356,6 @@ class SwapGoDelivery final : public Delivery {
       path = &link.route_edges;
     } else if (edges_ready(plan.primary.edges, needed)) {
       path = &plan.primary.edges;
-    } else if (plan.split && edges_ready(plan.alternate.edges, needed)) {
-      path = &plan.alternate.edges;
     } else {
       return false;
     }
@@ -449,11 +429,6 @@ class SwapGoDelivery final : public Delivery {
       if (!plan.has_route) continue;
       for (const std::size_t e : plan.primary.edges) {
         links_on_edge_[e].push_back(static_cast<int>(i));
-      }
-      if (plan.split) {
-        for (const std::size_t e : plan.alternate.edges) {
-          links_on_edge_[e].push_back(static_cast<int>(i));
-        }
       }
     }
   }

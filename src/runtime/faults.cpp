@@ -62,12 +62,10 @@ bool FaultController::nodes_up(std::size_t e, double t) const {
 
 /// Scenario boundary at `t`. Unless the edge up mask is unchanged (a
 /// spurious or drift-only boundary), every route is re-planned over the
-/// surviving subgraph: with congestion routing the detours contend again
-/// (each link still connected runs its search), else each link keeps its
-/// full-fabric route while that route survives and only the others are
-/// searched; a cut-off link is found without a search in both modes. Then
-/// every service starts its next segment (one whose effective link is
-/// unchanged ignores it).
+/// surviving subgraph: each link keeps its full-fabric route while that
+/// route survives, a cut-off link is found without a search, and only the
+/// others are searched. Then every service starts its next segment (one
+/// whose effective link is unchanged ignores it).
 void FaultController::apply_boundary(double t) {
   bool changed = false;
   for (std::size_t e = 0; e < edge_up_.size(); ++e) {

@@ -65,8 +65,8 @@ enum class RegistryFold : std::uint8_t {
       consumed pair crossed a direct physical link, 0 with no remote       \
       gates. */                                                              \
   X(double, avg_route_hops, 0.0, None)                                       \
-  /* Contention accounting (opt-in congestion / shared-capacity / swap-as- \
-     you-go modes; see net/congestion.hpp). All zero in the legacy         \
+  /* Contention accounting (opt-in shared-capacity / swap-as-you-go       \
+     modes; see net/congestion.hpp). All zero in the legacy                \
      independent-budget engine. The three t=0 structural fields are not    \
      exported: a sum over trials means nothing. */                           \
   /** Physical edges crossed by more than one logical route at t=0. */      \
@@ -74,8 +74,8 @@ enum class RegistryFold : std::uint8_t {
   /** Largest number of logical routes crossing any one physical edge at   \
       t=0 (1 on contention-free placements, 0 with no routed links). */    \
   X(std::size_t, max_edge_load, 0, None)                                     \
-  /** Logical links splitting traffic across two cost-tied disjoint         \
-      paths. */                                                              \
+  /** Always 0: every link routes over its one static path. The row      \
+      stays while perfbench still compares it. */                          \
   X(std::size_t, route_splits, 0, None)                                      \
   /* Fault-scenario accounting (ArchConfig::scenario; see src/scenario/). */ \
   /** Route re-establishments over the trial: a logical link switching to  \

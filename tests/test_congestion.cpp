@@ -1,8 +1,9 @@
 /// Unit and engine-level tests for the opt-in contention modes
 /// (net/congestion.hpp + ArchConfig knobs): deterministic capacity shares,
-/// congestion-aware route assignment, star-hub throughput degradation under
-/// shared capacity, swap-as-you-go delivery on long chains, and the
-/// thread-count bit-identity contract with every knob enabled.
+/// masked route assignment and its load map, star-hub throughput
+/// degradation under shared capacity, swap-as-you-go delivery on long
+/// chains, and the thread-count bit-identity contract with every knob
+/// enabled.
 
 #include <gtest/gtest.h>
 
@@ -77,78 +78,19 @@ std::vector<double> unit_costs(const Topology& topo) {
   return std::vector<double>(topo.num_edges(), 1.0);
 }
 
-TEST(CongestionPlanner, LaterTrafficDetoursAroundLoadedEdges) {
-  // ring(4): 0-2 has two 2-hop paths, via 1 and via 3. Unloaded, the
-  // planner picks a deterministic one; after charging that path twice, the
-  // load-scaled cost makes the other side strictly cheaper.
-  const Topology topo = Topology::ring(4);
-  const std::vector<double> costs = unit_costs(topo);
-  CongestionPlanner planner;
-  planner.begin(topo, costs, /*alpha=*/1.0, nullptr);
-
-  RoutePlan first;
-  planner.plan(0, 2, /*split_tied=*/false, first);
-  ASSERT_TRUE(first.has_route);
-  EXPECT_EQ(first.primary.hops(), 2);
-
-  RoutePlan second;
-  planner.plan(0, 2, /*split_tied=*/false, second);
-  ASSERT_TRUE(second.has_route);
-  EXPECT_EQ(second.primary.hops(), 2);
-  // The two plans take edge-disjoint sides of the ring.
-  for (const std::size_t e : second.primary.edges) {
-    for (const std::size_t f : first.primary.edges) {
-      EXPECT_NE(e, f);
-    }
-  }
-  // Both paths charged: every ring edge now carries exactly one route.
-  for (const int load : planner.edge_load()) EXPECT_EQ(load, 1);
-}
-
 TEST(CongestionPlanner, ZeroAlphaReproducesStaticRoutes) {
   const Topology topo = Topology::star(6);
   const std::vector<double> costs = unit_costs(topo);
   const Router router(topo, costs);
   CongestionPlanner planner;
-  planner.begin(topo, costs, /*alpha=*/0.0, nullptr);
+  planner.begin(topo, costs, nullptr);
   for (int leaf = 1; leaf < 6; ++leaf) {
     RoutePlan plan;
-    planner.plan(leaf, (leaf % 5) + 1, false, plan);
+    planner.plan(leaf, (leaf % 5) + 1, plan);
     ASSERT_TRUE(plan.has_route);
     EXPECT_EQ(plan.primary.edges,
               router.route(leaf, (leaf % 5) + 1).edges);
   }
-}
-
-TEST(CongestionPlanner, TiedDisjointPathsSplit) {
-  const Topology topo = Topology::ring(4);
-  const std::vector<double> costs = unit_costs(topo);
-  CongestionPlanner planner;
-  planner.begin(topo, costs, 1.0, nullptr);
-  RoutePlan plan;
-  planner.plan(0, 2, /*split_tied=*/true, plan);
-  ASSERT_TRUE(plan.has_route);
-  EXPECT_TRUE(plan.split);
-  EXPECT_EQ(plan.primary.hops(), 2);
-  EXPECT_EQ(plan.alternate.hops(), 2);
-  for (const std::size_t e : plan.alternate.edges) {
-    for (const std::size_t f : plan.primary.edges) EXPECT_NE(e, f);
-  }
-  // Both sides are charged, so the next pair sees a uniformly loaded ring.
-  for (const int load : planner.edge_load()) EXPECT_EQ(load, 1);
-}
-
-TEST(CongestionPlanner, NoDisjointAlternateMeansNoSplit) {
-  // A chain has a unique path: requesting a split must not invent one.
-  const Topology topo = Topology::chain(5);
-  const std::vector<double> costs = unit_costs(topo);
-  CongestionPlanner planner;
-  planner.begin(topo, costs, 1.0, nullptr);
-  RoutePlan plan;
-  planner.plan(0, 4, true, plan);
-  ASSERT_TRUE(plan.has_route);
-  EXPECT_FALSE(plan.split);
-  EXPECT_EQ(plan.primary.hops(), 4);
 }
 
 TEST(CongestionPlanner, MaskedEdgesAreUnusable) {
@@ -158,17 +100,17 @@ TEST(CongestionPlanner, MaskedEdgesAreUnusable) {
   std::vector<char> enabled(topo.num_edges(), 1);
   enabled[topo.edge_index(0, 1)] = 0;
   CongestionPlanner planner;
-  planner.begin(topo, costs, 1.0, &enabled);
+  planner.begin(topo, costs, &enabled);
   RoutePlan plan;
-  planner.plan(0, 1, false, plan);
+  planner.plan(0, 1, plan);
   ASSERT_TRUE(plan.has_route);
   EXPECT_EQ(plan.primary.nodes, (std::vector<int>{0, 3, 2, 1}));
   EXPECT_EQ(plan.primary.hops(), 3);
 
   // Masking both endpoints' edges disconnects the pair.
   enabled[topo.edge_index(0, 3)] = 0;
-  planner.begin(topo, costs, 1.0, &enabled);
-  planner.plan(0, 2, false, plan);
+  planner.begin(topo, costs, &enabled);
+  planner.plan(0, 2, plan);
   EXPECT_FALSE(plan.has_route);
 
   // chain(3) without its middle edge: node 2 is cut off from both others,
@@ -177,13 +119,13 @@ TEST(CongestionPlanner, MaskedEdgesAreUnusable) {
   const std::vector<double> chain_costs = unit_costs(chain);
   std::vector<char> chain_up(chain.num_edges(), 1);
   chain_up[chain.edge_index(1, 2)] = 0;
-  planner.begin(chain, chain_costs, 0.0, &chain_up);
-  planner.plan(0, 1, false, plan);
+  planner.begin(chain, chain_costs, &chain_up);
+  planner.plan(0, 1, plan);
   EXPECT_TRUE(plan.has_route);
-  planner.plan(0, 2, false, plan);
+  planner.plan(0, 2, plan);
   EXPECT_FALSE(plan.has_route);
   EXPECT_EQ(plan.primary.hops(), 0);  // empty, not a path
-  planner.plan(1, 2, false, plan);
+  planner.plan(1, 2, plan);
   EXPECT_FALSE(plan.has_route);
 }
 
@@ -200,15 +142,15 @@ TEST(CongestionPlanner, LowerEndpointPlanMirrorsTheRouterOnACostTie) {
   const Router router(ring, costs);
   const std::vector<char> all_up(ring.num_edges(), 1);
   CongestionPlanner planner;
-  planner.begin(ring, costs, 0.0, &all_up);
+  planner.begin(ring, costs, &all_up);
   RoutePlan plan;
-  planner.plan(0, 3, false, plan);
+  planner.plan(0, 3, plan);
   ASSERT_TRUE(plan.has_route);
   std::reverse(plan.primary.edges.begin(), plan.primary.edges.end());
   EXPECT_EQ(plan.primary.edges, router.route(3, 0).edges);
   EXPECT_EQ(plan.primary.cost, router.route(3, 0).cost);
 
-  planner.plan(3, 0, false, plan);  // the other orientation breaks the tie
+  planner.plan(3, 0, plan);  // the other orientation breaks the tie
   EXPECT_EQ(plan.primary.nodes, (std::vector<int>{3, 2, 4, 0}));
   EXPECT_NE(plan.primary.edges, router.route(3, 0).edges);
 }
@@ -216,12 +158,11 @@ TEST(CongestionPlanner, LowerEndpointPlanMirrorsTheRouterOnACostTie) {
 // ------------------------------------------ exhaustive masked planning ----
 
 /// The planner's search, restated as the reference its shortcuts must
-/// reproduce: O(n^2) Dijkstra over load-scaled costs on the surviving edges,
+/// reproduce: O(n^2) Dijkstra over the static costs on the surviving edges,
 /// nodes finalized in (distance, index) order, edges relaxed in index order
 /// with strict improvement. False, with an empty route, when dst is cut off.
 bool reference_route(const Topology& topo, const std::vector<double>& costs,
-                     const std::vector<char>& up, double alpha,
-                     const std::vector<int>& load, int src, int dst,
+                     const std::vector<char>& up, int src, int dst,
                      Route& out) {
   const auto n = static_cast<std::size_t>(topo.num_nodes());
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -244,8 +185,7 @@ bool reference_route(const Topology& topo, const std::vector<double>& costs,
       const int iu = static_cast<int>(u);
       if (edge.a != iu && edge.b != iu) continue;
       const auto other = static_cast<std::size_t>(edge.a == iu ? edge.b : edge.a);
-      const double cand =
-          dist[u] + costs[e] * (1.0 + alpha * static_cast<double>(load[e]));
+      const double cand = dist[u] + costs[e];
       if (cand < dist[other]) {
         dist[other] = cand;
         pred_node[other] = iu;
@@ -314,10 +254,10 @@ std::ostream& operator<<(std::ostream& os, const Where& w) {
 }
 
 /// For every up mask of `topo` and every ordered pair, the planner with its
-/// shortcuts equals the reference search (static and load-scaled), a pair
-/// has no route exactly when the mask disconnects it, and plan_static
-/// equals the masked static plan: the router's route whenever all its edges
-/// survive.
+/// shortcuts equals the reference search, a pair has no route exactly when
+/// the mask disconnects it, and plan_static equals the masked static plan:
+/// the router's route whenever all its edges survive. After each pass the
+/// load map counts every route placed in it, edge by edge.
 void check_every_mask(const Topology& topo, const std::vector<double>& costs,
                       const std::string& label) {
   const Router router(topo, costs);
@@ -335,47 +275,35 @@ void check_every_mask(const Topology& topo, const std::vector<double>& costs,
   for (std::uint32_t mask = 0; mask < (1U << num_edges); ++mask) {
     for (std::size_t e = 0; e < num_edges; ++e) up[e] = (mask >> e) & 1U;
 
-    // Load-scaled planning (alpha = 1) charges every routed pair, so each
-    // plan sees the loads of the ones before it.
-    planner.begin(topo, costs, 1.0, &up);
+    // The search alone, from either endpoint.
+    planner.begin(topo, costs, &up);
     std::fill(ref_load.begin(), ref_load.end(), 0);
     for (int a = 0; a < n; ++a) {
       for (int b = 0; b < n; ++b) {
         if (a == b) continue;
         const Where at{label, mask, a, b};
-        planner.plan(a, b, false, plan);
-        const bool found =
-            reference_route(topo, costs, up, 1.0, ref_load, a, b, expected);
-        ASSERT_EQ(plan.has_route, found) << at;
-        ASSERT_EQ(found, connected(topo, up, a, b)) << at;
-        ASSERT_TRUE(same_route(plan.primary, expected)) << at;
-        for (const std::size_t e : expected.edges) ++ref_load[e];
+        const auto ab = static_cast<std::size_t>(a) * un +
+                        static_cast<std::size_t>(b);
+        ref_found[ab] = reference_route(topo, costs, up, a, b, ref_static[ab]);
+        planner.plan(a, b, plan);
+        ASSERT_EQ(plan.has_route, ref_found[ab] != 0) << at;
+        ASSERT_EQ(plan.has_route, connected(topo, up, a, b)) << at;
+        ASSERT_TRUE(same_route(plan.primary, ref_static[ab])) << at;
+        for (const std::size_t e : ref_static[ab].edges) ++ref_load[e];
       }
     }
     ASSERT_EQ(planner.edge_load(), ref_load) << label << " mask " << mask;
 
-    // Static planning (alpha = 0): the search alone, then plan_static
-    // against the masked static plan (from the lower endpoint, mirrored).
-    for (int a = 0; a < n; ++a) {
-      for (int b = 0; b < n; ++b) {
-        if (a == b) continue;
-        const auto ab = static_cast<std::size_t>(a) * un +
-                        static_cast<std::size_t>(b);
-        ref_found[ab] = reference_route(topo, costs, up, 0.0, ref_load, a, b,
-                                        ref_static[ab]);
-      }
-    }
-    planner.begin(topo, costs, 0.0, &up);
+    // plan_static against the masked static plan (from the lower endpoint,
+    // mirrored).
+    planner.begin(topo, costs, &up);
+    std::fill(ref_load.begin(), ref_load.end(), 0);
     for (int a = 0; a < n; ++a) {
       for (int b = 0; b < n; ++b) {
         if (a == b) continue;
         const Where at{label, mask, a, b};
         const auto ab = static_cast<std::size_t>(a) * un +
                         static_cast<std::size_t>(b);
-        planner.plan(a, b, false, plan);
-        ASSERT_EQ(plan.has_route, ref_found[ab] != 0) << at;
-        ASSERT_TRUE(same_route(plan.primary, ref_static[ab])) << at;
-
         expected = a < b ? ref_static[ab]
                          : reversed(ref_static[static_cast<std::size_t>(b) *
                                                    un +
@@ -387,10 +315,11 @@ void check_every_mask(const Topology& topo, const std::vector<double>& costs,
         }
         planner.plan_static(router, a, b, plan);
         ASSERT_EQ(plan.has_route, ref_found[ab] != 0) << at;
-        ASSERT_FALSE(plan.split) << at;
         ASSERT_TRUE(same_route(plan.primary, expected)) << at;
+        for (const std::size_t e : expected.edges) ++ref_load[e];
       }
     }
+    ASSERT_EQ(planner.edge_load(), ref_load) << label << " mask " << mask;
   }
 }
 
@@ -506,37 +435,14 @@ TEST(SharedCapacity, KnobIsNoOpWithoutTopology) {
   ArchConfig legacy;
   legacy.num_nodes = 8;
   EXPECT_NO_THROW(legacy.validate());
-  for (int knob = 0; knob < 3; ++knob) {
+  for (const bool share : {true, false}) {
     ArchConfig config = legacy;
-    config.share_edge_capacity = knob == 0;
-    config.congestion_aware_routing = knob == 1;
-    config.swap_as_you_go = knob == 2;
+    config.share_edge_capacity = share;
+    config.swap_as_you_go = !share;
     EXPECT_THROW(config.validate(), ConfigError);
     EXPECT_THROW(runtime::run_design(qc, nodes, config, DesignKind::AsyncBuf,
                                      1, 7, 1),
                  ConfigError);
-  }
-}
-
-TEST(CongestionRouting, UniquePathTopologyIsBitIdenticalToLegacy) {
-  // On a star every pair has a unique path, so congestion-aware routing
-  // (without capacity sharing) must reproduce the legacy engine exactly —
-  // same routes, same budgets, same draws.
-  const Circuit qc = hub_circuit();
-  const std::vector<int> nodes = hub_assignment();
-  const ArchConfig legacy = star_config();
-  ArchConfig congested = star_config();
-  congested.congestion_aware_routing = true;
-  for (const DesignKind design : runtime::distributed_designs()) {
-    SCOPED_TRACE(runtime::design_name(design));
-    const AggregateResult a =
-        runtime::run_design(qc, nodes, legacy, design, 4, 11, 1);
-    const AggregateResult b =
-        runtime::run_design(qc, nodes, congested, design, 4, 11, 1);
-    EXPECT_EQ(a.depth.mean(), b.depth.mean());
-    EXPECT_EQ(a.depth.stddev(), b.depth.stddev());
-    EXPECT_EQ(a.fidelity.mean(), b.fidelity.mean());
-    EXPECT_EQ(a.epr_wasted.mean(), b.epr_wasted.mean());
   }
 }
 
@@ -644,7 +550,7 @@ TEST(SwapAsYouGo, OnDemandDesignRunsDegradedPerEdgeService) {
 // ----------------------------------------------------------- determinism ----
 
 /// 8 qubits over 4 ring nodes with traffic on four node pairs, two of them
-/// non-adjacent (multi-hop, eligible for tied-path splits).
+/// non-adjacent (multi-hop, with two tied paths round the ring).
 Circuit ring_circuit() {
   Circuit qc(8);
   for (int rep = 0; rep < 3; ++rep) {
@@ -665,20 +571,18 @@ TEST(CongestionDeterminism, EveryKnobCombinationIsThreadCountInvariant) {
 
   struct Combo {
     const char* name;
-    bool share, congest, swap_go;
+    bool share, swap_go;
   };
   const Combo combos[] = {
-      {"shared", true, false, false},
-      {"congestion", false, true, false},
-      {"swap_go", false, false, true},
-      {"all", true, true, true},
+      {"shared", true, false},
+      {"swap_go", false, true},
+      {"both", true, true},
   };
   for (const Combo& combo : combos) {
     ArchConfig config;
     config.num_nodes = 4;
     config.set_topology(Topology::ring(4));
     config.share_edge_capacity = combo.share;
-    config.congestion_aware_routing = combo.congest;
     config.swap_as_you_go = combo.swap_go;
     for (const DesignKind design : runtime::distributed_designs()) {
       const AggregateResult serial = runtime::run_design(
@@ -696,9 +600,9 @@ TEST(CongestionDeterminism, EveryKnobCombinationIsThreadCountInvariant) {
 }
 
 TEST(CongestionDeterminism, OutageRePlanningIsThreadCountInvariant) {
-  // Outage boundaries re-run the congestion pass over the surviving
-  // subgraph and (in swap mode) re-serve every link; the whole machinery
-  // must stay bit-identical across thread counts.
+  // Outage boundaries re-plan every route over the surviving subgraph and
+  // (in swap mode) re-serve every link; the whole machinery must stay
+  // bit-identical across thread counts.
   const Circuit qc = ring_circuit();
   const std::vector<int> nodes = {0, 0, 1, 1, 2, 2, 3, 3};
   scenario::Scenario scn;
@@ -711,7 +615,6 @@ TEST(CongestionDeterminism, OutageRePlanningIsThreadCountInvariant) {
     config.set_topology(Topology::ring(4));
     config.set_scenario(scn);
     config.share_edge_capacity = !swap_go;
-    config.congestion_aware_routing = true;
     config.swap_as_you_go = swap_go;
     for (const DesignKind design : runtime::distributed_designs()) {
       const AggregateResult serial =

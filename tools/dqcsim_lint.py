@@ -54,10 +54,9 @@ unknown rule id or an empty justification is itself a finding
 (bad-suppression), and an ALLOW that suppresses nothing is a finding
 (stale-suppression) so the exception list cannot rot.
 
-Modes: when the libclang python bindings are importable the scrubber uses the
-clang token stream (comments and literals blanked with exact line fidelity);
-otherwise a built-in lexer performs the same scrub. Rule logic is identical in
-both modes, so findings and suppressions never depend on the environment.
+Scrubbing: a built-in lexer blanks comments and string/char literals with
+exact line fidelity before the rules run, so the linter needs nothing beyond
+plain python3 and its findings never depend on the environment.
 
 Usage:
   python3 tools/dqcsim_lint.py src bench tests          # lint the tree
@@ -485,41 +484,6 @@ def scrub_token_mode(text):
     return "".join(out)
 
 
-def _load_libclang():
-    try:
-        from clang import cindex  # noqa: F401
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def scrub_libclang_mode(cindex, path, text):
-    """Scrub via the clang token stream: blank COMMENT and LITERAL tokens in
-    place. Falls back to the built-in lexer on any parse trouble."""
-    tu = cindex.TranslationUnit.from_source(
-        path, args=["-std=c++20", "-fsyntax-only"],
-        unsaved_files=[(path, text)],
-        options=cindex.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD)
-    lines = [list(l) for l in text.split("\n")]
-    for tok in tu.get_tokens(extent=tu.cursor.extent):
-        kind = tok.kind.name
-        if kind not in ("COMMENT", "LITERAL"):
-            continue
-        if kind == "LITERAL" and tok.spelling and \
-                tok.spelling[0] not in "\"'" and "\"" not in tok.spelling:
-            continue  # numeric literals stay (harmless, keeps columns exact)
-        start, end = tok.extent.start, tok.extent.end
-        for ln in range(start.line, end.line + 1):
-            if ln - 1 >= len(lines):
-                continue
-            c0 = start.column - 1 if ln == start.line else 0
-            c1 = end.column - 1 if ln == end.line else len(lines[ln - 1])
-            for col in range(c0, min(c1, len(lines[ln - 1]))):
-                lines[ln - 1][col] = " "
-    return "\n".join("".join(l) for l in lines)
-
-
 # --------------------------------------------------------------------------
 # Suppressions
 # --------------------------------------------------------------------------
@@ -585,7 +549,7 @@ def apply_suppressions(findings, sups, scrubbed_lines):
 # Driver
 # --------------------------------------------------------------------------
 
-def lint_file(path, relpath, cindex, force_rules=None):
+def lint_file(path, relpath, force_rules=None):
     try:
         with open(path, encoding="utf-8", errors="replace") as fh:
             text = fh.read()
@@ -593,15 +557,7 @@ def lint_file(path, relpath, cindex, force_rules=None):
         return [Finding(relpath, 0, "io-error", str(exc))]
 
     raw_lines = text.split("\n")
-    scrubbed = None
-    if cindex is not None:
-        try:
-            scrubbed = scrub_libclang_mode(cindex, path, text)
-        except Exception:
-            scrubbed = None
-    if scrubbed is None:
-        scrubbed = scrub_token_mode(text)
-    lines = scrubbed.split("\n")
+    lines = scrub_token_mode(text).split("\n")
 
     findings = []
     for rule_id, scope, check, _ in RULES:
@@ -655,8 +611,6 @@ def main(argv=None):
                         help="comma-separated rule ids to apply to every "
                              "input file regardless of path scoping "
                              "(fixture/self-test mode)")
-    parser.add_argument("--no-libclang", action="store_true",
-                        help="skip the libclang scrubber even if available")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
     parser.add_argument("--quiet", action="store_true",
@@ -688,12 +642,10 @@ def main(argv=None):
     if files is None:
         return 2
 
-    cindex = None if args.no_libclang else _load_libclang()
-
     all_findings = []
     for path in files:
         rel = os.path.relpath(path, root)
-        all_findings.extend(lint_file(path, rel, cindex, force))
+        all_findings.extend(lint_file(path, rel, force))
 
     visible = [f for f in all_findings if not f.suppressed]
     for f in visible:
@@ -705,9 +657,8 @@ def main(argv=None):
               file=sys.stderr)
         return 1
     if not args.quiet:
-        mode = "libclang" if cindex is not None else "token"
         print(f"dqcsim-lint: OK — {len(files)} file(s), 0 findings "
-              f"({suppressed} suppressed with justification, {mode} mode)")
+              f"({suppressed} suppressed with justification)")
     return 0
 
 

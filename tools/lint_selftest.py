@@ -30,7 +30,7 @@ def run_fixture(rule, name):
     assert os.path.isfile(path), f"missing fixture {path}"
     findings = dqcsim_lint.lint_file(
         path, os.path.relpath(path, os.path.dirname(TOOLS_DIR)),
-        cindex=None, force_rules={rule} if rule != "suppression" else set())
+        force_rules={rule} if rule != "suppression" else set())
     return findings
 
 
@@ -106,7 +106,7 @@ expect("bad-suppression" in rule_ids(findings),
 path = os.path.join(FIXTURES, "suppression", "stale.cpp")
 findings = dqcsim_lint.lint_file(
     path, os.path.relpath(path, os.path.dirname(TOOLS_DIR)),
-    cindex=None, force_rules={"no-unordered"})
+    force_rules={"no-unordered"})
 expect(rule_ids(findings) == ["stale-suppression"],
        f"stale ALLOW must yield stale-suppression, got {rule_ids(findings)}")
 
