@@ -9,8 +9,12 @@
 /// Every cell runs the fixed bench::kRuns trials (DQCSIM_BENCH_RUNS does not
 /// apply), so the BENCH_ablation_segment_size.json counters (depth,
 /// fidelity and the decision mix) are bit-stable across machines and CI
-/// gates them exactly (see ci/bench_baseline.json).
+/// gates them exactly (see ci/bench_baseline.json). A cell's wall time is
+/// the median of kTimedCalls identical calls: one call takes about 2 ms,
+/// so a single timing is at the mercy of one scheduler hiccup.
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <iostream>
 #include <string>
@@ -23,16 +27,27 @@ namespace {
 
 using namespace dqcsim;
 
+/// Identical run_design calls timed per cell; the median is reported.
+constexpr std::size_t kTimedCalls = 5;
+
 /// Run one cell and record its wall time and pinned counters in `report`.
+/// The calls share their seeds, so every call returns the same aggregate.
 runtime::AggregateResult run_cell(bench::BenchReport& report,
                                   const std::string& name, const Circuit& qc,
                                   const std::vector<int>& assignment,
                                   const runtime::ArchConfig& config,
                                   runtime::DesignKind design) {
-  const auto t0 = std::chrono::steady_clock::now();
-  auto agg = runtime::run_design(qc, assignment, config, design, bench::kRuns);
-  const auto t1 = std::chrono::steady_clock::now();
-  const double ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
+  std::array<double, kTimedCalls> call_ns{};
+  runtime::AggregateResult agg;
+  for (double& ns : call_ns) {
+    const auto t0 = std::chrono::steady_clock::now();
+    agg = runtime::run_design(qc, assignment, config, design, bench::kRuns);
+    const auto t1 = std::chrono::steady_clock::now();
+    ns = std::chrono::duration<double, std::nano>(t1 - t0).count();
+  }
+  std::nth_element(call_ns.begin(), call_ns.begin() + kTimedCalls / 2,
+                   call_ns.end());
+  const double ns = call_ns[kTimedCalls / 2];
   bench::KernelResult r;
   r.name = name;
   r.iterations = 1.0;

@@ -382,6 +382,34 @@ void BM_RunContextTrialObserverOff(benchmark::State& state) {
 }
 BENCHMARK(BM_RunContextTrialObserverOff);
 
+// Warm TLIM-32 sync_buf trial: 950 gates rich in fused 1q chains, so the
+// per-gate bookkeeping (class tables, the setup's wire DAG, the ledger) is
+// most of its time. A warm trial allocates nothing (allocs_per_op).
+void BM_RunContextTrialTlim32(benchmark::State& state) {
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::TLIM_32);
+  const auto part = runtime::partition_circuit(qc, 2);
+  runtime::ArchConfig config;
+  config.record_arrival_trace = false;
+  runtime::RunContext ctx;
+  constexpr std::uint64_t kSeeds = 16;
+  for (std::uint64_t s = 0; s < kSeeds; ++s) {
+    ctx.execute(qc, part.assignment, config, runtime::DesignKind::SyncBuf,
+                1000 + s);
+  }
+  const std::uint64_t allocs0 = allocs_since(0);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const auto result =
+        ctx.execute(qc, part.assignment, config, runtime::DesignKind::SyncBuf,
+                    1000 + (seed++ % kSeeds));
+    benchmark::DoNotOptimize(result.depth);
+  }
+  state.counters["allocs_per_op"] = benchmark::Counter(
+      static_cast<double>(allocs_since(allocs0)) /
+      static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_RunContextTrialTlim32);
+
 // Warm fault trial: perfbench's chain-swapgo-faults trial (QAOA-r8-32 on
 // chain(12), 16 + 16 qubits per node, async_buf, swap-as-you-go, random
 // link failures with mtbf 400 and duration 120, salvage). Each scenario

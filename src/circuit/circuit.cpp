@@ -13,11 +13,6 @@ Circuit::Circuit(int num_qubits, std::string name)
   DQCSIM_EXPECTS(num_qubits >= 0);
 }
 
-const Gate& Circuit::gate(std::size_t i) const {
-  DQCSIM_EXPECTS(i < gates_.size());
-  return gates_[i];
-}
-
 void Circuit::append(const Gate& g) {
   for (int i = 0; i < g.arity(); ++i) {
     const QubitId q = g.qubits[static_cast<std::size_t>(i)];

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "circuit/gate.hpp"
+#include "common/error.hpp"
 
 namespace dqcsim {
 
@@ -28,7 +29,11 @@ class Circuit {
   void set_name(std::string name) { name_ = std::move(name); }
 
   std::size_t num_gates() const noexcept { return gates_.size(); }
-  const Gate& gate(std::size_t i) const;
+  /// Gate i in program order. Precondition: i < num_gates().
+  const Gate& gate(std::size_t i) const {
+    DQCSIM_EXPECTS(i < gates_.size());
+    return gates_[i];
+  }
   const std::vector<Gate>& gates() const noexcept { return gates_; }
 
   /// Append a gate; operands must lie in [0, num_qubits).

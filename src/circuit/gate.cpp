@@ -6,21 +6,6 @@
 
 namespace dqcsim {
 
-int gate_arity(GateKind kind) noexcept {
-  switch (kind) {
-    case GateKind::CX:
-    case GateKind::CZ:
-    case GateKind::CP:
-    case GateKind::RZZ:
-    case GateKind::SWAP:
-      return 2;
-    default:
-      return 1;
-  }
-}
-
-bool is_two_qubit(GateKind kind) noexcept { return gate_arity(kind) == 2; }
-
 bool is_diagonal(GateKind kind) noexcept {
   switch (kind) {
     case GateKind::Z:

@@ -41,11 +41,25 @@ enum class GateKind : std::uint8_t {
   Measure,  ///< single-qubit computational-basis measurement
 };
 
-/// Number of qubit operands for a gate kind (1 or 2).
-int gate_arity(GateKind kind) noexcept;
+/// Number of qubit operands for a gate kind (1 or 2). Inline: the engine
+/// and the schedulers ask it for every gate they visit.
+constexpr int gate_arity(GateKind kind) noexcept {
+  switch (kind) {
+    case GateKind::CX:
+    case GateKind::CZ:
+    case GateKind::CP:
+    case GateKind::RZZ:
+    case GateKind::SWAP:
+      return 2;
+    default:
+      return 1;
+  }
+}
 
 /// True for two-qubit unitaries (CX, CZ, CP, RZZ, SWAP).
-bool is_two_qubit(GateKind kind) noexcept;
+constexpr bool is_two_qubit(GateKind kind) noexcept {
+  return gate_arity(kind) == 2;
+}
 
 /// True for gates diagonal in the computational (Z) basis.
 /// Diagonal gates mutually commute regardless of operand overlap.
@@ -64,7 +78,7 @@ struct Gate {
   double param = 0.0;             ///< angle for RX/RY/RZ/RZZ/CP, else unused
 
   /// Number of operands (1 or 2).
-  int arity() const noexcept { return gate_arity(kind); }
+  constexpr int arity() const noexcept { return gate_arity(kind); }
 
   /// First operand (control for CX/CP).
   QubitId q0() const noexcept { return qubits[0]; }

@@ -75,4 +75,24 @@ class Accumulator {
   Histogram hist_;  ///< unconfigured unless enable_histogram()
 };
 
+/// Streaming mean only: Accumulator's Welford mean update, bit for bit,
+/// without variance, extrema or histogram. For per-trial statistics that
+/// report nothing but their mean; add() is inline.
+class MeanAccumulator {
+ public:
+  void add(double x) noexcept {
+    ++n_;
+    mean_ += (x - mean_) / static_cast<double>(n_);
+  }
+
+  std::size_t count() const noexcept { return n_; }
+
+  /// Arithmetic mean; 0 when empty.
+  double mean() const noexcept { return n_ == 0 ? 0.0 : mean_; }
+
+ private:
+  std::size_t n_ = 0;
+  double mean_ = 0.0;
+};
+
 }  // namespace dqcsim

@@ -35,7 +35,7 @@ bool EventQueue::cancel(EventId id) noexcept {
   return true;
 }
 
-void EventQueue::settle_front() {
+void EventQueue::settle_front_slow() {
   for (;;) {
     if (dead_ != 0) {
       // Drop cancelled entries surfacing at the window front or near top.
@@ -55,75 +55,10 @@ void EventQueue::settle_front() {
   }
 }
 
-bool EventQueue::run_front_wins() const noexcept {
-  if (run_head_ >= run_.size()) return false;
-  return near_.empty() || before(run_[run_head_], near_.front());
-}
-
-// DQCSIM_HOT
-EventQueue::IndexEntry EventQueue::extract_min() noexcept {
-  if (run_front_wins()) return run_[run_head_++];
-  const IndexEntry top = near_.front();
-  pop_near_root();
-  return top;
-}
-
 SimTime EventQueue::next_time() {
   DQCSIM_EXPECTS(!empty());
   settle_front();
   return run_front_wins() ? run_[run_head_].time : near_.front().time;
-}
-
-// DQCSIM_HOT
-void EventQueue::push_near(const IndexEntry& entry) {
-  // DQCSIM_LINT_ALLOW(hot-alloc): the near heap grows to its high-water
-  // mark once per reused queue (reserve() sizes it at reset); steady-state
-  // appends land in already-reserved capacity, measured alloc-free by
-  // perf_micro's SteadyStateChurn operator-new counter.
-  near_.push_back(entry);
-  std::size_t pos = near_.size() - 1;
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) >> 2;
-    if (!before(entry, near_[parent])) break;
-    near_[pos] = near_[parent];
-    pos = parent;
-  }
-  near_[pos] = entry;
-}
-
-std::size_t EventQueue::near_best_child(std::size_t pos,
-                                        std::size_t n) const noexcept {
-  const std::size_t first_child = 4 * pos + 1;
-  if (first_child >= n) return n;
-  const std::size_t last_child = std::min(first_child + 4, n);
-  std::size_t best = first_child;
-  for (std::size_t c = first_child + 1; c < last_child; ++c) {
-    if (before(near_[c], near_[best])) best = c;
-  }
-  return best;
-}
-
-// DQCSIM_HOT
-void EventQueue::pop_near_root() noexcept {
-  const IndexEntry last = near_.back();
-  near_.pop_back();
-  const std::size_t n = near_.size();
-  if (n == 0) return;
-  // Bottom-up removal: pull the min-child chain into the root hole, then
-  // sift the former tail entry up from the bottom.
-  std::size_t hole = 0;
-  for (std::size_t best; (best = near_best_child(hole, n)) < n;
-       hole = best) {
-    near_[hole] = near_[best];
-  }
-  std::size_t pos = hole;
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) >> 2;
-    if (!before(last, near_[parent])) break;
-    near_[pos] = near_[parent];
-    pos = parent;
-  }
-  near_[pos] = last;
 }
 
 void EventQueue::rebuild_run() {

@@ -26,6 +26,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -230,15 +231,27 @@ class EventQueue {
   /// Drop cancelled entries from the window front / near top, rebuilding
   /// the window from the overflow when both drain. Precondition: !empty().
   /// Postcondition: the earliest live entry is at run_[run_head_] or
-  /// near_.front().
-  void settle_front();
+  /// near_.front(). Inline fast path: nothing cancelled, a tier non-empty.
+  void settle_front() {
+    if (dead_ == 0 && (run_head_ < run_.size() || !near_.empty())) return;
+    settle_front_slow();
+  }
+  void settle_front_slow();
 
   /// True when the dispatch window's front entry precedes the near-heap
   /// top (the single tier-selection rule next_time/extract_min share).
-  bool run_front_wins() const noexcept;
+  bool run_front_wins() const noexcept {
+    if (run_head_ >= run_.size()) return false;
+    return near_.empty() || before(run_[run_head_], near_.front());
+  }
 
   /// Extract the earliest live entry. Precondition: settled front.
-  IndexEntry extract_min() noexcept;
+  IndexEntry extract_min() noexcept {
+    if (run_front_wins()) return run_[run_head_++];
+    const IndexEntry top = near_.front();
+    pop_near_root();
+    return top;
+  }
 
   /// Sort the nearest chunk of the overflow into a fresh dispatch window.
   void rebuild_run();
@@ -257,5 +270,59 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   std::uint64_t oversized_allocations_ = 0;
 };
+
+// --- near-heap operations, inline: every dispatch and most inserts use them.
+
+// DQCSIM_HOT
+inline void EventQueue::push_near(const IndexEntry& entry) {
+  // DQCSIM_LINT_ALLOW(hot-alloc): the near heap grows to its high-water
+  // mark once per reused queue (reserve() sizes it at reset); steady-state
+  // appends land in already-reserved capacity, measured alloc-free by
+  // perf_micro's SteadyStateChurn operator-new counter.
+  near_.push_back(entry);
+  std::size_t pos = near_.size() - 1;
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) >> 2;
+    if (!before(entry, near_[parent])) break;
+    near_[pos] = near_[parent];
+    pos = parent;
+  }
+  near_[pos] = entry;
+}
+
+inline std::size_t EventQueue::near_best_child(
+    std::size_t pos, std::size_t n) const noexcept {
+  const std::size_t first_child = 4 * pos + 1;
+  if (first_child >= n) return n;
+  const std::size_t last_child = std::min(first_child + 4, n);
+  std::size_t best = first_child;
+  for (std::size_t c = first_child + 1; c < last_child; ++c) {
+    if (before(near_[c], near_[best])) best = c;
+  }
+  return best;
+}
+
+// DQCSIM_HOT
+inline void EventQueue::pop_near_root() noexcept {
+  const IndexEntry last = near_.back();
+  near_.pop_back();
+  const std::size_t n = near_.size();
+  if (n == 0) return;
+  // Bottom-up removal: pull the min-child chain into the root hole, then
+  // sift the former tail entry up from the bottom.
+  std::size_t hole = 0;
+  for (std::size_t best; (best = near_best_child(hole, n)) < n;
+       hole = best) {
+    near_[hole] = near_[best];
+  }
+  std::size_t pos = hole;
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) >> 2;
+    if (!before(last, near_[parent])) break;
+    near_[pos] = near_[parent];
+    pos = parent;
+  }
+  near_[pos] = last;
+}
 
 }  // namespace dqcsim::des

@@ -50,7 +50,19 @@ class Simulator {
   bool cancel(EventId id) noexcept { return queue_.cancel(id); }
 
   /// Execute the single earliest pending event. Returns false if none.
-  bool step();
+  bool step() {
+    if (queue_.empty()) return false;
+    // The clock advances between event extraction and callback dispatch,
+    // so the callback observes now() == its own timestamp without a
+    // separate next_time() pass.
+    queue_.dispatch_next([this](SimTime t, SimTime scheduled_at) {
+      now_ = t;
+      scheduled_at_ = scheduled_at;
+      ++executed_;
+    });
+    scheduled_at_ = now_;
+    return true;
+  }
 
   /// Run until the queue is empty or `max_events` have fired.
   /// Returns the number of events executed.

@@ -7,10 +7,9 @@
 namespace dqcsim::noise {
 
 // DQCSIM_HOT
-void FidelityLedger::add_factor(FidelityTerm term, double f) {
+double FidelityLedger::log_factor(double f) {
   DQCSIM_EXPECTS_MSG(f > 0.0 && f <= 1.0, "fidelity factor must be in (0,1]");
-  log_sum_[index_of(term)] += std::log(f);
-  ++count_[index_of(term)];
+  return std::log(f);
 }
 
 // DQCSIM_HOT

@@ -27,7 +27,20 @@ class FidelityLedger {
  public:
   /// Multiply the running fidelity by `f` under the given category.
   /// Precondition: 0 < f <= 1.
-  void add_factor(FidelityTerm term, double f);
+  void add_factor(FidelityTerm term, double f) {
+    add_log_factor(term, log_factor(f));
+  }
+
+  /// The log-space factor add_factor(term, f) adds: a caller that adds one
+  /// fidelity many times computes it once. Precondition: 0 < f <= 1.
+  static double log_factor(double f);
+
+  /// add_factor with its log precomputed by log_factor(f): bit-identical
+  /// to add_factor(term, f).
+  void add_log_factor(FidelityTerm term, double log_f) noexcept {
+    log_sum_[index_of(term)] += log_f;
+    ++count_[index_of(term)];
+  }
 
   /// Multiply by the idling factor exp(-kappa * t).
   /// Preconditions: kappa >= 0, t >= 0.

@@ -79,7 +79,7 @@ struct TrialState {
   DesignKind design = DesignKind::AsyncBuf;
   std::uint64_t trial_seed = 0;
   RunResult result;
-  Accumulator pair_age_acc;
+  MeanAccumulator pair_age_acc;  ///< consumed pairs' buffer dwell
 
   // --- logical links (rebuilt with the setup) and their delivery -----------
   std::vector<LogicalLink> links;

@@ -20,11 +20,13 @@
 #include "sched/remote_gates.hpp"
 #include "sched/segmentation.hpp"
 #include "sched/variants.hpp"
+#include "sched/wire_dag.hpp"
 
 namespace dqcsim::runtime {
 
 struct RunContext::State final : detail::TrialState {
-  static constexpr std::size_t kNone = ~std::size_t{0};
+  static constexpr std::uint32_t kNoGate = sched::WireDag::kNoGate;
+  using GateSuccs = sched::WireDag::Succs;
   /// Capacity of the inline pair-birth store: 2 pairs (state teleport)
   /// doubled by purify-on-consume is the structural maximum.
   static constexpr std::size_t kMaxPairsPerGate = 4;
@@ -51,11 +53,24 @@ struct RunContext::State final : detail::TrialState {
   } key;
 
   sched::GatePlacement placement;
+  // Per-gate facts the trial only reads. A gate's class indexes the
+  // per-trial latency table and the setup's fidelity tables (latencies
+  // are not part of the key, so none is baked in here).
+  enum GateClass : std::uint8_t { kOneQubit, kLocal2Q, kMeasure, kRemote };
+  static constexpr std::array<noise::FidelityTerm, 3> kLocalTerm = {
+      noise::FidelityTerm::Local1Q, noise::FidelityTerm::Local2Q,
+      noise::FidelityTerm::Measurement};
+  std::vector<std::uint8_t> gate_class;
+  std::array<double, 3> local_log_fid{};  ///< log fidelity per local class
+  sched::WireDag wire_dag;  ///< program order: non-adaptive designs' DAG
   // Adaptive designs: built by the first adaptive trial for segment_size
   // remote gates per segment (0: not built for this key).
   std::size_t segment_size = 0;
   std::vector<sched::Segment> segments;
-  std::unique_ptr<sched::SegmentVariantTable> variant_table;
+  std::vector<std::size_t> segment_of_gate;
+  /// Per policy: each segment's variant order wired as one run, segment s
+  /// at positions [segments[s].begin, segments[s].end).
+  std::array<sched::WireDag, 3> variant_dag;
   std::optional<sched::AdaptivePolicy> adaptive_policy;
   // Fused designs: built by the first fused trial (one entry per gate).
   std::vector<std::size_t> chain_next;  ///< kNoFusedNext-terminated chains
@@ -130,20 +145,29 @@ struct RunContext::State final : detail::TrialState {
   // --- adaptive scheduling state (per trial) --------------------------------
   std::size_t next_segment = 0;  ///< index of the next segment to admit
   bool admitting = false;        ///< re-entrancy guard for pump_segments
-  std::vector<std::size_t> segment_of_gate;   // valid once admitted
   std::vector<std::size_t> unstarted_in_segment;
 
   // --- per-gate scheduling state (per trial) --------------------------------
-  /// Flat successor store: a gate has at most one successor per wire, so
-  /// two slots cover every case without per-gate vectors.
-  struct GateSuccs {
-    std::size_t s[2];
-    std::uint8_t n = 0;
+  /// One record per gate. A non-adaptive trial copies `initial_run` (the
+  /// wire DAG's predecessor counts); an adaptive one writes each gate's
+  /// record at its admission.
+  struct GateRun {
+    std::uint8_t preds = 0;  ///< unfinished predecessors
+    bool started = false;
+    bool completed = false;
   };
-  std::vector<std::size_t> last_on_wire;      // per qubit, kNone if none
-  std::vector<std::size_t> remaining_preds;
+  std::vector<GateRun> run;
+  std::vector<GateRun> initial_run;  ///< setup: wire_dag.num_preds
+  /// This trial's successors: the wire DAG's, or the adaptive admission's
+  /// `succs_of`.
+  const GateSuccs* succs = nullptr;
+  /// Non-adaptive admission frontier: gates below it are admitted. A 1q
+  /// chain started while the t = 0 loop admits stops at the frontier.
+  std::size_t admitted_end = 0;
+  std::array<double, 4> class_latency{};  ///< per GateClass, from config.lat
+  // Adaptive admission (run-time wiring in the chosen variant orders).
+  std::vector<std::uint32_t> last_on_wire;  // per qubit, kNoGate if none
   std::vector<GateSuccs> succs_of;
-  std::vector<char> admitted, started, completed_flag;
   std::size_t num_completed = 0;
   double makespan = 0.0;
 
@@ -155,8 +179,8 @@ struct RunContext::State final : detail::TrialState {
 
   // --- metrics (per trial) --------------------------------------------------
   noise::FidelityLedger ledger;
-  Accumulator remote_wait_acc;
-  Accumulator route_hops_acc;
+  MeanAccumulator remote_wait_acc;
+  MeanAccumulator route_hops_acc;
 
   // --- setup / reuse --------------------------------------------------------
 
@@ -218,6 +242,23 @@ struct RunContext::State final : detail::TrialState {
     }
     pending.resize(links.size());
 
+    gate_class.resize(c.num_gates());
+    for (std::size_t g = 0; g < c.num_gates(); ++g) {
+      const Gate& gate = c.gate(g);
+      gate_class[g] = placement.is_remote[g]          ? kRemote
+                      : gate.kind == GateKind::Measure ? kMeasure
+                      : gate.arity() == 2              ? kLocal2Q
+                                                       : kOneQubit;
+    }
+    local_log_fid = {noise::FidelityLedger::log_factor(cfg.fid.one_qubit),
+                     noise::FidelityLedger::log_factor(cfg.fid.local_cnot),
+                     noise::FidelityLedger::log_factor(cfg.fid.measurement)};
+    wire_dag.build(c);
+    initial_run.resize(c.num_gates());
+    for (std::size_t g = 0; g < c.num_gates(); ++g) {
+      initial_run[g] = GateRun{wire_dag.num_preds[g], false, false};
+    }
+
     key.circuit = &c;
     key.fingerprint = fingerprint;
     key.assignment = assignment;
@@ -245,18 +286,38 @@ struct RunContext::State final : detail::TrialState {
     if (build_adaptive) {
       segment_size = cfg.effective_segment_size();
       segments = sched::segment_by_remote_gates(placement, segment_size);
-      variant_table = std::make_unique<sched::SegmentVariantTable>(
-          c, placement, segments);
+      segment_of_gate.resize(c.num_gates());
+      for (std::size_t s = 0; s < segments.size(); ++s) {
+        for (std::size_t g = segments[s].begin; g < segments[s].end; ++g) {
+          segment_of_gate[g] = s;
+        }
+      }
+      for (sched::WireDag& dag : variant_dag) dag.clear(c);
+      for (const sched::Segment& segment : segments) {
+        // One segment's table at a time: only the wired orders are kept.
+        const sched::SegmentVariantTable variants(c, placement, {segment});
+        for (std::size_t p = 0; p < variant_dag.size(); ++p) {
+          sched::WireDag& dag = variant_dag[p];
+          dag.begin_run();
+          for (const std::size_t g :
+               variants.order(0, static_cast<sched::SchedulingPolicy>(p))) {
+            dag.append(c, g);
+          }
+          DQCSIM_ENSURES(dag.gate.size() == segment.end);
+        }
+      }
       adaptive_policy.emplace(segment_size);
     }
   }
 
   /// Point the workspace at one trial's inputs: reseed, rewind the
   /// simulator, and re-zero all per-trial state. Reuses every buffer.
+  /// `validate` false skips cfg.validate() for a caller that validated the
+  /// config once for all its trials.
   void prepare(const Circuit& c, const std::vector<int>& assignment,
                const ArchConfig& cfg, DesignKind d, std::uint64_t seed,
-               const noise::TeleportFidelityModel* model) {
-    cfg.validate();
+               const noise::TeleportFidelityModel* model, bool validate) {
+    if (validate) cfg.validate();
     if (d != DesignKind::IdealMono) {
       DQCSIM_EXPECTS_MSG(
           assignment.size() == static_cast<std::size_t>(c.num_qubits()),
@@ -319,15 +380,25 @@ struct RunContext::State final : detail::TrialState {
       if (!state_model) state_model.emplace(tele);
     }
 
+    class_latency = {config.lat.one_qubit, config.lat.local_cnot,
+                     config.lat.measurement,
+                     config.remote_impl == RemoteImpl::GateTeleport
+                         ? config.lat.remote_gate
+                         : config.lat.remote_gate_state};
     const std::size_t n = c.num_gates();
-    last_on_wire.assign(static_cast<std::size_t>(c.num_qubits()), kNone);
-    remaining_preds.assign(n, 0);
-    succs_of.assign(n, GateSuccs{});
-    admitted.assign(n, 0);
-    started.assign(n, 0);
-    completed_flag.assign(n, 0);
-    segment_of_gate.assign(n, 0);
-    unstarted_in_segment.assign(segments.size(), 0);
+    if (use_adaptive) {
+      // Admission writes each gate's record and successors before any
+      // read: nothing from the previous trial is visible.
+      run.resize(n);
+      succs_of.resize(n);
+      last_on_wire.assign(static_cast<std::size_t>(c.num_qubits()), kNoGate);
+      unstarted_in_segment.assign(segments.size(), 0);
+      succs = succs_of.data();
+    } else {
+      run = initial_run;
+      succs = wire_dag.succs.data();
+    }
+    admitted_end = 0;
     next_segment = 0;
     admitting = false;
     num_completed = 0;
@@ -337,61 +408,34 @@ struct RunContext::State final : detail::TrialState {
 
     ledger = noise::FidelityLedger{};
     result = RunResult{};
-    pair_age_acc = Accumulator{};
-    remote_wait_acc = Accumulator{};
-    route_hops_acc = Accumulator{};
-  }
-
-  // --- helpers --------------------------------------------------------------
-
-  double latency_of(const Gate& g, bool remote) const {
-    if (remote) {
-      return config.remote_impl == RemoteImpl::GateTeleport
-                 ? config.lat.remote_gate
-                 : config.lat.remote_gate_state;
-    }
-    if (g.kind == GateKind::Measure) return config.lat.measurement;
-    if (g.arity() == 2) return config.lat.local_cnot;
-    return config.lat.one_qubit;
-  }
-
-  double gate_fidelity_local(const Gate& g) const {
-    if (g.kind == GateKind::Measure) return config.fid.measurement;
-    if (g.arity() == 2) return config.fid.local_cnot;
-    return config.fid.one_qubit;
-  }
-
-  bool is_remote(std::size_t gate_index) const {
-    return design != DesignKind::IdealMono &&
-           placement.is_remote[gate_index] != 0;
+    pair_age_acc = MeanAccumulator{};
+    remote_wait_acc = MeanAccumulator{};
+    route_hops_acc = MeanAccumulator{};
   }
 
   // --- admission (stream construction) --------------------------------------
 
-  /// Admit gate `g` into the execution stream: wire up dependencies on the
-  /// previously admitted gates sharing its qubits.
-  void admit_gate(std::size_t g, std::size_t segment_index) {
-    DQCSIM_ENSURES(!admitted[g]);
-    admitted[g] = 1;
-    segment_of_gate[g] = segment_index;
+  /// Admit the gate at position `pos` of a variant DAG into the execution
+  /// stream. Its edges inside the segment are prebuilt (no gate completes
+  /// while a segment is admitted); a wire entering the segment there waits
+  /// on the wire's last gate of an earlier segment while that one is
+  /// unfinished.
+  void admit_gate(const sched::WireDag& dag, std::size_t pos) {
+    const std::uint32_t g = dag.gate[pos];
+    succs_of[g] = dag.succs[pos];
+    std::uint8_t preds = dag.num_preds[pos];
+    const std::uint8_t open = dag.open_wires[pos];
     const Gate& gate = circuit->gate(g);
-    std::size_t preds = 0;
     for (int k = 0; k < gate.arity(); ++k) {
       auto& last = last_on_wire[static_cast<std::size_t>(
           gate.qubits[static_cast<std::size_t>(k)])];
-      if (last != kNone && !completed_flag[last]) {
-        // Duplicate edges (same pred via both wires) are fine: count both
-        // and notify twice on completion — avoided by checking succs back:
-        auto& sv = succs_of[last];
-        if (sv.n == 0 || sv.s[sv.n - 1] != g) {
-          DQCSIM_ENSURES(sv.n < 2);  // one successor per wire
-          sv.s[sv.n++] = g;
-          ++preds;
-        }
+      if ((open >> k & 1u) != 0 && last != kNoGate && !run[last].completed &&
+          succs_of[last].add(g)) {
+        ++preds;
       }
       last = g;
     }
-    remaining_preds[g] = preds;
+    run[g] = GateRun{preds, false, false};
     if (preds == 0) on_gate_ready(g);
   }
 
@@ -412,9 +456,11 @@ struct RunContext::State final : detail::TrialState {
           break;
       }
     }
-    const auto& order = variant_table->order(s, policy);
-    unstarted_in_segment[s] = order.size();
-    for (std::size_t g : order) admit_gate(g, s);
+    const sched::WireDag& dag = variant_dag[static_cast<std::size_t>(policy)];
+    unstarted_in_segment[s] = segments[s].size();
+    for (std::size_t pos = segments[s].begin; pos < segments[s].end; ++pos) {
+      admit_gate(dag, pos);
+    }
   }
 
   /// Admit further segments while the most recently admitted one has fully
@@ -435,7 +481,7 @@ struct RunContext::State final : detail::TrialState {
   // --- execution -------------------------------------------------------------
 
   void on_gate_ready(std::size_t g) {
-    if (is_remote(g)) {
+    if (gate_class[g] == kRemote) {
       const std::size_t i = link_of_gate[g];
       pending[i].push_back(PendingRemote{g, sim.now(), {}, {}, 0});
       serve_pending(i);
@@ -444,21 +490,19 @@ struct RunContext::State final : detail::TrialState {
     }
   }
 
-  static noise::FidelityTerm local_term_of(const Gate& gate) {
-    return (gate.arity() == 2) ? noise::FidelityTerm::Local2Q
-           : (gate.kind == GateKind::Measure)
-               ? noise::FidelityTerm::Measurement
-               : noise::FidelityTerm::Local1Q;
+  /// Record local gate `g`'s fidelity factor; returns its latency.
+  double charge_local(std::size_t g) {
+    const std::uint8_t cls = gate_class[g];
+    ledger.add_log_factor(kLocalTerm[cls], local_log_fid[cls]);
+    return class_latency[cls];
   }
 
   void start_local_gate(std::size_t g) {
-    if (fuse_chains && circuit->gate(g).arity() == 1) {
+    if (fuse_chains && gate_class[g] != kLocal2Q) {
       start_local_chain(g);
       return;
     }
-    const Gate& gate = circuit->gate(g);
-    ledger.add_factor(local_term_of(gate), gate_fidelity_local(gate));
-    begin_execution(g, latency_of(gate, /*remote=*/false));
+    begin_execution(g, charge_local(g));
   }
 
   /// Start the maximal admitted 1q chain beginning at `g` as one event.
@@ -469,13 +513,12 @@ struct RunContext::State final : detail::TrialState {
     des::SimTime end = sim.now();
     std::size_t tail = head;
     for (std::size_t g = head;; g = chain_next[g]) {
-      DQCSIM_ENSURES(!started[g]);
-      started[g] = 1;
-      const Gate& gate = circuit->gate(g);
-      ledger.add_factor(local_term_of(gate), gate_fidelity_local(gate));
-      end += latency_of(gate, /*remote=*/false);
+      DQCSIM_ENSURES(!run[g].started);
+      run[g].started = true;
+      end += charge_local(g);
       tail = g;
-      if (chain_next[g] == sched::kNoFusedNext || !admitted[chain_next[g]]) {
+      if (chain_next[g] == sched::kNoFusedNext ||
+          chain_next[g] >= admitted_end) {
         break;
       }
     }
@@ -542,38 +585,35 @@ struct RunContext::State final : detail::TrialState {
             ? teleport_model->eval(pair_fidelity[0])
             : state_model->eval(pair_fidelity[0], pair_fidelity[1]);
     ledger.add_factor(noise::FidelityTerm::Remote, gate_fidelity);
-    begin_execution(
-        g, extra_delay + latency_of(circuit->gate(g), /*remote=*/true));
+    begin_execution(g, extra_delay + class_latency[kRemote]);
   }
 
   void begin_execution(std::size_t g, double latency) {
-    DQCSIM_ENSURES(!started[g]);
-    started[g] = 1;
+    DQCSIM_ENSURES(!run[g].started);
+    run[g].started = true;
 
-    // Segment bookkeeping for adaptive admission.
+    // Segment bookkeeping for adaptive admission: only a segment's last
+    // start can let the next segment in.
     if (use_adaptive) {
       const std::size_t s = segment_of_gate[g];
       DQCSIM_ENSURES(unstarted_in_segment[s] > 0);
-      --unstarted_in_segment[s];
-      pump_segments();
+      if (--unstarted_in_segment[s] == 0) pump_segments();
     }
 
     sim.schedule_in(latency, [this, g] { complete_gate(g); });
   }
 
   void complete_gate(std::size_t g) {
-    DQCSIM_ENSURES(!completed_flag[g]);
-    completed_flag[g] = 1;
+    DQCSIM_ENSURES(!run[g].completed);
+    run[g].completed = true;
     ++num_completed;
     makespan = std::max(makespan, sim.now());
-    const GateSuccs& sv = succs_of[g];
-    for (std::uint8_t k = 0; k < sv.n; ++k) {
-      const std::size_t next = sv.s[k];
-      DQCSIM_ENSURES(remaining_preds[next] > 0);
+    for (const std::uint32_t s : succs[g].s) {
+      if (s == kNoGate) break;
+      GateRun& next = run[s];
+      DQCSIM_ENSURES(next.preds > 0);
       // A chain-fused successor is already running; just settle the edge.
-      if (--remaining_preds[next] == 0 && !started[next]) {
-        on_gate_ready(next);
-      }
+      if (--next.preds == 0 && !next.started) on_gate_ready(s);
     }
   }
 
@@ -589,9 +629,8 @@ struct RunContext::State final : detail::TrialState {
     const double extra_delay =
         swap_delay +
         (config.purify_on_consume ? config.purification_latency : 0.0);
-    observer.remote_served(
-        i, ready_at, sim.now(), static_cast<double>(hops),
-        extra_delay + latency_of(circuit->gate(gate), /*remote=*/true));
+    observer.remote_served(i, ready_at, sim.now(), static_cast<double>(hops),
+                           extra_delay + class_latency[kRemote]);
     pending[i].pop_front();
     // start_remote_gate reads `logical` before any re-entrant serve (via
     // segment pumping) can clobber the scratch buffers it points into.
@@ -681,10 +720,14 @@ struct RunContext::State final : detail::TrialState {
       admitting = false;
       pump_segments();
     } else {
-      // Single implicit segment: the whole circuit in program order.
-      for (std::size_t g = 0; g < circuit->num_gates(); ++g) {
-        admit_gate(g, 0);
+      // Single implicit segment: the whole circuit in program order, wired
+      // by the setup's DAG. Its roots start in program order, each with
+      // the gates before it admitted.
+      for (const std::size_t g : wire_dag.roots) {
+        admitted_end = g + 1;
+        on_gate_ready(g);
       }
+      admitted_end = circuit->num_gates();
     }
 
     // Drive the simulation until every gate has completed. A finite
@@ -773,7 +816,17 @@ RunResult RunContext::execute(const Circuit& circuit,
                               const ArchConfig& config, DesignKind design,
                               std::uint64_t seed,
                               const noise::TeleportFidelityModel* model) {
-  state_->prepare(circuit, assignment, config, design, seed, model);
+  state_->prepare(circuit, assignment, config, design, seed, model,
+                  /*validate=*/true);
+  return state_->do_run();
+}
+
+RunResult RunContext::execute_validated(const Circuit& circuit,
+                                        const std::vector<int>& assignment,
+                                        const ArchConfig& config,
+                                        DesignKind design, std::uint64_t seed) {
+  state_->prepare(circuit, assignment, config, design, seed, nullptr,
+                  /*validate=*/false);
   return state_->do_run();
 }
 

@@ -71,6 +71,15 @@ class RunContext {
                     const noise::TeleportFidelityModel* teleport_model =
                         nullptr);
 
+  /// execute() for a batch caller that validated `config` once for all of
+  /// its trials (runtime::run_design, run_design_matrix): skips only the
+  /// per-trial ArchConfig::validate(). Precondition: config.validate()
+  /// passed and the config is unchanged since.
+  RunResult execute_validated(const Circuit& circuit,
+                              const std::vector<int>& assignment,
+                              const ArchConfig& config, DesignKind design,
+                              std::uint64_t seed);
+
   /// End a batch of execute() calls (runtime::run_design calls this when
   /// it returns): drop every reference to the batch's inputs — the
   /// config's observer, scenario and topology handles, the circuit and

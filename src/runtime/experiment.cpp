@@ -97,13 +97,16 @@ AggregateResult run_design(const Circuit& circuit,
                            const ArchConfig& config, DesignKind design,
                            int runs, std::uint64_t base_seed, int threads) {
   DQCSIM_EXPECTS(runs >= 1);
+  // One validation serves every trial of the call.
+  config.validate();
   // Per-run results land in disjoint slots; the streaming aggregate is then
   // folded in run order, so thread count and completion order never change
   // a single bit of the statistics.
   std::vector<RunResult> results(static_cast<std::size_t>(runs));
   run_cells(results.size(), threads, [&](RunContext& context, std::size_t r) {
-    results[r] = context.execute(circuit, assignment, config, design,
-                                 base_seed + static_cast<std::uint64_t>(r));
+    results[r] = context.execute_validated(
+        circuit, assignment, config, design,
+        base_seed + static_cast<std::uint64_t>(r));
   });
 
   AggregateResult aggregate;
@@ -117,6 +120,7 @@ std::vector<AggregateResult> run_design_matrix(
     int threads) {
   DQCSIM_EXPECTS(runs >= 1);
   if (points.empty()) return {};
+  for (const DesignPoint& point : points) point.config.validate();
 
   // One flat cell grid: all point x run pairs share the pool, so a sweep of
   // many small-run points parallelizes as well as one large run_design.
@@ -128,7 +132,7 @@ std::vector<AggregateResult> run_design_matrix(
   std::vector<RunResult> cells(points.size() * num_runs);
   run_cells(cells.size(), threads, [&](RunContext& context, std::size_t cell) {
     const DesignPoint& point = points[cell / num_runs];
-    cells[cell] = context.execute(
+    cells[cell] = context.execute_validated(
         circuit, assignment, point.config, point.design,
         base_seed + static_cast<std::uint64_t>(cell % num_runs));
   });

@@ -319,6 +319,22 @@ TEST(Accumulator, EmptyDefaults) {
   EXPECT_EQ(acc.stderr_mean(), 0.0);
 }
 
+TEST(Accumulator, MeanAccumulatorMatchesTheFullMeanBitForBit) {
+  // The engine's per-trial means use MeanAccumulator; they must equal the
+  // full Accumulator's Welford mean exactly, after every observation.
+  MeanAccumulator lean;
+  Accumulator full;
+  EXPECT_EQ(lean.mean(), 0.0);
+  Rng rng(7);
+  for (int i = 0; i < 1000; ++i) {
+    const double x = rng.uniform(-50.0, 200.0);
+    lean.add(x);
+    full.add(x);
+    ASSERT_EQ(lean.count(), full.count());
+    ASSERT_EQ(lean.mean(), full.mean()) << "after " << i + 1;
+  }
+}
+
 TEST(Accumulator, EmptyExtremaAreFiniteZero) {
   // Regression: an empty accumulator used to leak its ±inf sentinels
   // through min()/max() into bench reports, where the JSON writer has no

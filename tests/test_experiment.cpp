@@ -171,8 +171,10 @@ TEST(ExperimentDeterminism, FusedLocalGatesAreBitIdenticalToUnfused) {
   // completion, and the completion instant left-folds latencies exactly as
   // sequential scheduling would. TLIM is the chain-rich workload (rz/rx
   // runs per wire); QAOA and QFT cover the chain-free shapes.
-  for (const auto id : {gen::BenchmarkId::TLIM_32, gen::BenchmarkId::QAOA_R8_32,
-                        gen::BenchmarkId::QFT_32}) {
+  for (const auto id :
+       {gen::BenchmarkId::TLIM_32, gen::BenchmarkId::QAOA_R8_32,
+        gen::BenchmarkId::QFT_32, gen::BenchmarkId::QAOA_R4_64,
+        gen::BenchmarkId::QAOA_R8_64}) {
     const Circuit qc = gen::make_benchmark(id);
     const auto part = partition_circuit(qc, 2);
     for (const DesignKind design : all_designs()) {
@@ -186,6 +188,41 @@ TEST(ExperimentDeterminism, FusedLocalGatesAreBitIdenticalToUnfused) {
           run_design(qc, part.assignment, unfused, design, 6, 1000, 1);
       expect_identical(a, b);
     }
+  }
+}
+
+TEST(ExperimentDeterminism, FusedChainStopsAtTheAdmissionFrontier) {
+  // The t = 0 admission starts each root gate with only the gates before
+  // it admitted, so a 1q chain started there ends at its first gate not
+  // yet admitted, as in unfused execution. Here rz(A) (gate 0) chains into
+  // rx(A) (gate 2) past cx(C, D) (gate 1); all three end at t = 1. Unfused,
+  // cx(C, D) completes first at t = 1 (queued at t = 0, rx(A) at t = 0.5),
+  // so the remote cx(C, E) claims the one buffered pair and the remote
+  // cx(A, B), whose wire carries a long tail, waits. A chain run past the
+  // frontier would be queued at t = 0 ahead of cx(C, D) and swap the two.
+  constexpr QubitId A = 0, C = 1, D = 2, B = 3, E = 4, A2 = 5;
+  Circuit qc(6, "frontier");
+  qc.rz(A, 0.1);
+  qc.cx(C, D);
+  qc.rx(A, 0.2);
+  qc.cx(A, B);
+  qc.cx(C, E);
+  for (int i = 0; i < 6; ++i) qc.cx(A, A2);
+  const std::vector<int> nodes = {0, 0, 0, 1, 1, 0};
+  ArchConfig config;
+  config.comm_per_node = 1;
+  config.buffer_per_node = 1;
+  config.p_succ = 1.0;
+  config.lat.one_qubit = 0.5;
+  config.lat.epr_cycle = 0.5;
+  config.lat.swap_buffer = 0.25;
+  for (const DesignKind design : {DesignKind::SyncBuf, DesignKind::AsyncBuf}) {
+    SCOPED_TRACE(design_name(design));
+    ArchConfig fused = config, unfused = config;
+    fused.fuse_local_gates = true;
+    unfused.fuse_local_gates = false;
+    expect_identical(run_design(qc, nodes, fused, design, 4, 7, 1),
+                     run_design(qc, nodes, unfused, design, 4, 7, 1));
   }
 }
 
@@ -335,6 +372,83 @@ TEST(RunContextReuse, ValidatesInputsOnEveryCall) {
                PreconditionError);
   // The context stays usable after a rejected call.
   ctx.execute(qc, part.assignment, {}, DesignKind::AsyncBuf, 1);
+}
+
+TEST(RunContextReuse, ClassTablesFollowTheConfig) {
+  // A gate's class (one-qubit, local two-qubit, measurement, remote) is
+  // built with the setup; its latency is read from the trial's config and
+  // its fidelity from the setup's, whose key holds the fidelities but no
+  // latency. One context stepping through latency and fidelity changes,
+  // over both remote implementations and fused, adaptive and bufferless
+  // designs, must match a fresh context on every trial.
+  Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R4_32);
+  for (QubitId q = 0; q < qc.num_qubits(); ++q) qc.measure(q);
+  const auto part = partition_circuit(qc, 2);
+
+  std::vector<ArchConfig> configs(1);
+  const auto step = [&](auto&& change) {
+    configs.push_back(configs.back());
+    change(configs.back());
+  };
+  step([](ArchConfig& c) { c.lat.one_qubit = 0.3; });
+  step([](ArchConfig& c) { c.lat.local_cnot = 1.5; });
+  step([](ArchConfig& c) { c.lat.measurement = 2.0; });
+  step([](ArchConfig& c) { c.lat.remote_gate = 2.5; });
+  step([](ArchConfig& c) { c.remote_impl = RemoteImpl::StateTeleport; });
+  step([](ArchConfig& c) { c.lat.remote_gate_state = 4.0; });
+  step([](ArchConfig& c) { c.lat.one_qubit = 0.05; });
+  step([](ArchConfig& c) { c.fid.one_qubit = 0.999; });
+  step([](ArchConfig& c) { c.fid.local_cnot = 0.995; });
+  step([](ArchConfig& c) { c.fid.measurement = 0.99; });
+  step([](ArchConfig& c) { c.fid.epr_f0 = 0.95; });
+  step([](ArchConfig& c) { c.remote_impl = RemoteImpl::GateTeleport; });
+  step([](ArchConfig& c) { c.lat.measurement = 0.0; });
+
+  RunContext reused;
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    for (const DesignKind design :
+         {DesignKind::SyncBuf, DesignKind::AdaptBuf, DesignKind::Original}) {
+      SCOPED_TRACE("config " + std::to_string(i) + " " + design_name(design));
+      const std::uint64_t seed = 70 + i;
+      expect_identical(
+          reused.execute(qc, part.assignment, configs[i], design, seed),
+          RunContext().execute(qc, part.assignment, configs[i], design,
+                               seed));
+    }
+  }
+}
+
+TEST(RunDesign, RejectsAnInvalidConfigBeforeAnyTrial) {
+  // run_design and run_design_matrix validate each config once per call,
+  // before the pool starts, and their trials skip the per-trial check. A
+  // negative latency would otherwise reach the simulator, which rejects
+  // it only once the trial schedules it (a PreconditionError).
+  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R4_32);
+  const auto part = partition_circuit(qc, 2);
+  ArchConfig bad;
+  bad.lat.one_qubit = -1.0;
+  bad.observe = obs::make_observe();
+  EXPECT_THROW(run_design(qc, part.assignment, bad, DesignKind::SyncBuf, 8,
+                          1, 2),
+               ConfigError);
+  EXPECT_EQ(bad.observe->collector.registry().counter_value("trials"), 0u);
+
+  // In a matrix, an invalid later point stops the call before the valid
+  // points run any trial.
+  ArchConfig good;
+  good.observe = obs::make_observe();
+  ArchConfig also_bad;
+  also_bad.p_succ = 0.0;
+  EXPECT_THROW(run_design_matrix(qc, part.assignment,
+                                 {{DesignKind::AsyncBuf, good},
+                                  {DesignKind::AsyncBuf, also_bad}},
+                                 4, 1, 1),
+               ConfigError);
+  EXPECT_EQ(good.observe->collector.registry().counter_value("trials"), 0u);
+  EXPECT_EQ(run_design(qc, part.assignment, good, DesignKind::AsyncBuf, 2, 1,
+                       1)
+                .depth.count(),
+            2u);
 }
 
 TEST(ExperimentDeterminism, DifferentBaseSeedsDiffer) {

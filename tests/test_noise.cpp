@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -643,6 +644,35 @@ TEST(FidelityLedger, RejectsInvalidFactors) {
   EXPECT_THROW(ledger.add_factor(FidelityTerm::Remote, 1.5),
                PreconditionError);
   EXPECT_THROW(ledger.add_idling(-0.1, 1.0), PreconditionError);
+  EXPECT_THROW(FidelityLedger::log_factor(0.0), PreconditionError);
+}
+
+TEST(FidelityLedger, PrecomputedLogFactorIsBitIdenticalToAddFactor) {
+  // The engine adds each local gate's fidelity through a log computed once
+  // per setup: the ledger's sums, and so every fidelity it reports, must
+  // match add_factor bit for bit. Table II's gate fidelities, then 1 000
+  // seeded factors in (0, 1] (1 - uniform() never reaches 0).
+  std::vector<double> factors = {0.9999, 0.999, 0.998, 0.99, 1.0};
+  Rng rng(20250611);
+  for (int i = 0; i < 1000; ++i) factors.push_back(1.0 - rng.uniform());
+  const FidelityTerm terms[] = {FidelityTerm::Local1Q, FidelityTerm::Local2Q,
+                                FidelityTerm::Remote,
+                                FidelityTerm::Measurement};
+  FidelityLedger direct;
+  FidelityLedger precomputed;
+  for (std::size_t i = 0; i < factors.size(); ++i) {
+    const FidelityTerm term = terms[i % 4];
+    direct.add_factor(term, factors[i]);
+    precomputed.add_log_factor(term, FidelityLedger::log_factor(factors[i]));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(precomputed.fidelity()),
+              std::bit_cast<std::uint64_t>(direct.fidelity()))
+        << "factor " << i << " = " << factors[i];
+  }
+  for (const FidelityTerm term : terms) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(precomputed.category_fidelity(term)),
+              std::bit_cast<std::uint64_t>(direct.category_fidelity(term)));
+    EXPECT_EQ(precomputed.category_count(term), direct.category_count(term));
+  }
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "sched/remote_gates.hpp"
 #include "sched/segmentation.hpp"
 #include "sched/variants.hpp"
+#include "sched/wire_dag.hpp"
 
 namespace dqcsim::sched {
 namespace {
@@ -462,6 +463,117 @@ TEST(FusibleChains, TlimHasRzRxChains) {
   }
   // Every step's rz layer chains into the rx layer on each wire.
   EXPECT_GE(links, 8u);
+}
+
+// --------------------------------------------------------------- wire DAG ----
+// The program-order dependencies the engine builds once per setup.
+
+/// Checks `dag` position by position against an independent derivation:
+/// a gate's predecessors are the last earlier gate of its run on each of
+/// its operand wires, deduplicated; its successors are the later gates of
+/// the run naming it so, in position order. `run_begin` lists each run's
+/// first position, ascending.
+void expect_wire_dag(const Circuit& qc, const WireDag& dag,
+                     const std::vector<std::size_t>& run_begin) {
+  const std::size_t n = dag.gate.size();
+  ASSERT_EQ(dag.succs.size(), n);
+  ASSERT_EQ(dag.num_preds.size(), n);
+  ASSERT_EQ(dag.open_wires.size(), n);
+  std::vector<std::vector<std::uint32_t>> preds(n);  // as positions
+  std::vector<std::uint32_t> roots;
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    while (run + 1 < run_begin.size() && run_begin[run + 1] <= i) ++run;
+    const Gate& g = qc.gate(dag.gate[i]);
+    std::uint8_t open = 0;
+    for (int k = 0; k < g.arity(); ++k) {
+      const QubitId q = g.qubits[static_cast<std::size_t>(k)];
+      bool found = false;
+      for (std::size_t j = i; j-- > run_begin[run];) {
+        const Gate& e = qc.gate(dag.gate[j]);
+        if (e.qubits[0] == q || (e.arity() == 2 && e.qubits[1] == q)) {
+          if (std::find(preds[i].begin(), preds[i].end(), j) ==
+              preds[i].end()) {
+            preds[i].push_back(static_cast<std::uint32_t>(j));
+          }
+          found = true;
+          break;
+        }
+      }
+      if (!found) open |= static_cast<std::uint8_t>(1u << k);
+    }
+    SCOPED_TRACE("position " + std::to_string(i));
+    EXPECT_EQ(dag.num_preds[i], preds[i].size());
+    EXPECT_EQ(dag.open_wires[i], open);
+    if (preds[i].empty()) roots.push_back(static_cast<std::uint32_t>(i));
+  }
+  EXPECT_EQ(dag.roots, roots);
+  for (std::size_t p = 0; p < n; ++p) {
+    std::vector<std::uint32_t> expected;
+    for (std::size_t i = p + 1; i < n; ++i) {
+      if (std::find(preds[i].begin(), preds[i].end(), p) != preds[i].end()) {
+        expected.push_back(dag.gate[i]);
+      }
+    }
+    ASSERT_LE(expected.size(), 2u) << "position " << p;
+    expected.resize(2, WireDag::kNoGate);
+    EXPECT_EQ(dag.succs[p].s[0], expected[0]) << "position " << p;
+    EXPECT_EQ(dag.succs[p].s[1], expected[1]) << "position " << p;
+  }
+}
+
+/// QAOA-r4-32 followed by a measurement of every qubit.
+Circuit measured_qaoa() {
+  Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R4_32);
+  for (QubitId q = 0; q < qc.num_qubits(); ++q) qc.measure(q);
+  return qc;
+}
+
+TEST(WireDag, ProgramOrderMatchesIndependentDerivation) {
+  std::vector<Circuit> circuits;
+  for (const auto id : gen::all_benchmarks()) {
+    circuits.push_back(gen::make_benchmark(id));
+  }
+  circuits.push_back(measured_qaoa());
+  for (const Circuit& qc : circuits) {
+    SCOPED_TRACE(qc.name());
+    WireDag dag;
+    dag.build(qc);
+    ASSERT_EQ(dag.gate.size(), qc.num_gates());
+    for (std::size_t g = 0; g < qc.num_gates(); ++g) {
+      ASSERT_EQ(dag.gate[g], g);  // one run in program order
+    }
+    expect_wire_dag(qc, dag, {0});
+  }
+}
+
+TEST(WireDag, SegmentRunsWireEachVariantOrderAlone) {
+  // The adaptive engine wires each segment's variant order as one run: a
+  // wire entering a segment is open there, whatever came before it.
+  for (const Circuit& qc : {gen::make_benchmark(gen::BenchmarkId::TLIM_32),
+                            measured_qaoa()}) {
+    SCOPED_TRACE(qc.name());
+    const auto part = runtime::partition_circuit(qc, 2);
+    GatePlacement placement;
+    classify_gates(qc, part.assignment, placement);
+    const auto segments = segment_by_remote_gates(placement, 4);
+    ASSERT_GT(segments.size(), 1u);
+    const SegmentVariantTable table(qc, placement, segments);
+    for (const auto policy : {SchedulingPolicy::Original,
+                              SchedulingPolicy::Asap, SchedulingPolicy::Alap}) {
+      SCOPED_TRACE(policy_name(policy));
+      WireDag dag;
+      dag.clear(qc);
+      std::vector<std::size_t> run_begin;
+      for (std::size_t s = 0; s < segments.size(); ++s) {
+        run_begin.push_back(dag.gate.size());
+        dag.begin_run();
+        for (const std::size_t g : table.order(s, policy)) dag.append(qc, g);
+      }
+      ASSERT_EQ(dag.gate.size(), qc.num_gates());
+      expect_wire_dag(qc, dag, run_begin);
+    }
+  }
 }
 
 }  // namespace
