@@ -119,7 +119,6 @@ int main() {
     config.num_nodes = 8;
     config.comm_per_node = 28;  // hub degree 7 -> 4 pairs per hub edge
     config.buffer_per_node = 28;
-    config.record_arrival_trace = false;
     config.set_topology(net::Topology::star(8));
 
     const Cell indep = run_cell(qc, nodes, config, runs);
@@ -164,7 +163,6 @@ int main() {
   config.num_nodes = chain_nodes;
   config.comm_per_node = 16;
   config.buffer_per_node = 16;
-  config.record_arrival_trace = false;
   config.set_topology(net::Topology::chain(chain_nodes));
 
   // The composed rows pay the p_succ^hops cliff (~0.4^13 per window): cap

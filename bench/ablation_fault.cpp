@@ -103,7 +103,6 @@ int main() {
         config.num_nodes = nodes;
         config.comm_per_node = 16;
         config.buffer_per_node = 16;
-        config.record_arrival_trace = false;
         config.set_topology(topo);
         if (nodes == 16) config.max_trial_sim_time = kBudget16;
         if (mtbf > 0.0) {
@@ -176,7 +175,6 @@ int main() {
         config.num_nodes = nodes;
         config.comm_per_node = 16;
         config.buffer_per_node = 16;
-        config.record_arrival_trace = false;
         config.set_topology(topo);
         config.swap_as_you_go = true;
         config.salvage_pairs = salvage;

@@ -39,7 +39,6 @@ int main() {
       // wider interconnects thin each link.
       config.comm_per_node = 16;
       config.buffer_per_node = 16;
-      config.record_arrival_trace = false;  // Monte-Carlo sweep: no Fig. 3
       const double ideal = runtime::ideal_depth(qc, config);
       runtime::AggregateResult agg;
       report.time_section(

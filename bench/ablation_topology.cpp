@@ -73,7 +73,6 @@ int main() {
         config.num_nodes = nodes;
         config.comm_per_node = 16;    // covers the 15 links of 16-node
         config.buffer_per_node = 16;  // all-to-all; sparse shapes get more
-        config.record_arrival_trace = false;
         config.set_topology(topo);
         const double ideal = runtime::ideal_depth(qc, config);
 

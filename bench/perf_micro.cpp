@@ -311,41 +311,6 @@ void BM_RunContextTrialSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_RunContextTrialSteadyState);
 
-// Same trial loop with ArrivalTrace recording off (the Monte-Carlo sweep
-// configuration): the per-arrival log is skipped entirely, so the trial
-// stays allocation-free even on arrival-heavy configs whose trace growth
-// would otherwise occasionally reallocate.
-void BM_RunContextTrialTraceOff(benchmark::State& state) {
-  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
-  const auto part = runtime::partition_circuit(qc, 2);
-  runtime::ArchConfig config;
-  config.record_arrival_trace = false;
-  noise::TeleportNoiseParams tele;
-  tele.local_2q_fidelity = config.fid.local_cnot;
-  tele.local_1q_fidelity = config.fid.one_qubit;
-  tele.readout_fidelity = config.fid.measurement;
-  const noise::TeleportFidelityModel model(tele);
-  runtime::RunContext ctx;
-  constexpr std::uint64_t kSeeds = 16;
-  for (std::uint64_t s = 0; s < kSeeds; ++s) {
-    ctx.execute(qc, part.assignment, config, runtime::DesignKind::AsyncBuf,
-                1000 + s, &model);
-  }
-  const std::uint64_t allocs0 = allocs_since(0);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const auto result =
-        ctx.execute(qc, part.assignment, config,
-                    runtime::DesignKind::AsyncBuf, 1000 + (seed++ % kSeeds),
-                    &model);
-    benchmark::DoNotOptimize(result.depth);
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs_since(allocs0)) /
-      static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_RunContextTrialTraceOff);
-
 // Same trial loop with the observability layer compiled in but disabled
 // (config.observe == nullptr, the default): every obs hook must reduce to
 // a branch on a null pointer, so the trial stays allocation-free and within
@@ -354,7 +319,6 @@ void BM_RunContextTrialObserverOff(benchmark::State& state) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   const auto part = runtime::partition_circuit(qc, 2);
   runtime::ArchConfig config;
-  config.record_arrival_trace = false;
   config.observe = nullptr;  // explicit: the observer-off contract
   noise::TeleportNoiseParams tele;
   tele.local_2q_fidelity = config.fid.local_cnot;
@@ -389,7 +353,6 @@ void BM_RunContextTrialTlim32(benchmark::State& state) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::TLIM_32);
   const auto part = runtime::partition_circuit(qc, 2);
   runtime::ArchConfig config;
-  config.record_arrival_trace = false;
   runtime::RunContext ctx;
   constexpr std::uint64_t kSeeds = 16;
   for (std::uint64_t s = 0; s < kSeeds; ++s) {
@@ -421,7 +384,6 @@ void BM_RunContextTrialFaults(benchmark::State& state) {
   config.num_nodes = 12;
   config.comm_per_node = 16;
   config.buffer_per_node = 16;
-  config.record_arrival_trace = false;
   config.set_topology(net::Topology::chain(12));
   config.swap_as_you_go = true;
   config.salvage_pairs = true;

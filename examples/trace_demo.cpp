@@ -33,7 +33,6 @@ int main() {
   config.num_nodes = kNodes;
   config.comm_per_node = 16;
   config.buffer_per_node = 16;
-  config.record_arrival_trace = false;
   config.set_topology(topo);
 
   // A chain cannot detour around its middle edge, so this outage guarantees

@@ -5,16 +5,14 @@
 /// Records live in stable 256-slot blocks (a slab) threaded by a free list,
 /// so steady-state schedule/cancel/pop cycles perform no heap allocation:
 /// the slab grows to the high-water mark of simultaneously pending events
-/// and is reused from then on. Callbacks are stored in-place when they fit
-/// `kInlineCallbackBytes` (every callback the runtime schedules does); larger
-/// closures fall back to one boxed heap allocation, counted so benchmarks
-/// and tests can assert the fallback never fires on the hot path.
+/// and is reused from then on. Every callback is stored in place and must
+/// fit `kInlineCallbackBytes` (EventQueue::schedule rejects a larger
+/// closure at compile time).
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -29,8 +27,7 @@ using SimTime = double;
 namespace detail {
 
 /// Inline capacity for stored callbacks. Sized for the engine's largest
-/// steady-state closure (a `this` pointer plus a few gate indices) with room
-/// to spare; anything bigger is boxed on the heap.
+/// closure (a `this` pointer plus a few gate indices) with room to spare.
 inline constexpr std::size_t kInlineCallbackBytes = 48;
 
 /// Sentinel: end of the free list.
@@ -56,18 +53,6 @@ struct InlineCallback {
   }
   static constexpr CallbackOps ops{
       &invoke, std::is_trivially_destructible_v<F> ? nullptr : &destroy};
-};
-
-template <typename F>
-struct BoxedCallback {
-  static F* box(void* storage) noexcept {
-    F* p;
-    std::memcpy(&p, storage, sizeof p);
-    return p;
-  }
-  static void invoke(void* storage) { (*box(storage))(); }
-  static void destroy(void* storage) noexcept { delete box(storage); }
-  static constexpr CallbackOps ops{&invoke, &destroy};
 };
 
 template <typename F>

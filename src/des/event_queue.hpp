@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,34 +53,30 @@ class EventQueue {
   /// the caller's clock, handed back to the dispatch hook (see
   /// dispatch_next); a queue used without a clock may leave it at 0.
   /// Precondition: time must be finite and >= 0.
-  /// Allocation-free when the callback fits the pool's inline storage and
-  /// the pool/index are warm; oversized closures are boxed (counted).
+  /// Every callback is stored inline in its pool slot: a closure that does
+  /// not fit kInlineCallbackBytes, or whose construction could throw (an
+  /// lvalue functor that copies, say), does not compile. Allocation-free
+  /// once the pool and index are warm.
   template <typename F>
   EventId schedule(SimTime time, F&& action, SimTime scheduled_at = 0.0) {
+    using Fn = std::decay_t<F>;
+    static_assert(detail::fits_inline_v<Fn> &&
+                      std::is_nothrow_constructible_v<Fn, F&&>,
+                  "event callbacks must fit the pool's inline storage and "
+                  "construct without throwing: capture only what they use");
     DQCSIM_EXPECTS_MSG(std::isfinite(time) && time >= 0.0,
                        "event time must be finite and nonnegative");
     const std::uint32_t slot = pool_.allocate();
     detail::EventRecord& rec = pool_[slot];
-    // Callback construction or index growth may throw (copying an lvalue
-    // functor, boxed/bad_alloc): roll the slot back so the pool stays
-    // consistent.
+    ::new (static_cast<void*>(rec.storage)) Fn(std::forward<F>(action));
+    rec.ops = &detail::InlineCallback<Fn>::ops;
+    // Index growth may throw (bad_alloc): roll the slot back so the pool
+    // stays consistent.
     try {
-      using Fn = std::decay_t<F>;
-      if constexpr (detail::fits_inline_v<Fn>) {
-        ::new (static_cast<void*>(rec.storage)) Fn(std::forward<F>(action));
-        rec.ops = &detail::InlineCallback<Fn>::ops;
-      } else {
-        Fn* boxed = new Fn(std::forward<F>(action));
-        std::memcpy(rec.storage, &boxed, sizeof boxed);
-        rec.ops = &detail::BoxedCallback<Fn>::ops;
-        ++oversized_allocations_;
-      }
       insert_index(IndexEntry{time, next_seq_, slot, rec.generation});
     } catch (...) {
-      if (rec.ops != nullptr) {
-        detail::destroy_callback(rec.ops, rec.storage);
-        rec.ops = nullptr;
-      }
+      detail::destroy_callback(rec.ops, rec.storage);
+      rec.ops = nullptr;
       pool_.release(slot);
       throw;
     }
@@ -178,10 +175,6 @@ class EventQueue {
   std::size_t index_entries() const noexcept {
     return (run_.size() - run_head_) + near_.size() + overflow_.size();
   }
-  /// Callbacks that exceeded the inline storage and were boxed on the heap.
-  std::uint64_t oversized_allocations() const noexcept {
-    return oversized_allocations_;
-  }
 
  private:
   /// One queued event reference. `gen` detects entries whose event was
@@ -268,7 +261,6 @@ class EventQueue {
   std::size_t dead_ = 0;    ///< cancelled entries still in the index
   std::size_t size_ = 0;    ///< live (pending) events
   std::uint64_t next_seq_ = 0;
-  std::uint64_t oversized_allocations_ = 0;
 };
 
 // --- near-heap operations, inline: every dispatch and most inserts use them.

@@ -28,14 +28,6 @@ void BufferPool::configure(int capacity, double f0, double kappa,
   deposited_ = consumed_ = expired_ = rejected_ = 0;
 }
 
-std::size_t BufferPool::flush(des::SimTime now) {
-  expire_until(now);
-  const std::size_t dropped = count_;
-  head_ = 0;
-  count_ = 0;
-  return dropped;
-}
-
 // DQCSIM_HOT
 void BufferPool::expire_until(des::SimTime now) {
   while (count_ > 0 && now - ring_[head_].deposited > cutoff_) {

@@ -53,11 +53,6 @@ class BufferPool {
   /// same-configuration reset (the Monte-Carlo trial loop) is free.
   void configure(int capacity, double f0, double kappa, double cutoff);
 
-  /// Drop every stored pair (a down endpoint node loses its half of each
-  /// buffered state) and return how many were dropped. Capacity and
-  /// lifetime counters are untouched.
-  std::size_t flush(des::SimTime now);
-
   std::size_t capacity() const noexcept { return capacity_; }
 
   /// Pairs currently stored, after expiring per the cutoff at time `now`.
@@ -69,8 +64,8 @@ class BufferPool {
   bool full(des::SimTime now) { return size(now) >= capacity_; }
   bool empty(des::SimTime now) { return size(now) == 0; }
 
-  /// Store a pair deposited at `now` with birth fidelity `f0` (the value a
-  /// time-varying link produced at this instant). Returns false (and counts
+  /// Store a pair deposited at `now` with birth fidelity `f0` (the value
+  /// the link's current segment produced). Returns false (and counts
   /// a waste) when the pool is full.
   bool deposit(des::SimTime now, double f0);
 

@@ -51,7 +51,6 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   ++epoch_;
   buffer_.configure(params.buffer_capacity, params.f0, params.kappa,
                     params.cutoff);
-  trace_.clear();
   handler_ = nullptr;
   eff_ = EffectiveLink{params_.p_succ, params_.f0, true};
   obs_trace_ = nullptr;
@@ -151,8 +150,7 @@ void GenerationService::set_effective(const EffectiveLink& eff) {
 void GenerationService::pre_fill_buffer() {
   DQCSIM_EXPECTS_MSG(mode_ == ServiceMode::Buffered,
                      "pre-fill requires a buffered service");
-  // Under a scenario, pre-loaded pairs carry the effective birth fidelity
-  // of the fill instant (they were generated by the same drifting fabric).
+  // Pre-loaded pairs carry the birth fidelity of the current segment.
   while (!buffer_.full(sim_.now())) {
     buffer_.deposit(sim_.now(), eff_.f0);
   }
@@ -166,7 +164,6 @@ void GenerationService::schedule_deposit(des::SimTime at, double birth_f0) {
       if (obs_trace_ != nullptr) {
         obs_trace_->instant(obs::Ev::Deposit, obs_track_, t);
       }
-      if (params_.record_trace) trace_.record(t);
       if (handler_) handler_(t);
     } else {
       ++wasted_buffer_full_;
@@ -201,12 +198,6 @@ std::optional<BufferedPair> GenerationService::pop(des::SimTime now,
                                                    ConsumeOrder order) {
   if (parked_) wake(now, sim_.scheduled_at());
   return buffer_.pop(now, order);
-}
-
-std::size_t GenerationService::flush_buffer(des::SimTime now) {
-  // A flush happens at a scenario boundary: settle strictly before it.
-  if (parked_) wake(now, -kInf);
-  return buffer_.flush(now);
 }
 
 std::uint64_t GenerationService::windows_through(
@@ -310,7 +301,6 @@ void GenerationService::herald(LazyPair& pair, des::SimTime at) {
   if (mode_ == ServiceMode::Buffered) {
     schedule_deposit(at + params_.swap_latency, eff_.f0);
   } else {
-    if (params_.record_trace) trace_.record(at);
     const bool consumed = handler_ ? handler_(at) : false;
     if (!consumed) ++wasted_unconsumed_;
   }
@@ -372,7 +362,6 @@ void GenerationService::replay_skipped(des::SimTime until, bool stopping,
     if (mode_ == ServiceMode::OnDemand) {
       // Only stop() reaches here (OnDemand never parks): the trial is over,
       // so no gate is left to claim the pair.
-      if (params_.record_trace) trace_.record(at);
       ++wasted_unconsumed_;
       continue;
     }

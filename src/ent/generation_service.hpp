@@ -28,22 +28,24 @@
 /// so pairs on one phase grid share bitwise-equal instants (the Fig. 3
 /// burst pattern).
 ///
-/// Segments. Under a fault & drift scenario the engine pushes the link's
+/// Segments. Under a fault scenario the engine pushes the link's
 /// EffectiveLink (p_succ, f0, up) through set_effective() at t = 0 and at
-/// every scenario boundary; between boundaries it is constant. A change of
-/// p_succ or up settles the service up to the boundary t under the old
-/// values, then redraws each pair's pending success as a fresh geometric
-/// from its first window at or after t (exact: the windows are iid, the
-/// geometric memoryless). A down segment makes no attempt and no draw, and
-/// each pair keeps its phase grid, so generation resumes in phase. A change
-/// of f0 alone redraws nothing: later heralds carry the new f0 (a parked
-/// service settles first, so its SWAPs in flight keep their herald's f0).
+/// every scenario boundary; between boundaries it is constant. The up state
+/// follows the link's outages, and a composed link that reroutes takes its
+/// new route's p_succ and f0. A change of p_succ or up settles the service
+/// up to the boundary t under the old values, then redraws each pair's
+/// pending success as a fresh geometric from its first window at or after
+/// t (exact: the windows are iid, the geometric memoryless). A down segment
+/// makes no attempt and no draw, and each pair keeps its phase grid, so
+/// generation resumes in phase. A change of f0 alone redraws nothing: later
+/// heralds carry the new f0 (a parked service settles first, so its SWAPs
+/// in flight keep their herald's f0).
 ///
 /// Same-instant rule: a window completing exactly at a boundary belongs to
 /// the new segment, except a success the service's timer already heralded
 /// at that instant, which happens when the timer was queued before the
-/// boundary event (ties keep queue order). A settle at a boundary (and a
-/// boundary flush) therefore stops strictly before t.
+/// boundary event (ties keep queue order). A settle at a boundary
+/// therefore stops strictly before t.
 ///
 /// A buffered service whose buffer is full at a herald *parks*: it schedules
 /// nothing until a pop (or, under a finite cutoff, its oldest pair's
@@ -82,8 +84,8 @@
 ///
 /// attempts() is exact at any instant (it counts the windows each pair
 /// completed on its grid in up segments). successes, waste and
-/// max_delivery_gap of a parked service are settled at the next pop, flush
-/// or boundary, or at stop(); the engine reads them only after stop().
+/// max_delivery_gap of a parked service are settled at the next pop or
+/// boundary, or at stop(); the engine reads them only after stop().
 
 #pragma once
 
@@ -99,7 +101,6 @@
 #include "des/simulator.hpp"
 #include "ent/buffer_pool.hpp"
 #include "ent/link_params.hpp"
-#include "ent/trace.hpp"
 #include "obs/trace.hpp"
 
 namespace dqcsim::ent {
@@ -111,8 +112,8 @@ enum class ServiceMode {
 };
 
 /// Effective link parameters of one segment, as seen through an active
-/// fault & drift scenario (the engine composes scenario::ScenarioRuntime
-/// scales over the logical link's current route).
+/// fault scenario (the engine composes them over the logical link's
+/// current route).
 struct EffectiveLink {
   double p_succ = 1.0;  ///< per-attempt success probability
   double f0 = 0.99;     ///< fidelity of a pair born in this segment
@@ -133,8 +134,8 @@ class GenerationService {
                     ServiceMode mode);
 
   /// Return the service to its just-constructed state with (possibly new)
-  /// parameters: not started, empty buffer, cleared trace and counters, no
-  /// arrival handler. Storage capacity is retained, so a same-configuration
+  /// parameters: not started, empty buffer, cleared counters, no arrival
+  /// handler. Storage capacity is retained, so a same-configuration
   /// reset (the Monte-Carlo trial loop) performs no allocation.
   void reset(const LinkParams& params, ServiceMode mode);
 
@@ -195,14 +196,8 @@ class GenerationService {
   /// Buffered pairs available at `now` (after cutoff expiry).
   std::size_t available(des::SimTime now) { return buffer_.size(now); }
 
-  /// Drop every buffered pair (a down endpoint node) and return how many
-  /// were dropped. A parked service settles up to `now` first, so the
-  /// slots the flush frees reach the generation it suspended.
-  std::size_t flush_buffer(des::SimTime now);
-
-  /// Read-only view: consumers mutate the pool through pop()/flush_buffer().
+  /// Read-only view: consumers mutate the pool through pop().
   const BufferPool& buffer() const noexcept { return buffer_; }
-  const ArrivalTrace& trace() const noexcept { return trace_; }
   const LinkParams& params() const noexcept { return params_; }
   ServiceMode mode() const noexcept { return mode_; }
 
@@ -303,7 +298,6 @@ class GenerationService {
   Rng& rng_;
   ServiceMode mode_;
   BufferPool buffer_;
-  ArrivalTrace trace_;
   ArrivalHandler handler_;
   EffectiveLink eff_;  ///< the current segment
   obs::TraceBuffer* obs_trace_ = nullptr;

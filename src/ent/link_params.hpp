@@ -8,10 +8,11 @@
 /// `buffer_capacity`) where they decay per the Werner law with rate `kappa`
 /// and may be discarded after `cutoff` (§III-C cut-off policy).
 ///
-/// These are the stationary values. Under a fault & drift scenario the
-/// engine scales p_succ and f0, and takes the link down, one segment at a
-/// time (ent::EffectiveLink, GenerationService::set_effective); the
-/// structural fields stay fixed for the whole trial.
+/// These are the stationary values. Under a fault scenario the engine
+/// takes the link down and, when a composed link reroutes, moves its
+/// p_succ and f0 to the new route's, one segment at a time
+/// (ent::EffectiveLink, GenerationService::set_effective); the structural
+/// fields stay fixed for the whole trial.
 
 #pragma once
 
@@ -42,10 +43,6 @@ struct LinkParams {
   int async_subgroups = 10;
   /// Which buffered pair remote gates consume (see ConsumeOrder).
   bool consume_freshest = true;
-  /// Record every pair arrival in the ArrivalTrace. The trace feeds the
-  /// Fig. 3 burstiness analysis; Monte-Carlo sweeps that never read it can
-  /// switch it off to avoid the per-arrival log growth entirely.
-  bool record_trace = true;
 
   /// Throws ConfigError when any field is out of domain.
   void validate() const;

@@ -4,6 +4,9 @@
 /// The arrival trace captures when pairs become available, so experiments
 /// can visualize the bursty pattern of synchronous generation versus the
 /// smooth pattern of asynchronous generation, and quantify burstiness.
+/// Generation services keep no log of their own: a caller records each
+/// arrival from the service's arrival handler, which runs at every buffered
+/// deposit (the Fig. 3 bench does).
 
 #pragma once
 

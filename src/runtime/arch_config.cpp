@@ -98,7 +98,6 @@ ent::LinkParams common_link_params(const ArchConfig& cfg,
                       : ent::AttemptSchedule::Synchronous;
   link.async_subgroups = cfg.async_subgroups;
   link.consume_freshest = cfg.consume_freshest;
-  link.record_trace = cfg.record_arrival_trace;
   return link;
 }
 

@@ -95,9 +95,8 @@ struct ArchConfig {
   /// non-adaptive designs (the adaptive controller observes execution at
   /// gate granularity and is left untouched).
   bool fuse_local_gates = true;
-  /// Record per-pair arrival times in each link's ArrivalTrace (Fig. 3).
-  /// Monte-Carlo sweeps that never read the trace can switch this off; no
-  /// simulated statistic depends on it.
+  /// No effect: generation services keep no arrival log. Kept only so
+  /// code that still sets it compiles (the perfbench workloads write it).
   bool record_arrival_trace = true;
   /// Physical interconnect topology. Null (the default) means the legacy
   /// homogeneous all-to-all interconnect; setting a topology routes every
@@ -108,7 +107,7 @@ struct ArchConfig {
   /// ownership keeps ArchConfig copies allocation-free in the Monte-Carlo
   /// trial loop.
   std::shared_ptr<const net::Topology> topology;
-  /// Fault & drift scenario applied per trial (see scenario/scenario.hpp).
+  /// Fault scenario applied per trial (see scenario/scenario.hpp).
   /// Null (the default) is the stationary fabric, bit-identical to builds
   /// without the scenario layer. Requires a topology: scenarios target
   /// physical edges (use net::Topology::all_to_all for the legacy shape).
@@ -150,13 +149,10 @@ struct ArchConfig {
   /// in buffers survive a *channel* outage — only new generation pauses —
   /// so with swap_as_you_go a logical link whose entire route is severed
   /// may still assemble end-to-end pairs from hop pairs buffered before
-  /// the outage, along its last route, provided every node on that route
-  /// is up (salvage is from *surviving nodes*). In the composed model the
-  /// kept stock is re-credited to the re-planned route's budget and
-  /// consumption while routeless is counted as salvage. Pairs buffered at
-  /// a *down node* are lost and flushed at the boundary. Reported as
-  /// pairs_salvaged / pairs_discarded; arbitration between links follows
-  /// the usual creation order.
+  /// the outage, along its last route. In the composed model the kept
+  /// stock is re-credited to the re-planned route's budget and consumption
+  /// while routeless is counted as salvage. Reported as pairs_salvaged;
+  /// arbitration between links follows the usual creation order.
   bool salvage_pairs = false;
   /// link_stalled watchdog: report (in RunResult::links_stalled) how many
   /// generation services went longer than stall_windows attempt windows

@@ -48,7 +48,6 @@ void TrialState::plan_links(TrialObserver& observer) {
   inputs.cutoff = config.buffer_cutoff;
   inputs.async_subgroups = config.async_subgroups;
   inputs.consume_freshest = config.consume_freshest;
-  inputs.record_trace = config.record_arrival_trace;
   inputs.swap = config.swap_params();
   const bool hit = route_cache.topology == config.topology &&
                    route_cache.inputs == inputs;
@@ -212,8 +211,7 @@ class ComposedDelivery final : public Delivery {
   /// A gate is served only when the buffer holds its full pair quota, so a
   /// two-pair gate cannot strand a half-claimed pair decaying outside the
   /// cutoff policy's reach. Each pair decays from its own deposit at the
-  /// fidelity it was born with (swap-composed on routed links,
-  /// drift-scaled under a scenario).
+  /// fidelity it was born with (swap-composed on routed links).
   bool claim(std::size_t i, std::size_t needed, PairClaim& out,
              std::vector<double>& fidelities) override {
     ent::GenerationService& svc = *services_[i];
@@ -333,8 +331,8 @@ class SwapGoDelivery final : public Delivery {
   ///
   /// Mid-flight pair salvage (config.salvage_pairs): a link whose whole
   /// route was severed may still drain hop pairs buffered *before* the
-  /// outage along its last route, provided every node on it survives —
-  /// the gate completes on pre-outage stock instead of stalling for the
+  /// outage along its last route (stored halves outlive a channel outage)
+  /// — the gate completes on pre-outage stock instead of stalling for the
   /// repair window. Links salvage in creation order (after_replan), the
   /// same arbitration rule deposits follow.
   bool claim(std::size_t i, std::size_t needed, PairClaim& out,
@@ -347,9 +345,6 @@ class SwapGoDelivery final : public Delivery {
     if (salvaging) {
       const auto& last = link.route_edges;
       if (!t_.config.salvage_pairs || !faults_.active() || last.empty() ||
-          !std::all_of(
-              last.begin(), last.end(),
-              [&](std::size_t e) { return faults_.nodes_up(e, now); }) ||
           !edges_ready(last, needed)) {
         return false;
       }
@@ -398,17 +393,8 @@ class SwapGoDelivery final : public Delivery {
     return total;
   }
 
-  void after_replan(double t) override {
+  void after_replan() override {
     rebuild_links_on_edge();
-    if (t_.config.salvage_pairs) {
-      // A down node loses its stored halves: flush the buffers of its
-      // incident edges before anyone salvages through them.
-      for (std::size_t e = 0; e < running_; ++e) {
-        if (!faults_.nodes_up(e, t)) {
-          t_.result.pairs_discarded += services_[e]->flush_buffer(t);
-        }
-      }
-    }
     // Deposits wasted against full buffers do not re-fire the arrival
     // handler, so a link re-planned onto already-full edges would
     // otherwise stall until some other deposit lands: serve everyone once

@@ -106,7 +106,6 @@ struct TrialState {
     double cutoff = 0.0;
     int async_subgroups = 0;
     bool consume_freshest = false;
-    bool record_trace = true;
     net::SwapParams swap;
 
     friend bool operator==(const RouteInputs&,
@@ -157,8 +156,8 @@ class Delivery {
   virtual std::size_t occupancy() = 0;
   /// Outage re-plan at `t`: link `link` moved to a different live path.
   virtual void on_path_change(std::size_t /*link*/, double /*t*/) {}
-  /// Outage re-plan at `t`: every link has adopted its new plan.
-  virtual void after_replan(double /*t*/) {}
+  /// Outage re-plan: every link has adopted its new plan.
+  virtual void after_replan() {}
 
   /// End of trial at `horizon`: stop every service, then add their
   /// generation accounting (epr_*, links_stalled) to `result`.

@@ -98,7 +98,7 @@ struct RunContext::State final : detail::TrialState {
     /// OnDemand only: heralds collected so far.
     std::array<des::SimTime, kMaxPairsPerGate> births{};
     /// Fidelity each pair had at its birth instant: the segment's f0, so
-    /// consumption-time decay is exact even after drift or a reroute.
+    /// consumption-time decay is exact even after a reroute.
     std::array<double, kMaxPairsPerGate> birth_f0{};
     std::uint32_t num_births = 0;
   };

@@ -28,16 +28,17 @@ void FaultController::boundary(double t) {
   if (next) t_.sim.schedule_at(*next, [this, when = *next] { boundary(when); });
 }
 
+/// An outage leaves link quality alone: an edge runs at its own p_succ and
+/// f0, and only its up state follows the scenario.
 ent::EffectiveLink FaultController::edge_effective(std::size_t e, double t) {
   const ent::LinkParams& ep = t_.route_cache.edge_params[e];
-  return {scen_.effective_p_succ(e, ep.p_succ, t),
-          scen_.effective_f0(e, ep.f0, t), scen_.edge_up(e, t)};
+  return {ep.p_succ, ep.f0, scen_.edge_up(e, t)};
 }
 
 /// edge_effective hop by hop, composed exactly like net::compose_route
 /// (same product order for p_succ, same weight fold via
-/// swap_composed_fidelity for f0), so unit scales reproduce the stationary
-/// composition bit-for-bit.
+/// swap_composed_fidelity for f0), so a live route reproduces the
+/// stationary composition bit-for-bit.
 ent::EffectiveLink FaultController::link_effective(std::size_t i, double t) {
   ent::EffectiveLink eff;
   eff.up = down_since_[i] == kUp;
@@ -55,16 +56,11 @@ ent::EffectiveLink FaultController::link_effective(std::size_t i, double t) {
   return eff;
 }
 
-bool FaultController::nodes_up(std::size_t e, double t) const {
-  const net::TopologyEdge& edge = t_.config.topology->edge(e);
-  return scen_.node_up(edge.a, t) && scen_.node_up(edge.b, t);
-}
-
 /// Scenario boundary at `t`. Unless the edge up mask is unchanged (a
-/// spurious or drift-only boundary), every route is re-planned over the
-/// surviving subgraph: each link keeps its full-fabric route while that
-/// route survives, a cut-off link is found without a search, and only the
-/// others are searched. Then every service starts its next segment (one
+/// spurious boundary of overlapping outages), every route is re-planned
+/// over the surviving subgraph: each link keeps its full-fabric route while
+/// that route survives, a cut-off link is found without a search, and only
+/// the others are searched. Then every service starts its next segment (one
 /// whose effective link is unchanged ignores it).
 void FaultController::apply_boundary(double t) {
   bool changed = false;
@@ -90,7 +86,7 @@ void FaultController::apply_boundary(double t) {
       if (was_up && down_since_[i] != kUp) any_lost = true;
     }
     if (any_lost) ++t_.result.outage_events;
-    delivery.after_replan(t);
+    delivery.after_replan();
   }
   const auto services = delivery.services();
   for (std::size_t k = 0; k < services.size(); ++k) {

@@ -3,15 +3,14 @@
 /// dqcsim.hpp): every decision a fault scenario drives in a trial
 /// (config.scenario; see src/scenario/), in one place.
 ///
-/// Scenario boundaries (outage flips and every drift or snapshot change)
-/// run as a lazy chain of simulation events, one pending at a time. At a
-/// boundary that changes the edge up mask every logical link's route is
-/// re-planned over the surviving subgraph (TrialState::plan_all_routes):
-/// a pair the mask cuts off is answered from the surviving components and,
-/// under static routing, a route whose edges all survive is kept, so only
-/// the links left run a search. Then every generation service starts its
-/// next segment at its new effective link: between boundaries the services
-/// run one constant segment each.
+/// Scenario boundaries (outage flips) run as a lazy chain of simulation
+/// events, one pending at a time. At a boundary that changes the edge up
+/// mask every logical link's route is re-planned over the surviving
+/// subgraph (TrialState::plan_all_routes): a pair the mask cuts off is
+/// answered from the surviving components and a route whose edges all
+/// survive is kept, so only the links left run a search. Then every
+/// generation service starts its next segment at its new effective link:
+/// between boundaries the services run one constant segment each.
 
 #pragma once
 
@@ -54,10 +53,6 @@ class FaultController {
   ent::EffectiveLink service_effective(std::size_t k, double t) {
     return t_.delivery->per_edge ? edge_effective(k, t) : link_effective(k, t);
   }
-  /// Both endpoint nodes of edge `e` are up at `t`. Stored pair halves
-  /// survive a *channel* outage — only new generation pauses — but die
-  /// with a down node.
-  bool nodes_up(std::size_t e, double t) const;
 
  private:
   static constexpr double kUp = -1.0;  ///< down_since_ of a live link

@@ -99,8 +99,8 @@ enum class RegistryFold : std::uint8_t {
       you-go), pairs consumed or kept through a route loss / re-plan in    \
       the composed model. */                                                 \
   X(std::size_t, pairs_salvaged, 0, Counter)                                 \
-  /** Buffered pairs dropped at fault boundaries: the stock at a down        \
-      node (salvage_pairs). */                                               \
+  /** Always 0: an outage takes only links down, and stored pairs            \
+      outlive it. Kept while perfbench reads it (like route_splits). */      \
   X(std::size_t, pairs_discarded, 0, Counter)                                \
   /** Generation services that at some point went more than               \
       ArchConfig::stall_windows attempt windows without one successful     \

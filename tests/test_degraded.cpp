@@ -1,7 +1,8 @@
 /// Engine-level tests for degraded-mode delivery under faults: mid-flight
 /// pair salvage (swap-as-you-go and composed), the link_stalled watchdog,
 /// the trial sim-time budget, and the determinism contract for every knob
-/// combination (thread-count invariance under drift + outages).
+/// combination (thread-count invariance under scheduled and random
+/// outages).
 
 #include <gtest/gtest.h>
 
@@ -21,10 +22,6 @@ namespace dqcsim::runtime {
 namespace {
 
 using dqcsim::Circuit;
-using scenario::DriftField;
-using scenario::DriftKind;
-using scenario::DriftTrack;
-using scenario::FailureBurst;
 using scenario::Scenario;
 
 RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
@@ -92,22 +89,6 @@ TEST(Salvage, SwapGoServesSeveredRouteFromSurvivingStock) {
   // The route itself stays severed either way — salvage shortens the
   // trial, which is what bounds the accrued downtime.
   EXPECT_GT(off.outage_downtime, 10.0 * on.outage_downtime);
-}
-
-TEST(Salvage, SwapGoStockDiesWithADownNode) {
-  // Same shape, but the *middle node* goes down: its stored halves are
-  // lost (flushed and counted as discarded), so nothing can be salvaged.
-  const Circuit qc = salvage_circuit();
-  const std::vector<int> nodes = {0, 0, 1, 1, 2, 2};
-  ArchConfig config = salvage_config(true, true);
-  Scenario scn;
-  scn.node_outages.push_back({1, 15.0, 2000.0});
-  config.set_scenario(scn);
-
-  const RunResult r = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_EQ(r.pairs_salvaged, 0u);
-  EXPECT_GT(r.pairs_discarded, 0u);
-  EXPECT_GT(r.depth, 2000.0);  // gates wait for the node to come back
 }
 
 TEST(Salvage, ComposedModeCountsSalvageWithoutChangingResults) {
@@ -262,12 +243,18 @@ TEST(Truncation, NeverSucceedingStationaryLinkTruncatesAtTheBudget) {
 }
 
 TEST(Truncation, GenerousBudgetIsBitIdenticalToNoBudget) {
+  // Under outages, scheduled and random, a budget the trial never reaches
+  // changes nothing.
   Circuit qc(4);
   for (int i = 0; i < 6; ++i) qc.rzz(0, 2, 0.1);
   const std::vector<int> nodes = {0, 0, 1, 1};
   ArchConfig unbounded;
   unbounded.num_nodes = 2;
   unbounded.set_topology(net::Topology::chain(2));
+  Scenario scn;
+  scn.link_outages.push_back({0, 1, 1.0, 30.0});
+  scn.random_failures = {100.0, 15.0};
+  unbounded.set_scenario(scn);
   ArchConfig bounded = unbounded;
   bounded.max_trial_sim_time = 1e9;
 
@@ -276,6 +263,7 @@ TEST(Truncation, GenerousBudgetIsBitIdenticalToNoBudget) {
     const RunResult a = run_once(qc, nodes, unbounded, design);
     const RunResult b = run_once(qc, nodes, bounded, design);
     EXPECT_FALSE(b.truncated);
+    EXPECT_GT(a.outage_downtime, 0.0);
     expect_identical(a, b);
   }
 }
@@ -296,56 +284,38 @@ Circuit four_node_circuit() {
   return qc;
 }
 
-/// Drift + deterministic and stochastic outages, exercising every scenario
-/// component the degraded knobs interact with.
+/// Scheduled outages (overlapping on edge {1, 2}) plus random failures on
+/// every edge.
 Scenario faulty_scenario() {
   Scenario scn;
-  DriftTrack walk;
-  walk.field = DriftField::PSucc;
-  walk.kind = DriftKind::RandomWalk;
-  walk.walk_interval = 25.0;
-  walk.walk_step = 0.15;
-  scn.drift.push_back(walk);
   scn.link_outages.push_back({1, 2, 60.0, 40.0});
-  scn.node_outages.push_back({3, 150.0, 30.0});
+  scn.link_outages.push_back({1, 2, 90.0, 30.0});
+  scn.link_outages.push_back({3, 0, 150.0, 30.0});
   scn.random_failures.mtbf = 500.0;
   scn.random_failures.duration = 35.0;
   return scn;
 }
 
-/// Step drift on both fields plus calibration snapshots: boundaries that
-/// change rates without touching the routes.
-Scenario step_snapshot_scenario() {
+/// Scheduled outages only, one nested inside another and two edges going
+/// down together: boundaries that re-plan, and spurious ones that change
+/// no edge.
+Scenario overlapping_scenario() {
   Scenario scn;
-  DriftTrack step;
-  step.field = DriftField::PSucc;
-  step.kind = DriftKind::Step;
-  step.node_a = 0;
-  step.node_b = 1;
-  step.times = {30.0, 90.0};
-  step.levels = {0.5, 1.4};
-  scn.drift.push_back(step);
-  step.field = DriftField::F0;
-  step.node_a = -1;
-  step.node_b = -1;
-  step.times = {45.0};
-  step.levels = {0.97};
-  scn.drift.push_back(step);
-  scn.snapshots.push_back({2, 60.0, 0.7, 0.99});
-  scn.snapshots.push_back({2, 140.0, 1.1, 1.0});
+  scn.link_outages.push_back({0, 1, 30.0, 60.0});
+  scn.link_outages.push_back({0, 1, 45.0, 20.0});
+  scn.link_outages.push_back({2, 3, 60.0, 80.0});
+  scn.link_outages.push_back({3, 0, 60.0, 40.0});
   return scn;
 }
 
-/// A random walk on f0 with a node outage that flushes edge buffers.
-Scenario walk_node_outage_scenario() {
+/// Frequent random failures, plus both edges at node 1 down together while
+/// swap-as-you-go stock waits on them.
+Scenario dense_failures_scenario() {
   Scenario scn;
-  DriftTrack walk;
-  walk.field = DriftField::F0;
-  walk.kind = DriftKind::RandomWalk;
-  walk.walk_interval = 12.5;
-  walk.walk_step = 0.02;
-  scn.drift.push_back(walk);
-  scn.node_outages.push_back({1, 40.0, 50.0});
+  scn.link_outages.push_back({0, 1, 40.0, 50.0});
+  scn.link_outages.push_back({1, 2, 40.0, 50.0});
+  scn.random_failures.mtbf = 120.0;
+  scn.random_failures.duration = 20.0;
   return scn;
 }
 
@@ -365,10 +335,8 @@ TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
   const Combo combos[] = {
       {"salvage_swap_go", faulty_scenario, true, true, false, 0, 1e18},
       {"salvage_composed", faulty_scenario, false, true, false, 0, 1e18},
-      {"step_snapshot_shared", step_snapshot_scenario, false, false, true, 0,
-       1e18},
-      {"walk_node_outage_swap_go", walk_node_outage_scenario, true, true,
-       false, 0, 1e18},
+      {"overlap_shared", overlapping_scenario, false, false, true, 0, 1e18},
+      {"dense_swap_go", dense_failures_scenario, true, true, false, 0, 1e18},
       {"stall_budget", faulty_scenario, false, false, false, 5, 900.0},
       {"all_swap_go", faulty_scenario, true, true, false, 5, 900.0},
       {"all_composed", faulty_scenario, false, true, true, 5, 900.0},

@@ -10,9 +10,11 @@
 #include <optional>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "des/simulator.hpp"
 #include "ent/buffer_pool.hpp"
 #include "ent/generation_service.hpp"
@@ -26,6 +28,15 @@ namespace {
 LinkParams paper_link() {
   LinkParams link;  // defaults match the paper's Table II configuration
   return link;
+}
+
+/// Log every deposit of buffered service `svc` into `log` through its
+/// arrival handler (a service keeps no arrival log of its own).
+void log_arrivals(GenerationService& svc, ArrivalTrace& log) {
+  svc.set_arrival_handler([&log](des::SimTime t) {
+    log.record(t);
+    return true;
+  });
 }
 
 // ------------------------------------------------------------ LinkParams ----
@@ -144,56 +155,19 @@ TEST(GenerationService, SyncCompletionsLandOnCycleGrid) {
   link.p_succ = 1.0;  // every window succeeds
   link.swap_latency = 0.0;
   GenerationService service(sim, link, rng, ServiceMode::Buffered);
+  ArrivalTrace arrivals;
+  log_arrivals(service, arrivals);
   service.start();
   sim.run_until(35.0);
   // Completions at t = 10, 20, 30 with 10 pairs each, capacity 10:
   // deposits beyond capacity are wasted.
-  for (des::SimTime t : service.trace().arrivals()) {
+  EXPECT_EQ(arrivals.count(), 10u);
+  for (des::SimTime t : arrivals.arrivals()) {
     EXPECT_NEAR(std::fmod(t, link.cycle_time), 0.0, 1e-9);
   }
   EXPECT_EQ(service.available(35.0), 10u);
   service.stop();  // a parked service settles its waste at stop()
   EXPECT_GT(service.wasted_buffer_full(), 0u);
-}
-
-TEST(GenerationService, TraceOptOutSkipsRecordingOnly) {
-  // Same physics with record_trace off: deposits, counters and buffer
-  // occupancy are untouched; only the arrival log stays empty.
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-
-  des::Simulator sim_on;
-  Rng rng_on(1);
-  GenerationService on(sim_on, link, rng_on, ServiceMode::Buffered);
-  on.start();
-  sim_on.run_until(35.0);
-
-  link.record_trace = false;
-  des::Simulator sim_off;
-  Rng rng_off(1);
-  GenerationService off(sim_off, link, rng_off, ServiceMode::Buffered);
-  off.start();
-  sim_off.run_until(35.0);
-
-  EXPECT_GT(on.trace().count(), 0u);
-  EXPECT_EQ(off.trace().count(), 0u);
-  EXPECT_EQ(on.attempts(), off.attempts());
-  EXPECT_EQ(on.successes(), off.successes());
-  EXPECT_EQ(on.wasted_buffer_full(), off.wasted_buffer_full());
-  EXPECT_EQ(on.available(35.0), off.available(35.0));
-}
-
-TEST(GenerationService, TraceOptOutAppliesOnDemandToo) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.record_trace = false;
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService service(sim, link, rng, ServiceMode::OnDemand);
-  service.start();
-  sim.run_until(25.0);
-  EXPECT_GT(service.successes(), 0u);
-  EXPECT_EQ(service.trace().count(), 0u);
 }
 
 TEST(GenerationService, AsyncOffsetsAreStaggered) {
@@ -253,11 +227,13 @@ TEST(GenerationService, BufferedArrivalsDelayedBySwap) {
   link.p_succ = 1.0;
   link.swap_latency = 1.0;
   GenerationService service(sim, link, rng, ServiceMode::Buffered);
+  ArrivalTrace arrivals;
+  log_arrivals(service, arrivals);
   service.start();
   sim.run_until(12.0);
-  ASSERT_FALSE(service.trace().arrivals().empty());
+  ASSERT_FALSE(arrivals.arrivals().empty());
   // Completion at 10, deposit at 11.
-  EXPECT_DOUBLE_EQ(service.trace().arrivals().front(), 11.0);
+  EXPECT_DOUBLE_EQ(arrivals.arrivals().front(), 11.0);
 }
 
 TEST(GenerationService, OnDemandUnconsumedPairsAreWasted) {
@@ -337,9 +313,11 @@ TEST(GenerationService, DeterministicForFixedSeed) {
     des::Simulator sim;
     Rng rng(77);
     GenerationService service(sim, paper_link(), rng, ServiceMode::Buffered);
+    ArrivalTrace arrivals;
+    log_arrivals(service, arrivals);
     service.start();
     sim.run_until(500.0);
-    return service.trace().arrivals();
+    return arrivals.arrivals();
   };
   EXPECT_EQ(run_once(), run_once());
 }
@@ -370,9 +348,11 @@ TEST(ArrivalTrace, SyncIsBurstierThanAsync) {
     link.buffer_capacity = 1000000;
     link.swap_latency = 0.0;
     GenerationService service(sim, link, rng, ServiceMode::Buffered);
+    ArrivalTrace arrivals;
+    log_arrivals(service, arrivals);
     service.start();
     sim.run_until(2000.0);
-    return service.trace().burstiness(1.0, 2000.0);
+    return arrivals.burstiness(1.0, 2000.0);
   };
   const double sync = burstiness_of(AttemptSchedule::Synchronous);
   const double async = burstiness_of(AttemptSchedule::Asynchronous);
@@ -386,12 +366,13 @@ TEST(GenerationService, ResetReplaysIdentically) {
   Rng rng(7);
   const LinkParams link = paper_link();
   const auto run_once = [&](GenerationService& service) {
+    ArrivalTrace arrivals;
+    log_arrivals(service, arrivals);
     service.start();
     sim.run_until(200.0);
     service.stop();
     return std::tuple{service.attempts(), service.successes(),
-                      service.trace().count(),
-                      service.buffer().raw_size()};
+                      arrivals.arrivals(), service.buffer().raw_size()};
   };
   GenerationService service(sim, link, rng, ServiceMode::Buffered);
   const auto first = run_once(service);
@@ -399,7 +380,6 @@ TEST(GenerationService, ResetReplaysIdentically) {
   rng = Rng(7);
   service.reset(link, ServiceMode::Buffered);
   EXPECT_EQ(service.attempts(), 0u);
-  EXPECT_EQ(service.trace().count(), 0u);
   EXPECT_EQ(service.buffer().raw_size(), 0u);
   EXPECT_EQ(run_once(service), first);
 }
@@ -441,19 +421,7 @@ TEST(ArrivalTrace, BurstinessZeroWhenEmpty) {
   EXPECT_DOUBLE_EQ(trace.burstiness(1.0, 10.0), 0.0);
 }
 
-// ----------------------------------------------- degraded-mode primitives ----
-
-TEST(BufferPool, FlushDropsEverythingAndReportsCount) {
-  BufferPool pool(4, 0.99, 0.002, 1e9);
-  pool.deposit(1.0);
-  pool.deposit(2.0);
-  pool.deposit(3.0);
-  EXPECT_EQ(pool.flush(4.0), 3u);
-  EXPECT_EQ(pool.size(4.0), 0u);
-  EXPECT_FALSE(pool.pop_oldest(4.0).has_value());
-  EXPECT_TRUE(pool.deposit(5.0));  // pool remains usable
-  EXPECT_EQ(pool.flush(6.0), 1u);
-}
+// --------------------------------------------------------- delivery gap ----
 
 TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
   LinkParams link = paper_link();
@@ -511,41 +479,58 @@ std::size_t grid_windows(const GenerationService& svc, const LinkParams& link,
 void schedule_down_segment(des::Simulator& sim, GenerationService& svc,
                            const LinkParams& link, DownSegment down) {
   if (!(down.until > down.from)) return;
-  sim.schedule_at(down.from, [&svc, link] {
-    svc.set_effective({link.p_succ, link.f0, false});
-  });
-  sim.schedule_at(down.until, [&svc, link] {
-    svc.set_effective({link.p_succ, link.f0, true});
-  });
+  const EffectiveLink off{link.p_succ, link.f0, false};
+  const EffectiveLink on{link.p_succ, link.f0, true};
+  sim.schedule_at(down.from, [&svc, off] { svc.set_effective(off); });
+  sim.schedule_at(down.until, [&svc, on] { svc.set_effective(on); });
 }
+
+/// From `from` on, a link's windows succeed with `p_succ` and its heralded
+/// pairs carry `f0`: one segment of a piecewise schedule.
+struct Segment {
+  double from = 0.0;
+  double p_succ = 1.0;
+  double f0 = 0.99;
+};
 
 /// The per-window chain the lazy service replaces (replay format v1): one
 /// DES event and one Bernoulli draw per pair per window, each success
-/// SWAPped into a buffer that no consumer drains.
+/// SWAPped into a buffer that no consumer drains. `schedule` (sorted by
+/// `from`) overrides the link's p_succ and f0; a window that completes at
+/// a boundary belongs to the new segment.
 struct PerWindowRun {
   std::size_t events = 0;
   std::size_t attempts = 0;
   std::size_t successes = 0;
   std::size_t wasted = 0;
-  double max_gap = 0.0;  ///< longest gap between successes, to the horizon
+  double max_gap = 0.0;    ///< longest gap between successes, to the horizon
+  double herald_f0 = 0.0;  ///< mean f0 of the heralded pairs
+  double stock_f0 = 0.0;   ///< mean f0 of the pairs buffered at the horizon
 };
 
 PerWindowRun run_per_window(const LinkParams& link, std::uint64_t seed,
-                            double horizon) {
+                            double horizon,
+                            const std::vector<Segment>& schedule = {}) {
   des::Simulator sim;
   Rng rng(seed);
   BufferPool buffer(link.buffer_capacity, link.f0, link.kappa, link.cutoff);
   PerWindowRun run;
   double last_success = 0.0;
+  double herald_f0_sum = 0.0;
   std::function<void(int)> complete = [&](int pair) {
     const double now = sim.now();
+    Segment seg{0.0, link.p_succ, link.f0};
+    for (const Segment& s : schedule) {
+      if (s.from <= now) seg = s;
+    }
     ++run.attempts;
-    if (rng.bernoulli(link.p_succ)) {
+    if (rng.bernoulli(seg.p_succ)) {
       ++run.successes;
+      herald_f0_sum += seg.f0;
       run.max_gap = std::max(run.max_gap, now - last_success);
       last_success = now;
-      sim.schedule_at(now + link.swap_latency, [&] {
-        if (!buffer.deposit(sim.now(), link.f0)) ++run.wasted;
+      sim.schedule_at(now + link.swap_latency, [&, f0 = seg.f0] {
+        if (!buffer.deposit(sim.now(), f0)) ++run.wasted;
       });
     }
     sim.schedule_at(now + link.cycle_time, [&complete, pair] {
@@ -564,7 +549,32 @@ PerWindowRun run_per_window(const LinkParams& link, std::uint64_t seed,
   sim.run_until(horizon);
   run.events = sim.executed_events();
   run.max_gap = std::max(run.max_gap, horizon - last_success);
+  if (run.successes > 0) {
+    run.herald_f0 = herald_f0_sum / static_cast<double>(run.successes);
+  }
+  Accumulator stock;
+  while (const auto pair = buffer.pop_oldest(horizon)) stock.add(pair->f0);
+  run.stock_f0 = stock.mean();
   return run;
+}
+
+/// Push each segment of `schedule` to `svc` at its start, queued before any
+/// of the service's own events at the same instants.
+void schedule_segments(des::Simulator& sim, GenerationService& svc,
+                       const std::vector<Segment>& schedule) {
+  for (const Segment& seg : schedule) {
+    const EffectiveLink eff{seg.p_succ, seg.f0, true};
+    sim.schedule_at(seg.from, [&svc, eff] { svc.set_effective(eff); });
+  }
+}
+
+/// Means of two per-seed samples agree within 4 standard errors of their
+/// difference.
+void expect_same_mean(const Accumulator& lazy, const Accumulator& reference,
+                      const char* what) {
+  EXPECT_LE(std::abs(lazy.mean() - reference.mean()),
+            4.0 * std::hypot(lazy.stderr_mean(), reference.stderr_mean()))
+      << what << ": " << lazy.mean() << " vs " << reference.mean();
 }
 
 TEST(LazyGeneration, ParkedServiceWithoutConsumerRunsNoEvents) {
@@ -665,25 +675,83 @@ TEST(LazyGeneration, F0OnlyChangeRedrawsNothing) {
   EXPECT_DOUBLE_EQ(f0, 0.9);
 }
 
-TEST(LazyGeneration, FlushWakesAParkedService) {
-  // Parked since the t = 20 herald; a node-outage flush at 95 empties the
-  // buffer, and the t = 100 success refills it at 101.
+TEST(LazyGeneration, RateChangesMatchPerWindowReference) {
+  // A composed link that reroutes changes rate and f0 mid-trial through
+  // set_effective. A buffered service with no consumer (it fills and
+  // parks, so most changes find it parked) and an OnDemand service run the
+  // same piecewise schedule, and each matches the per-window chain.
   LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 1;
-  link.buffer_capacity = 1;
-  des::Simulator sim;
-  Rng rng(2);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  std::size_t flushed = 0;
-  sim.schedule_at(95.0, [&] { flushed = svc.flush_buffer(95.0); });
-  svc.start();
-  sim.run_until(105.0);
-  EXPECT_EQ(flushed, 1u);
-  EXPECT_EQ(svc.wasted_buffer_full(), 8u);  // 20 .. 90 met a full buffer
-  ASSERT_EQ(svc.trace().count(), 2u);
-  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 101.0);
-  EXPECT_EQ(svc.available(105.0), 1u);
+  link.num_comm_pairs = 2;
+  link.buffer_capacity = 12;
+  link.p_succ = 0.2;
+  link.schedule = AttemptSchedule::Asynchronous;
+  link.async_subgroups = 2;  // windows complete on multiples of 5
+  const std::vector<Segment> schedule = {
+      {50.0, 0.6, 0.95},    // on pair 0's grid
+      {80.5, 0.6, 0.80},    // f0 only, while the t = 80 SWAPs are in flight
+      {123.4, 0.1, 0.97},   // off the grid
+      {200.0, 0.9, 0.93},   // fills the buffer if it is not full yet
+      {301.0, 0.9, 0.96},   // f0 only, as the t = 300 SWAP lands
+      {350.0, 0.3, 0.99},   // usually parked by now
+      {455.0, 0.05, 0.96},  // on pair 1's grid
+  };
+  const double horizon = 600.5;
+  constexpr std::uint64_t kSeeds = 800;
+
+  Accumulator ref_successes, ref_wasted, ref_stock_f0, ref_herald_f0;
+  Accumulator buf_successes, buf_wasted, buf_stock_f0;
+  Accumulator od_successes, od_wasted, od_herald_f0;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    const auto ref = run_per_window(link, 1000 + seed, horizon, schedule);
+    ref_successes.add(static_cast<double>(ref.successes));
+    ref_wasted.add(static_cast<double>(ref.wasted));
+    ref_stock_f0.add(ref.stock_f0);
+    ref_herald_f0.add(ref.herald_f0);
+
+    {
+      des::Simulator sim;
+      Rng rng(seed);
+      GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+      schedule_segments(sim, svc, schedule);
+      svc.start();
+      sim.run_until(horizon);
+      svc.stop(horizon);
+      EXPECT_EQ(svc.attempts(), ref.attempts);
+      buf_successes.add(static_cast<double>(svc.successes()));
+      buf_wasted.add(static_cast<double>(svc.wasted_buffer_full()));
+      Accumulator stock;
+      while (const auto pair = svc.pop(horizon, ConsumeOrder::OldestFirst)) {
+        stock.add(pair->f0);
+      }
+      buf_stock_f0.add(stock.mean());
+    }
+    {
+      des::Simulator sim;
+      Rng rng(seed);
+      GenerationService svc(sim, link, rng, ServiceMode::OnDemand);
+      Accumulator herald_f0;
+      svc.set_arrival_handler([&svc, &herald_f0](des::SimTime) {
+        herald_f0.add(svc.effective().f0);
+        return false;  // no consumer: every herald is wasted
+      });
+      schedule_segments(sim, svc, schedule);
+      svc.start();
+      sim.run_until(horizon);
+      svc.stop(horizon);
+      EXPECT_EQ(svc.attempts(), ref.attempts);
+      od_successes.add(static_cast<double>(svc.successes()));
+      od_wasted.add(static_cast<double>(svc.wasted_unconsumed()));
+      od_herald_f0.add(herald_f0.mean());
+    }
+  }
+  expect_same_mean(buf_successes, ref_successes, "buffered successes");
+  expect_same_mean(buf_wasted, ref_wasted, "buffered waste");
+  expect_same_mean(buf_stock_f0, ref_stock_f0, "buffered deposit f0");
+  expect_same_mean(od_successes, ref_successes, "on-demand successes");
+  expect_same_mean(od_wasted, ref_successes, "on-demand waste");
+  expect_same_mean(od_herald_f0, ref_herald_f0, "on-demand herald f0");
+  // The schedule reaches the parked path: most seeds waste pairs.
+  EXPECT_GT(ref_wasted.mean(), 10.0);
 }
 
 TEST(LazyGeneration, PopWakesParkedServiceAndNextDepositLands) {
@@ -694,9 +762,11 @@ TEST(LazyGeneration, PopWakesParkedServiceAndNextDepositLands) {
   des::Simulator sim;
   Rng rng(2);
   GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  ArrivalTrace arrivals;
+  log_arrivals(svc, arrivals);
   svc.start();
   sim.run_until(95.0);  // deposits at 11 and 21, parked since t = 30
-  ASSERT_EQ(svc.trace().count(), 2u);
+  ASSERT_EQ(arrivals.count(), 2u);
   std::optional<BufferedPair> popped;
   sim.schedule_at(95.0, [&] {
     popped = svc.pop(95.0, ConsumeOrder::FreshestFirst);
@@ -705,8 +775,8 @@ TEST(LazyGeneration, PopWakesParkedServiceAndNextDepositLands) {
   ASSERT_TRUE(popped.has_value());
   EXPECT_DOUBLE_EQ(popped->deposited, 21.0);
   // The wake replayed 30..90 as waste; the t = 100 success refills the slot.
-  ASSERT_EQ(svc.trace().count(), 3u);
-  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 101.0);
+  ASSERT_EQ(arrivals.count(), 3u);
+  EXPECT_DOUBLE_EQ(arrivals.arrivals().back(), 101.0);
   EXPECT_EQ(svc.available(125.0), 2u);
   EXPECT_EQ(svc.wasted_buffer_full(), 7u);
   svc.stop();
@@ -729,17 +799,19 @@ TEST(LazyGeneration, PopWakeTieKeepsQueueOrder) {
     des::Simulator sim;
     Rng rng(2);
     GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+    ArrivalTrace arrivals;
+    log_arrivals(svc, arrivals);
     svc.start();
     sim.run_until(queued_at);
     sim.schedule_at(91.0,
                     [&] { svc.pop(91.0, ConsumeOrder::FreshestFirst); });
     sim.run_until(95.0);
     if (queued_at < 90.0) {
-      EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 91.0);
+      EXPECT_DOUBLE_EQ(arrivals.arrivals().back(), 91.0);
       EXPECT_EQ(svc.available(95.0), 1u);
       EXPECT_EQ(svc.wasted_buffer_full(), 7u);  // 20 .. 80 met a full buffer
     } else {
-      EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 11.0);
+      EXPECT_DOUBLE_EQ(arrivals.arrivals().back(), 11.0);
       EXPECT_EQ(svc.available(95.0), 0u);
       EXPECT_EQ(svc.wasted_buffer_full(), 8u);  // 20 .. 90
     }
@@ -784,13 +856,15 @@ TEST(LazyGeneration, FiniteCutoffWakesAtExpiry) {
   des::Simulator sim;
   Rng rng(3);
   GenerationService svc(sim, link, rng, ServiceMode::Buffered);
+  ArrivalTrace arrivals;
+  log_arrivals(svc, arrivals);
   svc.start();
   // t = 11 deposit fills the buffer; the t = 20 herald parks until the pair
   // expires just after 36; the 20 and 30 SWAPs were wasted, the t = 40
   // success deposits at 41 without any consumer.
   sim.run_until(45.0);
-  ASSERT_EQ(svc.trace().count(), 2u);
-  EXPECT_DOUBLE_EQ(svc.trace().arrivals().back(), 41.0);
+  ASSERT_EQ(arrivals.count(), 2u);
+  EXPECT_DOUBLE_EQ(arrivals.arrivals().back(), 41.0);
   EXPECT_EQ(svc.buffer().total_expired(), 1u);
   EXPECT_EQ(svc.wasted_buffer_full(), 2u);
   // Pair deposits and expiry wakes only: no event per window.

@@ -304,7 +304,9 @@ TEST(RunContextReuse, MatchesFreshEngineAcrossDeliveryModes) {
   const auto part = partition_circuit(qc, 4);
   scenario::Scenario faults;
   faults.link_outages.push_back({0, 1, 20.0, 300.0});
-  faults.node_outages.push_back({2, 50.0, 100.0});
+  faults.link_outages.push_back({1, 2, 50.0, 100.0});
+  faults.link_outages.push_back({2, 3, 50.0, 100.0});
+  faults.link_outages.push_back({1, 2, 120.0, 60.0});
   faults.random_failures = {400.0, 60.0};
 
   ArchConfig flat;

@@ -1,18 +1,16 @@
-/// Unit tests for the fault & drift scenario engine: ScenarioRuntime
-/// schedule evaluation, Scenario/ArchConfig validation, the determinism
-/// contract (same seed => bit-identical results across thread counts, with
-/// drift and outages enabled), the replay-format statistical-equivalence
-/// gate (lazy generation vs the frozen per-window samples under
-/// tests/data/replay_v1/), and end-to-end re-routing behavior under
-/// outages.
+/// Unit tests for the fault scenario engine: ScenarioRuntime schedule
+/// evaluation, Scenario/ArchConfig validation, the determinism contract
+/// (same seed => bit-identical results across thread counts, with
+/// scheduled and random outages enabled), the replay-format
+/// statistical-equivalence gate (lazy generation vs the frozen per-window
+/// samples under tests/data/replay_v1/), and end-to-end re-routing
+/// behavior under outages.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <optional>
 #include <set>
@@ -43,83 +41,6 @@ using runtime::RunResult;
 
 // ------------------------------------------------- ScenarioRuntime units ----
 
-TEST(ScenarioRuntime, StepDriftScalesFromEachStepTime) {
-  const net::Topology topo = net::Topology::ring(4);
-  Scenario scn;
-  DriftTrack track;
-  track.field = DriftField::PSucc;
-  track.kind = DriftKind::Step;
-  track.node_a = 0;
-  track.node_b = 1;
-  track.times = {10.0, 20.0};
-  track.levels = {0.5, 0.8};
-  scn.drift.push_back(track);
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  const std::size_t e01 = topo.edge_index(0, 1);
-  const std::size_t e12 = topo.edge_index(1, 2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 5.0), 0.4);    // before first
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 10.0), 0.2);   // at step
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 15.0), 0.2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 25.0), 0.32);  // last level
-  // Other edges are untouched by an edge-targeted track.
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e12, 0.4, 25.0), 0.4);
-}
-
-TEST(ScenarioRuntime, EffectiveValuesAreClampedIntoDomain) {
-  const net::Topology topo = net::Topology::chain(2);
-  Scenario scn;
-  DriftTrack up;
-  up.field = DriftField::PSucc;
-  up.kind = DriftKind::Step;
-  up.times = {0.0};
-  up.levels = {10.0};
-  DriftTrack down = up;
-  down.field = DriftField::F0;
-  down.levels = {0.01};
-  scn.drift = {up, down};
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(0, 0.4, 1.0), 1.0);   // clamped up
-  EXPECT_DOUBLE_EQ(rt.effective_f0(0, 0.99, 1.0), 0.25);     // clamped down
-}
-
-TEST(ScenarioRuntime, RandomWalkIsSeedDeterministicAndBounded) {
-  const net::Topology topo = net::Topology::chain(2);
-  Scenario scn;
-  DriftTrack track;
-  track.field = DriftField::PSucc;
-  track.kind = DriftKind::RandomWalk;
-  track.walk_interval = 5.0;
-  track.walk_step = 0.3;
-  track.walk_min = 0.5;
-  track.walk_max = 1.5;
-  scn.drift.push_back(track);
-  scn.validate(topo);
-
-  ScenarioRuntime a;
-  ScenarioRuntime b;
-  ScenarioRuntime c;
-  a.begin_trial(scn, topo, 7);
-  b.begin_trial(scn, topo, 7);
-  c.begin_trial(scn, topo, 8);
-  bool any_different_seed_diff = false;
-  for (double t = 0.0; t < 200.0; t += 5.0) {
-    const double pa = a.effective_p_succ(0, 0.4, t);
-    EXPECT_EQ(pa, b.effective_p_succ(0, 0.4, t)) << "t=" << t;
-    EXPECT_GE(pa, 0.4 * track.walk_min);
-    EXPECT_LE(pa, 0.4 * track.walk_max);
-    if (pa != c.effective_p_succ(0, 0.4, t)) any_different_seed_diff = true;
-  }
-  EXPECT_TRUE(any_different_seed_diff) << "distinct seeds produced one walk";
-  // Random access in past time returns the memoized level, not a re-draw.
-  EXPECT_EQ(a.effective_p_succ(0, 0.4, 0.0), b.effective_p_succ(0, 0.4, 0.0));
-}
-
 TEST(ScenarioRuntime, LinkOutageIntervalAndBoundaries) {
   const net::Topology topo = net::Topology::ring(4);
   Scenario scn;
@@ -143,23 +64,18 @@ TEST(ScenarioRuntime, LinkOutageIntervalAndBoundaries) {
 }
 
 TEST(ScenarioRuntime, NextBoundaryCoversEveryScaleChange) {
-  // Outage flips, step times, snapshot times and random-walk grid points
-  // (up to the horizon) are boundaries, and between two boundaries every
-  // effective value is constant.
+  // Every outage flip, scheduled or sampled, is a boundary, and between two
+  // boundaries every edge's up state is constant. The two outages on edge
+  // {0, 1} overlap, so the inner flips at 8 and 10 change nothing: a
+  // boundary may be spurious, but none may be missing.
   const net::Topology topo = net::Topology::chain(3);
   Scenario scn;
-  DriftTrack step;
-  step.kind = DriftKind::Step;
-  step.times = {7.0, 30.0};
-  step.levels = {0.5, 0.8};
-  DriftTrack walk;
-  walk.kind = DriftKind::RandomWalk;
-  walk.walk_interval = 12.5;
-  walk.walk_step = 0.2;
-  scn.drift = {step, walk};
-  scn.snapshots.push_back({1, 20.0, 0.9, 1.0});
-  scn.link_outages.push_back({0, 1, 5.0, 3.0});
-  scn.horizon = 40.0;
+  scn.link_outages.push_back({0, 1, 5.0, 10.0});
+  scn.link_outages.push_back({0, 1, 8.0, 2.0});
+  scn.link_outages.push_back({1, 2, 12.0, 3.0});
+  scn.random_failures.mtbf = 30.0;
+  scn.random_failures.duration = 4.0;
+  scn.horizon = 200.0;
   scn.validate(topo);
 
   ScenarioRuntime rt;
@@ -167,34 +83,28 @@ TEST(ScenarioRuntime, NextBoundaryCoversEveryScaleChange) {
   std::vector<double> seq = {0.0};
   while (const auto next = rt.next_boundary(seq.back())) {
     seq.push_back(*next);
+    ASSERT_LT(seq.size(), 1000u) << "boundary sequence did not terminate";
   }
-  EXPECT_EQ(seq, (std::vector<double>{0.0, 5.0, 7.0, 8.0, 12.5, 20.0, 25.0,
-                                      30.0, 37.5}));
+  for (const double flip : {5.0, 8.0, 10.0, 12.0, 15.0}) {
+    EXPECT_TRUE(std::find(seq.begin(), seq.end(), flip) != seq.end())
+        << "missing scheduled flip " << flip;
+  }
+  EXPECT_GT(seq.size(), 6u) << "no sampled failure before the horizon";
+  bool spurious = false;
   for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
     const double last = std::nextafter(seq[i + 1], 0.0);
+    bool flipped = i == 0;
     for (std::size_t e = 0; e < topo.num_edges(); ++e) {
-      EXPECT_EQ(rt.effective_p_succ(e, 0.4, seq[i]),
-                rt.effective_p_succ(e, 0.4, last))
+      EXPECT_EQ(rt.edge_up(e, seq[i]), rt.edge_up(e, last))
           << "edge " << e << " in [" << seq[i] << ", " << seq[i + 1] << ")";
-      EXPECT_EQ(rt.edge_up(e, seq[i]), rt.edge_up(e, last));
+      if (i > 0) {
+        const double before = std::nextafter(seq[i], 0.0);
+        flipped = flipped || rt.edge_up(e, before) != rt.edge_up(e, seq[i]);
+      }
     }
+    spurious = spurious || !flipped;
   }
-}
-
-TEST(ScenarioRuntime, NodeOutageTakesDownAllIncidentEdges) {
-  const net::Topology topo = net::Topology::ring(4);
-  Scenario scn;
-  scn.node_outages.push_back({0, 2.0, 4.0});
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  EXPECT_FALSE(rt.node_up(0, 3.0));
-  EXPECT_TRUE(rt.node_up(1, 3.0));
-  EXPECT_FALSE(rt.edge_up(topo.edge_index(0, 1), 3.0));
-  EXPECT_FALSE(rt.edge_up(topo.edge_index(0, 3), 3.0));
-  EXPECT_TRUE(rt.edge_up(topo.edge_index(1, 2), 3.0));
-  EXPECT_TRUE(rt.edge_up(topo.edge_index(0, 1), 6.0));
+  EXPECT_TRUE(spurious) << "the overlapping outages flip nothing at 8 or 10";
 }
 
 TEST(ScenarioRuntime, RandomFailuresAreSeedDeterministicAndHonorHorizon) {
@@ -233,42 +143,6 @@ TEST(ScenarioRuntime, RandomFailuresAreSeedDeterministicAndHonorHorizon) {
   EXPECT_FALSE(b.next_boundary(t).has_value());
 }
 
-TEST(ScenarioRuntime, CalibrationSnapshotScalesIncidentEdgesOnly) {
-  const net::Topology topo = net::Topology::ring(4);
-  Scenario scn;
-  scn.snapshots.push_back({1, 10.0, 0.5, 0.9});
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  const std::size_t e01 = topo.edge_index(0, 1);
-  const std::size_t e12 = topo.edge_index(1, 2);
-  const std::size_t e23 = topo.edge_index(2, 3);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 5.0), 0.4);  // not yet
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e01, 0.4, 10.0), 0.2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e12, 0.4, 12.0), 0.2);
-  EXPECT_DOUBLE_EQ(rt.effective_p_succ(e23, 0.4, 12.0), 0.4);  // not incident
-  EXPECT_DOUBLE_EQ(rt.effective_f0(e01, 0.99, 12.0), 0.99 * 0.9);
-}
-
-TEST(ScenarioRuntime, BurstDownsExplicitEdgesTogether) {
-  const net::Topology topo = net::Topology::ring(4);
-  Scenario scn;
-  FailureBurst burst;
-  burst.start = 3.0;
-  burst.duration = 2.0;
-  burst.edges = {{0, 1}, {2, 3}};
-  scn.bursts.push_back(burst);
-  scn.validate(topo);
-
-  ScenarioRuntime rt;
-  rt.begin_trial(scn, topo, 1);
-  EXPECT_FALSE(rt.edge_up(topo.edge_index(0, 1), 4.0));
-  EXPECT_FALSE(rt.edge_up(topo.edge_index(2, 3), 4.0));
-  EXPECT_TRUE(rt.edge_up(topo.edge_index(1, 2), 4.0));
-  EXPECT_TRUE(rt.edge_up(topo.edge_index(0, 1), 5.0));
-}
-
 // ------------------------------------------------------------ validation ----
 
 TEST(ScenarioValidation, RejectsOutOfDomainSpecs) {
@@ -285,52 +159,13 @@ TEST(ScenarioValidation, RejectsOutOfDomainSpecs) {
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
   {
-    Scenario scn;  // node out of range
-    scn.node_outages.push_back({7, 5.0, 1.0});
+    Scenario scn;  // failures without a repair window
+    scn.random_failures = {100.0, 0.0};
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
   {
-    Scenario scn;  // mismatched step times/levels
-    DriftTrack track;
-    track.kind = DriftKind::Step;
-    track.times = {1.0, 2.0};
-    track.levels = {0.5};
-    scn.drift.push_back(track);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
-    Scenario scn;  // non-increasing step times
-    DriftTrack track;
-    track.kind = DriftKind::Step;
-    track.times = {2.0, 2.0};
-    track.levels = {0.5, 0.6};
-    scn.drift.push_back(track);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
-    Scenario scn;  // walk without an interval
-    DriftTrack track;
-    track.kind = DriftKind::RandomWalk;
-    track.walk_interval = 0.0;
-    track.walk_step = 0.1;
-    scn.drift.push_back(track);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
-    Scenario scn;  // burst with neither explicit nor random edges
-    FailureBurst burst;
-    burst.start = 1.0;
-    burst.duration = 1.0;
-    scn.bursts.push_back(burst);
-    EXPECT_THROW(scn.validate(topo), ConfigError);
-  }
-  {
-    Scenario scn;  // more random edges than the topology has
-    FailureBurst burst;
-    burst.start = 1.0;
-    burst.duration = 1.0;
-    burst.random_edges = 99;
-    scn.bursts.push_back(burst);
+    Scenario scn;  // negative mean up-time
+    scn.random_failures = {-1.0, 5.0};
     EXPECT_THROW(scn.validate(topo), ConfigError);
   }
 }
@@ -372,44 +207,15 @@ Circuit four_node_circuit() {
 
 std::vector<int> four_node_assignment() { return {0, 0, 1, 1, 2, 2, 3, 3}; }
 
-/// A scenario exercising every component class at once.
+/// Scheduled outages (two of them overlapping on one edge) plus random
+/// failures on every edge.
 Scenario rich_scenario() {
   Scenario scn;
-  DriftTrack step;
-  step.field = DriftField::PSucc;
-  step.kind = DriftKind::Step;
-  step.node_a = 0;
-  step.node_b = 1;
-  step.times = {40.0, 120.0};
-  step.levels = {0.7, 0.9};
-  scn.drift.push_back(step);
-
-  DriftTrack f0_step;
-  f0_step.field = DriftField::F0;
-  f0_step.kind = DriftKind::Step;
-  f0_step.times = {0.0, 150.0, 300.0};
-  f0_step.levels = {1.0, 0.985, 0.97};
-  scn.drift.push_back(f0_step);
-
-  DriftTrack walk;
-  walk.field = DriftField::PSucc;
-  walk.kind = DriftKind::RandomWalk;
-  walk.walk_interval = 25.0;
-  walk.walk_step = 0.15;
-  scn.drift.push_back(walk);
-
   scn.link_outages.push_back({1, 2, 60.0, 40.0});
-  scn.node_outages.push_back({3, 150.0, 30.0});
-
-  FailureBurst burst;
-  burst.start = 220.0;
-  burst.duration = 25.0;
-  burst.random_edges = 2;
-  scn.bursts.push_back(burst);
-
+  scn.link_outages.push_back({1, 2, 80.0, 50.0});
+  scn.link_outages.push_back({3, 0, 150.0, 30.0});
   scn.random_failures.mtbf = 500.0;
   scn.random_failures.duration = 35.0;
-  scn.snapshots.push_back({2, 90.0, 0.8, 0.99});
   return scn;
 }
 
@@ -445,31 +251,10 @@ TEST(ScenarioDeterminism, ParallelRunsAreBitIdenticalToSerialForEveryDesign) {
 // service must reproduce. Its per-seed samples are frozen under
 // tests/data/replay_v1/ (see the README there), one file per cell, and each
 // cell below gates today's engine against its file: stationary cells
-// against the v1 run of the same cell under a unit-scale scenario, scenario
-// cells against the v1 run of the same scenario. The suite keeps its
-// ReplayFormatV2 name. Seeds are fixed, so every gate is deterministic.
-//
-// Setting DQCSIM_REPLAY_V1_WRITE=<dir> turns the suite into the fixture
-// writer: each cell runs its reference configuration and writes
-// <dir>/<cell>.csv instead of gating, with DQCSIM_REPLAY_V1_COMMIT naming
-// the commit in its header. Only a commit that still has the per-window
-// chain writes v1 samples.
-
-/// Scale tracks of exactly 1.0. Under the v1 engine any installed scenario
-/// moved its links to the per-window chain, so this is the configuration
-/// the stationary cells' references were recorded with.
-Scenario unit_step_scenario() {
-  Scenario unit;
-  DriftTrack step;
-  step.field = DriftField::PSucc;
-  step.kind = DriftKind::Step;
-  step.times = {0.0};
-  step.levels = {1.0};
-  unit.drift.push_back(step);
-  step.field = DriftField::F0;
-  unit.drift.push_back(step);
-  return unit;
-}
+// against the v1 run of the same cell, scenario cells against the v1 run
+// of the same scenario. The suite keeps its ReplayFormatV2 name. Seeds are
+// fixed, so every gate is deterministic. The fixtures cannot be rewritten
+// from this tree (see the README next to them).
 
 /// Per-trial samples of the compared metrics.
 struct TrialSamples {
@@ -505,34 +290,6 @@ void run_trials(const Circuit& qc, const std::vector<int>& nodes,
     s.stalled.push_back(static_cast<double>(r.links_stalled));
     s.reroutes.push_back(static_cast<double>(r.reroutes));
     s.downtime.push_back(r.outage_downtime);
-  }
-}
-
-std::string fixture_path(const std::string& dir, const std::string& cell) {
-  return dir + "/" + cell + ".csv";
-}
-
-void write_fixture(const std::string& path, const std::string& cell,
-                   const TrialSamples& s) {
-  const char* commit = std::getenv("DQCSIM_REPLAY_V1_COMMIT");
-  std::ofstream out(path);
-  ASSERT_TRUE(out) << path;
-  out << "# replay format v1 reference (per-window generation chain), cell "
-      << cell << "\n"
-      << "# commit " << (commit != nullptr ? commit : "unknown")
-      << "; generator: tests/test_scenario.cpp run_trials with "
-         "DQCSIM_REPLAY_V1_WRITE\n"
-      << "# seeds 0xC0FFEE + 0.." << kGateTrials - 1 << "\n"
-      << kFixtureHeader << "\n";
-  char buf[32];
-  for (std::size_t t = 0; t < s.depth.size(); ++t) {
-    const char* sep = "";
-    for (const auto column : kColumns) {
-      std::snprintf(buf, sizeof buf, "%.17g", (s.*column)[t]);
-      out << sep << buf;
-      sep = ",";
-    }
-    out << "\n";
   }
 }
 
@@ -613,21 +370,13 @@ double mean_of(const std::vector<double>& v) {
 }
 
 /// Runs `kGateTrials` seeds of `design` under `config` into `lazy` and
-/// gates them against the frozen v1 samples of `cell`. A cell without a
-/// scenario was recorded under unit_step_scenario().
+/// gates them against the frozen v1 samples of `cell`.
 void expect_matches_v1(const std::string& cell, const Circuit& qc,
                        const std::vector<int>& nodes, const ArchConfig& config,
                        DesignKind design, TrialSamples& lazy) {
   SCOPED_TRACE(cell);
-  if (const char* dir = std::getenv("DQCSIM_REPLAY_V1_WRITE")) {
-    ArchConfig reference = config;
-    if (!reference.scenario) reference.set_scenario(unit_step_scenario());
-    run_trials(qc, nodes, reference, design, lazy);
-    write_fixture(fixture_path(dir, cell), cell, lazy);
-    return;
-  }
   TrialSamples v1;
-  read_fixture(fixture_path(DQCSIM_TEST_DATA_DIR "/replay_v1", cell), v1);
+  read_fixture(DQCSIM_TEST_DATA_DIR "/replay_v1/" + cell + ".csv", v1);
   run_trials(qc, nodes, config, design, lazy);
   // The formats draw different streams; identical samples would mean the
   // gate compared one path against itself.
@@ -881,23 +630,6 @@ TEST(ReplayFormatV2, Chain6SwapAsYouGoSalvageMatchesPerWindowReference) {
                     chain6_assignment(), config, DesignKind::AsyncBuf);
 }
 
-TEST(ReplayFormatV2, NodeOutageFlushMatchesPerWindowReference) {
-  // Buffer-bound swap-as-you-go on chain(2): the edge buffer is full, and
-  // in about a fifth of the trials its service is parked, when node 1 goes
-  // down at t = 40 and the outage flushes it.
-  ArchConfig config;
-  config.set_topology(net::Topology::chain(2));
-  config.swap_as_you_go = true;
-  config.salvage_pairs = true;
-  Scenario scn;
-  scn.node_outages.push_back({1, 40.0, 30.0});
-  config.set_scenario(scn);
-  TrialSamples lazy;
-  expect_matches_v1("node_outage_flush", buffer_bound_circuit(),
-                    two_node_assignment(), config, DesignKind::AsyncBuf, lazy);
-  EXPECT_GT(mean_of(lazy.downtime), 0.0);
-}
-
 TEST(ReplayFormatV2, GridAlignedLinkOutageMatchesPerWindowReference) {
   // Both ends of the outage fall on the synchronous window grid (cycle
   // 10): windows completing at 60 and at 110 meet the boundary at their
@@ -914,96 +646,18 @@ TEST(ReplayFormatV2, GridAlignedLinkOutageMatchesPerWindowReference) {
   }
 }
 
-TEST(ReplayFormatV2, StepDriftMatchesPerWindowReference) {
-  ArchConfig config;
-  config.set_topology(net::Topology::chain(2));
-  Scenario scn;
-  DriftTrack step;
-  step.field = DriftField::PSucc;
-  step.kind = DriftKind::Step;
-  step.times = {25.0, 80.0, 143.0};
-  step.levels = {0.3, 1.6, 0.7};
-  scn.drift.push_back(step);
-  config.set_scenario(scn);
-  expect_matches_v1("step_drift_async_buf", remote_bound_circuit(),
-                    two_node_assignment(), config, DesignKind::AsyncBuf);
-}
-
-TEST(ReplayFormatV2, RandomWalkDriftMatchesPerWindowReference) {
-  ArchConfig config;
-  config.num_nodes = 4;
-  config.set_topology(net::Topology::ring(4));
-  Scenario scn;
-  DriftTrack walk;
-  walk.field = DriftField::PSucc;
-  walk.kind = DriftKind::RandomWalk;
-  walk.walk_interval = 15.0;
-  walk.walk_step = 0.3;
-  walk.walk_min = 0.3;
-  walk.walk_max = 1.5;
-  scn.drift.push_back(walk);
-  config.set_scenario(scn);
-  expect_matches_v1("random_walk_sync_buf", four_node_circuit(),
-                    four_node_assignment(), config, DesignKind::SyncBuf);
-}
-
-TEST(ReplayFormatV2, CalibrationSnapshotMatchesPerWindowReference) {
-  ArchConfig config;
-  config.num_nodes = 4;
-  config.set_topology(net::Topology::ring(4));
-  Scenario scn;
-  scn.snapshots.push_back({1, 30.0, 0.4, 0.97});
-  scn.snapshots.push_back({1, 90.0, 1.2, 1.0});
-  config.set_scenario(scn);
-  expect_matches_v1("snapshot_adapt_buf", four_node_circuit(),
-                    four_node_assignment(), config, DesignKind::AdaptBuf);
-}
-
-TEST(ReplayFormatV2, F0OnlyDriftMatchesPerWindowReference) {
-  // Only the birth fidelity moves: no redraw, but deposits and on-demand
-  // heralds must carry the fidelity of their own instant.
-  ArchConfig config;
-  config.set_topology(net::Topology::chain(2));
-  Scenario scn;
-  DriftTrack step;
-  step.field = DriftField::F0;
-  step.kind = DriftKind::Step;
-  step.times = {30.0, 70.0, 120.0};
-  step.levels = {0.97, 0.93, 0.99};
-  scn.drift.push_back(step);
-  config.set_scenario(scn);
-  for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::Original}) {
-    expect_matches_v1("f0_drift_" + runtime::design_name(design),
-                      remote_bound_circuit(), two_node_assignment(), config,
-                      design);
-  }
-}
-
 TEST(ScenarioDeterminism, UnitScaleScenarioIsBitIdenticalToStationary) {
-  // Tracks and snapshots that scale by exactly 1.0 leave every service's
-  // effective link bitwise unchanged, so each boundary's push is a no-op
-  // and the trial draws the stationary stream, composed or swap-as-you-go.
-  Scenario unit = unit_step_scenario();
-  DriftTrack step;
-  step.field = DriftField::PSucc;
-  step.kind = DriftKind::Step;
-  step.node_a = 1;
-  step.node_b = 2;
-  step.times = {0.0, 35.0, 90.0};
-  step.levels = {1.0, 1.0, 1.0};
-  unit.drift.push_back(step);
-  DriftTrack walk;
-  walk.field = DriftField::F0;
-  walk.kind = DriftKind::RandomWalk;
-  walk.walk_interval = 20.0;
-  walk.walk_step = 0.0;
-  unit.drift.push_back(walk);
-  unit.snapshots.push_back({3, 45.0, 1.0, 1.0});
+  // An outage that starts after the trial has ended never flips an edge:
+  // the t = 0 boundary pushes every service its stationary effective link
+  // (a bitwise no-op), and the trial draws the stationary stream, composed
+  // or swap-as-you-go.
+  Scenario late;
+  late.link_outages.push_back({1, 2, 1e6, 10.0});
   for (const bool swap_go : {false, true}) {
     ArchConfig plain = chain6_config();
     plain.swap_as_you_go = swap_go;
     ArchConfig scenario = plain;
-    scenario.set_scenario(unit);
+    scenario.set_scenario(late);
     for (const DesignKind design : runtime::distributed_designs()) {
       SCOPED_TRACE(runtime::design_name(design) +
                    (swap_go ? " swap-as-you-go" : " composed"));
@@ -1165,8 +819,8 @@ TEST(ScenarioFaults, ChainAt8WithRandomOutagesReportsReroutes) {
 }
 
 TEST(ScenarioFaults, TotalDisconnectionTerminatesUnderTheTrialBudget) {
-  // Every node except one goes down at t=0 and never recovers: no route
-  // survives and no remote gate can ever complete. The trial sim-time
+  // Every link goes down at t=0 and never recovers: no route survives and
+  // no remote gate can ever complete. The trial sim-time
   // budget turns the would-be infinite run into a clean truncated result
   // with the full downtime on the books — and the truncated trials stay
   // bit-identical across thread counts.
@@ -1175,9 +829,11 @@ TEST(ScenarioFaults, TotalDisconnectionTerminatesUnderTheTrialBudget) {
   ArchConfig config;
   config.num_nodes = 4;
   config.set_topology(net::Topology::ring(4));
-  Scenario scn;
-  scn.node_outages.push_back({1, 0.0, 1e9});
-  scn.node_outages.push_back({3, 0.0, 1e9});  // isolates every node pair
+  Scenario scn;  // every ring edge down: isolates every node pair
+  scn.link_outages.push_back({0, 1, 0.0, 1e9});
+  scn.link_outages.push_back({1, 2, 0.0, 1e9});
+  scn.link_outages.push_back({2, 3, 0.0, 1e9});
+  scn.link_outages.push_back({3, 0, 0.0, 1e9});
   config.set_scenario(scn);
   config.max_trial_sim_time = 400.0;
 
@@ -1231,33 +887,6 @@ TEST(ScenarioFaults, TotalDisconnectionTerminatesUnderTheTrialBudget) {
         qc, nodes, config, DesignKind::AsyncBuf, 6, 800, threads);
     expect_identical(serial, parallel);
   }
-}
-
-TEST(ScenarioFaults, DriftOnlyScenarioDegradesFidelityWithoutReroutes) {
-  // Quality drift perturbs pair statistics but never invalidates a route.
-  const Circuit qc = four_node_circuit();
-  const std::vector<int> nodes = four_node_assignment();
-  ArchConfig base;
-  base.num_nodes = 4;
-  base.set_topology(net::Topology::ring(4));
-
-  ArchConfig drifty = base;
-  Scenario scn;
-  DriftTrack track;
-  track.field = DriftField::F0;
-  track.kind = DriftKind::Step;
-  track.times = {0.0};
-  track.levels = {0.96};
-  scn.drift.push_back(track);
-  drifty.set_scenario(scn);
-
-  const AggregateResult a =
-      runtime::run_design(qc, nodes, base, DesignKind::AsyncBuf, 6, 300, 1);
-  const AggregateResult b =
-      runtime::run_design(qc, nodes, drifty, DesignKind::AsyncBuf, 6, 300, 1);
-  EXPECT_LT(b.fidelity.mean(), a.fidelity.mean());
-  EXPECT_EQ(b.reroutes.mean(), 0.0);
-  EXPECT_EQ(b.outage_downtime.mean(), 0.0);
 }
 
 }  // namespace
