@@ -280,7 +280,10 @@ BENCHMARK(BM_EngineRunQaoaR8_32);
 // Steady-state Monte-Carlo trial: one RunContext reused across trials, as
 // each run_design worker drives it. After the warmup trials every buffer is
 // at its high-water mark and the setup cache is hot, so a trial performs
-// zero heap allocation (the allocs_per_op counter).
+// zero heap allocation (the allocs_per_op counter). The default config has
+// no observer (config.observe == nullptr), so this also pins the
+// observer-off contract: every obs hook must reduce to a branch on a null
+// pointer. Gated in ci/bench_baseline.json.
 void BM_RunContextTrialSteadyState(benchmark::State& state) {
   const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
   const auto part = runtime::partition_circuit(qc, 2);
@@ -310,41 +313,6 @@ void BM_RunContextTrialSteadyState(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_RunContextTrialSteadyState);
-
-// Same trial loop with the observability layer compiled in but disabled
-// (config.observe == nullptr, the default): every obs hook must reduce to
-// a branch on a null pointer, so the trial stays allocation-free and within
-// noise of the un-instrumented engine. Gated in ci/bench_baseline.json.
-void BM_RunContextTrialObserverOff(benchmark::State& state) {
-  const Circuit qc = gen::make_benchmark(gen::BenchmarkId::QAOA_R8_32);
-  const auto part = runtime::partition_circuit(qc, 2);
-  runtime::ArchConfig config;
-  config.observe = nullptr;  // explicit: the observer-off contract
-  noise::TeleportNoiseParams tele;
-  tele.local_2q_fidelity = config.fid.local_cnot;
-  tele.local_1q_fidelity = config.fid.one_qubit;
-  tele.readout_fidelity = config.fid.measurement;
-  const noise::TeleportFidelityModel model(tele);
-  runtime::RunContext ctx;
-  constexpr std::uint64_t kSeeds = 16;
-  for (std::uint64_t s = 0; s < kSeeds; ++s) {
-    ctx.execute(qc, part.assignment, config, runtime::DesignKind::AsyncBuf,
-                1000 + s, &model);
-  }
-  const std::uint64_t allocs0 = allocs_since(0);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const auto result =
-        ctx.execute(qc, part.assignment, config,
-                    runtime::DesignKind::AsyncBuf, 1000 + (seed++ % kSeeds),
-                    &model);
-    benchmark::DoNotOptimize(result.depth);
-  }
-  state.counters["allocs_per_op"] = benchmark::Counter(
-      static_cast<double>(allocs_since(allocs0)) /
-      static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_RunContextTrialObserverOff);
 
 // Warm TLIM-32 sync_buf trial: 950 gates rich in fused 1q chains, so the
 // per-gate bookkeeping (class tables, the setup's wire DAG, the ledger) is

@@ -55,7 +55,6 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   eff_ = EffectiveLink{params_.p_succ, params_.f0, true};
   obs_trace_ = nullptr;
   obs_track_ = 0;
-  track_gap_ = true;
   side_seed_ = 0;
   started_ = false;
   running_ = false;
@@ -63,8 +62,6 @@ void GenerationService::reset(const LinkParams& params, ServiceMode mode) {
   successes_ = 0;
   wasted_buffer_full_ = 0;
   wasted_unconsumed_ = 0;
-  last_success_ = 0.0;
-  max_delivery_gap_ = 0.0;
   parked_ = false;
   timer_armed_ = false;
   lazy_pairs_.clear();
@@ -91,7 +88,6 @@ void GenerationService::start() {
   // Results are only *stored* from start() on, which keeps the buffered
   // designs distinct from init_buf's pre-filled buffer.
   const des::SimTime now = sim_.now();
-  last_success_ = now;
   log1m_p_ = Rng::geometric_log1m(eff_.p_succ);
   side_rng_ = Rng(side_seed_);
   lazy_pairs_.resize(static_cast<std::size_t>(params_.num_comm_pairs));
@@ -296,7 +292,6 @@ void GenerationService::herald(LazyPair& pair, des::SimTime at) {
   // handler's own draws (purification) follow it in the stream.
   draw_next_success(pair, n + 1);
   ++successes_;
-  record_success(at);
   trace_windows(pair, n, /*ok=*/true);
   if (mode_ == ServiceMode::Buffered) {
     schedule_deposit(at + params_.swap_latency, eff_.f0);
@@ -335,12 +330,11 @@ void GenerationService::replay_skipped(des::SimTime until, bool stopping,
   // A parked buffer stayed full over the whole gap, so a SWAP landing
   // before `until` was wasted and left the contents unchanged: count those
   // in bulk. Then walk the successes left in time order across pairs (ties
-  // in pair order), so record_success sees nondecreasing instants (every
-  // bulk success precedes them). stop() settles the heralds due at `until`
-  // too. A wake settles those whose window event the per-window chain
-  // queued (one cycle earlier) before the waking event, so their SWAPs are
-  // queued ahead of whatever the waker schedules next; the rest follow the
-  // waker on the timer.
+  // in pair order). stop() settles the heralds due at `until` too. A wake
+  // settles those whose window event the per-window chain queued (one cycle
+  // earlier) before the waking event, so their SWAPs are queued ahead of
+  // whatever the waker schedules next; the rest follow the waker on the
+  // timer.
   if (parked_) settle_parked(until);
   for (;;) {
     // Earliest due pair, ties to the lowest index.
@@ -357,7 +351,6 @@ void GenerationService::replay_skipped(des::SimTime until, bool stopping,
     const std::uint64_t n = first->next;
     draw_next_success(*first, n + 1);
     ++successes_;
-    record_success(at);
     trace_windows(*first, n, /*ok=*/true);
     if (mode_ == ServiceMode::OnDemand) {
       // Only stop() reaches here (OnDemand never parks): the trial is over,
@@ -382,9 +375,6 @@ void GenerationService::replay_skipped(des::SimTime until, bool stopping,
 
 // DQCSIM_HOT
 void GenerationService::settle_parked(des::SimTime until) {
-  const bool place = track_gap_ || obs_trace_ != nullptr;
-  settled_.clear();
-  settled_runs_.clear();
   for (LazyPair& pair : lazy_pairs_) {
     // Pending success at window n; M = landed - 1 is the last window whose
     // SWAP lands before `until`. n's own SWAP landing there (M >= n) is
@@ -396,11 +386,8 @@ void GenerationService::settle_parked(des::SimTime until) {
     draw_next_success(pair, n + span + 1);
     successes_ += count;
     wasted_buffer_full_ += count;
-    if (place) place_settled(pair, n, span, count);
+    if (obs_trace_ != nullptr) place_settled(pair, n, span, count);
   }
-  if (!track_gap_) return;
-  merge_settled_runs();
-  for (const des::SimTime at : settled_) record_success(at);
 }
 
 void GenerationService::place_settled(LazyPair& pair, std::uint64_t n,
@@ -441,34 +428,6 @@ void GenerationService::place_settled(LazyPair& pair, std::uint64_t n,
   trace_windows(pair, n, /*ok=*/true);
   for (const std::uint64_t offset : picks_) {
     trace_windows(pair, n + offset, /*ok=*/true);
-  }
-  if (!track_gap_) return;
-  settled_.push_back(window_time(pair, n));
-  for (const std::uint64_t offset : picks_) {
-    settled_.push_back(window_time(pair, n + offset));
-  }
-  settled_runs_.push_back(settled_.size());
-}
-
-void GenerationService::merge_settled_runs() {
-  // Each pair's instants are one sorted run of settled_; merge the runs
-  // pairwise, bottom up, through merged_.
-  while (settled_runs_.size() > 1) {
-    merged_.resize(settled_.size());
-    const des::SimTime* from = settled_.data();
-    des::SimTime* to = merged_.data();
-    std::size_t begin = 0;
-    std::size_t kept = 0;
-    for (std::size_t r = 0; r < settled_runs_.size(); r += 2) {
-      const std::size_t mid = settled_runs_[r];
-      const std::size_t end =
-          r + 1 < settled_runs_.size() ? settled_runs_[r + 1] : mid;
-      std::merge(from + begin, from + mid, from + mid, from + end, to + begin);
-      settled_runs_[kept++] = end;
-      begin = end;
-    }
-    settled_runs_.resize(kept);
-    settled_.swap(merged_);
   }
 }
 

@@ -74,29 +74,26 @@
 /// never park, so they only walk.
 ///
 /// The bulk step knows how many successes a pair wasted, not in which
-/// windows. When the trial reads the delivery gap (set_gap_tracking) or
-/// traces the service, the bulk step also places each pair's successes: a
-/// uniform subset of windows n..M of the drawn size, with n fixed, drawn
-/// from a per-service side stream (Floyd's algorithm over a bitmap when
-/// the subset is dense, repeat-free rejection when it is sparse). Given
-/// the counts the placement is exact, and the main stream never sees it,
-/// so tracking and tracing cannot perturb the trial.
+/// windows. Only a traced service, whose GenOk spans record them, places
+/// each pair's successes: a uniform subset of windows n..M of the drawn
+/// size, with n fixed, drawn from a per-service side stream (Floyd's
+/// algorithm over a bitmap when the subset is dense, repeat-free rejection
+/// when it is sparse). Given the counts the placement is exact, and the
+/// main stream never sees it, so tracing cannot perturb the trial.
 ///
 /// attempts() is exact at any instant (it counts the windows each pair
-/// completed on its grid in up segments). successes, waste and
-/// max_delivery_gap of a parked service are settled at the next pop or
-/// boundary, or at stop(); the engine reads them only after stop().
+/// completed on its grid in up segments). successes and waste of a parked
+/// service are settled at the next pop or boundary, or at stop(); the
+/// engine reads them only after stop().
 
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "des/simulator.hpp"
 #include "ent/buffer_pool.hpp"
@@ -170,21 +167,16 @@ class GenerationService {
 
   /// Trial-trace hook (see src/obs/): when set, attempt-window outcomes
   /// are recorded as gen_ok/gen_fail spans and buffer deposits as instants
-  /// on track `track` of `sink`. Pure observation — no RNG draw, no
-  /// scheduled event, no parameter change — and cleared by reset(), so the
-  /// engine re-arms it for each traced trial only.
-  void set_trial_trace(obs::TraceBuffer* sink, std::uint32_t track) noexcept {
+  /// on track `track` of `sink`. `side_seed` seeds the side stream that
+  /// places a parked service's bulk-settled successes (see the file
+  /// comment). Pure observation — no draw from the main stream, no
+  /// scheduled event, no parameter change. Set after reset(), before
+  /// start(); cleared by reset(), so the engine re-arms it for each traced
+  /// trial only. Untraced, a bulk settle only counts.
+  void set_trial_trace(obs::TraceBuffer* sink, std::uint32_t track,
+                       std::uint64_t side_seed) noexcept {
     obs_trace_ = sink;
     obs_track_ = track;
-  }
-
-  /// Whether this trial reads max_delivery_gap, and the seed of the side
-  /// stream that places a parked service's bulk-settled successes (see the
-  /// file comment). Set by the engine after reset(), before start(); reset()
-  /// restores the standalone default: tracked, side seed 0. Untracked and
-  /// untraced, a bulk settle only counts.
-  void set_gap_tracking(bool tracked, std::uint64_t side_seed) noexcept {
-    track_gap_ = tracked;
     side_seed_ = side_seed;
   }
 
@@ -215,20 +207,6 @@ class GenerationService {
   }
   /// OnDemand-mode successes with no consumer at the heralding instant.
   std::size_t wasted_unconsumed() const noexcept { return wasted_unconsumed_; }
-
-  /// Longest gap between consecutive successful generations so far,
-  /// extended to `now` for the open interval since the last success (the
-  /// pre-success interval starts at start()). Feeds the link_stalled
-  /// watchdog and the registry gauge: a service whose max gap exceeds N
-  /// attempt windows made no delivery for that long. Tracked unless
-  /// set_gap_tracking turned it off; tracking never touches the main RNG
-  /// stream. Precondition: tracked.
-  double max_delivery_gap(des::SimTime now) const {
-    DQCSIM_EXPECTS_MSG(track_gap_, "max_delivery_gap read on a service "
-                                   "whose gap tracking is off");
-    if (!started_) return 0.0;
-    return std::max(max_delivery_gap_, now - last_success_);
-  }
 
  private:
   /// Lazy per-pair state (see the file comment).
@@ -279,19 +257,13 @@ class GenerationService {
   /// SWAP lands before `until` into the full buffer of a parked service.
   void settle_parked(des::SimTime until);
   /// Place the `count` successes of `pair` in windows n..n+span, window n
-  /// among them, as a uniform subset drawn from the side stream: trace
-  /// them, and append their instants to settled_ as one sorted run.
+  /// among them, as a uniform subset drawn from the side stream, and trace
+  /// them.
   void place_settled(LazyPair& pair, std::uint64_t n, std::uint64_t span,
                      std::uint64_t count);
-  /// Merge settled_'s per-pair runs into one time-ordered sequence.
-  void merge_settled_runs();
   /// Trace pair windows [traced, n) as one GenFail span; when `ok`, also
   /// window n as a GenOk span.
   void trace_windows(LazyPair& pair, std::uint64_t n, bool ok);
-  void record_success(des::SimTime at) noexcept {
-    max_delivery_gap_ = std::max(max_delivery_gap_, at - last_success_);
-    last_success_ = at;
-  }
 
   des::Simulator& sim_;
   LinkParams params_;
@@ -319,20 +291,12 @@ class GenerationService {
   double log1m_p_ = 0.0;  ///< Rng::geometric_log1m of the segment's p_succ
   std::vector<LazyPair> lazy_pairs_;
 
-  // Bulk-settle placement (tracked or traced services only): the side
-  // stream, reseeded at start(), and working storage kept across trials.
-  bool track_gap_ = true;
+  // Bulk-settle placement (traced services only): the side stream,
+  // reseeded at start(), and working storage kept across trials.
   std::uint64_t side_seed_ = 0;
   Rng side_rng_;
   std::vector<std::uint64_t> pick_bits_;  ///< dense placement's bitmap
   std::vector<std::uint64_t> picks_;      ///< one pair's offsets, sorted
-  std::vector<des::SimTime> settled_;     ///< placed instants, all pairs
-  std::vector<std::size_t> settled_runs_;  ///< end of each pair's run
-  std::vector<des::SimTime> merged_;      ///< merge_settled_runs buffer
-
-  // Delivery-gap state (see max_delivery_gap).
-  des::SimTime last_success_ = 0.0;
-  double max_delivery_gap_ = 0.0;
 };
 
 }  // namespace dqcsim::ent

@@ -51,9 +51,6 @@ void ArchConfig::validate() const {
   if (!(fid.epr_f0 >= 0.25 && fid.epr_f0 <= 1.0)) {
     throw ConfigError("ArchConfig: EPR fidelity must be in [0.25, 1]");
   }
-  if (stall_windows < 0) {
-    throw ConfigError("ArchConfig: stall_windows must be nonnegative");
-  }
   if (!(max_trial_sim_time > 0.0)) {
     throw ConfigError("ArchConfig: max_trial_sim_time must be positive");
   }

@@ -154,11 +154,6 @@ struct ArchConfig {
   /// while routeless is counted as salvage. Reported as pairs_salvaged;
   /// arbitration between links follows the usual creation order.
   bool salvage_pairs = false;
-  /// link_stalled watchdog: report (in RunResult::links_stalled) how many
-  /// generation services went longer than stall_windows attempt windows
-  /// without a single successful generation at any point in the trial.
-  /// 0 disables the watchdog.
-  int stall_windows = 0;
   /// Trial sim-time budget: a trial whose next event would fire beyond
   /// this instant stops cleanly with RunResult::truncated set and partial
   /// metrics (depth reports the budget horizon). Deterministic — the

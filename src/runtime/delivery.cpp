@@ -118,26 +118,15 @@ void Delivery::finish(double horizon, RunResult& result) {
              : 0);
     result.epr_wasted += svc->wasted_buffer_full() + svc->wasted_unconsumed();
     result.epr_expired += svc->buffer().total_expired();
-    // link_stalled watchdog: services that at some point went longer than
-    // stall_windows attempt windows without one successful generation.
-    // Pure observation over the tracked success-gap maximum — no draw from
-    // the trial's stream, no event, so the knob cannot perturb the trial.
-    if (t_.config.stall_windows > 0 &&
-        svc->max_delivery_gap(horizon) >
-            static_cast<double>(t_.config.stall_windows) *
-                svc->params().cycle_time) {
-      ++result.links_stalled;
-    }
   }
 }
 
 namespace {
 
 /// Re-arm and start service `index` (a link's or an edge's) in the one
-/// order bit-identity depends on. Gap tracking is on only when the trial
-/// reads max_delivery_gap (the link_stalled watchdog, the registry gauge);
-/// the side stream is seeded from the trial seed, never from `rng`. Under a
-/// scenario the service starts at its effective link at t = 0.
+/// order bit-identity depends on. A traced service's side stream is seeded
+/// from the trial seed, never from `rng`. Under a scenario the service
+/// starts at its effective link at t = 0.
 void start_service(TrialState& t, FaultController& faults,
                    TrialObserver& observer, ent::GenerationService& svc,
                    const ent::LinkParams& params, ent::ServiceMode mode,
@@ -145,9 +134,8 @@ void start_service(TrialState& t, FaultController& faults,
                    ent::GenerationService::ArrivalHandler handler) {
   constexpr std::uint64_t kTagGenSide = 0x47454E53ULL;  // "GENS"
   svc.reset(params, mode);
-  svc.set_gap_tracking(t.config.stall_windows > 0 || observer.metrics(),
-                       Rng::derive_seed(t.trial_seed, 0, kTagGenSide, index));
-  observer.trace_service(svc, track);
+  observer.trace_service(
+      svc, track, Rng::derive_seed(t.trial_seed, 0, kTagGenSide, index));
   if (faults.active()) {
     svc.set_effective(faults.service_effective(index, t.sim.now()));
   }

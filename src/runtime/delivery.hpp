@@ -160,7 +160,7 @@ class Delivery {
   virtual void after_replan() {}
 
   /// End of trial at `horizon`: stop every service, then add their
-  /// generation accounting (epr_*, links_stalled) to `result`.
+  /// generation accounting (epr_*) to `result`.
   void finish(double horizon, RunResult& result);
   /// The generation services this trial runs.
   std::span<const std::unique_ptr<ent::GenerationService>> services() const {

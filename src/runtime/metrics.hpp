@@ -102,9 +102,8 @@ enum class RegistryFold : std::uint8_t {
   /** Always 0: an outage takes only links down, and stored pairs            \
       outlive it. Kept while perfbench reads it (like route_splits). */      \
   X(std::size_t, pairs_discarded, 0, Counter)                                \
-  /** Generation services that at some point went more than               \
-      ArchConfig::stall_windows attempt windows without one successful     \
-      generation (0 when the watchdog is off). */                            \
+  /** Always 0: nothing counts stalled links. Kept while perfbench         \
+      compares it (like route_splits). */                                    \
   X(std::size_t, links_stalled, 0, Counter)                                  \
   /** True when the trial hit ArchConfig::max_trial_sim_time and stopped   \
       with unfinished gates; every metric is then a partial figure over    \

@@ -46,7 +46,6 @@ void TrialObserver::resolve_handles() {
     h_.metrics[k++] = reg_.counter(name);
   });
   h_.trace_dropped = reg_.counter("trace_dropped_events");
-  h_.max_delivery_gap = reg_.gauge("max_delivery_gap");
   h_.makespan_max = reg_.gauge("makespan_max");
   h_.pair_age = reg_.log_histogram("pair_age");
   h_.remote_wait = reg_.log_histogram("remote_wait");
@@ -57,7 +56,6 @@ void TrialObserver::resolve_handles() {
 void TrialObserver::finish(double makespan, bool scenario) {
   obs::Observe* observe = t_.config.observe.get();
   if (observe == nullptr) return;
-  const Delivery* delivery = t_.delivery;
   if (trace_) buf_.span(obs::Ev::Trial, 0, 0.0, makespan);
   if (metrics_) {
     std::size_t k = 0;
@@ -66,11 +64,6 @@ void TrialObserver::finish(double makespan, bool scenario) {
     });
     if (trace_) reg_.add(h_.trace_dropped, buf_.dropped());
     reg_.gauge_max(h_.makespan_max, makespan);
-    if (delivery != nullptr) {
-      for (const auto& svc : delivery->services()) {
-        reg_.gauge_max(h_.max_delivery_gap, svc->max_delivery_gap(makespan));
-      }
-    }
     observe->collector.merge_registry(reg_);
     reg_.reset_values();  // registrations and capacity stay
   }
@@ -87,7 +80,7 @@ void TrialObserver::finish(double makespan, bool scenario) {
                              std::to_string(t_.links[i].node_b));
   }
   const net::Topology* topo = t_.config.topology.get();
-  const bool per_edge = delivery != nullptr && delivery->per_edge;
+  const bool per_edge = t_.delivery != nullptr && t_.delivery->per_edge;
   if (topo != nullptr && (scenario || per_edge)) {
     for (std::size_t e = 0; e < topo->num_edges(); ++e) {
       const net::TopologyEdge& edge = topo->edge(e);

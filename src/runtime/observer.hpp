@@ -36,7 +36,6 @@ class TrialObserver {
   /// collector. Edge tracks are named under a scenario or per-edge delivery.
   void finish(double makespan, bool scenario);
 
-  bool metrics() const noexcept { return metrics_; }
   obs::Profile* prof() noexcept { return profile_on_ ? &profile_ : nullptr; }
 
   // --- hooks ----------------------------------------------------------------
@@ -50,8 +49,9 @@ class TrialObserver {
   void pair_age(double age) noexcept {
     if (metrics_) reg_.observe(h_.pair_age, age);
   }
-  void trace_service(ent::GenerationService& svc, std::uint32_t track) {
-    if (trace_) svc.set_trial_trace(&buf_, track);
+  void trace_service(ent::GenerationService& svc, std::uint32_t track,
+                     std::uint64_t side_seed) {
+    if (trace_) svc.set_trial_trace(&buf_, track, side_seed);
   }
   void instant(obs::Ev ev, std::uint32_t track, double t) noexcept {
     if (trace_) buf_.instant(ev, track, t);
@@ -101,7 +101,6 @@ class TrialObserver {
     obs::Registry::Handle route_hits = 0;
     obs::Registry::Handle route_misses = 0;
     obs::Registry::Handle trace_dropped = 0;
-    obs::Registry::Handle max_delivery_gap = 0;
     obs::Registry::Handle makespan_max = 0;
     obs::Registry::Handle pair_age = 0;
     obs::Registry::Handle remote_wait = 0;

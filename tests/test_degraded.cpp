@@ -34,9 +34,6 @@ RunResult run_once(const Circuit& qc, const std::vector<int>& nodes,
 
 TEST(DegradedConfig, ValidateCatchesBadKnobs) {
   ArchConfig config;
-  config.stall_windows = -1;
-  EXPECT_THROW(config.validate(), ConfigError);
-  config.stall_windows = 0;
   config.max_trial_sim_time = 0.0;
   EXPECT_THROW(config.validate(), ConfigError);
   config.max_trial_sim_time = 1.0;
@@ -107,53 +104,6 @@ TEST(Salvage, ComposedModeCountsSalvageWithoutChangingResults) {
   EXPECT_EQ(off.epr_attempts, on.epr_attempts);
   EXPECT_EQ(off.pairs_salvaged, 0u);
   EXPECT_GE(on.pairs_salvaged, 3u);
-}
-
-// -------------------------------------------------------------- watchdog ----
-
-TEST(StallWatchdog, LongOutageTripsTheWatchdog) {
-  Circuit qc(4);
-  for (int i = 0; i < 10; ++i) qc.rzz(0, 2, 0.1);
-  const std::vector<int> nodes = {0, 0, 1, 1};
-  ArchConfig config;
-  config.num_nodes = 2;
-  config.set_topology(net::Topology::chain(2));
-  Scenario scn;
-  scn.link_outages.push_back({0, 1, 12.0, 200.0});
-  config.set_scenario(scn);
-
-  // Watchdog off: nothing reported.
-  const RunResult off = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_EQ(off.links_stalled, 0u);
-
-  // A 200-unit success drought beats 10 attempt windows (100 units).
-  config.stall_windows = 10;
-  const RunResult tight = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_EQ(tight.links_stalled, 1u);
-  // The watchdog is observation only: identical trial results.
-  EXPECT_EQ(off.depth, tight.depth);
-  EXPECT_EQ(off.fidelity, tight.fidelity);
-
-  // A lenient threshold stays quiet.
-  config.stall_windows = 50;
-  const RunResult loose = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_EQ(loose.links_stalled, 0u);
-}
-
-TEST(StallWatchdog, TruncatedDeadLinkTripsTheWatchdog) {
-  // The gates that can run finish early; the dead link's success drought
-  // runs on to the budget, where the truncated trial ends. The watchdog
-  // measures the open gap up to there, not up to the last event.
-  Circuit qc(4);
-  qc.rzz(0, 2, 0.1);
-  const std::vector<int> nodes = {0, 0, 1, 1};
-  ArchConfig config;
-  config.p_succ = 1e-7;  // dead-in-practice link
-  config.max_trial_sim_time = 2000.0;
-  config.stall_windows = 10;
-  const RunResult r = run_once(qc, nodes, config, DesignKind::AsyncBuf);
-  EXPECT_TRUE(r.truncated);
-  EXPECT_EQ(r.links_stalled, 1u);
 }
 
 // ------------------------------------------------------------ truncation ----
@@ -329,17 +279,16 @@ TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
     const char* name;
     Scenario (*scenario)();
     bool swap_go, salvage, share;
-    int stall;
     double budget;
   };
   const Combo combos[] = {
-      {"salvage_swap_go", faulty_scenario, true, true, false, 0, 1e18},
-      {"salvage_composed", faulty_scenario, false, true, false, 0, 1e18},
-      {"overlap_shared", overlapping_scenario, false, false, true, 0, 1e18},
-      {"dense_swap_go", dense_failures_scenario, true, true, false, 0, 1e18},
-      {"stall_budget", faulty_scenario, false, false, false, 5, 900.0},
-      {"all_swap_go", faulty_scenario, true, true, false, 5, 900.0},
-      {"all_composed", faulty_scenario, false, true, true, 5, 900.0},
+      {"salvage_swap_go", faulty_scenario, true, true, false, 1e18},
+      {"salvage_composed", faulty_scenario, false, true, false, 1e18},
+      {"overlap_shared", overlapping_scenario, false, false, true, 1e18},
+      {"dense_swap_go", dense_failures_scenario, true, true, false, 1e18},
+      {"budget", faulty_scenario, false, false, false, 900.0},
+      {"all_swap_go", faulty_scenario, true, true, false, 900.0},
+      {"all_composed", faulty_scenario, false, true, true, 900.0},
   };
   for (const Combo& combo : combos) {
     ArchConfig config;
@@ -349,7 +298,6 @@ TEST(DegradedDeterminism, EveryKnobComboIsThreadCountInvariant) {
     config.swap_as_you_go = combo.swap_go;
     config.salvage_pairs = combo.salvage;
     config.share_edge_capacity = combo.share;
-    config.stall_windows = combo.stall;
     config.max_trial_sim_time = combo.budget;
     for (const DesignKind design : distributed_designs()) {
       const AggregateResult serial =

@@ -421,35 +421,6 @@ TEST(ArrivalTrace, BurstinessZeroWhenEmpty) {
   EXPECT_DOUBLE_EQ(trace.burstiness(1.0, 10.0), 0.0);
 }
 
-// --------------------------------------------------------- delivery gap ----
-
-TEST(GenerationService, MaxDeliveryGapTracksSuccessDroughts) {
-  LinkParams link = paper_link();
-  link.p_succ = 1.0;
-  link.num_comm_pairs = 1;
-  link.buffer_capacity = 1;  // full buffer still counts as a success
-  des::Simulator sim;
-  Rng rng(1);
-  GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-  EXPECT_DOUBLE_EQ(svc.max_delivery_gap(100.0), 0.0);  // not started
-  svc.start();
-  sim.run_until(95.0);
-  svc.stop();  // the parked service settles its skipped successes
-  // Every window succeeds: the widest gap is one cycle (start -> first).
-  EXPECT_DOUBLE_EQ(svc.max_delivery_gap(sim.now()), link.cycle_time);
-
-  // A service that never succeeds reports the whole span since start.
-  LinkParams dead = link;
-  dead.p_succ = 1e-12;
-  des::Simulator sim2;
-  Rng rng2(1);
-  GenerationService never(sim2, dead, rng2, ServiceMode::Buffered);
-  never.start();
-  sim2.run_until(95.0);
-  never.stop();
-  EXPECT_DOUBLE_EQ(never.max_delivery_gap(sim2.now()), sim2.now());
-}
-
 // ------------------------------------------------- lazy generation (v4) ----
 
 /// A down segment [from, until) of a service's effective link.
@@ -887,7 +858,7 @@ TEST(LazyGeneration, TracedSpansCoverEveryWindow) {
     des::Simulator sim;
     Rng rng(4);
     GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-    svc.set_trial_trace(&buf, 7);
+    svc.set_trial_trace(&buf, 7, 3);
     schedule_down_segment(sim, svc, link, down);
     svc.start();
     for (const double t : {250.0, 600.0, 610.0, 1400.0, 9000.0}) {
@@ -918,15 +889,17 @@ TEST(LazyGeneration, TracedSpansCoverEveryWindow) {
   }
 }
 
-TEST(LazyGeneration, GapTrackingNeverTouchesTheMainStream) {
-  // Tracked, the bulk settle also places its successes from the side
-  // stream; untracked it only counts. Either way the main stream, and so
+TEST(LazyGeneration, TracingNeverTouchesTheMainStream) {
+  // Traced, the bulk settle also places its successes from the side
+  // stream; untraced it only counts. Either way the main stream, and so
   // every counter and the buffer, follow the same draws.
-  const auto run = [](bool tracked, std::uint64_t side_seed) {
+  const auto run = [](bool traced, std::uint64_t side_seed) {
+    obs::TraceBuffer buf;
+    buf.reset(1u << 12);
     des::Simulator sim;
     Rng rng(12);
     GenerationService svc(sim, paper_link(), rng, ServiceMode::Buffered);
-    svc.set_gap_tracking(tracked, side_seed);
+    if (traced) svc.set_trial_trace(&buf, 1, side_seed);
     svc.start();
     for (const double t : {300.0, 2000.0, 2000.5, 7777.0}) {
       sim.schedule_at(t, [&svc, t] {
@@ -935,11 +908,7 @@ TEST(LazyGeneration, GapTrackingNeverTouchesTheMainStream) {
     }
     sim.run_until(9000.25);
     svc.stop();
-    if (tracked) {
-      EXPECT_GT(svc.max_delivery_gap(sim.now()), 0.0);
-    } else {
-      EXPECT_THROW(svc.max_delivery_gap(sim.now()), PreconditionError);
-    }
+    EXPECT_EQ(buf.events().empty(), !traced);
     return std::tuple(svc.attempts(), svc.successes(), svc.wasted_buffer_full(),
                       svc.available(sim.now()), sim.executed_events(), rng());
   };
@@ -949,15 +918,18 @@ TEST(LazyGeneration, GapTrackingNeverTouchesTheMainStream) {
 }
 
 TEST(LazyGeneration, BulkPlacementMatchesPerWindowGaps) {
-  // A parked service with no consumer settles its whole horizon in stop(),
-  // placing every success from the side stream. Its longest delivery gap
-  // must match the per-window chain's in distribution, on the dense
-  // placement path (p = 0.3: a pair places ~60 of ~200 windows) and on
-  // the sparse one (p = 0.02), with two pairs on staggered grids.
+  // A traced parked service with no consumer settles its whole horizon in
+  // stop(), placing every success from the side stream as a GenOk span.
+  // The longest gap between those spans' ends (from 0 to the horizon) must
+  // match the per-window chain's longest delivery gap in distribution, on
+  // the dense placement path (p = 0.3: a pair places ~60 of ~200 windows)
+  // and on the sparse one (p = 0.02), with two pairs on staggered grids.
   LinkParams link = paper_link();
   link.num_comm_pairs = 2;
   link.schedule = AttemptSchedule::Asynchronous;
   link.buffer_capacity = 1;
+  obs::TraceBuffer buf;
+  std::vector<double> ends;
   for (const double p : {0.3, 0.02}) {
     SCOPED_TRACE(p);
     link.p_succ = p;
@@ -969,14 +941,23 @@ TEST(LazyGeneration, BulkPlacementMatchesPerWindowGaps) {
         const auto seed = static_cast<std::uint64_t>(t);
         double gap = 0.0;
         if (lazy) {
+          buf.reset(1u << 14);
           des::Simulator sim;
           Rng rng(100 + seed);
           GenerationService svc(sim, link, rng, ServiceMode::Buffered);
-          svc.set_gap_tracking(true, 7 + seed);
+          svc.set_trial_trace(&buf, 1, 7 + seed);
           svc.start();
           sim.run_until(2000.5);
           svc.stop();
-          gap = svc.max_delivery_gap(sim.now());
+          EXPECT_EQ(buf.dropped(), 0u);
+          ends.assign({0.0, sim.now()});
+          for (const obs::TraceEvent& e : buf.events()) {
+            if (e.ev == obs::Ev::GenOk) ends.push_back(e.t1);
+          }
+          std::sort(ends.begin(), ends.end());
+          for (std::size_t i = 1; i < ends.size(); ++i) {
+            gap = std::max(gap, ends[i] - ends[i - 1]);
+          }
         } else {
           gap = run_per_window(link, 100 + seed, 2000.5).max_gap;
         }

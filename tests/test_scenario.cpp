@@ -256,7 +256,8 @@ TEST(ScenarioDeterminism, ParallelRunsAreBitIdenticalToSerialForEveryDesign) {
 // fixed, so every gate is deterministic. The fixtures cannot be rewritten
 // from this tree (see the README next to them).
 
-/// Per-trial samples of the compared metrics.
+/// Per-trial samples of the compared metrics. `stalled` is read from the
+/// fixtures but not compared (see the README next to them).
 struct TrialSamples {
   std::vector<double> depth, fidelity, attempts, successes, wasted, expired,
       stalled, reroutes, downtime;
@@ -287,7 +288,6 @@ void run_trials(const Circuit& qc, const std::vector<int>& nodes,
     s.successes.push_back(static_cast<double>(r.epr_successes));
     s.wasted.push_back(static_cast<double>(r.epr_wasted));
     s.expired.push_back(static_cast<double>(r.epr_expired));
-    s.stalled.push_back(static_cast<double>(r.links_stalled));
     s.reroutes.push_back(static_cast<double>(r.reroutes));
     s.downtime.push_back(r.outage_downtime);
   }
@@ -387,7 +387,6 @@ void expect_matches_v1(const std::string& cell, const Circuit& qc,
   expect_same_mean(lazy.successes, v1.successes, "successes");
   expect_same_mean(lazy.wasted, v1.wasted, "wasted");
   expect_same_mean(lazy.expired, v1.expired, "expired");
-  expect_same_mean(lazy.stalled, v1.stalled, "links_stalled");
   expect_same_mean(lazy.reroutes, v1.reroutes, "reroutes");
   expect_same_mean(lazy.downtime, v1.downtime, "downtime");
 }
@@ -558,24 +557,20 @@ TEST(ReplayFormatV2, TruncatedTailMatchesPerWindowReference) {
   }
 }
 
-TEST(ReplayFormatV2, StallWatchdogMatchesPerWindowReference) {
+TEST(ReplayFormatV2, TwoPairTightBufferMatchesPerWindowReference) {
   // Two pairs at p = 0.1 behind a 2-pair buffer: gaps between successes
-  // run to tens of windows, and 18 windows sits near the median of a
-  // trial's longest gap, so links_stalled (the side-stream placement of
-  // every bulk-settled success) is gated where it is most sensitive.
+  // run to tens of windows, and the buffer parks and settles in bulk many
+  // times per trial. The cells keep the name of the stall watchdog they
+  // were recorded under (see the README next to the fixtures).
   ArchConfig config;
   config.set_topology(net::Topology::chain(2));
   config.comm_per_node = 2;
   config.buffer_per_node = 2;
   config.p_succ = 0.1;
-  config.stall_windows = 18;
   for (const DesignKind design : {DesignKind::AsyncBuf, DesignKind::SyncBuf}) {
-    TrialSamples lazy;
     expect_matches_v1("stall_watchdog_" + runtime::design_name(design),
                       long_gap_circuit(), two_node_assignment(), config,
-                      design, lazy);
-    EXPECT_GT(mean_of(lazy.stalled), 0.2);
-    EXPECT_LT(mean_of(lazy.stalled), 0.8);
+                      design);
   }
 }
 
@@ -702,14 +697,6 @@ void expect_observation_invisible(const Circuit& qc,
       expect_identical(off, runtime::run_design(qc, nodes, traced, design,
                                                 kRuns, kBase, threads));
       EXPECT_TRUE(traced.observe->collector.has_trace());
-
-      // The watchdog adds links_stalled and changes nothing else.
-      ArchConfig watched = plain;
-      watched.stall_windows = 1;
-      AggregateResult on = runtime::run_design(qc, nodes, watched, design,
-                                               kRuns, kBase, threads);
-      on.links_stalled = off.links_stalled;
-      expect_identical(off, on);
     }
   }
 }
